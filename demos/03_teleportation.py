@@ -32,7 +32,7 @@ for _ in range(3):
     log = res.step_log
     print(f"  input ({q.alpha:+.3f}, {q.beta:+.3f})  outcome {res.outcome}  "
           f"fidelity = {res.fidelity_to_input:.6f}")
-    print(f"      entangle: Bell overlap^2 = {log['entangle']['bell_overlap_sq']:.6f}, "
+    print(f"      entangle: Bell overlap^2 = {log['channel']['ghz_overlap_sq']:.6f}, "
           f"min gap = {log['entangle']['min_gap']:.4f} w")
     print(f"      couple:   target overlap^2 = {log['couple']['target_overlap_sq']:.6f}")
     print(f"      measure:  p0 = {log['measure']['p0']:.6f}")

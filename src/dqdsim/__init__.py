@@ -46,6 +46,7 @@ from .hilbert import (
 )
 from .metrics import RabiFit, concurrence, entanglement_entropy, fit_oscillation, instantaneous_gap
 from .protocol import (
+    Channel,
     InputQubit,
     ProtocolParams,
     TeleportResult,

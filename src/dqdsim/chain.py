@@ -13,22 +13,18 @@ three-DQD protocol.
 A practical caveat the diagnostics make visible: the avoided-crossing gap
 the coupling ramp must pass shrinks like w(w/U)^(n-1) with chain length, so
 faithful coupling to long chains needs either small U or exponentially long
-ramps.  ``ChainChannel`` builds the (input-independent) channel state and
-coupling propagator once so that many inputs can be teleported cheaply.
+ramps.  ``ChainChannel`` is the teleportation engine of :mod:`.protocol`
+fed with the chain state: it does the input-independent work once so that
+many inputs can be teleported cheaply.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import device as dev
-from . import evolve
 from . import protocol as proto
 from .errors import DimensionError
-from .hilbert import StateVector, fidelity, tensor_product
+from .hilbert import fidelity  # noqa: F401  perfbench's tracer test reads dqdsim.chain.fidelity
 
 MAX_QUBITS = 12
 
@@ -60,98 +56,23 @@ class ChainSpec:
         return max(3.0 * p.U_max / p.w**2, 10.0 / p.w)
 
 
-def chain_graph(spec: ChainSpec) -> dev.DeviceGraph:
-    """Support chain with all nearest-neighbor links on one common ramp."""
-    p = spec.params
-    T = spec.resolved_T_ghz()
-    ramp = dev.Schedule.smooth(0.0, p.U_max, 0.0, T)
-    links = []
-    for k in range(spec.n_support - 1):
-        links += dev.dqd_pair_links(k, k + 1, ramp)
-    return dev.DeviceGraph(
-        dqds=tuple(range(spec.n_support)),
-        tunnel_terms=tuple(
-            dev.TunnelTerm(k, dev.Schedule.constant(p.w)) for k in range(spec.n_support)
-        ),
-        coulomb_links=tuple(links),
-    )
-
-
 def make_ghz_chain(spec: ChainSpec):
     """Channel state over the support chain; returns (state, diagnostics or None)."""
     if spec.params.mode == "effective":
         return proto.bell_target(spec.n_support), None
-    g = chain_graph(spec)
-    start = evolve.ground_state(dev.hamiltonian_at(g, 0.0)).state
-    return evolve.adiabatic_ramp(start, g, 0.0, spec.resolved_T_ghz(), spec.params.integrator)
+    return proto.ramp_support(spec.params, spec.n_support, spec.resolved_T_ghz())
 
 
-class ChainChannel:
-    """Reusable chain-teleportation engine.
+class ChainChannel(proto.Channel):
+    """The teleportation engine over a GHZ support chain.
 
-    Prepares the channel state and, in full mode, the coupling-stage
-    propagator and rotation-stage unitary once; ``teleport`` then costs a
-    few matrix-vector products per input.
+    The channel is built once; ``teleport`` then costs an encode, a few
+    vector combinations and Alice's measurement per input.
     """
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
-        p = spec.params
-        self.channel_state, self.channel_diagnostics = make_ghz_chain(spec)
-        self.n_qubits = spec.n_support + 1
-        if p.mode == "full":
-            gap = proto.support_crossing_gap(p, spec.n_support)
-            self.support_gap = gap
-            self.t_couple = p.resolved_T_couple(gap)
-            needed = 1.0 / (4.0 * (gap / 2.0) * proto.EPS_ADIABATIC)
-            if self.t_couple < 0.5 * needed:
-                warnings.warn(
-                    f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
-                    f"~{needed:.3g}/w the crossing gap {gap:.3g} requires; "
-                    "the transfer will be unfaithful",
-                    stacklevel=2,
-                )
-            g = proto.coupler_graph(p, spec.n_support, self.t_couple, gap)
-            self.couple_propagator = evolve.scheduled_propagator(
-                g, 0.0, self.t_couple, p.integrator
-            )
-            Hb = dev.hamiltonian_at(proto.bell_stage_graph(p, self.n_qubits), 0.0)
-            om = proto.effective_rabi(p.w, p.resolved_bell_U())
-            self.t_wait = p.wait_angle / om
-            evals, evecs = np.linalg.eigh(Hb)
-            self.bell_unitary = evecs @ (np.exp(-1j * evals * self.t_wait)[:, None]
-                                         * evecs.conj().T)
-        else:
-            om = proto.effective_rabi(p.w, p.resolved_bell_U())
-            self.t_wait = p.wait_angle / om
-
-    def teleport(self, target: proto.InputQubit) -> proto.TeleportResult:
-        p = self.spec.params
-        enc = proto.encode_qubit(target, p.w, p.phi)
-        if p.mode == "effective":
-            coupled = proto.ghz_encoded(enc.achieved.alpha, enc.achieved.beta, self.n_qubits)
-            post = proto.bell_evolution(coupled, p, self.t_wait)
-        else:
-            start = tensor_product(enc.state, self.channel_state)
-            coupled = StateVector(self.couple_propagator @ start.amps)
-            post = StateVector(self.bell_unitary @ coupled.amps)
-        result = proto.alice_measure_and_correct(post, p, enc.achieved)
-        ghz_ref = proto.ghz_encoded(enc.achieved.alpha, enc.achieved.beta, self.n_qubits)
-        result.step_log = {
-            "encode": {"t_bar": enc.t_bar},
-            "channel": {
-                "ghz_overlap_sq": fidelity(self.channel_state,
-                                           proto.bell_target(self.spec.n_support)),
-            },
-            "couple": {"target_overlap_sq": fidelity(coupled, ghz_ref)},
-            "measure": result.step_log["measure"],
-        }
-        if self.channel_diagnostics is not None:
-            result.step_log["channel"]["min_gap"] = self.channel_diagnostics.min_gap
-            result.step_log["channel"]["ground_overlap_sq"] = (
-                self.channel_diagnostics.final_ground_overlap_sq
-            )
-        return result
+        super().__init__(*make_ghz_chain(spec), spec.params)
 
 
 def teleport_over_chain(target: proto.InputQubit, spec: ChainSpec) -> proto.TeleportResult:

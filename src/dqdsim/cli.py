@@ -20,10 +20,10 @@ from dataclasses import dataclass, asdict, fields, replace
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, teleport_over_chain
+from .chain import MAX_QUBITS, ChainSpec, teleport_over_chain
 from .errors import ConfigError, ConvergenceError
 from .evolve import PropagatorConfig
-from .hilbert import fidelity, measure_qubit
+from .hilbert import fidelity
 from .metrics import concurrence
 from . import protocol as proto
 
@@ -95,8 +95,8 @@ def validate_config(cfg: RunConfig) -> list:
             errors.append(f"{name} must be positive when given")
     if not 0.0 <= cfg.alpha_abs <= 1.0:
         errors.append(f"alpha_abs must lie in [0, 1], got {cfg.alpha_abs}")
-    if not 2 <= cfg.n_support <= 11:
-        errors.append(f"n_support must lie in [2, 11], got {cfg.n_support}")
+    if not 2 <= cfg.n_support <= MAX_QUBITS - 1:
+        errors.append(f"n_support must lie in [2, {MAX_QUBITS - 1}], got {cfg.n_support}")
     if cfg.dt is not None and cfg.dt <= 0:
         errors.append("dt must be positive when given")
     if cfg.tolerance <= 0:
@@ -199,51 +199,26 @@ def run_experiment(cfg: RunConfig) -> dict:
         )
         return row
 
-    enc = proto.encode_qubit(target, cfg.w, cfg.phi)
-
-    if cfg.experiment in ("couple", "bell"):
-        pair, _ = proto.make_entangled_pair(params)
-        coupled = proto.couple_unknown(enc.state, pair, params)
-        ghz_ref = proto.ghz_encoded(enc.achieved.alpha, enc.achieved.beta, 3)
-        if cfg.experiment == "couple":
-            row.update(
-                target_overlap_sq=fidelity(coupled, ghz_ref),
-                norm=float(np.linalg.norm(coupled.amps)),
-            )
-            return row
-        om = proto.effective_rabi(cfg.w, params.resolved_bell_U())
-        t_wait = cfg.wait_angle / om
-        post = proto.bell_evolution(coupled, params, t_wait)
-        eff = replace(params, mode="effective")
-        meas = measure_qubit(post, 0)
-        row.update(
-            p0=meas.p0,
-            p1=meas.p1,
-            effective_overlap_sq=fidelity(post, proto.bell_evolution(ghz_ref, eff, t_wait)),
-        )
-        return row
-
-    if cfg.experiment == "teleport":
-        res = proto.teleport_end_to_end(target, params)
-        by_outcome = {b.outcome: b for b in res.branches}
-        row.update(
-            outcome=res.outcome, p0=res.p0, p1=res.p1,
-            fidelity=res.fidelity_to_input,
-            fidelity_branch0=by_outcome[0].fidelity if 0 in by_outcome else "",
-            fidelity_branch1=by_outcome[1].fidelity if 1 in by_outcome else "",
-        )
-        return row
-
-    if cfg.experiment == "chain":
-        res = teleport_over_chain(target, ChainSpec(cfg.n_support, params, cfg.T_ghz))
-        by_outcome = {b.outcome: b for b in res.branches}
-        row.update(
-            outcome=res.outcome, p0=res.p0, p1=res.p1,
-            fidelity=res.fidelity_to_input,
-            fidelity_branch0=by_outcome[0].fidelity if 0 in by_outcome else "",
-            fidelity_branch1=by_outcome[1].fidelity if 1 in by_outcome else "",
-            ghz_overlap_sq=res.step_log["channel"]["ghz_overlap_sq"],
-        )
+    if cfg.experiment in ("couple", "bell", "teleport", "chain"):
+        if cfg.experiment == "chain":
+            res = teleport_over_chain(target, ChainSpec(cfg.n_support, params, cfg.T_ghz))
+        else:
+            res = proto.teleport_end_to_end(target, params)
+        log = res.step_log
+        if log["channel"]["T_couple"] is not None:
+            row["T_couple"] = log["channel"]["T_couple"]
+        by_outcome = {b.outcome: b.fidelity for b in res.branches}
+        results = {
+            "target_overlap_sq": log["couple"]["target_overlap_sq"],
+            "norm": log["couple"]["norm"],
+            "effective_overlap_sq": log["bell"]["effective_overlap_sq"],
+            "outcome": res.outcome, "p0": res.p0, "p1": res.p1,
+            "fidelity": res.fidelity_to_input,
+            "fidelity_branch0": by_outcome.get(0, ""),
+            "fidelity_branch1": by_outcome.get(1, ""),
+            "ghz_overlap_sq": log["channel"]["ghz_overlap_sq"],
+        }
+        row.update((c, results[c]) for c in RESULT_COLUMNS[cfg.experiment])
         return row
 
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")

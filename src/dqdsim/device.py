@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DeviceError
-from .hilbert import P0, P1
 
 SCHEDULE_KINDS = ("constant", "linear_ramp", "smooth_ramp", "sudden_step", "tangent_ramp")
 
@@ -223,23 +222,6 @@ def dqd_pair_links(qubit_a: int, qubit_b: int, strength: Schedule) -> tuple:
     )
 
 
-def compile_coulomb(link: CoulombLink, t: float):
-    """Logical form of a Coulomb link at time t.
-
-    Returns ``((qa, qb), D)`` where D = U(t) * (proj_i x proj_j) is the
-    4x4 diagonal on qubits (qa, qb), little-endian with qa as bit 0.
-    An odd dot's occupation operator maps to P1, an even dot's to P0.
-    """
-    qa, qb = dot_qubit(link.dot_i), dot_qubit(link.dot_j)
-    if qa == qb:
-        raise DeviceError(f"link ({link.dot_i},{link.dot_j}) joins dots of one DQD")
-    proj_a = P1 if dot_is_odd(link.dot_i) else P0
-    proj_b = P1 if dot_is_odd(link.dot_j) else P0
-    u = schedule_value(link.strength, t)
-    # little-endian kron: second factor acts on the low bit (qa)
-    return (qa, qb), u * np.kron(proj_b, proj_a)
-
-
 def _tunnel_matrix(phase: float) -> np.ndarray:
     return -np.array([[0.0, np.exp(1j * phase)],
                       [np.exp(-1j * phase), 0.0]], dtype=complex)
@@ -259,14 +241,15 @@ def _embed_single(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return out
 
 
-def _disagree_diag(qa: int, qb: int, n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    return (((idx >> qa) & 1) != ((idx >> qb) & 1)).astype(float)
+def link_diagonal(link: CoulombLink, n: int) -> np.ndarray:
+    """Unit-strength diagonal of one Coulomb link over an n-qubit register.
 
-
-def _link_diag(link: CoulombLink, n: int) -> np.ndarray:
-    """Unit-strength diagonal of one compiled link over the full register."""
+    The link's energy counts when both of its dots are occupied: an odd
+    dot's occupation maps to P1 on its qubit, an even dot's to P0.
+    """
     qa, qb = dot_qubit(link.dot_i), dot_qubit(link.dot_j)
+    if qa == qb:
+        raise DeviceError(f"link ({link.dot_i},{link.dot_j}) joins dots of one DQD")
     want_a = 1 if dot_is_odd(link.dot_i) else 0
     want_b = 1 if dot_is_odd(link.dot_j) else 0
     idx = np.arange(2**n)
@@ -295,7 +278,7 @@ def hamiltonian_terms(g: DeviceGraph):
         if term.offset:
             H0 += term.offset * np.eye(dim)
     for link in g.coulomb_links:
-        B = np.diag(_link_diag(link, n)).astype(complex)
+        B = np.diag(link_diagonal(link, n)).astype(complex)
         if link.strength.is_constant:
             H0 += link.strength.v_start * B
         else:
@@ -309,7 +292,8 @@ def hamiltonian_at(g: DeviceGraph, t: float) -> np.ndarray:
     H = H0.copy()
     for sched, B in terms:
         H += schedule_value(sched, t) * B
-    assert np.max(np.abs(H - H.conj().T)) < HERMITICITY_TOL
+    if not np.max(np.abs(H - H.conj().T)) < HERMITICITY_TOL:  # NaN fails too
+        raise DeviceError("device Hamiltonian is not Hermitian (a tunneling phase must be real)")
     return H
 
 

@@ -94,8 +94,8 @@ def _reject_interior_step(s: dev.Schedule, t0: float, t1: float, what: str):
         )
 
 
-def _sweep(psi, P, H0, terms, t0, t1, dt):
-    """Midpoint-rule sweep, advancing a state (psi) or a propagator (P)."""
+def _sweep(psi, H0, terms, t0, t1, dt):
+    """Midpoint-rule sweep advancing psi: a state vector, or a block of columns."""
     nsteps = max(1, int(np.ceil((t1 - t0) / dt)))
     h = (t1 - t0) / nsteps
     for c0 in range(0, nsteps, _CHUNK):
@@ -105,14 +105,32 @@ def _sweep(psi, P, H0, terms, t0, t1, dt):
         for sched, B in terms:
             Hs += dev.schedule_value(sched, mids)[:, None, None] * B
         evals, evecs = np.linalg.eigh(Hs)
-        phases = np.exp(-1j * evals * h)
+        # a trailing unit axis scales the rows of a column block
+        phases = np.exp(-1j * evals * h).reshape(evals.shape + (1,) * (psi.ndim - 1))
         for i in range(c1 - c0):
             V = evecs[i]
-            if psi is not None:
-                psi = V @ (phases[i] * (V.conj().T @ psi))
-            else:
-                P = V @ (phases[i][:, None] * (V.conj().T @ P))
-    return psi if psi is not None else P
+            psi = V @ (phases[i] * (V.conj().T @ psi))
+    return psi
+
+
+def _checked_sweep(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig):
+    """Sweep psi over [t0, t1]; with ``richardson_check``, rerun at dt/2 and compare."""
+    _check_window(g, t0, t1)
+    if t1 == t0:
+        return psi
+    H0, terms = dev.hamiltonian_terms(g)
+    dt = cfg.resolve_dt(g)
+    out = _sweep(psi, H0, terms, t0, t1, dt)
+    if cfg.richardson_check:
+        out_half = _sweep(psi, H0, terms, t0, t1, dt / 2)
+        err = float(np.linalg.norm(out - out_half))
+        if err > cfg.tolerance:
+            raise ConvergenceError(
+                f"step-doubling deviation {err:.3e} exceeds tolerance {cfg.tolerance:.1e} "
+                f"at dt={dt:.3e}; decrease dt"
+            )
+        out = out_half
+    return out
 
 
 def evolve_scheduled(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
@@ -123,33 +141,14 @@ def evolve_scheduled(state: StateVector, g: dev.DeviceGraph, t0: float, t1: floa
     at step midpoints, so a right-continuous switch exactly at t0 or t1 is
     handled unambiguously.
     """
-    cfg = cfg or PropagatorConfig()
-    _check_window(g, t0, t1)
-    if t1 == t0:
-        return state
-    H0, terms = dev.hamiltonian_terms(g)
-    dt = cfg.resolve_dt(g)
-    amps = _sweep(state.amps, None, H0, terms, t0, t1, dt)
-    if cfg.richardson_check:
-        amps_half = _sweep(state.amps, None, H0, terms, t0, t1, dt / 2)
-        err = float(np.linalg.norm(amps - amps_half))
-        if err > cfg.tolerance:
-            raise ConvergenceError(
-                f"step-doubling deviation {err:.3e} exceeds tolerance {cfg.tolerance:.1e} "
-                f"at dt={dt:.3e}; decrease dt"
-            )
-        amps = amps_half
-    return _unsafe_state(amps)
+    return _unsafe_state(_checked_sweep(state.amps, g, t0, t1, cfg or PropagatorConfig()))
 
 
 def scheduled_propagator(g: dev.DeviceGraph, t0: float, t1: float,
                          cfg: PropagatorConfig | None = None) -> np.ndarray:
-    """Full unitary of the scheduled evolution (for reuse across many inputs)."""
-    cfg = cfg or PropagatorConfig()
-    _check_window(g, t0, t1)
-    H0, terms = dev.hamiltonian_terms(g)
-    dt = cfg.resolve_dt(g)
-    return _sweep(None, np.eye(H0.shape[0], dtype=complex), H0, terms, t0, t1, dt)
+    """Full unitary of the scheduled evolution (the reference for the state path)."""
+    eye = np.eye(2**g.n_qubits, dtype=complex)
+    return _checked_sweep(eye, g, t0, t1, cfg or PropagatorConfig())
 
 
 @dataclass(frozen=True)

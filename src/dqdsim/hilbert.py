@@ -230,14 +230,6 @@ class MeasurementResult:
             )
         return b
 
-    @property
-    def collapsed0(self) -> StateVector:
-        return self.branch(0)
-
-    @property
-    def collapsed1(self) -> StateVector:
-        return self.branch(1)
-
 
 def measure_qubit(state: StateVector, qubit: int,
                   rng: np.random.Generator | int | None = None) -> MeasurementResult:

@@ -13,6 +13,10 @@ Bob; any qubits in between belong to a longer support chain):
 5. measure  -- after a quarter rotation Alice measures the encoder charge
    and Bob fixes his qubit with diag(1, -i) (outcome 0) or diag(1, +i).
 
+:class:`Channel` is the one engine for every support register, the pair
+and longer chains: it prepares stages 3 and 4 once per channel and runs
+encode and measure per input.  :func:`teleport_end_to_end` is the pair case.
+
 Every stage exists in ``full`` mode (numerical propagation of the device
 Hamiltonian) and ``effective`` mode (the closed-form two-level algebra the
 full dynamics approaches when w << U).
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import device as dev
 from . import evolve
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DeviceError, DimensionError
 from .hilbert import (
     ID2,
     PAULI_X,
@@ -62,6 +66,11 @@ CORRECTIONS = {
     0: np.diag([1.0, -1.0j]).astype(complex),
     1: np.diag([1.0, 1.0j]).astype(complex),
 }
+
+
+def faithful_ramp(support_gap: float) -> float:
+    """Gap-adapted coupling-ramp duration 1/(4 J eps) for a crossing gap 2J."""
+    return 1.0 / (4.0 * (support_gap / 2.0) * EPS_ADIABATIC)
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,7 @@ class ProtocolParams:
     def resolved_T_couple(self, support_gap: float) -> float:
         if self.T_couple is not None:
             return self.T_couple
-        t = 1.0 / (4.0 * (support_gap / 2.0) * EPS_ADIABATIC)
+        t = faithful_ramp(support_gap)
         if t > MAX_AUTO_RAMP / self.w:
             raise ConfigError(
                 f"faithful coupling needs a ramp of {t:.3g}/w (crossing gap "
@@ -165,31 +174,22 @@ def encode_graph(w: float, phi: float) -> dev.DeviceGraph:
     )
 
 
-def entangler_graph(params: ProtocolParams) -> dev.DeviceGraph:
-    """Support pair with a smooth repulsion ramp 0 -> U_max over T_ent."""
-    T = params.resolved_T_ent()
-    ramp = dev.Schedule.smooth(0.0, params.U_max, 0.0, T)
-    return dev.DeviceGraph(
-        dqds=(0, 1),
-        tunnel_terms=(
-            dev.TunnelTerm(0, dev.Schedule.constant(params.w)),
-            dev.TunnelTerm(1, dev.Schedule.constant(params.w)),
-        ),
-        coulomb_links=dev.dqd_pair_links(0, 1, ramp),
-    )
+def support_graph(params: ProtocolParams, n_support: int, link: dev.Schedule,
+                  first: int = 0) -> dev.DeviceGraph:
+    """Support register on DQDs first .. first + n_support - 1.
 
-
-def support_graph(params: ProtocolParams, n_support: int) -> dev.DeviceGraph:
-    """Support register (pair or chain) at its repulsion plateau."""
+    Each register DQD tunnels at w and each nearest-neighbour pair carries
+    the crossed link pair on schedule ``link``; DQDs below ``first`` are
+    laid out without any term.
+    """
+    qubits = range(first, first + n_support)
     links = []
-    for k in range(n_support - 1):
-        links += dev.dqd_pair_links(k, k + 1, dev.Schedule.constant(params.U_max))
+    for k in qubits[:-1]:
+        links += dev.dqd_pair_links(k, k + 1, link)
     return dev.DeviceGraph(
-        dqds=tuple(range(n_support)),
-        tunnel_terms=tuple(
-            dev.TunnelTerm(k, dev.Schedule.constant(params.w)) for k in range(n_support)
-        ),
-        coulomb_links=tuple(links),
+        dqds=range(first + n_support),
+        tunnel_terms=[dev.TunnelTerm(k, dev.Schedule.constant(params.w)) for k in qubits],
+        coulomb_links=links,
     )
 
 
@@ -200,7 +200,8 @@ def support_crossing_gap(params: ProtocolParams, n_support: int) -> float:
     2J = 4w^2/U_max for a single pair, and it shrinks quickly (order
     w(w/U)^(n-1)) for longer chains.
     """
-    H = dev.hamiltonian_at(support_graph(params, n_support), 0.0)
+    plateau = support_graph(params, n_support, dev.Schedule.constant(params.U_max))
+    H = dev.hamiltonian_at(plateau, 0.0)
     evals = np.linalg.eigvalsh(H)
     return float(evals[1] - evals[0])
 
@@ -212,19 +213,20 @@ def coupler_graph(params: ProtocolParams, n_support: int,
     The encoder-support repulsion follows a gap-adapted tangent profile so
     the ramp is slow exactly where the support's aligned doublet rotates.
     """
-    n = n_support + 1
-    links = []
-    for k in range(1, n - 1):
-        links += dev.dqd_pair_links(k, k + 1, dev.Schedule.constant(params.U_max))
+    register = support_graph(params, n_support, dev.Schedule.constant(params.U_max), first=1)
     ramp = dev.Schedule.tangent(0.0, params.resolved_Uprime(), 0.0, t_couple, gap_scale=gap / 2.0)
-    links += dev.dqd_pair_links(0, 1, ramp)
-    return dev.DeviceGraph(
-        dqds=tuple(range(n)),
-        tunnel_terms=tuple(
-            dev.TunnelTerm(k, dev.Schedule.constant(params.w)) for k in range(1, n)
-        ),
-        coulomb_links=tuple(links),
-    )
+    return dev.DeviceGraph(register.dqds, register.tunnel_terms,
+                           register.coulomb_links + dev.dqd_pair_links(0, 1, ramp))
+
+
+def coupling_stage(params: ProtocolParams, n_support: int):
+    """Coupler device for an n_support register; returns (graph, T_couple, gap).
+
+    Raises ConfigError when the auto-derived ramp is out of reach.
+    """
+    gap = support_crossing_gap(params, n_support)
+    t_couple = params.resolved_T_couple(gap)
+    return coupler_graph(params, n_support, t_couple, gap), t_couple, gap
 
 
 def bell_stage_graph(params: ProtocolParams, n_qubits: int) -> dev.DeviceGraph:
@@ -299,13 +301,22 @@ def bell_target(n_qubits: int = 2) -> StateVector:
     return StateVector(amps)
 
 
+def ramp_support(params: ProtocolParams, n_support: int, T: float):
+    """Adiabatic preparation of a support register; returns (state, RampDiagnostics).
+
+    The register starts in its uncoupled ground state and every link ramps
+    0 -> U_max together over T.
+    """
+    g = support_graph(params, n_support, dev.Schedule.smooth(0.0, params.U_max, 0.0, T))
+    start = evolve.ground_state(dev.hamiltonian_at(g, 0.0)).state
+    return evolve.adiabatic_ramp(start, g, 0.0, T, params.integrator)
+
+
 def make_entangled_pair(params: ProtocolParams):
     """Support-pair preparation; returns (state, ramp diagnostics or None)."""
     if params.mode == "effective":
         return entangled_pair_reference(params.U_max, params.w), None
-    g = entangler_graph(params)
-    start = evolve.ground_state(dev.hamiltonian_at(g, 0.0)).state
-    return evolve.adiabatic_ramp(start, g, 0.0, params.resolved_T_ent(), params.integrator)
+    return ramp_support(params, 2, params.resolved_T_ent())
 
 
 def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
@@ -326,12 +337,9 @@ def couple_unknown(unknown: StateVector, support: StateVector,
         raise DimensionError("unknown state must be a single qubit")
     if support.n_qubits < 2:
         raise DimensionError("support register needs at least two qubits")
-    n = 1 + support.n_qubits
     if params.mode == "effective":
-        return ghz_encoded(unknown.amps[0], unknown.amps[1], n)
-    gap = support_crossing_gap(params, support.n_qubits)
-    t_couple = params.resolved_T_couple(gap)
-    g = coupler_graph(params, support.n_qubits, t_couple, gap)
+        return ghz_encoded(unknown.amps[0], unknown.amps[1], 1 + support.n_qubits)
+    g, t_couple, _ = coupling_stage(params, support.n_qubits)
     start = tensor_product(unknown, support)
     return evolve.evolve_scheduled(start, g, 0.0, t_couple, params.integrator)
 
@@ -343,13 +351,6 @@ def effective_rabi(w: float, U: float) -> float:
     if U <= 0:
         raise DimensionError("effective rate needs U > 0")
     return 2.0 * w**2 / U
-
-
-def _aligned_indices(n: int):
-    idx = np.arange(2**n)
-    aligned = ((idx ^ (idx >> 1)) & 1) == 0  # bit0 == bit1
-    i00 = idx[aligned & ((idx & 1) == 0)]
-    return i00, i00 | 0b11
 
 
 def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:
@@ -364,12 +365,12 @@ def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> Stat
         raise DimensionError("rotation stage needs at least qubits 0 and 1")
     if params.mode == "effective":
         om = effective_rabi(params.w, params.resolved_bell_U())
-        i00, i11 = _aligned_indices(n)
         amps = state.amps.copy()
         c, s = np.cos(om * t), np.sin(om * t)
-        a00, a11 = amps[i00].copy(), amps[i11].copy()
-        amps[i00] = c * a00 + 1j * s * a11
-        amps[i11] = c * a11 + 1j * s * a00
+        # q0 = q1 = 0 at indices 0 mod 4, q0 = q1 = 1 at 3 mod 4
+        a00, a11 = amps[0::4].copy(), amps[3::4].copy()
+        amps[0::4] = c * a00 + 1j * s * a11
+        amps[3::4] = c * a11 + 1j * s * a00
         return _unsafe_state(amps)
     H = dev.hamiltonian_at(bell_stage_graph(params, n), 0.0)
     return evolve.evolve_static(state, H, t)
@@ -463,50 +464,104 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
     )
 
 
-def teleport_end_to_end(target: InputQubit, params: ProtocolParams) -> TeleportResult:
-    """Run encode -> entangle -> couple -> rotate -> measure-and-correct.
+# The encoder in |+>: coupling it once yields the images of |0> and |1>.
+_PLUS = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
 
-    The step log records each stage's fidelity against its effective-mode
-    reference, the entangling ramp diagnostics, and the stage norms.
+
+class Channel:
+    """Teleportation engine over any prepared support register, pair or chain.
+
+    Everything that does not depend on the input is done once.  The encoder
+    is coupled to the support in the state |+> and the result is split on
+    the encoder bit into the images U(|0> x S) and U(|1> x S).  The split is
+    exact because the encoder does not tunnel while it is coupled, so U is
+    block-diagonal in its bit.  Both images then go through the rotation
+    stage.  ``teleport`` encodes an input, combines the rotated images with
+    its amplitudes and lets Alice measure.
     """
-    enc = encode_qubit(target, params.w, params.phi)
-    log = {
-        "encode": {"t_bar": enc.t_bar,
-                   "achieved": (enc.achieved.alpha, enc.achieved.beta)},
-    }
 
-    pair, ramp_diag = make_entangled_pair(params)
-    pair_entry = {
-        "bell_overlap_sq": fidelity(pair, bell_target(2)),
-        "reference_overlap_sq": fidelity(pair, entangled_pair_reference(params.U_max, params.w)),
-        "norm": float(np.linalg.norm(pair.amps)),
-    }
-    if ramp_diag is not None:
-        pair_entry["min_gap"] = ramp_diag.min_gap
-        pair_entry["ground_overlap_sq"] = ramp_diag.final_ground_overlap_sq
-    log["entangle"] = pair_entry
+    def __init__(self, support: StateVector, ramp, params: ProtocolParams):
+        self.params = params
+        self.support = support
+        self.ramp = ramp
+        self.n_qubits = n = 1 + support.n_qubits
+        self.t_couple = None
+        if params.mode == "full":
+            g, self.t_couple, gap = coupling_stage(params, support.n_qubits)
+            if any(term.dqd == 0 for term in g.tunnel_terms):
+                raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
+            needed = faithful_ramp(gap)
+            if self.t_couple < 0.5 * needed:
+                warnings.warn(
+                    f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
+                    f"~{needed:.3g}/w the crossing gap {gap:.3g} requires; "
+                    "the transfer will be unfaithful",
+                    stacklevel=2,
+                )
+        coupled = couple_unknown(_PLUS, support, params).amps
+        self._coupled = np.zeros((2, coupled.size), dtype=complex)
+        for k in (0, 1):  # the encoder bit is the parity of the basis index
+            self._coupled[k, k::2] = coupled[k::2] / _PLUS.amps[k]
+        self.t_wait = params.wait_angle / effective_rabi(params.w, params.resolved_bell_U())
+        self._post = np.stack([bell_evolution(_unsafe_state(c), params, self.t_wait).amps
+                               for c in self._coupled])
+        if params.mode == "effective":  # the rotated images are the reference
+            self._ideal_post = self._post
+        else:
+            eff = replace(params, mode="effective")
+            self._ideal_post = np.stack([
+                bell_evolution(ghz_encoded(1.0 - k, k, n), eff, self.t_wait).amps
+                for k in (0, 1)
+            ])
+        self._entangle_log = {"norm": float(np.linalg.norm(support.amps))}
+        if ramp is not None:
+            self._entangle_log["min_gap"] = ramp.min_gap
+            self._entangle_log["ground_overlap_sq"] = ramp.final_ground_overlap_sq
+        self._channel_log = {
+            "ghz_overlap_sq": fidelity(support, bell_target(support.n_qubits)),
+            "T_couple": self.t_couple,
+        }
 
-    coupled = couple_unknown(enc.state, pair, params)
-    ghz_ref = ghz_encoded(enc.achieved.alpha, enc.achieved.beta, coupled.n_qubits)
-    log["couple"] = {
-        "target_overlap_sq": fidelity(coupled, ghz_ref),
-        "norm": float(np.linalg.norm(coupled.amps)),
-    }
+    def couple(self, encoded: StateVector) -> StateVector:
+        """Coupling-stage output for an encoded qubit, from the two images."""
+        return _unsafe_state(encoded.amps @ self._coupled)
 
-    om = effective_rabi(params.w, params.resolved_bell_U())
-    t_wait = params.wait_angle / om
-    post = bell_evolution(coupled, params, t_wait)
-    eff_post = bell_evolution(ghz_ref, replace(params, mode="effective"), t_wait)
-    log["bell"] = {
-        "t_wait": t_wait,
-        "effective_overlap_sq": fidelity(post, eff_post),
-        "norm": float(np.linalg.norm(post.amps)),
-    }
+    def teleport(self, target: InputQubit) -> TeleportResult:
+        """Encode, couple, rotate, measure and correct one input.
 
-    result = alice_measure_and_correct(post, params, enc.achieved)
-    log["measure"] = result.step_log["measure"]
-    result.step_log = log
-    return result
+        The step log records each stage's norm and its overlap with the
+        effective-mode reference; the entangle and channel entries are the
+        channel's own and the same for every input.
+        """
+        p = self.params
+        enc = encode_qubit(target, p.w, p.phi)
+        amps = enc.state.amps
+        coupled = self.couple(enc.state)
+        post = _unsafe_state(amps @ self._post)
+        ghz_ref = ghz_encoded(amps[0], amps[1], self.n_qubits)
+        result = alice_measure_and_correct(post, p, enc.achieved)
+        result.step_log = {
+            "encode": {"t_bar": enc.t_bar,
+                       "achieved": (enc.achieved.alpha, enc.achieved.beta)},
+            "entangle": dict(self._entangle_log),
+            "channel": dict(self._channel_log),
+            "couple": {"target_overlap_sq": fidelity(coupled, ghz_ref),
+                       "norm": float(np.linalg.norm(coupled.amps))},
+            "bell": {"t_wait": self.t_wait,
+                     "effective_overlap_sq": fidelity(post, _unsafe_state(amps @ self._ideal_post)),
+                     "norm": float(np.linalg.norm(post.amps))},
+            "measure": result.step_log["measure"],
+        }
+        return result
+
+
+def teleport_end_to_end(target: InputQubit, params: ProtocolParams) -> TeleportResult:
+    """Prepare the support pair, build its channel and teleport one input.
+
+    To teleport many inputs over one pair, build ``Channel(*make_entangled_pair(params),
+    params)`` once and call its ``teleport``.
+    """
+    return Channel(*make_entangled_pair(params), params).teleport(target)
 
 
 # --------------------------------------------------------------------------

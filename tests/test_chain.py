@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dqdsim.chain import ChainChannel, ChainSpec, chain_graph, make_ghz_chain, teleport_over_chain
-from dqdsim.device import hamiltonian_at
+from dqdsim.chain import ChainChannel, ChainSpec, make_ghz_chain, teleport_over_chain
+from dqdsim.device import Schedule, hamiltonian_at
 from dqdsim.errors import DimensionError
 from dqdsim.evolve import PropagatorConfig, adiabatic_ramp, ground_state
 from dqdsim.hilbert import StateVector, fidelity, partial_trace
-from dqdsim.protocol import InputQubit, ProtocolParams, bell_target
+from dqdsim.protocol import InputQubit, ProtocolParams, bell_target, support_graph
 
 EFFECTIVE = ProtocolParams(mode="effective")
 
@@ -55,8 +55,7 @@ class TestGhzChain:
         cfg = PropagatorConfig(dt=2e-3)
         for ns in (2, 3, 4):
             params = ProtocolParams(U_max=100.0, mode="full", integrator=cfg)
-            spec = ChainSpec(ns, params, T_ghz=300.0)
-            g = chain_graph(spec)
+            g = support_graph(params, ns, Schedule.smooth(0.0, 100.0, 0.0, 300.0))
             start = ground_state(hamiltonian_at(g, 0.0)).state
             _, diag = adiabatic_ramp(start, g, 0.0, 300.0, cfg)
             infids.append(1.0 - diag.final_ground_overlap_sq)

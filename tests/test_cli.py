@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from dqdsim.chain import MAX_QUBITS
 from dqdsim.cli import RunConfig, main, parse_values, validate_config
+from dqdsim.protocol import ProtocolParams, support_crossing_gap
 
 
 def read_rows(path):
@@ -31,6 +33,11 @@ class TestValidateConfig:
     def test_bad_alpha(self):
         errs = validate_config(RunConfig(alpha_abs=1.5))
         assert any("alpha_abs" in e for e in errs)
+
+    def test_n_support_limit_follows_qubit_budget(self):
+        assert validate_config(RunConfig(n_support=MAX_QUBITS - 1)) == []
+        errs = validate_config(RunConfig(n_support=MAX_QUBITS))
+        assert any("n_support" in e for e in errs)
 
     def test_parse_values_types(self):
         assert parse_values("U_max", "20, 50") == [20.0, 50.0]
@@ -153,6 +160,24 @@ class TestFullModeRows:
         row = read_rows(tmp_path / "ch.csv")[0]
         assert float(row["fidelity"]) == pytest.approx(1.0, abs=1e-10)
         assert float(row["ghz_overlap_sq"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rows_record_resolved_T_couple(self, tmp_path):
+        # full mode writes the derived coupling duration; effective mode has none
+        cases = (
+            (["couple", "--u-max", "30", "--uprime-max", "30"],
+             ProtocolParams(U_max=30.0, Uprime_max=30.0), 2),
+            (["chain", "--n-support", "3", "--u-max", "15", "--uprime-max", "40", "--dt", "0.2"],
+             ProtocolParams(U_max=15.0, Uprime_max=40.0), 3),
+        )
+        for i, (args, params, n_support) in enumerate(cases):
+            out = tmp_path / f"tc{i}"
+            assert main(args + ["--output", str(out)]) == 0
+            row = read_rows(tmp_path / f"tc{i}.csv")[0]
+            expected = params.resolved_T_couple(support_crossing_gap(params, n_support))
+            assert row["T_couple"] == f"{expected:.12g}"
+        out = tmp_path / "tc_eff"
+        assert main(["teleport", "--mode", "effective", "--output", str(out)]) == 0
+        assert read_rows(tmp_path / "tc_eff.csv")[0]["T_couple"] == ""
 
     def test_infeasible_chain_exits_2(self, tmp_path):
         code = main(["chain", "--n-support", "4", "--u-max", "100",

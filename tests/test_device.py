@@ -11,7 +11,7 @@ from dqdsim.device import (
     Schedule,
     TunnelTerm,
     dqd_pair_links,
-    compile_coulomb,
+    link_diagonal,
     graph_from_json,
     graph_to_json,
     hamiltonian_at,
@@ -107,38 +107,37 @@ class TestCompileCoulomb:
     def test_link_3_6(self):
         # n3*n6 selects logical (q1, q2) = (1, 0); oracle: enumerate occupancies
         link = CoulombLink(3, 6, Schedule.constant(2.5))
-        (qa, qb), D = compile_coulomb(link, t=0.0)
-        assert (qa, qb) == (1, 2)
-        expected = 2.5 * np.kron(P0, P1)  # little-endian: qa is the low bit
-        assert np.allclose(D, expected)
+        D = schedule_value(link.strength, 0.0) * link_diagonal(link, 3)
+        expected = 2.5 * np.real(np.diag(np.kron(P0, P1)))  # little-endian: q1 is the low bit
+        for q0 in (0, 1):  # the link acts on qubits (1, 2) only
+            assert np.allclose(D[q0::2], expected)
         for q1 in (0, 1):
             for q2 in (0, 1):
                 occ = dot_occupations([0, q1, q2])
-                idx = q1 | (q2 << 1)
-                assert D[idx, idx] == pytest.approx(2.5 * occ[3] * occ[6])
+                idx = (q1 << 1) | (q2 << 2)
+                assert D[idx] == pytest.approx(2.5 * occ[3] * occ[6])
 
     def test_pair_links_penalize_disagreement(self):
         links = dqd_pair_links(1, 2, Schedule.constant(4.0))
-        diag = np.zeros(4)
+        diag = np.zeros(8)
         for link in links:
-            _, D = compile_coulomb(link, t=0.0)
-            diag += np.real(np.diag(D))
-        assert np.allclose(diag, [0.0, 4.0, 4.0, 0.0])
+            diag += schedule_value(link.strength, 0.0) * link_diagonal(link, 3)
+        assert np.allclose(diag[0::2], [0.0, 4.0, 4.0, 0.0])
         # oracle: sum U * n_i * n_j over dot occupancies
         for q1 in (0, 1):
             for q2 in (0, 1):
                 occ = dot_occupations([0, q1, q2])
                 direct = 4.0 * (occ[3] * occ[6] + occ[4] * occ[5])
-                assert diag[q1 | (q2 << 1)] == pytest.approx(direct)
+                assert diag[(q1 << 1) | (q2 << 2)] == pytest.approx(direct)
 
     def test_zero_strength(self):
         link = CoulombLink(1, 4, Schedule.constant(0.0))
-        _, D = compile_coulomb(link, t=0.0)
+        D = schedule_value(link.strength, 0.0) * link_diagonal(link, 2)
         assert np.allclose(D, 0.0)
 
     def test_same_dqd_rejected(self):
         with pytest.raises(DeviceError):
-            compile_coulomb(CoulombLink(1, 2, Schedule.constant(1.0)), t=0.0)
+            link_diagonal(CoulombLink(1, 2, Schedule.constant(1.0)), 1)
 
 
 class TestHamiltonian:
@@ -211,6 +210,14 @@ class TestHamiltonian:
         e1, v1 = np.linalg.eigh(hamiltonian_at(g1, 0.0))
         assert np.allclose(e1, e0 + 0.7)
         assert np.allclose(np.abs(v0.conj().T @ v1), np.eye(2))
+
+    def test_non_hermitian_term_raises(self):
+        # a complex phase makes the tunneling term non-Hermitian; the check
+        # must hold under python -O, so it raises DeviceError, not AssertionError
+        g = DeviceGraph(dqds=(0,),
+                        tunnel_terms=(TunnelTerm(0, Schedule.constant(1.0), phase=0.3j),))
+        with pytest.raises(DeviceError, match="Hermitian"):
+            hamiltonian_at(g, 0.0)
 
 
 class TestValidate:

@@ -146,6 +146,11 @@ class TestEvolveScheduled:
             evolve_scheduled(state, g, 0.0, 2.0,
                              PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1e-12))
 
+    def test_richardson_checks_the_propagator_path_too(self):
+        with pytest.raises(ConvergenceError):
+            scheduled_propagator(wobble_graph(), 0.0, 2.0,
+                                 PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1e-12))
+
     def test_richardson_accepts_fine_step(self):
         g = wobble_graph()
         state = StateVector(np.array([1, 0, 0, 0], dtype=complex))

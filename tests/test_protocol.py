@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dqdsim.errors import DimensionError
-from dqdsim.evolve import PropagatorConfig, evolve_scheduled
-from dqdsim.hilbert import StateVector, fidelity
+from dqdsim import protocol
+from dqdsim.device import DeviceGraph, Schedule, TunnelTerm
+from dqdsim.errors import DeviceError, DimensionError
+from dqdsim.evolve import PropagatorConfig, evolve_scheduled, scheduled_propagator
+from dqdsim.hilbert import StateVector, fidelity, tensor_product
 from dqdsim.metrics import fit_oscillation
 from dqdsim.protocol import (
+    Channel,
     InputQubit,
     ProtocolParams,
     alice_measure_and_correct,
@@ -13,6 +18,7 @@ from dqdsim.protocol import (
     bell_evolution,
     bell_target,
     couple_unknown,
+    coupling_stage,
     cross_to_aligned_ratio,
     effective_rabi,
     encode_graph,
@@ -149,6 +155,57 @@ class TestCouple:
         support, _ = make_entangled_pair(EFFECTIVE)
         with pytest.raises(DimensionError):
             couple_unknown(support, support, EFFECTIVE)
+
+
+def random_state(rng, n_qubits):
+    v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    return StateVector(v / np.linalg.norm(v))
+
+
+class TestChannel:
+    @settings(max_examples=10, deadline=None)
+    @given(n_support=st.sampled_from([2, 3]), U=st.floats(10.0, 40.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_split_matches_propagator(self, n_support, U, seed):
+        # the images of |0> and |1> reassemble the coupled state of any input
+        rng = np.random.default_rng(seed)
+        params = ProtocolParams(U_max=U, integrator=PropagatorConfig(dt=0.5))
+        support = random_state(rng, n_support)
+        channel = Channel(support, None, params)
+        enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
+        g, t_couple, _ = coupling_stage(params, n_support)
+        U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
+        expected = U_couple @ tensor_product(enc.state, support).amps
+        assert np.max(np.abs(channel.couple(enc.state).amps - expected)) < 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_support=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_effective_split_is_ghz_encoded(self, n_support, seed):
+        rng = np.random.default_rng(seed)
+        channel = Channel(bell_target(n_support), None, EFFECTIVE)
+        enc = encode_qubit(InputQubit.random(rng), 1.0)
+        a, b = enc.state.amps
+        expected = ghz_encoded(a, b, n_support + 1).amps
+        assert np.max(np.abs(channel.couple(enc.state).amps - expected)) <= 1e-15
+
+    def test_refuses_a_tunneling_encoder(self, monkeypatch):
+        original = protocol.coupler_graph
+
+        def tunneling_encoder(*args):
+            g = original(*args)
+            extra = TunnelTerm(0, Schedule.constant(1.0))
+            return DeviceGraph(g.dqds, g.tunnel_terms + (extra,), g.coulomb_links)
+
+        monkeypatch.setattr(protocol, "coupler_graph", tunneling_encoder)
+        with pytest.raises(DeviceError, match="encoder"):
+            Channel(bell_target(2), None, small_full_params())
+
+    def test_reuse_matches_one_shot(self):
+        params = small_full_params()
+        channel = Channel(*make_entangled_pair(params), params)
+        q = InputQubit(0.6, 0.8j)
+        assert channel.teleport(q).fidelity_to_input == pytest.approx(
+            teleport_end_to_end(q, params).fidelity_to_input, abs=1e-14)
 
 
 class TestEffectiveRabi:
