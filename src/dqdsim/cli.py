@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict, fields, replace
 import numpy as np
 
 from . import __version__
-from .chain import MAX_QUBITS, ChainSpec, teleport_over_chain
+from .chain import MAX_QUBITS, ChainChannel, ChainSpec
 from .errors import ConfigError, ConvergenceError
 from .evolve import PropagatorConfig
 from .hilbert import fidelity
@@ -31,6 +31,10 @@ EXPERIMENTS = ("encode", "entangle", "couple", "bell", "teleport", "chain")
 
 SWEEP_AXES = ("w", "phi", "U_max", "Uprime_max", "bell_U", "T_ent", "T_couple",
               "T_ghz", "wait_angle", "alpha_abs", "beta_phase", "n_support", "seed")
+
+# A sweep of these experiments over an input axis shares one Channel.
+CHANNEL_EXPERIMENTS = ("couple", "bell", "teleport", "chain")
+INPUT_AXES = ("alpha_abs", "beta_phase")
 
 PARAM_COLUMNS = ("experiment", "mode", "w", "phi", "U_max", "Uprime_max", "bell_U",
                  "T_ent", "T_couple", "T_ghz", "wait_angle", "alpha_abs", "beta_phase",
@@ -111,9 +115,6 @@ def validate_config(cfg: RunConfig) -> list:
                 parse_values(cfg.axis, cfg.values)
             except ValueError as exc:
                 errors.append(str(exc))
-    if cfg.w > 0 and cfg.U_max > 0 and cfg.w / cfg.U_max > 0.1:
-        print(f"advisory: w/U_max = {cfg.w / cfg.U_max:.3f} > 0.1; "
-              "the effective two-level picture degrades", file=sys.stderr)
     return errors
 
 
@@ -170,8 +171,16 @@ def _param_cells(cfg: RunConfig) -> dict:
     }
 
 
-def run_experiment(cfg: RunConfig) -> dict:
-    """Execute one experiment and return its CSV row cells."""
+def build_channel(cfg: RunConfig) -> proto.Channel:
+    """The pair channel, or the chain channel for the ``chain`` experiment."""
+    params = build_params(cfg)
+    if cfg.experiment == "chain":
+        return ChainChannel(ChainSpec(cfg.n_support, params, cfg.T_ghz))
+    return proto.Channel(*proto.make_entangled_pair(params), params)
+
+
+def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None) -> dict:
+    """Execute one experiment (through ``channel`` if given) and return its CSV row cells."""
     row = _param_cells(cfg)
     params = build_params(cfg)
     target = input_qubit(cfg)
@@ -199,11 +208,8 @@ def run_experiment(cfg: RunConfig) -> dict:
         )
         return row
 
-    if cfg.experiment in ("couple", "bell", "teleport", "chain"):
-        if cfg.experiment == "chain":
-            res = teleport_over_chain(target, ChainSpec(cfg.n_support, params, cfg.T_ghz))
-        else:
-            res = proto.teleport_end_to_end(target, params)
+    if cfg.experiment in CHANNEL_EXPERIMENTS:
+        res = (channel or build_channel(cfg)).teleport(target)
         log = res.step_log
         if log["channel"]["T_couple"] is not None:
             row["T_couple"] = log["channel"]["T_couple"]
@@ -242,6 +248,9 @@ def run_sweep(cfg: RunConfig) -> list:
         point = replace(cfg, axis=None, values=None)
         setattr(point, cfg.axis, v)
         points.append(point)
+    if cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS:
+        channel = build_channel(points[0])
+        return [run_experiment(p, channel) for p in points]
     workers = _sweep_workers(len(points))
     if workers == 1:
         return [run_experiment(p) for p in points]
@@ -284,6 +293,9 @@ def run(cfg: RunConfig) -> int:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
+    if cfg.U_max > 0 and cfg.w / cfg.U_max > 0.1:
+        print(f"advisory: w/U_max = {cfg.w / cfg.U_max:.3f} > 0.1; "
+              "the effective two-level picture degrades", file=sys.stderr)
     is_sweep = cfg.axis is not None
     try:
         rows = run_sweep(cfg) if is_sweep else [run_experiment(cfg)]

@@ -14,7 +14,7 @@ class DeviceError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A step-doubling check found the integrator outside tolerance."""
+    """A step-doubling check failed, or a readout left the code pair."""
 
 
 class ConfigError(ValueError):

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import device as dev
 from . import evolve
-from .errors import ConfigError, DeviceError, DimensionError
+from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
 from .hilbert import (
     ID2,
     PAULI_X,
@@ -326,12 +326,35 @@ def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
     return StateVector(amps)
 
 
+def _encoder_block(H0: np.ndarray, terms: list):
+    """Encoder-0 block of a compiled coupler ``(H0, [(schedule, B), ...])``.
+
+    Raises DeviceError unless every term keeps the encoder bit (index parity)
+    and H0 and each schedule's summed terms commute with the global flip
+    (index reversal), which makes the encoder-1 block the reversed encoder-0 one.
+    """
+    driven = {}
+    for sched, B in terms:
+        driven[sched] = driven.get(sched, 0) + B
+    for M in (H0, *(B for _, B in terms)):
+        if np.any(M[0::2, 1::2]):
+            raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
+    for M in (H0, *driven.values()):
+        if not np.array_equal(M, M[::-1, ::-1]):
+            raise DeviceError("the coupler is not symmetric under the global flip, "
+                              "so one encoder block does not give the other")
+    return H0[0::2, 0::2], [(sched, B[0::2, 0::2]) for sched, B in terms]
+
+
 def couple_unknown(unknown: StateVector, support: StateVector,
                    params: ProtocolParams) -> StateVector:
     """Attach the encoder qubit to the support register.
 
     Full mode ramps the encoder-support repulsion with the gap-adapted
     profile; effective mode returns alpha|0...0> + beta|1...1> exactly.
+    Full mode sweeps the encoder-0 block (:func:`_encoder_block`) with dt
+    from the whole coupler, on the columns S and S reversed: they give
+    U(|0> x S) on the even indices and, reversed back, U(|1> x S) on the odd.
     """
     if unknown.n_qubits != 1:
         raise DimensionError("unknown state must be a single qubit")
@@ -340,8 +363,14 @@ def couple_unknown(unknown: StateVector, support: StateVector,
     if params.mode == "effective":
         return ghz_encoded(unknown.amps[0], unknown.amps[1], 1 + support.n_qubits)
     g, t_couple, _ = coupling_stage(params, support.n_qubits)
-    start = tensor_product(unknown, support)
-    return evolve.evolve_scheduled(start, g, 0.0, t_couple, params.integrator)
+    block = _encoder_block(*dev.hamiltonian_terms(g))
+    S = support.amps
+    cols = evolve.sweep_block(np.stack([S, S[::-1]], axis=1), g, 0.0, t_couple,
+                              params.integrator, block)
+    images = np.zeros((2, 2 * S.size), dtype=complex)
+    images[0, 0::2] = cols[:, 0]
+    images[1, 1::2] = cols[::-1, 1]
+    return _unsafe_state(unknown.amps @ images)
 
 
 def effective_rabi(w: float, U: float) -> float:
@@ -402,14 +431,17 @@ def _logical_pair(rho_matrix: np.ndarray) -> StateVector:
 
     Takes the dominant eigenvector and keeps its weight on the code pair
     {|0...0>, |1...1>}; for a single trailing qubit this is just the
-    dominant eigenvector itself.
+    dominant eigenvector itself.  Raises ConvergenceError when that weight
+    is below 1e-12: the register has leaked out of the code pair.
     """
     _, vecs = np.linalg.eigh(rho_matrix)
     v = vecs[:, -1]
     pair = np.array([v[0], v[-1]], dtype=complex)
     norm = np.linalg.norm(pair)
     if norm < 1e-12:
-        return _unsafe_state(np.array([1.0, 0.0], dtype=complex))
+        raise ConvergenceError(
+            f"the receiving register's dominant state has code-pair weight {norm:.1e}; "
+            "it has leaked out of {|0...0>, |1...1>}")
     return _unsafe_state(fix_phase(pair / norm))
 
 
@@ -475,9 +507,11 @@ class Channel:
     is coupled to the support in the state |+> and the result is split on
     the encoder bit into the images U(|0> x S) and U(|1> x S).  The split is
     exact because the encoder does not tunnel while it is coupled, so U is
-    block-diagonal in its bit.  Both images then go through the rotation
-    stage.  ``teleport`` encodes an input, combines the rotated images with
-    its amplitudes and lets Alice measure.
+    block-diagonal in its bit; :func:`couple_unknown` checks that on the
+    compiled coupler and, using the global flip, sweeps only one block.
+    Both images then go through the rotation stage.  ``teleport`` encodes an
+    input, combines the rotated images with its amplitudes and lets Alice
+    measure.
     """
 
     def __init__(self, support: StateVector, ramp, params: ProtocolParams):
@@ -487,9 +521,7 @@ class Channel:
         self.n_qubits = n = 1 + support.n_qubits
         self.t_couple = None
         if params.mode == "full":
-            g, self.t_couple, gap = coupling_stage(params, support.n_qubits)
-            if any(term.dqd == 0 for term in g.tunnel_terms):
-                raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
+            _, self.t_couple, gap = coupling_stage(params, support.n_qubits)
             needed = faithful_ramp(gap)
             if self.t_couple < 0.5 * needed:
                 warnings.warn(

@@ -1,10 +1,23 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dqdsim import protocol
 from dqdsim.chain import MAX_QUBITS
-from dqdsim.cli import RunConfig, main, parse_values, validate_config
+from dqdsim.cli import (
+    PARAM_COLUMNS,
+    RESULT_COLUMNS,
+    RunConfig,
+    main,
+    parse_values,
+    run,
+    run_experiment,
+    validate_config,
+    write_outputs,
+)
+from dqdsim.hilbert import StateVector
 from dqdsim.protocol import ProtocolParams, support_crossing_gap
 
 
@@ -38,6 +51,15 @@ class TestValidateConfig:
         assert validate_config(RunConfig(n_support=MAX_QUBITS - 1)) == []
         errs = validate_config(RunConfig(n_support=MAX_QUBITS))
         assert any("n_support" in e for e in errs)
+
+    def test_validation_prints_nothing(self, capsys):
+        assert validate_config(RunConfig(U_max=5.0)) == []
+        assert capsys.readouterr() == ("", "")
+
+    def test_run_prints_the_coupling_advisory(self, tmp_path, capsys):
+        cfg = RunConfig(experiment="encode", U_max=5.0, output=str(tmp_path / "adv"))
+        assert run(cfg) == 0
+        assert "advisory: w/U_max = 0.200 > 0.1" in capsys.readouterr().err
 
     def test_parse_values_types(self):
         assert parse_values("U_max", "20, 50") == [20.0, 50.0]
@@ -131,6 +153,55 @@ class TestRuns:
         main(["encode", "--alpha-abs", "0.2", "--output", str(out)])
         row = read_rows(tmp_path / "fmt.csv")[0]
         assert row["achieved_beta_im"] == f"{np.sqrt(1 - 0.04):.12g}"
+
+
+class TestInputSweeps:
+    """An input-axis sweep of a protocol experiment shares one channel."""
+
+    @pytest.mark.parametrize("base", [
+        RunConfig(experiment="teleport", U_max=20.0, dt=0.5),
+        RunConfig(experiment="chain", mode="effective", n_support=4),
+    ])
+    @pytest.mark.parametrize("axis, values", [("alpha_abs", "0.9,0.2,0.5"),
+                                              ("beta_phase", "0.3,1.1")])
+    def test_matches_running_each_point(self, tmp_path, base, axis, values):
+        out = tmp_path / "sweep"
+        cfg = replace(base, axis=axis, values=values, output=str(out))
+        assert run(cfg) == 0
+        rows = [run_experiment(replace(base, **{axis: v}))
+                for v in sorted(parse_values(axis, values))]
+        columns = PARAM_COLUMNS + RESULT_COLUMNS[base.experiment]
+        write_outputs(cfg, rows, columns, str(tmp_path / "points"))
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
+
+    def test_builds_the_channel_once(self, tmp_path, monkeypatch):
+        built = []
+        original = protocol.make_entangled_pair
+        monkeypatch.setattr(protocol, "make_entangled_pair",
+                            lambda params: built.append(params) or original(params))
+        assert main(["sweep", "--experiment", "teleport", "--mode", "effective",
+                     "--axis", "alpha_abs", "--values", "0.1,0.5,0.9",
+                     "--output", str(tmp_path / "x")]) == 0
+        assert len(built) == 1
+
+    def test_full_mode_sweep_is_thread_count_independent(self, tmp_path, monkeypatch):
+        csvs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DQD_SIM_THREADS", threads)
+            out = tmp_path / f"t{threads}"
+            assert main(["sweep", "--experiment", "teleport", "--axis", "U_max",
+                         "--values", "20,30", "--dt", "0.5", "--output", str(out)]) == 0
+            csvs.append((tmp_path / f"t{threads}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_leaked_register_exits_3(self, tmp_path, monkeypatch):
+        # a rotation stage that moves weight off the code pair of the receiver
+        monkeypatch.setattr(protocol, "bell_evolution",
+                            lambda state, params, t: StateVector(np.roll(state.amps, 4)))
+        out = tmp_path / "leak"
+        assert main(["chain", "--mode", "effective", "--n-support", "3",
+                     "--output", str(out)]) == 3
+        assert not (tmp_path / "leak.csv").exists()
 
 
 class TestFullModeRows:

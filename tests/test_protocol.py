@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dqdsim import protocol
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm
-from dqdsim.errors import DeviceError, DimensionError
+from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import PropagatorConfig, evolve_scheduled, scheduled_propagator
 from dqdsim.hilbert import StateVector, fidelity, tensor_product
 from dqdsim.metrics import fit_oscillation
@@ -157,6 +157,9 @@ class TestCouple:
             couple_unknown(support, support, EFFECTIVE)
 
 
+_PLUS_STATE = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+
+
 def random_state(rng, n_qubits):
     v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
     return StateVector(v / np.linalg.norm(v))
@@ -199,6 +202,26 @@ class TestChannel:
         monkeypatch.setattr(protocol, "coupler_graph", tunneling_encoder)
         with pytest.raises(DeviceError, match="encoder"):
             Channel(bell_target(2), None, small_full_params())
+
+    def test_refuses_a_coupler_without_flip_symmetry(self, monkeypatch):
+        # a tunneling phase on a support DQD keeps the encoder bit but breaks X^n
+        original = protocol.coupler_graph
+
+        def phased_support(*args):
+            g = original(*args)
+            terms = tuple(TunnelTerm(t.dqd, t.amplitude, phase=0.3) if t.dqd == 1 else t
+                          for t in g.tunnel_terms)
+            return DeviceGraph(g.dqds, terms, g.coulomb_links)
+
+        monkeypatch.setattr(protocol, "coupler_graph", phased_support)
+        with pytest.raises(DeviceError, match="flip"):
+            Channel(bell_target(2), None, small_full_params())
+
+    def test_richardson_check_covers_the_coupling(self):
+        params = small_full_params(integrator=PropagatorConfig(
+            dt=0.5, richardson_check=True, tolerance=1e-14))
+        with pytest.raises(ConvergenceError, match="step-doubling"):
+            couple_unknown(_PLUS_STATE, bell_target(2), params)
 
     def test_reuse_matches_one_shot(self):
         params = small_full_params()
@@ -290,6 +313,12 @@ class TestMeasureAndCorrect:
         for branch in res.branches:
             assert fidelity(branch.bob_state_corrected,
                             StateVector.computational(1, 0)) == pytest.approx(1.0, abs=1e-10)
+
+    def test_leaked_register_is_refused(self):
+        # the dominant state |01> has no weight on the code pair {|00>, |11>}
+        rho = np.diag([0.1, 0.0, 0.9, 0.0]).astype(complex)
+        with pytest.raises(ConvergenceError, match="code-pair"):
+            protocol._logical_pair(rho)
 
     def test_outcome_follows_seed(self):
         q = InputQubit(0.6, 0.8)
