@@ -72,6 +72,7 @@ class ChainChannel(proto.Channel):
 
     def __init__(self, spec: ChainSpec):
         self.spec = spec
+        proto.resolve_coupling(spec.params, spec.n_support)  # refuse before the ramp
         super().__init__(*make_ghz_chain(spec), spec.params)
 
 

@@ -176,7 +176,7 @@ def build_channel(cfg: RunConfig) -> proto.Channel:
     params = build_params(cfg)
     if cfg.experiment == "chain":
         return ChainChannel(ChainSpec(cfg.n_support, params, cfg.T_ghz))
-    return proto.Channel(*proto.make_entangled_pair(params), params)
+    return proto.pair_channel(params)
 
 
 def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None) -> dict:

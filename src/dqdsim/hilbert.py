@@ -93,13 +93,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps)
 
-    @classmethod
-    def from_bits(cls, bits) -> "StateVector":
-        return cls.computational(len(bits), basis_index(bits))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -115,12 +108,7 @@ class DensityMatrix:
         n = int(np.log2(m.shape[0]))
         if 2**n != m.shape[0]:
             raise DimensionError(f"dimension {m.shape[0]} is not a power of two")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise DimensionError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL:
-            raise DimensionError(f"trace {np.trace(m).real} deviates from 1")
-        if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
-            raise DimensionError("density matrix has a negative eigenvalue")
+        check_density(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -129,6 +117,17 @@ class DensityMatrix:
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
         return cls(np.outer(state.amps, state.amps.conj()))
+
+
+def check_density(m: np.ndarray, evals: np.ndarray | None = None) -> None:
+    """Raise DimensionError unless ``m`` is Hermitian, of unit trace and has no
+    eigenvalue below the floor; ``evals`` are its eigenvalues if already known."""
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        raise DimensionError("density matrix is not Hermitian")
+    if abs(np.trace(m).real - 1.0) > NORM_TOL:
+        raise DimensionError(f"trace {np.trace(m).real} deviates from 1")
+    if np.min(np.linalg.eigvalsh(m) if evals is None else evals) < EIGENVALUE_FLOOR:
+        raise DimensionError("density matrix has a negative eigenvalue")
 
 
 def fix_phase(amps: np.ndarray) -> np.ndarray:

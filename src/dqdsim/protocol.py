@@ -30,6 +30,7 @@ against the single-DQD Hamiltonian use the device phase directly.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -45,10 +46,9 @@ from .hilbert import (
     PAULI_Z,
     StateVector,
     _unsafe_state,
+    check_density,
     fidelity,
     fix_phase,
-    measure_qubit,
-    partial_trace,
     tensor_product,
 )
 
@@ -219,13 +219,21 @@ def coupler_graph(params: ProtocolParams, n_support: int,
                            register.coulomb_links + dev.dqd_pair_links(0, 1, ramp))
 
 
-def coupling_stage(params: ProtocolParams, n_support: int):
-    """Coupler device for an n_support register; returns (graph, T_couple, gap).
+def resolve_coupling(params: ProtocolParams, n_support: int):
+    """(T_couple, crossing gap) of a full-mode register; (None, None) in effective mode.
 
-    Raises ConfigError when the auto-derived ramp is out of reach.
+    Raises ConfigError when the auto-derived ramp is out of reach; channel
+    builders call it before they prepare the support, so no ramp is stepped.
     """
+    if params.mode == "effective":
+        return None, None
     gap = support_crossing_gap(params, n_support)
-    t_couple = params.resolved_T_couple(gap)
+    return params.resolved_T_couple(gap), gap
+
+
+def coupling_stage(params: ProtocolParams, n_support: int):
+    """Coupler device for a full-mode register; returns (graph, T_couple, gap)."""
+    t_couple, gap = resolve_coupling(params, n_support)
     return coupler_graph(params, n_support, t_couple, gap), t_couple, gap
 
 
@@ -261,14 +269,15 @@ def encode_qubit(target: InputQubit, w: float, phi: float = 0.0) -> EncodeResult
 
     Only the magnitude of the target is programmable; the relative phase of
     the achieved qubit is fixed to i*exp(2i phi).  The achieved amplitudes
-    are returned and downstream fidelity checks score against them.
+    are returned and downstream fidelity checks score against them; the
+    evolution of :func:`encode_graph` is taken in its closed form.
     """
     mag = abs(target.alpha)
     if mag > 1.0 + 1e-12:
         raise DimensionError(f"|alpha| = {mag} > 1")
     t_bar = float(np.arccos(min(mag, 1.0)) / w)
-    H = dev.hamiltonian_at(encode_graph(w, phi), 0.0)
-    state = evolve.evolve_static(StateVector.computational(1, 0), H, t_bar)
+    state = StateVector(np.array([np.cos(w * t_bar),
+                                  1j * np.exp(2j * phi) * np.sin(w * t_bar)]))
     achieved = InputQubit(state.amps[0], state.amps[1])
     return EncodeResult(t_bar, state, achieved)
 
@@ -426,23 +435,30 @@ class TeleportResult:
     step_log: dict
 
 
-def _logical_pair(rho_matrix: np.ndarray) -> StateVector:
+@functools.lru_cache(maxsize=64)
+def _seeded_uniform(seed) -> float:
+    """The uniform draw that picks Alice's outcome; it depends on the seed only."""
+    return np.random.default_rng(seed).random()
+
+
+def _logical_pair(rho: np.ndarray) -> np.ndarray:
     """Two-dimensional logical readout of a (near-)pure trailing register.
 
-    Takes the dominant eigenvector and keeps its weight on the code pair
-    {|0...0>, |1...1>}; for a single trailing qubit this is just the
-    dominant eigenvector itself.  Raises ConvergenceError when that weight
-    is below 1e-12: the register has leaked out of the code pair.
+    One ``eigh`` both validates ``rho`` as a density matrix and gives its
+    dominant eigenvector, whose normalized weight on the code pair
+    {|0...0>, |1...1>} is returned; for a single trailing qubit this is the
+    eigenvector itself.  Raises ConvergenceError when that weight is below
+    1e-12: the register has leaked out of the code pair.
     """
-    _, vecs = np.linalg.eigh(rho_matrix)
-    v = vecs[:, -1]
-    pair = np.array([v[0], v[-1]], dtype=complex)
+    vals, vecs = np.linalg.eigh(rho)
+    check_density(rho, vals)
+    pair = vecs[[0, -1], -1]
     norm = np.linalg.norm(pair)
     if norm < 1e-12:
         raise ConvergenceError(
             f"the receiving register's dominant state has code-pair weight {norm:.1e}; "
             "it has leaked out of {|0...0>, |1...1>}")
-    return _unsafe_state(fix_phase(pair / norm))
+    return pair / norm
 
 
 def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
@@ -453,47 +469,42 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
     from qubit 2 on is the receiving register.  Its target is the achieved
     amplitudes written on the {|0...0>, |1...1>} pair, which for the
     three-DQD protocol is literally Bob's qubit.  Both branches are always
-    evaluated; ``outcome`` follows a seeded draw.
+    evaluated; ``outcome`` follows a seeded draw.  Branch k is the slice
+    ``amps[k::2]``, whose Gram product is the register's reduced matrix; Bob's
+    correction D is diagonal, so it scales the raw readout and the fidelity is
+    (D^+ t)^+ rho (D^+ t), where the target t lives on the code pair only.
+    Leakage is 1 - sum_k p_k (rho_k[0,0] + rho_k[-1,-1]).
     """
     n = state.n_qubits
     if n < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
-    trailing = list(range(2, n))
-    nt = len(trailing)
-    target = ghz_encoded(achieved.alpha, achieved.beta, nt)
-
-    meas = measure_qubit(state, 0, rng=np.random.default_rng(params.seed))
+    nt = n - 2
+    target = np.array([achieved.alpha, achieved.beta], dtype=complex)
+    arr = state.amps.reshape(2**nt, 2, 2)  # [register, support bit, encoder bit]
+    p0, p1 = (float(p) for p in np.sum(np.abs(arr) ** 2, axis=(0, 1)))
+    leakage = 1.0 - float(np.sum(np.abs(arr[[0, -1]]) ** 2))
     branches = []
-    for outcome in (0, 1):
-        prob = (meas.p0, meas.p1)[outcome]
+    for outcome, prob in enumerate((p0, p1)):
         if prob < 1e-12:
             # an empty branch can only occur for degenerate inputs
             branches.append(None)
             continue
-        rho = partial_trace(meas.branch(outcome), trailing).matrix
+        a = arr[:, :, outcome] / np.sqrt(prob)
+        rho = a @ a.conj().T
         raw = _logical_pair(rho)
-        corr = np.array(
-            [CORRECTIONS[outcome][1, 1] if (i >> (nt - 1)) & 1 else 1.0
-             for i in range(2**nt)]
-        )
-        rho_corr = (corr[:, None] * rho) * corr.conj()[None, :]
-        corrected = _logical_pair(rho_corr)
-        fid = float(np.real(target.amps.conj() @ rho_corr @ target.amps))
-        branches.append(BranchResult(outcome, float(prob), raw, corrected, fid))
+        # D on the code pair: |0...0> has Bob's bit 0, |1...1> has it 1
+        corr = CORRECTIONS[outcome].diagonal()
+        undone = corr.conj() * target
+        fid = float(np.real(np.vdot(undone, rho[np.ix_([0, -1], [0, -1])] @ undone)))
+        branches.append(BranchResult(outcome, prob, _unsafe_state(fix_phase(raw)),
+                                     _unsafe_state(fix_phase(raw * corr)), fid))
 
-    picked = branches[meas.outcome]
-    if picked is None:  # sampled branch can never be the empty one
-        picked = branches[1 - meas.outcome]
-    return TeleportResult(
-        outcome=picked.outcome,
-        p0=meas.p0,
-        p1=meas.p1,
-        bob_state_raw=picked.bob_state_raw,
-        bob_state_corrected=picked.bob_state_corrected,
-        fidelity_to_input=picked.fidelity,
-        branches=tuple(b for b in branches if b is not None),
-        step_log={"measure": {"p0": meas.p0, "p1": meas.p1}},
-    )
+    drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
+    picked = branches[drawn] or branches[1 - drawn]  # never the empty branch
+    return TeleportResult(picked.outcome, p0, p1, picked.bob_state_raw,
+                          picked.bob_state_corrected, picked.fidelity,
+                          tuple(b for b in branches if b is not None),
+                          {"measure": {"p0": p0, "p1": p1, "leakage": leakage}})
 
 
 # The encoder in |+>: coupling it once yields the images of |0> and |1>.
@@ -519,17 +530,14 @@ class Channel:
         self.support = support
         self.ramp = ramp
         self.n_qubits = n = 1 + support.n_qubits
-        self.t_couple = None
-        if params.mode == "full":
-            _, self.t_couple, gap = coupling_stage(params, support.n_qubits)
-            needed = faithful_ramp(gap)
-            if self.t_couple < 0.5 * needed:
-                warnings.warn(
-                    f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
-                    f"~{needed:.3g}/w the crossing gap {gap:.3g} requires; "
-                    "the transfer will be unfaithful",
-                    stacklevel=2,
-                )
+        self.t_couple, gap = resolve_coupling(params, support.n_qubits)
+        if gap is not None and self.t_couple < 0.5 * faithful_ramp(gap):
+            warnings.warn(
+                f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
+                f"~{faithful_ramp(gap):.3g}/w the crossing gap {gap:.3g} requires; "
+                "the transfer will be unfaithful",
+                stacklevel=2,
+            )
         coupled = couple_unknown(_PLUS, support, params).amps
         self._coupled = np.zeros((2, coupled.size), dtype=complex)
         for k in (0, 1):  # the encoder bit is the parity of the basis index
@@ -568,32 +576,38 @@ class Channel:
         p = self.params
         enc = encode_qubit(target, p.w, p.phi)
         amps = enc.state.amps
-        coupled = self.couple(enc.state)
-        post = _unsafe_state(amps @ self._post)
-        ghz_ref = ghz_encoded(amps[0], amps[1], self.n_qubits)
-        result = alice_measure_and_correct(post, p, enc.achieved)
+        coupled = amps @ self._coupled
+        post = amps @ self._post
+        result = alice_measure_and_correct(_unsafe_state(post), p, enc.achieved)
         result.step_log = {
             "encode": {"t_bar": enc.t_bar,
                        "achieved": (enc.achieved.alpha, enc.achieved.beta)},
             "entangle": dict(self._entangle_log),
             "channel": dict(self._channel_log),
-            "couple": {"target_overlap_sq": fidelity(coupled, ghz_ref),
-                       "norm": float(np.linalg.norm(coupled.amps))},
+            # the reference alpha|0...0> + beta|1...1> lives on the first and last index
+            "couple": {"target_overlap_sq": float(abs(np.vdot(coupled[[0, -1]], amps)) ** 2),
+                       "norm": float(np.linalg.norm(coupled))},
             "bell": {"t_wait": self.t_wait,
-                     "effective_overlap_sq": fidelity(post, _unsafe_state(amps @ self._ideal_post)),
-                     "norm": float(np.linalg.norm(post.amps))},
+                     "effective_overlap_sq": float(abs(np.vdot(post, amps @ self._ideal_post)) ** 2),
+                     "norm": float(np.linalg.norm(post))},
             "measure": result.step_log["measure"],
         }
         return result
 
 
+def pair_channel(params: ProtocolParams) -> Channel:
+    """The support pair's channel; an out-of-reach coupling is refused first."""
+    resolve_coupling(params, 2)
+    return Channel(*make_entangled_pair(params), params)
+
+
 def teleport_end_to_end(target: InputQubit, params: ProtocolParams) -> TeleportResult:
     """Prepare the support pair, build its channel and teleport one input.
 
-    To teleport many inputs over one pair, build ``Channel(*make_entangled_pair(params),
-    params)`` once and call its ``teleport``.
+    To teleport many inputs over one pair, build ``pair_channel(params)`` once
+    and call its ``teleport``.
     """
-    return Channel(*make_entangled_pair(params), params).teleport(target)
+    return pair_channel(params).teleport(target)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,13 @@ from dqdsim.device import Schedule, hamiltonian_at
 from dqdsim.errors import DimensionError
 from dqdsim.evolve import PropagatorConfig, adiabatic_ramp, ground_state
 from dqdsim.hilbert import StateVector, fidelity, partial_trace
-from dqdsim.protocol import InputQubit, ProtocolParams, bell_target, support_graph
+from dqdsim.protocol import (
+    InputQubit,
+    ProtocolParams,
+    bell_target,
+    support_graph,
+    teleport_end_to_end,
+)
 
 EFFECTIVE = ProtocolParams(mode="effective")
 
@@ -108,6 +114,37 @@ class TestChainTeleport:
         params = ProtocolParams(U_max=100.0, mode="full")
         with pytest.raises(ConfigError, match="ramp"):
             ChainChannel(ChainSpec(4, params))
+
+    def test_infeasible_coupling_is_refused_before_any_ramp(self, tmp_path, monkeypatch):
+        from dqdsim import protocol
+        from dqdsim.cli import main
+        from dqdsim.errors import ConfigError
+
+        def no_ramp(*args):
+            raise AssertionError("the support ramp ran before the refusal")
+
+        monkeypatch.setattr(protocol, "ramp_support", no_ramp)
+        with pytest.raises(ConfigError, match="ramp"):
+            ChainChannel(ChainSpec(4, ProtocolParams(U_max=100.0, mode="full")))
+        assert main(["chain", "--n-support", "4", "--u-max", "100",
+                     "--output", str(tmp_path / "x")]) == 2
+        # the pair's faithful ramp 2U/w^2 exceeds the 5e4/w limit above U = 2.5e4 w
+        with pytest.raises(ConfigError, match="ramp"):
+            teleport_end_to_end(InputQubit(0.6, 0.8), ProtocolParams(U_max=3.0e4))
+
+    def test_effective_chain_does_not_leak(self):
+        channel = ChainChannel(ChainSpec(4, EFFECTIVE))
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            assert channel.teleport(InputQubit.random(rng)).step_log["measure"]["leakage"] <= 1e-15
+
+    def test_short_ramp_leaks_out_of_the_code_pair(self):
+        # the configuration of test_explicit_short_ramp_warns_and_runs
+        params = ProtocolParams(U_max=100.0, T_couple=50.0, mode="full",
+                                integrator=PropagatorConfig(dt=0.01))
+        with pytest.warns(UserWarning, match="unfaithful"):
+            channel = ChainChannel(ChainSpec(4, params, T_ghz=50.0))
+        assert channel.teleport(InputQubit(0.6, 0.8)).step_log["measure"]["leakage"] > 0
 
     def test_explicit_short_ramp_warns_and_runs(self):
         params = ProtocolParams(U_max=100.0, T_couple=50.0, mode="full",

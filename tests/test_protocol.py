@@ -1,13 +1,22 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqdsim import protocol
-from dqdsim.device import DeviceGraph, Schedule, TunnelTerm
+from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
 from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
-from dqdsim.evolve import PropagatorConfig, evolve_scheduled, scheduled_propagator
-from dqdsim.hilbert import StateVector, fidelity, tensor_product
+from dqdsim.evolve import PropagatorConfig, evolve_scheduled, evolve_static, scheduled_propagator
+from dqdsim.hilbert import (
+    StateVector,
+    fidelity,
+    fix_phase,
+    measure_qubit,
+    partial_trace,
+    tensor_product,
+)
 from dqdsim.metrics import fit_oscillation
 from dqdsim.protocol import (
     Channel,
@@ -96,6 +105,19 @@ class TestEncode:
                                    PropagatorConfig(dt=1e-3))
             assert abs(out.amps[0] - np.cos(w * t)) < 1e-8
             assert abs(out.amps[1] - 1j * np.exp(2j * phi) * np.sin(w * t)) < 1e-8
+
+    @settings(max_examples=50, deadline=None)
+    @given(w=st.floats(0.1, 10.0), phi=st.floats(-np.pi, np.pi), mag=st.floats(0.0, 1.0))
+    def test_closed_form_matches_the_encoder_device(self, w, phi, mag):
+        enc = encode_qubit(InputQubit(mag, np.sqrt(1.0 - mag**2)), w, phi)
+        H = hamiltonian_at(encode_graph(w, phi), 0.0)
+        device = evolve_static(StateVector.computational(1, 0), H, enc.t_bar)
+        assert np.max(np.abs(enc.state.amps - device.amps)) < 1e-13
+
+    def test_rejects_a_magnitude_above_one(self):
+        # InputQubit would refuse this target itself; encode_qubit reads only alpha
+        with pytest.raises(DimensionError, match="> 1"):
+            encode_qubit(SimpleNamespace(alpha=1.0 + 1e-9, beta=0.0), 1.0)
 
 
 class TestEntangledPair:
@@ -286,6 +308,46 @@ class TestBellEvolution:
         assert np.allclose(bob_pops, rho_bob_before**2)
 
 
+def reference_measure(state, params, achieved):
+    """Alice's measurement from the hilbert primitives: measure_qubit,
+    partial_trace, and one eigh for the raw and one for the corrected matrix."""
+    n = state.n_qubits
+    nt = n - 2
+    target = ghz_encoded(achieved.alpha, achieved.beta, nt).amps
+    meas = measure_qubit(state, 0, rng=np.random.default_rng(params.seed))
+    ref = {}
+    for outcome, prob in enumerate((meas.p0, meas.p1)):
+        if prob < 1e-12:
+            continue
+        rho = partial_trace(meas.branch(outcome), range(2, n)).matrix
+        phase = protocol.CORRECTIONS[outcome][1, 1]
+        corr = np.array([phase if (i >> (nt - 1)) & 1 else 1.0 for i in range(2**nt)])
+        rho_corr = (corr[:, None] * rho) * corr.conj()[None, :]
+        readouts = []
+        for m in (rho, rho_corr):
+            v = np.linalg.eigh(m)[1][:, -1]
+            pair = np.array([v[0], v[-1]])
+            readouts.append(fix_phase(pair / np.linalg.norm(pair)))
+        fid = float(np.real(target.conj() @ rho_corr @ target))
+        ref[outcome] = (prob, rho, *readouts, fid)
+    return meas, ref
+
+
+def assert_matches_reference(res, meas, ref):
+    picked = meas.outcome if meas.outcome in ref else 1 - meas.outcome
+    assert res.outcome == picked
+    assert abs(res.p0 - meas.p0) <= 1e-14 and abs(res.p1 - meas.p1) <= 1e-14
+    assert [b.outcome for b in res.branches] == sorted(ref)
+    for b in res.branches:
+        prob, _, raw, corrected, fid = ref[b.outcome]
+        assert abs(b.probability - prob) <= 1e-14
+        assert np.max(np.abs(b.bob_state_raw.amps - raw)) <= 1e-12
+        assert np.max(np.abs(b.bob_state_corrected.amps - corrected)) <= 1e-12
+        assert abs(b.fidelity - fid) <= 1e-12
+    code = sum(p * (rho[0, 0] + rho[-1, -1]).real for p, rho, *_ in ref.values())
+    assert abs(res.step_log["measure"]["leakage"] - (1.0 - code)) <= 1e-12
+
+
 class TestMeasureAndCorrect:
     def test_effective_exactness(self):
         rng = np.random.default_rng(21)
@@ -319,6 +381,51 @@ class TestMeasureAndCorrect:
         rho = np.diag([0.1, 0.0, 0.9, 0.0]).astype(complex)
         with pytest.raises(ConvergenceError, match="code-pair"):
             protocol._logical_pair(rho)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([3, 4, 5]), state_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_primitive_reference(self, n, state_seed, seed):
+        rng = np.random.default_rng(state_seed)
+        state = random_state(rng, n)
+        achieved = InputQubit.random(rng)
+        params = ProtocolParams(mode="effective", seed=seed)
+        meas, ref = reference_measure(state, params, achieved)
+        for _, rho, *_ in ref.values():
+            top = np.linalg.eigvalsh(rho)[-2:]
+            assume(top[1] - top[0] > 1e-3)  # a degenerate top pair has no unique readout
+        assert_matches_reference(alice_measure_and_correct(state, params, achieved), meas, ref)
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    @pytest.mark.parametrize("residue", [0.0, 1e-7])
+    def test_near_empty_branch_matches_the_reference(self, empty, residue):
+        # p_empty = residue^2 <= 1e-14 < 1e-12: only one branch is evaluated
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=16) + 1j * rng.normal(size=16)
+        v[empty::2] = 0.0
+        v[empty] = residue * np.linalg.norm(v)
+        state = StateVector(v / np.linalg.norm(v))
+        q = InputQubit(0.6, 0.8j)
+        for seed in range(4):
+            params = ProtocolParams(mode="effective", seed=seed)
+            meas, ref = reference_measure(state, params, q)
+            res = alice_measure_and_correct(state, params, q)
+            assert [b.outcome for b in res.branches] == [1 - empty]
+            assert_matches_reference(res, meas, ref)
+
+    def test_readout_checks_the_density_matrix(self):
+        with pytest.raises(DimensionError, match="trace"):
+            protocol._logical_pair(np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
+        with pytest.raises(DimensionError, match="negative"):
+            protocol._logical_pair(np.diag([1.1, -0.1]).astype(complex))
+        with pytest.raises(DimensionError, match="Hermitian"):
+            protocol._logical_pair(np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex))
+
+    def test_leaked_register_is_refused_by_the_measurement(self):
+        # encoder and support in |00>, receiving register in |10> (qubit 2 set)
+        st4 = StateVector.computational(4, 0b0100)
+        with pytest.raises(ConvergenceError, match="code-pair"):
+            alice_measure_and_correct(st4, EFFECTIVE, InputQubit(0.6, 0.8))
 
     def test_outcome_follows_seed(self):
         q = InputQubit(0.6, 0.8)
