@@ -85,26 +85,17 @@ def validate_config(cfg: RunConfig) -> list:
         errors.append(f"unknown experiment {cfg.experiment!r}")
     if cfg.mode not in ("full", "effective"):
         errors.append(f"mode must be 'full' or 'effective', got {cfg.mode!r}")
-    if cfg.w <= 0:
-        errors.append(f"w must be positive, got {cfg.w}")
-    if cfg.U_max < 0:
-        errors.append("U_max must be nonnegative")
-    if cfg.Uprime_max is not None and cfg.Uprime_max < 0:
-        errors.append("Uprime_max must be nonnegative")
-    if cfg.bell_U is not None and cfg.bell_U <= 0:
-        errors.append("bell_U must be positive when given")
-    for name in ("T_ent", "T_couple", "T_ghz"):
-        v = getattr(cfg, name)
-        if v is not None and v <= 0:
-            errors.append(f"{name} must be positive when given")
+    errors += [f"{f.name} must be finite, got {v}" for f in fields(cfg)
+               if isinstance(v := getattr(cfg, f.name), float) and not np.isfinite(v)]
+    for name in ("w", "U_max", "Uprime_max", "bell_U", "T_ent", "T_couple", "T_ghz", "dt",
+                 "tolerance"):  # None means derived
+        v, nonneg = getattr(cfg, name), name in ("U_max", "Uprime_max")
+        if v is not None and not (v >= 0 if nonneg else v > 0):
+            errors.append(f"{name} must be {'nonnegative' if nonneg else 'positive'}, got {v}")
     if not 0.0 <= cfg.alpha_abs <= 1.0:
         errors.append(f"alpha_abs must lie in [0, 1], got {cfg.alpha_abs}")
     if not 2 <= cfg.n_support <= MAX_QUBITS - 1:
         errors.append(f"n_support must lie in [2, {MAX_QUBITS - 1}], got {cfg.n_support}")
-    if cfg.dt is not None and cfg.dt <= 0:
-        errors.append("dt must be positive when given")
-    if cfg.tolerance <= 0:
-        errors.append("tolerance must be positive")
     if cfg.axis is not None and cfg.axis not in SWEEP_AXES:
         errors.append(f"unknown sweep axis {cfg.axis!r}; choose from {', '.join(SWEEP_AXES)}")
     if cfg.axis is not None or cfg.values is not None:
@@ -128,6 +119,8 @@ def parse_values(axis: str, text: str) -> list:
             out.append(int(piece) if axis in ("n_support", "seed") else float(piece))
         except ValueError:
             raise ValueError(f"cannot parse sweep value {piece!r} for axis {axis}")
+        if not np.isfinite(out[-1]):
+            raise ValueError(f"sweep value {piece!r} for axis {axis} is not finite")
     if not out:
         raise ValueError("sweep value list is empty")
     return out

@@ -292,7 +292,12 @@ def hamiltonian_at(g: DeviceGraph, t: float) -> np.ndarray:
     H = H0.copy()
     for sched, B in terms:
         H += schedule_value(sched, t) * B
-    if not np.max(np.abs(H - H.conj().T)) < HERMITICITY_TOL:  # NaN fails too
+    return check_hermitian(H)
+
+
+def check_hermitian(H: np.ndarray) -> np.ndarray:
+    """H, or a stack of them, after checking it is Hermitian (DeviceError otherwise)."""
+    if not np.max(np.abs(H - np.swapaxes(H, -1, -2).conj())) < HERMITICITY_TOL:  # NaN fails too
         raise DeviceError("device Hamiltonian is not Hermitian (a tunneling phase must be real)")
     return H
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -125,9 +125,13 @@ class ProtocolParams:
     integrator: evolve.PropagatorConfig = field(default_factory=evolve.PropagatorConfig)
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise DimensionError("w must be positive")
-        if self.U_max < 0 or (self.Uprime_max is not None and self.Uprime_max < 0):
+        for f in fields(self):
+            if isinstance(v := getattr(self, f.name), float) and not np.isfinite(v):
+                raise DimensionError(f"{f.name} must be finite, got {v}")
+        if any(v is not None and not v > 0
+               for v in (self.w, self.T_ent, self.T_couple, self.bell_U)):
+            raise DimensionError("w, and T_ent, T_couple and bell_U when given, must be positive")
+        if not self.U_max >= 0 or not (self.Uprime_max is None or self.Uprime_max >= 0):
             raise DimensionError("Coulomb strengths must be nonnegative")
         if self.mode not in ("full", "effective"):
             raise DimensionError(f"mode must be 'full' or 'effective', got {self.mode!r}")
@@ -313,11 +317,12 @@ def bell_target(n_qubits: int = 2) -> StateVector:
 def ramp_support(params: ProtocolParams, n_support: int, T: float):
     """Adiabatic preparation of a support register; returns (state, RampDiagnostics).
 
-    The register starts in its uncoupled ground state and every link ramps
-    0 -> U_max together over T.
+    The register starts in its uncoupled ground state |+>^n, taken in closed
+    form and so an exact flip eigenvector (the ramp sweeps its flip sector),
+    and every link ramps 0 -> U_max together over T.
     """
     g = support_graph(params, n_support, dev.Schedule.smooth(0.0, params.U_max, 0.0, T))
-    start = evolve.ground_state(dev.hamiltonian_at(g, 0.0)).state
+    start = StateVector(np.full(2**n_support, 2.0 ** (-n_support / 2), dtype=complex))
     return evolve.adiabatic_ramp(start, g, 0.0, T, params.integrator)
 
 
@@ -339,19 +344,15 @@ def _encoder_block(H0: np.ndarray, terms: list):
     """Encoder-0 block of a compiled coupler ``(H0, [(schedule, B), ...])``.
 
     Raises DeviceError unless every term keeps the encoder bit (index parity)
-    and H0 and each schedule's summed terms commute with the global flip
-    (index reversal), which makes the encoder-1 block the reversed encoder-0 one.
+    and the coupler is :func:`evolve.flip_symmetric`, which makes the
+    encoder-1 block the reversed encoder-0 one.
     """
-    driven = {}
-    for sched, B in terms:
-        driven[sched] = driven.get(sched, 0) + B
     for M in (H0, *(B for _, B in terms)):
         if np.any(M[0::2, 1::2]):
             raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
-    for M in (H0, *driven.values()):
-        if not np.array_equal(M, M[::-1, ::-1]):
-            raise DeviceError("the coupler is not symmetric under the global flip, "
-                              "so one encoder block does not give the other")
+    if not evolve.flip_symmetric(H0, terms):
+        raise DeviceError("the coupler is not symmetric under the global flip, "
+                          "so one encoder block does not give the other")
     return H0[0::2, 0::2], [(sched, B[0::2, 0::2]) for sched, B in terms]
 
 

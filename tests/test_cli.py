@@ -155,6 +155,28 @@ class TestRuns:
         assert row["achieved_beta_im"] == f"{np.sqrt(1 - 0.04):.12g}"
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["teleport", "--dt", "inf"],
+        ["teleport", "--dt", "nan"],
+        ["teleport", "--w", "nan"],
+        ["teleport", "--t-couple", "nan"],
+        ["teleport", "--u-max", "inf"],
+        ["chain", "--phi=-inf"],
+        ["sweep", "--axis", "U_max", "--values", "20,nan"],
+        ["sweep", "--axis", "T_ent", "--values", "inf"],
+    ])
+    def test_exit_2_and_write_nothing(self, tmp_path, capsys, argv):
+        assert main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "finite" in capsys.readouterr().err
+
+    def test_validation_names_each_non_finite_field(self):
+        errs = validate_config(RunConfig(wait_angle=float("nan"), T_ghz=float("inf")))
+        assert any("wait_angle must be finite" in e for e in errs)
+        assert any("T_ghz must be finite" in e for e in errs)
+
+
 class TestInputSweeps:
     """An input-axis sweep of a protocol experiment shares one channel."""
 

@@ -1,15 +1,27 @@
+import mpmath
 import numpy as np
 import pytest
 
-from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, dqd_pair_links, hamiltonian_at
-from dqdsim.errors import ConvergenceError, DimensionError
+from dqdsim.device import (
+    DeviceGraph,
+    Schedule,
+    TunnelTerm,
+    check_hermitian,
+    dqd_pair_links,
+    hamiltonian_at,
+    hamiltonian_terms,
+    schedule_value,
+)
+from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
     PropagatorConfig,
+    _step_propagators,
     adiabatic_ramp,
     evolve_scheduled,
     evolve_static,
     ground_state,
     scheduled_propagator,
+    sweep_block,
 )
 from dqdsim.hilbert import StateVector
 from dqdsim.protocol import cross_to_aligned_ratio
@@ -209,3 +221,99 @@ class TestAdiabaticRamp:
         excited = StateVector.computational(2, 3)
         with pytest.warns(UserWarning, match="overlap"):
             adiabatic_ramp(excited, g, 0.0, 0.5, PropagatorConfig(dt=0.01))
+
+
+class TestPropagatorConfig:
+    @pytest.mark.parametrize("kwargs", [dict(dt=np.nan), dict(dt=np.inf), dict(dt=-1.0),
+                                        dict(tolerance=np.nan), dict(tolerance=np.inf)])
+    def test_rejects_non_finite_and_non_positive(self, kwargs):
+        with pytest.raises(DimensionError):
+            PropagatorConfig(**kwargs)
+
+
+def sequential_sweep(psi, g, t1, dt):
+    """The midpoint steps of [0, t1], each applied to psi in turn."""
+    nsteps = max(1, int(np.ceil(t1 / dt)))
+    h = t1 / nsteps
+    mids = (np.arange(nsteps) + 0.5) * h
+    H0, terms = hamiltonian_terms(g)
+    Hs = H0 + sum(schedule_value(sched, mids)[:, None, None] * B for sched, B in terms)
+    for U in _step_propagators(Hs, h):
+        psi = U @ psi
+    return psi
+
+
+class TestChunkProduct:
+    """Each chunk of steps is applied as one product; it equals step-by-step.
+
+    Past t = 2 the wobble device is static, so the second chunk repeats one
+    step unitary: the worst case for the product's rounding, which then adds
+    up coherently.
+    """
+
+    @pytest.mark.parametrize("nsteps", [1, 2, 3, 4095, 4097, 8193])
+    @pytest.mark.parametrize("columns", [None, 2, "identity"])
+    def test_matches_sequential_steps(self, nsteps, columns):
+        g = wobble_graph()
+        dt = 2.0**-11  # nsteps * dt is exact, so the sweep takes nsteps steps
+        cfg = PropagatorConfig(dt=dt)
+        rng = np.random.default_rng(nsteps)
+        if columns == "identity":
+            psi = np.eye(4, dtype=complex)
+            out = scheduled_propagator(g, 0.0, nsteps * dt, cfg)
+        else:
+            shape = (4,) if columns is None else (4, columns)
+            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            psi /= np.linalg.norm(psi, axis=0)  # unit columns, like the states swept
+            out = sweep_block(psi, g, 0.0, nsteps * dt, cfg)
+        assert out.shape == psi.shape
+        assert np.max(np.abs(out - sequential_sweep(psi, g, nsteps * dt, dt))) <= 1e-13
+
+
+def mp_expm_step(H, h):
+    """exp(-i H h) to 30 significant digits."""
+    with mpmath.workdps(30):
+        M = mpmath.matrix(H.tolist()) * mpmath.mpc(0, -h)
+        U = mpmath.expm(M)
+        return np.array([[complex(U[i, j]) for j in range(H.shape[1])]
+                         for i in range(H.shape[0])])
+
+
+class TestStepPrecision:
+    @pytest.mark.parametrize("phase", [0.0, 0.4])  # real and complex Hamiltonians
+    def test_step_matches_30_digit_exponential_at_large_norm_step(self, phase):
+        # a 3-DQD register with strong repulsion: ||H|| h ~ 60 per step
+        g = DeviceGraph(
+            dqds=(0, 1, 2),
+            tunnel_terms=[TunnelTerm(k, Schedule.constant(1.0), phase=phase * k)
+                          for k in range(3)],
+            coulomb_links=dqd_pair_links(0, 1, Schedule.constant(37.0))
+            + dqd_pair_links(1, 2, Schedule.constant(41.0)),
+        )
+        H = hamiltonian_at(g, 0.0)
+        h = 60.0 / np.linalg.norm(H, 2)
+        U = _step_propagators(H[None], h)[0]
+        assert np.max(np.abs(U - mp_expm_step(H, h))) <= 1e-15
+
+
+class TestBatchHermiticity:
+    def test_stack_with_one_non_hermitian_matrix_is_refused(self):
+        ok = hamiltonian_at(wobble_graph(), 0.3)
+        bad = ok.copy()
+        bad[0, 1] += 1e-9
+        assert check_hermitian(np.stack([ok, ok])).shape == (2, 4, 4)
+        with pytest.raises(DeviceError, match="Hermitian"):
+            check_hermitian(np.stack([ok, bad]))
+        with pytest.raises(DeviceError, match="Hermitian"):
+            check_hermitian(np.stack([ok, np.full_like(ok, np.nan)]))
+
+    def test_non_hermitian_ramp_is_refused(self):
+        g = DeviceGraph(
+            dqds=(0, 1),
+            tunnel_terms=(TunnelTerm(0, Schedule.constant(1.0), phase=0.3j),
+                          TunnelTerm(1, Schedule.constant(1.0))),
+            coulomb_links=dqd_pair_links(0, 1, Schedule.smooth(0.0, 10.0, 0.0, 5.0)),
+        )
+        with pytest.raises(DeviceError, match="Hermitian"):
+            adiabatic_ramp(StateVector(np.full(4, 0.5, dtype=complex)), g, 0.0, 5.0,
+                           PropagatorConfig(dt=0.1))

@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,10 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dqdsim import protocol
+from dqdsim import evolve, protocol
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
 from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
-from dqdsim.evolve import PropagatorConfig, evolve_scheduled, evolve_static, scheduled_propagator
+from dqdsim.evolve import (
+    PropagatorConfig,
+    adiabatic_ramp,
+    evolve_scheduled,
+    evolve_static,
+    ground_state,
+    scheduled_propagator,
+)
 from dqdsim.hilbert import (
     StateVector,
     fidelity,
@@ -35,6 +43,8 @@ from dqdsim.protocol import (
     entangled_pair_reference,
     ghz_encoded,
     make_entangled_pair,
+    ramp_support,
+    support_graph,
     teleport_end_to_end,
 )
 
@@ -149,6 +159,83 @@ class TestEntangledPair:
         assert fidelity(st, entangled_pair_reference(30.0, 1.0)) >= 0.999
         assert diag.final_ground_overlap_sq >= 0.999
         assert abs(np.linalg.norm(st.amps) - 1.0) < 1e-12
+
+
+class TestSupportRamp:
+    """Support ramps start in |+>^n exactly and sweep its flip-even sector."""
+
+    PARAMS = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.05))
+    T = 30.0
+
+    @staticmethod
+    def swept_dims(monkeypatch):
+        dims = []
+        original = evolve.sweep_block
+
+        def spy(psi, *args):
+            dims.append(psi.shape[0])
+            return original(psi, *args)
+
+        monkeypatch.setattr(evolve, "sweep_block", spy)
+        return dims
+
+    def ramp_graph(self, n_support):
+        return support_graph(self.PARAMS, n_support,
+                             Schedule.smooth(0.0, self.PARAMS.U_max, 0.0, self.T))
+
+    def assert_diagnostics_match_scan(self, g, start, final, diag):
+        ts = np.linspace(0.0, self.T, 64)
+        gaps = [np.diff(np.linalg.eigvalsh(hamiltonian_at(g, t))[:2])[0] for t in ts]
+        assert np.array_equal(diag.gap_times, ts)
+        assert np.max(np.abs(diag.gaps - gaps)) <= 1e-13
+        assert abs(diag.min_gap - min(gaps)) <= 1e-13
+        for t, state, overlap in ((0.0, start, diag.initial_ground_overlap_sq),
+                                  (self.T, final, diag.final_ground_overlap_sq)):
+            gs = ground_state(hamiltonian_at(g, t)).state
+            assert abs(overlap - abs(np.vdot(gs.amps, state)) ** 2) <= 1e-13
+
+    @pytest.mark.parametrize("n_support", [2, 3, 4])
+    def test_matches_the_full_propagator(self, n_support, monkeypatch):
+        dims = self.swept_dims(monkeypatch)
+        final, diag = ramp_support(self.PARAMS, n_support, self.T)
+        g = self.ramp_graph(n_support)
+        start = np.full(2**n_support, 2.0 ** (-n_support / 2))
+        expected = scheduled_propagator(g, 0.0, self.T, self.PARAMS.integrator) @ start
+        assert dims[0] == 2**n_support // 2
+        assert np.max(np.abs(final.amps - expected)) <= 1e-12
+        self.assert_diagnostics_match_scan(g, start, final.amps, diag)
+
+    def test_antisymmetric_state_sweeps_its_sector(self, monkeypatch):
+        g = self.ramp_graph(3)
+        S = np.zeros(8, dtype=complex)
+        S[[1, 2]], S[[6, 5]] = [0.5, 0.5j], [-0.5, -0.5j]  # S[::-1] == -S
+        dims = self.swept_dims(monkeypatch)
+        out = evolve_scheduled(StateVector(S), g, 0.0, self.T, self.PARAMS.integrator)
+        expected = scheduled_propagator(g, 0.0, self.T, self.PARAMS.integrator) @ S
+        assert dims[0] == 4
+        assert np.max(np.abs(out.amps - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["flip-breaking device", "state off the sector"])
+    def test_takes_the_full_sweep_otherwise(self, case, monkeypatch):
+        g = self.ramp_graph(3)
+        start = np.full(8, 1.0, dtype=complex)
+        if case == "flip-breaking device":
+            # a tunneling phase on one DQD keeps H Hermitian but breaks X^n
+            terms = tuple(TunnelTerm(t.dqd, t.amplitude, phase=0.3) if t.dqd == 1 else t
+                          for t in g.tunnel_terms)
+            g = DeviceGraph(g.dqds, terms, g.coulomb_links)
+        else:
+            start[0] += 1e-13
+        start /= np.linalg.norm(start)
+        dims = self.swept_dims(monkeypatch)
+        # |+>^n is not the ground state of the phased device
+        with pytest.warns(UserWarning) if case == "flip-breaking device" else nullcontext():
+            final, diag = adiabatic_ramp(StateVector(start), g, 0.0, self.T,
+                                         self.PARAMS.integrator)
+        expected = scheduled_propagator(g, 0.0, self.T, self.PARAMS.integrator) @ start
+        assert dims[0] == 8
+        assert np.max(np.abs(final.amps - expected)) <= 1e-12
+        self.assert_diagnostics_match_scan(g, start, final.amps, diag)
 
 
 class TestCouple:
@@ -510,6 +597,20 @@ class TestParams:
     def test_rejects_bad_mode(self):
         with pytest.raises(DimensionError):
             ProtocolParams(mode="hybrid")
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(w=np.nan), dict(w=np.inf), dict(U_max=np.nan), dict(U_max=np.inf),
+        dict(Uprime_max=np.nan), dict(T_couple=np.nan), dict(T_ent=np.inf), dict(phi=np.nan),
+    ])
+    def test_rejects_non_finite_numbers(self, kwargs):
+        with pytest.raises(DimensionError):
+            ProtocolParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(T_ent=0.0), dict(T_couple=-1.0), dict(bell_U=0.0)])
+    def test_rejects_non_positive_durations_and_bell_coupling(self, kwargs):
+        # a zero-length support ramp would start at the plateau, not the uncoupled register
+        with pytest.raises(DimensionError, match="positive"):
+            ProtocolParams(**kwargs)
 
     def test_duration_defaults_scale_with_coupling(self):
         p = ProtocolParams(U_max=100.0, Uprime_max=100.0)
