@@ -103,9 +103,12 @@ def validate_config(cfg: RunConfig) -> list:
             errors.append("a sweep needs both --axis and --values")
         elif cfg.axis in SWEEP_AXES:
             try:
-                parse_values(cfg.axis, cfg.values)
+                values = parse_values(cfg.axis, cfg.values)
             except ValueError as exc:
                 errors.append(str(exc))
+            if not errors:  # a valid base: check every point before the first one runs
+                errors += [f"sweep point {cfg.axis}={getattr(p, cfg.axis)}: {e}"
+                           for p in sweep_points(cfg, values) for e in validate_config(p)]
     return errors
 
 
@@ -234,13 +237,18 @@ def _sweep_workers(n_points: int) -> int:
     return max(1, min(cap, n_points))
 
 
-def run_sweep(cfg: RunConfig) -> list:
-    values = parse_values(cfg.axis, cfg.values)
+def sweep_points(cfg: RunConfig, values: list) -> list:
+    """One single-run config per sweep value, in ascending order."""
     points = []
     for v in sorted(values):
         point = replace(cfg, axis=None, values=None)
         setattr(point, cfg.axis, v)
         points.append(point)
+    return points
+
+
+def run_sweep(cfg: RunConfig) -> list:
+    points = sweep_points(cfg, parse_values(cfg.axis, cfg.values))
     if cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS:
         channel = build_channel(points[0])
         return [run_experiment(p, channel) for p in points]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import device as dev
 from .errors import DimensionError
@@ -72,6 +71,7 @@ def fit_oscillation(times, populations) -> RabiFit:
     Needs at least 16 samples spanning roughly a period.  The initial
     frequency guess comes from the discrete spectrum of the series.
     """
+    from scipy.optimize import curve_fit  # ~0.4 s to import: kept off ``import dqdsim``
     t = np.asarray(times, dtype=float)
     p = np.asarray(populations, dtype=float)
     if t.size < 16 or t.size != p.size:

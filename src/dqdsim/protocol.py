@@ -474,7 +474,8 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
     ``amps[k::2]``, whose Gram product is the register's reduced matrix; Bob's
     correction D is diagonal, so it scales the raw readout and the fidelity is
     (D^+ t)^+ rho (D^+ t), where the target t lives on the code pair only.
-    Leakage is 1 - sum_k p_k (rho_k[0,0] + rho_k[-1,-1]).
+    Leakage is the weight outside the code pair, sum_k p_k (1 - rho_k[0,0] -
+    rho_k[-1,-1]), summed directly so that it is never negative.
     """
     n = state.n_qubits
     if n < 3:
@@ -483,7 +484,7 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
     target = np.array([achieved.alpha, achieved.beta], dtype=complex)
     arr = state.amps.reshape(2**nt, 2, 2)  # [register, support bit, encoder bit]
     p0, p1 = (float(p) for p in np.sum(np.abs(arr) ** 2, axis=(0, 1)))
-    leakage = 1.0 - float(np.sum(np.abs(arr[[0, -1]]) ** 2))
+    leakage = float(np.sum(np.abs(arr[1:-1]) ** 2))
     branches = []
     for outcome, prob in enumerate((p0, p1)):
         if prob < 1e-12:

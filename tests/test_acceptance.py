@@ -13,9 +13,12 @@ from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, dqd_pair_links, ham
 from dqdsim.evolve import (
     PropagatorConfig,
     adiabatic_ramp,
+    cf4,
     evolve_scheduled,
     evolve_static,
     ground_state,
+    midpoint,
+    sweep_block,
 )
 from dqdsim.hilbert import StateVector, fidelity, measure_qubit
 from dqdsim.metrics import fit_oscillation
@@ -218,7 +221,7 @@ def test_criterion_08_chain_channel():
 
 
 def test_criterion_09_numerical_contracts():
-    """Unitarity, second-order stepping, and exactness on static windows."""
+    """Unitarity, second- and fourth-order stepping, and exactness on static windows."""
     t0 = time.perf_counter()
     g = DeviceGraph(
         dqds=(0, 1),
@@ -230,10 +233,12 @@ def test_criterion_09_numerical_contracts():
     out = evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.01))
     norm_dev = abs(np.linalg.norm(out.amps) - 1.0)
 
-    ref = evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.04 / 16))
-    e1 = np.linalg.norm(evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.04)).amps - ref.amps)
-    e2 = np.linalg.norm(evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.02)).amps - ref.amps)
-    ratio = e1 / e2
+    def ratio(rule):  # error at dt = 0.04 over error at dt = 0.02
+        def sweep(dt):
+            return sweep_block(state.amps, g, 0.0, 2.0, PropagatorConfig(dt=dt), rule=rule)
+        ref = sweep(0.04 / 16)
+        return np.linalg.norm(sweep(0.04) - ref) / np.linalg.norm(sweep(0.02) - ref)
+    ratio_mid, ratio_cf4 = ratio(midpoint), ratio(cf4)
 
     static = pair_plateau(4.0)
     plus = StateVector(np.full(4, 0.5, dtype=complex))
@@ -241,9 +246,11 @@ def test_criterion_09_numerical_contracts():
     exact = evolve_static(plus, hamiltonian_at(static, 0.0), 3.0)
     static_dev = float(np.linalg.norm(stepped.amps - exact.amps))
 
-    ok = norm_dev < 1e-12 and 3.5 <= ratio <= 4.5 and static_dev < 1e-10
+    ok = (norm_dev < 1e-12 and 3.5 <= ratio_mid <= 4.5 and 14 <= ratio_cf4 <= 18
+          and static_dev < 1e-10)
     report("criterion 9: numerical contracts", ok, 30.0, time.perf_counter() - t0,
-           f"norm drift {norm_dev:.1e}, convergence ratio {ratio:.2f} in [3.5, 4.5], "
+           f"norm drift {norm_dev:.1e}, convergence ratio {ratio_mid:.2f} in [3.5, 4.5] "
+           f"(midpoint) and {ratio_cf4:.2f} in [14, 18] (CF4), "
            f"static-window deviation {static_dev:.1e}")
 
 

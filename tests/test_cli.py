@@ -177,6 +177,22 @@ class TestNonFiniteNumbers:
         assert any("T_ghz must be finite" in e for e in errs)
 
 
+class TestSweepPointRanges:
+    @pytest.mark.parametrize("argv, field", [
+        (["sweep", "--experiment", "encode", "--axis", "w", "--values=-1,1"], "w=-1.0"),
+        (["sweep", "--axis", "alpha_abs", "--values", "0.5,1.5"], "alpha_abs=1.5"),
+        (["sweep", "--axis", "n_support", "--values", f"2,{MAX_QUBITS}"],
+         f"n_support={MAX_QUBITS}"),
+    ])
+    def test_exit_2_before_any_point_runs(self, tmp_path, capsys, argv, field):
+        assert main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert f"sweep point {field}" in capsys.readouterr().err
+
+    def test_valid_points_pass(self):
+        assert validate_config(RunConfig(experiment="encode", axis="w", values="0.5,1")) == []
+
+
 class TestInputSweeps:
     """An input-axis sweep of a protocol experiment shares one channel."""
 

@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqdsim.device import (
     DeviceGraph,
@@ -10,21 +12,23 @@ from dqdsim.device import (
     dqd_pair_links,
     hamiltonian_at,
     hamiltonian_terms,
-    schedule_value,
 )
 from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
     PropagatorConfig,
     _step_propagators,
     adiabatic_ramp,
+    cf4,
     evolve_scheduled,
     evolve_static,
     ground_state,
+    midpoint,
     scheduled_propagator,
+    step_grid,
     sweep_block,
 )
 from dqdsim.hilbert import StateVector
-from dqdsim.protocol import cross_to_aligned_ratio
+from dqdsim.protocol import _encoder_block, cross_to_aligned_ratio
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -141,15 +145,22 @@ class TestEvolveScheduled:
         e1 = np.vdot(out.amps, H @ out.amps).real
         assert abs(e1 - e0) < 1e-10
 
-    def test_second_order_convergence(self):
+    @staticmethod
+    def convergence_ratio(rule):
+        """Error at dt = 0.04 over error at dt = 0.02 on the wobble device."""
         g = wobble_graph()
-        state = StateVector(np.array([1, 0, 0, 0], dtype=complex))
-        ref = evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.04 / 16))
-        e1 = np.linalg.norm(
-            evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.04)).amps - ref.amps)
-        e2 = np.linalg.norm(
-            evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.02)).amps - ref.amps)
-        assert 3.5 <= e1 / e2 <= 4.5
+        psi = np.array([1, 0, 0, 0], dtype=complex)
+
+        def sweep(dt):
+            return sweep_block(psi, g, 0.0, 2.0, PropagatorConfig(dt=dt), rule=rule)
+        ref = sweep(0.04 / 16)
+        return np.linalg.norm(sweep(0.04) - ref) / np.linalg.norm(sweep(0.02) - ref)
+
+    def test_second_order_convergence(self):
+        assert 3.5 <= self.convergence_ratio(midpoint) <= 4.5
+
+    def test_fourth_order_convergence(self):
+        assert 14 <= self.convergence_ratio(cf4) <= 18
 
     def test_richardson_flags_coarse_step(self):
         g = wobble_graph()
@@ -223,6 +234,110 @@ class TestAdiabaticRamp:
             adiabatic_ramp(excited, g, 0.0, 0.5, PropagatorConfig(dt=0.01))
 
 
+class TestStepGrid:
+    def test_static_window_is_one_exponential(self):
+        # 100k steps of dt = 0.005 drifted the norm by 1.5e-12 here
+        g = pair_plateau(100.0)
+        assert step_grid(g, 0.0, 500.0, 0.01) is None
+        state = StateVector(np.array([0.6, 0.0, 0.8j, 0.0]))
+        out = evolve_scheduled(state, g, 0.0, 500.0, PropagatorConfig(dt=0.005))
+        assert abs(np.linalg.norm(out.amps) - 1.0) <= 1e-13
+        exact = evolve_static(state, hamiltonian_at(g, 0.0), 500.0)
+        assert np.linalg.norm(out.amps - exact.amps) <= 1e-10
+
+    def test_still_stretch_is_merged(self):
+        # the wobble device stops moving at t = 2
+        edges = step_grid(wobble_graph(), 0.0, 4.0, 0.01)
+        assert np.all(np.diff(edges[:-1]) <= 0.01 + 1e-15)
+        assert 2.0 <= edges[-2] <= 2.01 and edges[-1] == 4.0
+
+    def test_coupling_tail_is_refined(self):
+        # the tangent ramp's last 0.02/w carries U' from ~3w to 100w
+        g = DeviceGraph(
+            dqds=(0, 1, 2),
+            tunnel_terms=[TunnelTerm(k, Schedule.constant(1.0)) for k in (1, 2)],
+            coulomb_links=dqd_pair_links(1, 2, Schedule.constant(100.0))
+            + dqd_pair_links(0, 1, Schedule.tangent(0.0, 100.0, 0.0, 200.0, gap_scale=0.02)),
+        )
+        dt = PropagatorConfig().resolve_dt(g)
+        edges = step_grid(g, 0.0, 200.0, 2 * dt)
+        h = np.diff(edges)
+        assert np.max(h) == pytest.approx(2 * dt)
+        assert np.min(h[edges[1:] > 199.98]) < np.max(h) / 8  # refined tail
+        assert np.all(h[edges[1:] < 150.0] == pytest.approx(np.max(h)))  # coarse bulk
+
+    def test_richardson_halves_the_refined_grid(self):
+        # a coarse dt is refined to the same grid as dt / 2; the check still compares
+        g = wobble_graph()
+        assert np.array_equal(step_grid(g, 0.0, 2.0, 1.0), step_grid(g, 0.0, 2.0, 0.5))
+        with pytest.raises(ConvergenceError):
+            sweep_block(np.eye(4), g, 0.0, 2.0,
+                        PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1e-12))
+
+
+def ramp(kind, v0, v1, t1, gap):
+    if kind == "tangent":
+        return Schedule.tangent(v0, v1, 0.0, t1, gap_scale=gap)
+    return {"linear": Schedule.linear, "smooth": Schedule.smooth}[kind](v0, v1, 0.0, t1)
+
+
+ramps = st.tuples(st.sampled_from(["linear", "smooth", "tangent"]), st.floats(0.0, 30.0),
+                  st.floats(0.0, 30.0), st.floats(0.1, 4.0), st.floats(0.01, 2.0))
+dts = st.floats(0.005, 0.5)
+
+
+class TestGridProperties:
+    """Random devices and steps: the sweep is unitary, and every invariant block
+    or flip sector steps on the same grid as the whole register."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data(), dt=dts, t1=st.floats(0.1, 4.0))
+    def test_propagator_is_unitary(self, n, data, dt, t1):
+        tunnel = [TunnelTerm(k, ramp(*data.draw(ramps)) if data.draw(st.booleans())
+                             else Schedule.constant(data.draw(st.floats(0.0, 2.0))),
+                             phase=data.draw(st.floats(-np.pi, np.pi)))
+                  for k in range(n)]
+        links = []
+        for k in range(n - 1):
+            links += dqd_pair_links(k, k + 1, ramp(*data.draw(ramps)))
+        g = DeviceGraph(dqds=range(n), tunnel_terms=tunnel, coulomb_links=links)
+        U = scheduled_propagator(g, 0.0, t1, PropagatorConfig(dt=dt))
+        assert np.max(np.abs(U.conj().T @ U - np.eye(2**n))) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(support=ramps, couple=ramps, w=st.floats(0.2, 2.0), dt=dts, seed=st.integers(0, 99))
+    def test_encoder_block_and_flip_sector_match_the_full_sweep(self, support, couple, w, dt,
+                                                                seed):
+        t1 = max(support[3], couple[3])
+        cfg = PropagatorConfig(dt=dt)
+        rng = np.random.default_rng(seed)
+        # the coupler: a frozen encoder (qubit 0) linked to a support pair
+        coupler = DeviceGraph(
+            dqds=(0, 1, 2),
+            tunnel_terms=[TunnelTerm(k, Schedule.constant(w)) for k in (1, 2)],
+            coulomb_links=dqd_pair_links(1, 2, ramp(*support))
+            + dqd_pair_links(0, 1, ramp(*couple)),
+        )
+        S = rng.normal(size=4) + 1j * rng.normal(size=4)
+        S /= np.linalg.norm(S)
+        full = np.zeros(8, dtype=complex)
+        full[0::2] = S
+        full = sweep_block(full, coupler, 0.0, t1, cfg)
+        block = sweep_block(S, coupler, 0.0, t1, cfg,
+                            _encoder_block(*hamiltonian_terms(coupler)))
+        assert np.max(np.abs(full[0::2] - block)) <= 1e-12
+        assert np.max(np.abs(full[1::2])) <= 1e-12
+        # the support pair alone, from a flip-even state
+        pair = DeviceGraph(dqds=(0, 1), tunnel_terms=[TunnelTerm(k, Schedule.constant(w))
+                                                      for k in (0, 1)],
+                           coulomb_links=dqd_pair_links(0, 1, ramp(*support)))
+        S = S + S[::-1]
+        S /= np.linalg.norm(S)
+        sector = evolve_scheduled(StateVector(S), pair, 0.0, t1, cfg).amps
+        whole = sweep_block(S, pair, 0.0, t1, cfg)
+        assert np.max(np.abs(sector - whole)) <= 1e-12
+
+
 class TestPropagatorConfig:
     @pytest.mark.parametrize("kwargs", [dict(dt=np.nan), dict(dt=np.inf), dict(dt=-1.0),
                                         dict(tolerance=np.nan), dict(tolerance=np.inf)])
@@ -232,30 +347,30 @@ class TestPropagatorConfig:
 
 
 def sequential_sweep(psi, g, t1, dt):
-    """The midpoint steps of [0, t1], each applied to psi in turn."""
-    nsteps = max(1, int(np.ceil(t1 / dt)))
-    h = t1 / nsteps
-    mids = (np.arange(nsteps) + 0.5) * h
+    """The CF4 exponentials of [0, t1] on the sweep's grid, each applied to psi in turn."""
     H0, terms = hamiltonian_terms(g)
-    Hs = H0 + sum(schedule_value(sched, mids)[:, None, None] * B for sched, B in terms)
-    for U in _step_propagators(Hs, h):
+    F, hs = cf4(terms, step_grid(g, 0.0, t1, 2 * dt))
+    Hs = H0 + sum(F[:, j, None, None] * B for j, (_, B) in enumerate(terms))
+    for U in _step_propagators(Hs, hs):
         psi = U @ psi
     return psi
 
 
 class TestChunkProduct:
-    """Each chunk of steps is applied as one product; it equals step-by-step.
+    """Each chunk of exponentials is applied as one product; it equals step-by-step.
 
-    Past t = 2 the wobble device is static, so the second chunk repeats one
-    step unitary: the worst case for the product's rounding, which then adds
-    up coherently.
+    Five steps take six exponentials, whose pairwise product carries an odd
+    factor.  Past t = 2 the wobble device is static; the grid merges that
+    stretch into one step, so no chunk repeats one step unitary thousands of
+    times (where the product's rounding added up coherently to ~1e-13).
     """
 
-    @pytest.mark.parametrize("nsteps", [1, 2, 3, 4095, 4097, 8193])
+    @pytest.mark.parametrize("nsteps", [1, 2, 3, 5, 4095, 4097, 8193])
     @pytest.mark.parametrize("columns", [None, 2, "identity"])
     def test_matches_sequential_steps(self, nsteps, columns):
         g = wobble_graph()
-        dt = 2.0**-11  # nsteps * dt is exact, so the sweep takes nsteps steps
+        # nsteps * dt is exact: ceil(nsteps / 2) CF4 steps of two exponentials each
+        dt = 2.0**-11
         cfg = PropagatorConfig(dt=dt)
         rng = np.random.default_rng(nsteps)
         if columns == "identity":

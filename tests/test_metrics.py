@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dqdsim
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, dqd_pair_links
 from dqdsim.errors import DimensionError
 from dqdsim.hilbert import StateVector, apply_local
@@ -127,3 +132,14 @@ class TestFitOscillation:
     def test_too_few_samples(self):
         with pytest.raises(DimensionError):
             fit_oscillation(np.arange(5.0), np.arange(5.0))
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.optimize takes ~0.4 s to import; only fit_oscillation needs it
+    src = os.path.dirname(os.path.dirname(dqdsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, dqdsim, dqdsim.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

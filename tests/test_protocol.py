@@ -1,4 +1,5 @@
 from contextlib import nullcontext
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqdsim import evolve, protocol
-from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
+from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at, hamiltonian_terms
 from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
     PropagatorConfig,
@@ -236,6 +237,27 @@ class TestSupportRamp:
         assert dims[0] == 8
         assert np.max(np.abs(final.amps - expected)) <= 1e-12
         self.assert_diagnostics_match_scan(g, start, final.amps, diag)
+
+
+class TestSweepAccuracy:
+    def test_default_pair_sweeps_against_a_converged_reference(self, monkeypatch):
+        # no worse than the midpoint rule's 5.3e-7 (entangle) and 2.3e-4 (couple,
+        # Frobenius over the two encoder-block columns); the reference steps
+        # dt = 0.0049 on a grid refined to GRID_TOL = 1e-4 and is itself ~1e-10 off
+        params = ProtocolParams()
+        g, t_couple, _ = coupling_stage(params, 2)
+        block = protocol._encoder_block(*hamiltonian_terms(g))
+        S = entangled_pair_reference(params.U_max, params.w).amps
+        cols = np.stack([S, S[::-1]], axis=1)
+
+        def stages(cfg):
+            ent = ramp_support(replace(params, integrator=cfg), 2, params.resolved_T_ent())[0]
+            return ent.amps, evolve.sweep_block(cols, g, 0.0, t_couple, cfg, block)
+        ent, cpl = stages(params.integrator)
+        monkeypatch.setattr(evolve, "GRID_TOL", 1e-4)
+        ent_ref, cpl_ref = stages(evolve.PropagatorConfig(dt=0.0049))
+        assert np.linalg.norm(ent - ent_ref) <= 5.3e-7
+        assert np.linalg.norm(cpl - cpl_ref) <= 2.3e-4
 
 
 class TestCouple:
@@ -499,6 +521,18 @@ class TestMeasureAndCorrect:
             res = alice_measure_and_correct(state, params, q)
             assert [b.outcome for b in res.branches] == [1 - empty]
             assert_matches_reference(res, meas, ref)
+
+    def test_leakage_is_nonnegative_on_the_full_pair(self):
+        # summed as 1 - (code-pair weight), it read -3e-14 to -8e-13 here
+        params = ProtocolParams()
+        channel = protocol.pair_channel(params)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
+            state = StateVector(enc.state.amps @ channel._post)
+            res = alice_measure_and_correct(state, params, enc.achieved)
+            assert res.step_log["measure"]["leakage"] >= 0.0
+            assert_matches_reference(res, *reference_measure(state, params, enc.achieved))
 
     def test_readout_checks_the_density_matrix(self):
         with pytest.raises(DimensionError, match="trace"):
