@@ -9,10 +9,10 @@ commutator-free rule CF4:2 (:func:`cf4`; Blanes & Moan, Appl. Numer. Math. 56
 step grid takes two exponentials, each of a fixed combination of H at the
 interval's two Gauss nodes.  The grid (:func:`step_grid`) is graded from the
 device's schedules before any step is taken: intervals of 2 dt, halved where
-H moves fast, and merged where it does not move, so a static window is one
-exponential.  Every exponential's eigendecomposition is refined
-(``_step_propagators``).  The exponential midpoint rule (:func:`midpoint`,
-second order) stays as the reference rule.
+H moves fast, by a threshold that shrinks with dt, and merged where it does
+not move, so a static window is one exponential.  Every exponential's
+eigendecomposition is refined (``_step_propagators``).  The exponential
+midpoint rule (:func:`midpoint`, second order) stays as the reference rule.
 """
 
 from __future__ import annotations
@@ -45,12 +45,14 @@ _MAX_HALVINGS = 40
 class PropagatorConfig:
     """Integration knobs for scheduled evolution.
 
-    ``dt`` is the time one exponential advances: a CF4 step of 2 dt takes
-    two.  ``dt=None`` picks dt = min(0.2, 4/||H||) from the device's energy
-    scale; the exponentials are exact, and :func:`step_grid` refines the steps
-    where the schedules need it.  ``richardson_check`` reruns with every grid
-    interval halved and raises ConvergenceError when the two final states
-    differ by more than ``tolerance``.
+    ``dt`` is the single accuracy control.  It sets the coarse step: a CF4
+    step of 2 dt takes two exponentials.  :func:`step_grid` may halve steps
+    where the schedules move fast, by a threshold proportional to dt, so a
+    smaller dt refines the whole grid, its graded stretches included.
+    ``dt=None`` picks dt = min(0.2, 4/||H||) from the device's energy scale.
+    ``richardson_check`` reruns with every grid interval halved and raises
+    ConvergenceError when the two final states differ by more than
+    ``tolerance``.
     """
 
     dt: float | None = None
@@ -172,9 +174,6 @@ def midpoint(terms, edges):
     return _values(terms, edges[:-1] + h / 2), h
 
 
-midpoint.exponentials = 1
-
-
 def cf4(terms, edges):
     """CF4:2 (fourth order): per interval, exp(-i h/2 (H0 + sum g2 B)) after
     exp(-i h/2 (H0 + sum g1 B)), with g1 = 2(a f1 + a' f2) and g2 = 2(a' f1 + a f2)
@@ -186,22 +185,23 @@ def cf4(terms, edges):
     return np.stack([f1 - d, f2 + d], axis=1).reshape(2 * len(h), len(terms)), np.repeat(h / 2, 2)
 
 
-cf4.exponentials = 2
-
-
 def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     """Interval edges over [t0, t1], or None when no schedule moves there.
 
-    The window is cut into equal intervals of at most h.  An interval over
-    which H moves is halved while its local-error proxy h ||dH|| max(1, h ||H||)
-    exceeds ``GRID_TOL``, and while it moves by h ||dH|| > ``STILL`` at a
-    phase h ||H|| above ``MAX_PHASE``: the pair's entangle ramp errs by 2e-4
-    at a phase of 8 and by 4e-9 at 4, while a barely moving stretch is fine
-    at any phase.  Runs of intervals over which H does not move are merged.
-    ||dH|| and ||H|| are bounded from the graph's schedules (a tunneling
-    amplitude counts once, a Coulomb link half, as in
-    :func:`device.energy_scale`), so every block and sector of the device
-    steps on the same grid.
+    The window is cut into equal intervals of at most h.  An interval of
+    length s over which H moves is halved while its local-error proxy
+    s ||dH|| max(1, s ||H||) exceeds ``GRID_TOL`` h / h_auto, h_auto = 2 dt
+    of the auto step.  With ||dH|| ~ s ||H'||, halving s quarters the proxy
+    while halving h halves the threshold: a graded stretch's steps shrink
+    like sqrt(dt), so it converges at second order in dt where the bulk
+    converges at fourth, and the refinement fades as dt shrinks.  An interval
+    is also halved while it moves by s ||dH|| > ``STILL`` at a phase
+    s ||H|| above ``MAX_PHASE``: the pair's entangle ramp errs by 2e-4 at a
+    phase of 8 and by 4e-9 at 4, while a barely moving stretch is fine at any
+    phase.  Runs of intervals over which H does not move are merged.  ||dH||
+    and ||H|| are bounded from the graph's schedules (a tunneling amplitude
+    counts once, a Coulomb link half, as in :func:`device.energy_scale`), so
+    every block and sector of the device steps on the same grid.
     """
     driven = [(t.amplitude, 1.0) for t in g.tunnel_terms]
     driven += [(link.strength, 0.5) for link in g.coulomb_links]
@@ -215,10 +215,11 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
         return None
     edges = np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / h))) + 1)
     scale = dev.energy_scale(g)
+    tol = GRID_TOL * h / (2 * PropagatorConfig().resolve_dt(g))
     for _ in range(_MAX_HALVINGS):
         span = np.diff(edges)
         dh, phase = span * variation(edges), span * scale
-        coarse = (dh * np.maximum(1.0, phase) > GRID_TOL) | ((dh > STILL) & (phase > MAX_PHASE))
+        coarse = (dh * np.maximum(1.0, phase) > tol) | ((dh > STILL) & (phase > MAX_PHASE))
         if not coarse.any():
             break
         edges = np.sort(np.concatenate([edges, edges[:-1][coarse] + span[coarse] / 2]))
@@ -242,24 +243,24 @@ def _sweep(psi, H0, terms, F, hs):
 
 
 def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig,
-                compiled=None, rule=cf4):
+                compiled=None):
     """Sweep psi (a state or column block) over [t0, t1] under g, or under
     ``compiled``, an invariant block of ``hamiltonian_terms(g)`` (the step grid
-    still from g).  ``rule`` is :func:`cf4`; tests pass the reference
-    :func:`midpoint`.  ``richardson_check`` reruns with every interval halved
-    and bounds the (Frobenius) deviation."""
+    still from g), by :func:`cf4` on :func:`step_grid`'s grid of coarse step
+    2 dt.  ``richardson_check`` reruns with every interval halved and bounds
+    the (Frobenius) deviation."""
     _check_window(g, t0, t1)
     if t1 == t0:
         return psi
     H0, terms = compiled or dev.hamiltonian_terms(g)
     dt = cfg.resolve_dt(g)
-    edges = step_grid(g, t0, t1, rule.exponentials * dt)
+    edges = step_grid(g, t0, t1, 2 * dt)
     if edges is None:  # nothing moves: one exponential is exact
         return _sweep(psi, H0, terms, *midpoint(terms, np.array([t0, t1])))
-    out = _sweep(psi, H0, terms, *rule(terms, edges))
+    out = _sweep(psi, H0, terms, *cf4(terms, edges))
     if cfg.richardson_check:
         halves = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2]))
-        out_half = _sweep(psi, H0, terms, *rule(terms, halves))
+        out_half = _sweep(psi, H0, terms, *cf4(terms, halves))
         err = float(np.linalg.norm(out - out_half))
         if err > cfg.tolerance:
             raise ConvergenceError(
@@ -282,10 +283,11 @@ def evolve_scheduled(state: StateVector, g: dev.DeviceGraph, t0: float, t1: floa
     """Integrate the time-dependent device Hamiltonian from t0 to t1.
 
     Sudden steps must fall on the window boundaries.  Schedules are sampled
-    at step midpoints, so a right-continuous switch exactly at t0 or t1 is
-    handled unambiguously.  A :func:`flip_symmetric` device sweeps a state that is
-    exactly a flip eigenvector (S[::-1] == s S, s = +-1) in its half-dimension
-    sector, on the orthonormal basis (e_i + s e_{d-1-i}) / sqrt(2).
+    at each step's Gauss nodes, inside the step, so a right-continuous switch
+    exactly at t0 or t1 is handled unambiguously.  A :func:`flip_symmetric`
+    device sweeps a state that is exactly a flip eigenvector (S[::-1] == s S,
+    s = +-1) in its half-dimension sector, on the orthonormal basis
+    (e_i + s e_{d-1-i}) / sqrt(2).
     """
     cfg = cfg or PropagatorConfig()
     S, (H0, terms) = state.amps, dev.hamiltonian_terms(g)

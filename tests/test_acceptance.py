@@ -9,11 +9,18 @@ import time
 import numpy as np
 
 from dqdsim.chain import ChainChannel, ChainSpec, make_ghz_chain
-from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, dqd_pair_links, hamiltonian_at
+from dqdsim.device import (
+    DeviceGraph,
+    Schedule,
+    TunnelTerm,
+    dqd_pair_links,
+    hamiltonian_at,
+    hamiltonian_terms,
+)
 from dqdsim.evolve import (
     PropagatorConfig,
+    _sweep,
     adiabatic_ramp,
-    cf4,
     evolve_scheduled,
     evolve_static,
     ground_state,
@@ -233,12 +240,16 @@ def test_criterion_09_numerical_contracts():
     out = evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.01))
     norm_dev = abs(np.linalg.norm(out.amps) - 1.0)
 
-    def ratio(rule):  # error at dt = 0.04 over error at dt = 0.02
-        def sweep(dt):
-            return sweep_block(state.amps, g, 0.0, 2.0, PropagatorConfig(dt=dt), rule=rule)
+    def ratio(sweep):  # error at dt = 0.04 over error at dt = 0.02
         ref = sweep(0.04 / 16)
         return np.linalg.norm(sweep(0.04) - ref) / np.linalg.norm(sweep(0.02) - ref)
-    ratio_mid, ratio_cf4 = ratio(midpoint), ratio(cf4)
+
+    def reference_rule(dt):  # midpoint: one exponential per step of dt
+        H0, terms = hamiltonian_terms(g)
+        edges = np.linspace(0.0, 2.0, round(2.0 / dt) + 1)
+        return _sweep(state.amps, H0, terms, *midpoint(terms, edges))
+    ratio_mid = ratio(reference_rule)
+    ratio_cf4 = ratio(lambda dt: sweep_block(state.amps, g, 0.0, 2.0, PropagatorConfig(dt=dt)))
 
     static = pair_plateau(4.0)
     plus = StateVector(np.full(4, 0.5, dtype=complex))

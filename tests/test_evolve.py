@@ -17,6 +17,7 @@ from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
     PropagatorConfig,
     _step_propagators,
+    _sweep,
     adiabatic_ramp,
     cf4,
     evolve_scheduled,
@@ -146,21 +147,25 @@ class TestEvolveScheduled:
         assert abs(e1 - e0) < 1e-10
 
     @staticmethod
-    def convergence_ratio(rule):
-        """Error at dt = 0.04 over error at dt = 0.02 on the wobble device."""
+    def convergence_ratio(sweep):
+        """Error at dt = 0.04 over error at dt = 0.02 of sweep(psi, g, dt) on the wobble device."""
         g = wobble_graph()
         psi = np.array([1, 0, 0, 0], dtype=complex)
-
-        def sweep(dt):
-            return sweep_block(psi, g, 0.0, 2.0, PropagatorConfig(dt=dt), rule=rule)
-        ref = sweep(0.04 / 16)
-        return np.linalg.norm(sweep(0.04) - ref) / np.linalg.norm(sweep(0.02) - ref)
+        ref = sweep(psi, g, 0.04 / 16)
+        return (np.linalg.norm(sweep(psi, g, 0.04) - ref)
+                / np.linalg.norm(sweep(psi, g, 0.02) - ref))
 
     def test_second_order_convergence(self):
-        assert 3.5 <= self.convergence_ratio(midpoint) <= 4.5
+        def reference_rule(psi, g, dt):  # midpoint: one exponential per step of dt
+            H0, terms = hamiltonian_terms(g)
+            edges = np.linspace(0.0, 2.0, round(2.0 / dt) + 1)
+            return _sweep(psi, H0, terms, *midpoint(terms, edges))
+        assert 3.5 <= self.convergence_ratio(reference_rule) <= 4.5
 
     def test_fourth_order_convergence(self):
-        assert 14 <= self.convergence_ratio(cf4) <= 18
+        def cf4_sweep(psi, g, dt):
+            return sweep_block(psi, g, 0.0, 2.0, PropagatorConfig(dt=dt))
+        assert 14 <= self.convergence_ratio(cf4_sweep) <= 18
 
     def test_richardson_flags_coarse_step(self):
         g = wobble_graph()
@@ -234,6 +239,16 @@ class TestAdiabaticRamp:
             adiabatic_ramp(excited, g, 0.0, 0.5, PropagatorConfig(dt=0.01))
 
 
+def coupling_tail_graph():
+    """The pair's coupler: the tangent ramp's last 0.02/w carries U' from ~3w to 100w."""
+    return DeviceGraph(
+        dqds=(0, 1, 2),
+        tunnel_terms=[TunnelTerm(k, Schedule.constant(1.0)) for k in (1, 2)],
+        coulomb_links=dqd_pair_links(1, 2, Schedule.constant(100.0))
+        + dqd_pair_links(0, 1, Schedule.tangent(0.0, 100.0, 0.0, 200.0, gap_scale=0.02)),
+    )
+
+
 class TestStepGrid:
     def test_static_window_is_one_exponential(self):
         # 100k steps of dt = 0.005 drifted the norm by 1.5e-12 here
@@ -252,13 +267,7 @@ class TestStepGrid:
         assert 2.0 <= edges[-2] <= 2.01 and edges[-1] == 4.0
 
     def test_coupling_tail_is_refined(self):
-        # the tangent ramp's last 0.02/w carries U' from ~3w to 100w
-        g = DeviceGraph(
-            dqds=(0, 1, 2),
-            tunnel_terms=[TunnelTerm(k, Schedule.constant(1.0)) for k in (1, 2)],
-            coulomb_links=dqd_pair_links(1, 2, Schedule.constant(100.0))
-            + dqd_pair_links(0, 1, Schedule.tangent(0.0, 100.0, 0.0, 200.0, gap_scale=0.02)),
-        )
+        g = coupling_tail_graph()
         dt = PropagatorConfig().resolve_dt(g)
         edges = step_grid(g, 0.0, 200.0, 2 * dt)
         h = np.diff(edges)
@@ -266,12 +275,21 @@ class TestStepGrid:
         assert np.min(h[edges[1:] > 199.98]) < np.max(h) / 8  # refined tail
         assert np.all(h[edges[1:] < 150.0] == pytest.approx(np.max(h)))  # coarse bulk
 
-    def test_richardson_halves_the_refined_grid(self):
-        # a coarse dt is refined to the same grid as dt / 2; the check still compares
-        g = wobble_graph()
-        assert np.array_equal(step_grid(g, 0.0, 2.0, 1.0), step_grid(g, 0.0, 2.0, 0.5))
-        with pytest.raises(ConvergenceError):
-            sweep_block(np.eye(4), g, 0.0, 2.0,
+    def test_smaller_dt_converges_the_graded_tail(self):
+        # the grid's threshold shrinks with dt, so dt / 2 refines the graded
+        # tail too (with a fixed threshold the tail's error stayed put)
+        g = coupling_tail_graph()
+        dt = PropagatorConfig().resolve_dt(g)
+        psi = np.eye(8, dtype=complex)[:, :2]
+
+        def sweep(dt):
+            return sweep_block(psi, g, 199.0, 200.0, PropagatorConfig(dt=dt))
+        ref = sweep(dt / 16)
+        assert np.linalg.norm(sweep(dt / 2) - ref) <= np.linalg.norm(sweep(dt) - ref) / 2
+
+    def test_richardson_flags_a_coarse_refined_grid(self):
+        with pytest.raises(ConvergenceError, match="decrease dt"):
+            sweep_block(np.eye(4), wobble_graph(), 0.0, 2.0,
                         PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1e-12))
 
 

@@ -240,10 +240,10 @@ class TestSupportRamp:
 
 
 class TestSweepAccuracy:
-    def test_default_pair_sweeps_against_a_converged_reference(self, monkeypatch):
+    def test_default_pair_sweeps_against_a_converged_reference(self):
         # no worse than the midpoint rule's 5.3e-7 (entangle) and 2.3e-4 (couple,
         # Frobenius over the two encoder-block columns); the reference steps
-        # dt = 0.0049 on a grid refined to GRID_TOL = 1e-4 and is itself ~1e-10 off
+        # dt = 0.0025 and is itself ~1e-11 (entangle) and ~3e-7 (couple) off
         params = ProtocolParams()
         g, t_couple, _ = coupling_stage(params, 2)
         block = protocol._encoder_block(*hamiltonian_terms(g))
@@ -254,8 +254,7 @@ class TestSweepAccuracy:
             ent = ramp_support(replace(params, integrator=cfg), 2, params.resolved_T_ent())[0]
             return ent.amps, evolve.sweep_block(cols, g, 0.0, t_couple, cfg, block)
         ent, cpl = stages(params.integrator)
-        monkeypatch.setattr(evolve, "GRID_TOL", 1e-4)
-        ent_ref, cpl_ref = stages(evolve.PropagatorConfig(dt=0.0049))
+        ent_ref, cpl_ref = stages(evolve.PropagatorConfig(dt=0.0025))
         assert np.linalg.norm(ent - ent_ref) <= 5.3e-7
         assert np.linalg.norm(cpl - cpl_ref) <= 2.3e-4
 
