@@ -2,19 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .chain import ChainChannel, ChainSpec, make_ghz_chain, teleport_over_chain
-from .device import (
-    CoulombLink,
-    DeviceGraph,
-    Schedule,
-    TunnelTerm,
-    dqd_pair_links,
-    graph_from_json,
-    graph_to_json,
-    hamiltonian_at,
-    schedule_value,
-    validate,
-)
+from types import ModuleType as _Module
+
+from .chain import ChainChannel, ChainSpec, make_ghz_chain
+from .device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -22,46 +13,21 @@ from .errors import (
     DeviceError,
     DimensionError,
 )
-from .evolve import (
-    GroundState,
-    PropagatorConfig,
-    RampDiagnostics,
-    adiabatic_ramp,
-    evolve_scheduled,
-    evolve_static,
-    ground_state,
-    scheduled_propagator,
-)
-from .hilbert import (
-    DensityMatrix,
-    MeasurementResult,
-    StateVector,
-    apply_local,
-    basis_index,
-    fidelity,
-    kron_le,
-    measure_qubit,
-    partial_trace,
-    tensor_product,
-)
-from .metrics import RabiFit, concurrence, entanglement_entropy, fit_oscillation, instantaneous_gap
+from .evolve import PropagatorConfig, evolve_static, ground_state
+from .hilbert import StateVector, fidelity
+from .metrics import concurrence, entanglement_entropy
 from .protocol import (
-    Channel,
     InputQubit,
     ProtocolParams,
-    TeleportResult,
-    alice_measure_and_correct,
-    bell_decomposition_check,
-    bell_evolution,
     bell_target,
-    couple_unknown,
     cross_to_aligned_ratio,
     effective_rabi,
     encode_qubit,
     entangled_pair_reference,
-    ghz_encoded,
     make_entangled_pair,
     teleport_end_to_end,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules stay reachable as dqdsim.<module>
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _Module)]

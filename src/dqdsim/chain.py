@@ -75,7 +75,3 @@ class ChainChannel(proto.Channel):
         proto.resolve_coupling(spec.params, spec.n_support)  # refuse before the ramp
         super().__init__(*make_ghz_chain(spec), spec.params)
 
-
-def teleport_over_chain(target: proto.InputQubit, spec: ChainSpec) -> proto.TeleportResult:
-    """One-shot chain teleportation (builds the channel, then teleports)."""
-    return ChainChannel(spec).teleport(target)

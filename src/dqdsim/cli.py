@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
@@ -29,16 +27,9 @@ from . import protocol as proto
 
 EXPERIMENTS = ("encode", "entangle", "couple", "bell", "teleport", "chain")
 
-SWEEP_AXES = ("w", "phi", "U_max", "Uprime_max", "bell_U", "T_ent", "T_couple",
-              "T_ghz", "wait_angle", "alpha_abs", "beta_phase", "n_support", "seed")
-
 # A sweep of these experiments over an input axis shares one Channel.
 CHANNEL_EXPERIMENTS = ("couple", "bell", "teleport", "chain")
 INPUT_AXES = ("alpha_abs", "beta_phase")
-
-PARAM_COLUMNS = ("experiment", "mode", "w", "phi", "U_max", "Uprime_max", "bell_U",
-                 "T_ent", "T_couple", "T_ghz", "wait_angle", "alpha_abs", "beta_phase",
-                 "n_support", "seed", "dt")
 
 RESULT_COLUMNS = {
     "encode": ("t_bar", "achieved_alpha_re", "achieved_alpha_im",
@@ -76,6 +67,13 @@ class RunConfig:
     axis: str | None = None
     values: str | None = None
     output: str | None = None
+
+
+# RunConfig's field order is the one list of run settings: the CSV's parameter
+# columns are its fields up to dt, the sweep axes those a point can vary.
+_NAMES = tuple(f.name for f in fields(RunConfig))
+PARAM_COLUMNS = _NAMES[:_NAMES.index("dt") + 1]
+SWEEP_AXES = tuple(n for n in PARAM_COLUMNS if n not in ("experiment", "mode", "dt"))
 
 
 def validate_config(cfg: RunConfig) -> list:
@@ -146,25 +144,12 @@ def input_qubit(cfg: RunConfig) -> proto.InputQubit:
 
 
 def _param_cells(cfg: RunConfig) -> dict:
+    """The parameter columns of cfg's row; derived values in place of None."""
     params = build_params(cfg)
-    return {
-        "experiment": cfg.experiment,
-        "mode": cfg.mode,
-        "w": cfg.w,
-        "phi": cfg.phi,
-        "U_max": cfg.U_max,
-        "Uprime_max": params.resolved_Uprime(),
-        "bell_U": params.resolved_bell_U(),
-        "T_ent": params.resolved_T_ent(),
-        "T_couple": cfg.T_couple if cfg.T_couple is not None else "",
-        "T_ghz": cfg.T_ghz if cfg.T_ghz is not None else "",
-        "wait_angle": cfg.wait_angle,
-        "alpha_abs": cfg.alpha_abs,
-        "beta_phase": cfg.beta_phase,
-        "n_support": cfg.n_support,
-        "seed": cfg.seed,
-        "dt": cfg.dt if cfg.dt is not None else "",
-    }
+    row = {c: "" if (v := getattr(cfg, c)) is None else v for c in PARAM_COLUMNS}
+    row.update(Uprime_max=params.resolved_Uprime(), bell_U=params.resolved_bell_U(),
+               T_ent=params.resolved_T_ent())
+    return row
 
 
 def build_channel(cfg: RunConfig) -> proto.Channel:
@@ -226,17 +211,6 @@ def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None) -> dict
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")
 
 
-def _sweep_workers(n_points: int) -> int:
-    raw = os.environ.get("DQD_SIM_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"DQD_SIM_THREADS must be an integer, got {raw!r}")
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_points))
-
-
 def sweep_points(cfg: RunConfig, values: list) -> list:
     """One single-run config per sweep value, in ascending order."""
     points = []
@@ -249,14 +223,10 @@ def sweep_points(cfg: RunConfig, values: list) -> list:
 
 def run_sweep(cfg: RunConfig) -> list:
     points = sweep_points(cfg, parse_values(cfg.axis, cfg.values))
+    channel = None
     if cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS:
         channel = build_channel(points[0])
-        return [run_experiment(p, channel) for p in points]
-    workers = _sweep_workers(len(points))
-    if workers == 1:
-        return [run_experiment(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, points))
+    return [run_experiment(p, channel) for p in points]
 
 
 def format_cell(v) -> str:
@@ -294,9 +264,6 @@ def run(cfg: RunConfig) -> int:
         for e in errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
-    if cfg.U_max > 0 and cfg.w / cfg.U_max > 0.1:
-        print(f"advisory: w/U_max = {cfg.w / cfg.U_max:.3f} > 0.1; "
-              "the effective two-level picture degrades", file=sys.stderr)
     is_sweep = cfg.axis is not None
     try:
         rows = run_sweep(cfg) if is_sweep else [run_experiment(cfg)]
@@ -317,26 +284,23 @@ def run(cfg: RunConfig) -> int:
 # argument parsing
 
 
+# flag options beyond ``type=float``; every RunConfig field but experiment,
+# axis and values is a --kebab-case flag
+_FLAG_OPTIONS = {
+    "mode": {"choices": ("full", "effective")},
+    "n_support": {"type": int},
+    "seed": {"type": int},
+    "richardson": {"action": "store_true", "default": None},
+    "output": {"help": "basename for the .csv/.manifest.json pair"},
+}
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
-    p.add_argument("--mode", choices=("full", "effective"))
-    p.add_argument("--w", type=float)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--u-max", dest="U_max", type=float)
-    p.add_argument("--uprime-max", dest="Uprime_max", type=float)
-    p.add_argument("--bell-u", dest="bell_U", type=float)
-    p.add_argument("--t-ent", dest="T_ent", type=float)
-    p.add_argument("--t-couple", dest="T_couple", type=float)
-    p.add_argument("--t-ghz", dest="T_ghz", type=float)
-    p.add_argument("--wait-angle", dest="wait_angle", type=float)
-    p.add_argument("--alpha-abs", dest="alpha_abs", type=float)
-    p.add_argument("--beta-phase", dest="beta_phase", type=float)
-    p.add_argument("--n-support", dest="n_support", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--richardson", action="store_true", default=None)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--output", help="basename for the .csv/.manifest.json pair")
+    for name in _NAMES:
+        if name not in ("experiment", "axis", "values"):
+            p.add_argument("--" + name.lower().replace("_", "-"), dest=name,
+                           **_FLAG_OPTIONS.get(name, {"type": float}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,17 +332,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
-        valid = {f.name for f in fields(RunConfig)}
         for key, value in doc.items():
-            if key not in valid:
+            if key not in _NAMES:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        if f.name in ("experiment",):
-            continue
-        v = getattr(args, f.name, None)
-        if v is not None:
-            setattr(cfg, f.name, v)
+    for name in _NAMES:
+        if name != "experiment" and (v := getattr(args, name, None)) is not None:
+            setattr(cfg, name, v)
     # the sweep subcommand names its target experiment; others are themselves
     cfg.experiment = getattr(args, "inner_experiment", None) or args.experiment
     return cfg

@@ -16,14 +16,13 @@ logical |0> under it yields ``cos(wt)|0> + i sin(wt) exp(-ip)|1>``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DeviceError
 
-SCHEDULE_KINDS = ("constant", "linear_ramp", "smooth_ramp", "sudden_step", "tangent_ramp")
+SCHEDULE_KINDS = ("constant", "linear_ramp", "smooth_ramp", "tangent_ramp")
 
 HERMITICITY_TOL = 1e-14
 
@@ -33,8 +32,7 @@ class Schedule:
     """Scalar function of time.
 
     Every kind holds v_start for t <= t_start and v_end for t >= t_end and is
-    continuous except ``sudden_step``, which is right-continuous at t_start
-    (value(t_start) == v_end).  ``smooth_ramp`` uses the cubic smoothstep
+    continuous.  ``smooth_ramp`` uses the cubic smoothstep
     3x^2 - 2x^3, which has zero slope at both endpoints.  ``tangent_ramp``
     is a gap-adapted profile for sweeping a two-level avoided crossing
     [[0, -J], [-J, v]]: it follows dv/dt proportional to gap^3 so that the
@@ -70,10 +68,6 @@ class Schedule:
         return cls("smooth_ramp", v_start, v_end, t_start, t_end)
 
     @classmethod
-    def step(cls, v_start, v_end, t_switch) -> "Schedule":
-        return cls("sudden_step", v_start, v_end, t_switch, t_switch)
-
-    @classmethod
     def tangent(cls, v_start, v_end, t_start, t_end, gap_scale) -> "Schedule":
         return cls("tangent_ramp", v_start, v_end, t_start, t_end, gap_scale)
 
@@ -88,27 +82,12 @@ class Schedule:
     def max_abs(self) -> float:
         return max(abs(self.v_start), abs(self.v_end))
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "v_start": self.v_start, "v_end": self.v_end,
-             "t_start": self.t_start, "t_end": self.t_end}
-        if self.gap_scale is not None:
-            d["gap_scale"] = self.gap_scale
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schedule":
-        return cls(d["kind"], d["v_start"], d["v_end"],
-                   d.get("t_start", 0.0), d.get("t_end", 0.0), d.get("gap_scale"))
-
 
 def schedule_value(s: Schedule, t):
     """Value(s) of a schedule at time(s) t (vectorized)."""
     t = np.asarray(t, dtype=float)
     if s.kind == "constant":
         out = np.full_like(t, s.v_start)
-        return out if out.ndim else float(out)
-    if s.kind == "sudden_step":
-        out = np.where(t < s.t_start, s.v_start, s.v_end)
         return out if out.ndim else float(out)
     span = s.t_end - s.t_start
     x = np.clip((t - s.t_start) / span, 0.0, 1.0) if span > 0 else np.where(t < s.t_start, 0.0, 1.0)
@@ -133,16 +112,11 @@ def schedule_value(s: Schedule, t):
 
 @dataclass(frozen=True)
 class TunnelTerm:
-    """Intra-DQD tunneling with a static phase (vector-potential induced).
-
-    ``offset`` is the common on-site energy of the two dots; with exactly one
-    electron per DQD it only shifts the spectrum by a constant.
-    """
+    """Intra-DQD tunneling with a static phase (vector-potential induced)."""
 
     dqd: int
     amplitude: Schedule
     phase: float = 0.0
-    offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -266,8 +240,7 @@ def hamiltonian_terms(g: DeviceGraph):
     if errs:
         raise DeviceError("; ".join(errs))
     n = g.n_qubits
-    dim = 2**n
-    H0 = np.zeros((dim, dim), dtype=complex)
+    H0 = np.zeros((2**n, 2**n), dtype=complex)
     terms = []
     for term in g.tunnel_terms:
         B = _embed_single(_tunnel_matrix(term.phase), term.dqd, n)
@@ -275,8 +248,6 @@ def hamiltonian_terms(g: DeviceGraph):
             H0 += term.amplitude.v_start * B
         else:
             terms.append((term.amplitude, B))
-        if term.offset:
-            H0 += term.offset * np.eye(dim)
     for link in g.coulomb_links:
         B = np.diag(link_diagonal(link, n)).astype(complex)
         if link.strength.is_constant:
@@ -306,39 +277,7 @@ def energy_scale(g: DeviceGraph) -> float:
     """Coarse upper bound on ||H(t)||, used to pick integration steps."""
     scale = 0.0
     for term in g.tunnel_terms:
-        scale += term.amplitude.max_abs() + abs(term.offset)
+        scale += term.amplitude.max_abs()
     for link in g.coulomb_links:
         scale += link.strength.max_abs() / 2.0  # two links share one qubit pair
     return max(scale, 1e-12)
-
-
-def graph_to_json(g: DeviceGraph) -> str:
-    doc = {
-        "dqds": list(g.dqds),
-        "tunnel_terms": [
-            {"dqd": t.dqd, "amplitude": t.amplitude.to_dict(),
-             "phase": t.phase, "offset": t.offset}
-            for t in g.tunnel_terms
-        ],
-        "coulomb_links": [
-            {"dot_i": l.dot_i, "dot_j": l.dot_j, "strength": l.strength.to_dict()}
-            for l in g.coulomb_links
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def graph_from_json(doc: str) -> DeviceGraph:
-    d = json.loads(doc)
-    return DeviceGraph(
-        dqds=d["dqds"],
-        tunnel_terms=[
-            TunnelTerm(t["dqd"], Schedule.from_dict(t["amplitude"]),
-                       t.get("phase", 0.0), t.get("offset", 0.0))
-            for t in d.get("tunnel_terms", [])
-        ],
-        coulomb_links=[
-            CoulombLink(l["dot_i"], l["dot_j"], Schedule.from_dict(l["strength"]))
-            for l in d.get("coulomb_links", [])
-        ],
-    )

@@ -98,23 +98,6 @@ def evolve_static(state: StateVector, H: np.ndarray, duration: float) -> StateVe
     return _unsafe_state(amps)
 
 
-def _check_window(g: dev.DeviceGraph, t0: float, t1: float):
-    if not t1 >= t0:
-        raise DimensionError(f"need t0 <= t1, got [{t0}, {t1}]")
-    for term in g.tunnel_terms:
-        _reject_interior_step(term.amplitude, t0, t1, f"tunneling on DQD {term.dqd}")
-    for link in g.coulomb_links:
-        _reject_interior_step(link.strength, t0, t1, f"link ({link.dot_i},{link.dot_j})")
-
-
-def _reject_interior_step(s: dev.Schedule, t0: float, t1: float, what: str):
-    if s.kind == "sudden_step" and t0 < s.t_start < t1:
-        raise DimensionError(
-            f"sudden step of {what} at t={s.t_start} lies inside ({t0}, {t1}); "
-            "split the evolution at the switch"
-        )
-
-
 def _step_propagators(Hs, h):
     """exp(-i H h) for a batch of Hermitian H, exact to ~eps rather than eps ||H|| h.
 
@@ -205,7 +188,7 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     """
     driven = [(t.amplitude, 1.0) for t in g.tunnel_terms]
     driven += [(link.strength, 0.5) for link in g.coulomb_links]
-    driven = [(s, w) for s, w in driven if not s.is_constant and s.kind != "sudden_step"]
+    driven = [(s, w) for s, w in driven if not s.is_constant]
 
     def variation(edges):  # schedules are monotone: the end values bound the change
         return sum((w * np.abs(np.diff(s.value(edges))) for s, w in driven),
@@ -249,7 +232,8 @@ def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorCo
     still from g), by :func:`cf4` on :func:`step_grid`'s grid of coarse step
     2 dt.  ``richardson_check`` reruns with every interval halved and bounds
     the (Frobenius) deviation."""
-    _check_window(g, t0, t1)
+    if not t1 >= t0:
+        raise DimensionError(f"need t0 <= t1, got [{t0}, {t1}]")
     if t1 == t0:
         return psi
     H0, terms = compiled or dev.hamiltonian_terms(g)
@@ -282,12 +266,10 @@ def evolve_scheduled(state: StateVector, g: dev.DeviceGraph, t0: float, t1: floa
                      cfg: PropagatorConfig | None = None) -> StateVector:
     """Integrate the time-dependent device Hamiltonian from t0 to t1.
 
-    Sudden steps must fall on the window boundaries.  Schedules are sampled
-    at each step's Gauss nodes, inside the step, so a right-continuous switch
-    exactly at t0 or t1 is handled unambiguously.  A :func:`flip_symmetric`
-    device sweeps a state that is exactly a flip eigenvector (S[::-1] == s S,
-    s = +-1) in its half-dimension sector, on the orthonormal basis
-    (e_i + s e_{d-1-i}) / sqrt(2).
+    Schedules are sampled at each step's Gauss nodes, inside the step.  A
+    :func:`flip_symmetric` device sweeps a state that is exactly a flip
+    eigenvector (S[::-1] == s S, s = +-1) in its half-dimension sector, on the
+    orthonormal basis (e_i + s e_{d-1-i}) / sqrt(2).
     """
     cfg = cfg or PropagatorConfig()
     S, (H0, terms) = state.amps, dev.hamiltonian_terms(g)

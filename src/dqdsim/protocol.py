@@ -69,8 +69,8 @@ CORRECTIONS = {
 
 
 def faithful_ramp(support_gap: float) -> float:
-    """Gap-adapted coupling-ramp duration 1/(4 J eps) for a crossing gap 2J."""
-    return 1.0 / (4.0 * (support_gap / 2.0) * EPS_ADIABATIC)
+    """Gap-adapted coupling-ramp duration 1/(4 J eps) for a crossing gap 2J (inf at 2J = 0)."""
+    return 1.0 / (4.0 * (support_gap / 2.0) * EPS_ADIABATIC) if support_gap > 0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class ProtocolParams:
             warnings.warn(
                 f"w/U_max = {self.w / self.U_max:.3f} > 0.1: the two-level "
                 "reduction degrades in this regime",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
     def resolved_Uprime(self) -> float:
@@ -202,12 +202,13 @@ def support_crossing_gap(params: ProtocolParams, n_support: int) -> float:
 
     This is the avoided-crossing gap the coupling ramp has to negotiate:
     2J = 4w^2/U_max for a single pair, and it shrinks quickly (order
-    w(w/U)^(n-1)) for longer chains.
+    w(w/U)^(n-1)) for longer chains.  The plateau register is an open
+    transverse-field Ising chain (Pfeuty, Ann. Phys. 57, 1970), whose gap is
+    twice the least singular value of the n x n upper-bidiagonal matrix with
+    diagonal w and superdiagonal U_max/2, so no 2^n device is built.
     """
-    plateau = support_graph(params, n_support, dev.Schedule.constant(params.U_max))
-    H = dev.hamiltonian_at(plateau, 0.0)
-    evals = np.linalg.eigvalsh(H)
-    return float(evals[1] - evals[0])
+    B = np.diag(np.full(n_support, params.w)) + np.diag(np.full(n_support - 1, params.U_max / 2), 1)
+    return float(2.0 * np.linalg.svd(B, compute_uv=False)[-1])
 
 
 def coupler_graph(params: ProtocolParams, n_support: int,
@@ -233,12 +234,6 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
         return None, None
     gap = support_crossing_gap(params, n_support)
     return params.resolved_T_couple(gap), gap
-
-
-def coupling_stage(params: ProtocolParams, n_support: int):
-    """Coupler device for a full-mode register; returns (graph, T_couple, gap)."""
-    t_couple, gap = resolve_coupling(params, n_support)
-    return coupler_graph(params, n_support, t_couple, gap), t_couple, gap
 
 
 def bell_stage_graph(params: ProtocolParams, n_qubits: int) -> dev.DeviceGraph:
@@ -372,7 +367,8 @@ def couple_unknown(unknown: StateVector, support: StateVector,
         raise DimensionError("support register needs at least two qubits")
     if params.mode == "effective":
         return ghz_encoded(unknown.amps[0], unknown.amps[1], 1 + support.n_qubits)
-    g, t_couple, _ = coupling_stage(params, support.n_qubits)
+    t_couple, gap = resolve_coupling(params, support.n_qubits)
+    g = coupler_graph(params, support.n_qubits, t_couple, gap)
     block = _encoder_block(*dev.hamiltonian_terms(g))
     S = support.amps
     cols = evolve.sweep_block(np.stack([S, S[::-1]], axis=1), g, 0.0, t_couple,

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from dqdsim.chain import ChainChannel, ChainSpec, make_ghz_chain, teleport_over_chain
+from dqdsim.chain import ChainChannel, ChainSpec, make_ghz_chain
 from dqdsim.device import Schedule, hamiltonian_at
-from dqdsim.errors import DimensionError
+from dqdsim.errors import ConfigError, DimensionError
 from dqdsim.evolve import PropagatorConfig, adiabatic_ramp, ground_state
 from dqdsim.hilbert import StateVector, fidelity, partial_trace
 from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
     bell_target,
+    support_crossing_gap,
     support_graph,
     teleport_end_to_end,
 )
@@ -73,12 +74,12 @@ class TestChainTeleport:
         rng = np.random.default_rng(6)
         for ns in range(2, 7):
             spec = ChainSpec(ns, EFFECTIVE)
-            res = teleport_over_chain(InputQubit.random(rng), spec)
+            res = ChainChannel(spec).teleport(InputQubit.random(rng))
             assert res.fidelity_to_input == pytest.approx(1.0, abs=1e-10)
             assert abs(res.p0 - 0.5) < 1e-10
 
     def test_basis_input(self):
-        res = teleport_over_chain(InputQubit(1.0, 0.0), ChainSpec(3, EFFECTIVE))
+        res = ChainChannel(ChainSpec(3, EFFECTIVE)).teleport(InputQubit(1.0, 0.0))
         assert fidelity(res.bob_state_corrected,
                         StateVector.computational(1, 0)) == pytest.approx(1.0, abs=1e-10)
 
@@ -87,7 +88,7 @@ class TestChainTeleport:
         spec = ChainSpec(3, EFFECTIVE)
         channel = ChainChannel(spec)
         a = channel.teleport(q)
-        b = teleport_over_chain(q, spec)
+        b = ChainChannel(spec).teleport(q)
         assert a.fidelity_to_input == pytest.approx(b.fidelity_to_input, abs=1e-14)
         assert a.outcome == b.outcome
 
@@ -103,14 +104,12 @@ class TestChainTeleport:
 
     def test_reduces_to_three_dqd_protocol(self):
         # a two-DQD support chain is the plain protocol; effective mode is exact
-        res = teleport_over_chain(InputQubit(0.6, 0.8), ChainSpec(2, EFFECTIVE))
+        res = ChainChannel(ChainSpec(2, EFFECTIVE)).teleport(InputQubit(0.6, 0.8))
         assert res.fidelity_to_input == pytest.approx(1.0, abs=1e-12)
 
     def test_infeasible_auto_ramp_is_refused(self):
         # a four-DQD chain at U = 100w hides an exponentially small crossing
         # gap; the auto-derived ramp would be ~5e5/w and is rejected
-        from dqdsim.errors import ConfigError
-
         params = ProtocolParams(U_max=100.0, mode="full")
         with pytest.raises(ConfigError, match="ramp"):
             ChainChannel(ChainSpec(4, params))
@@ -118,7 +117,6 @@ class TestChainTeleport:
     def test_infeasible_coupling_is_refused_before_any_ramp(self, tmp_path, monkeypatch):
         from dqdsim import protocol
         from dqdsim.cli import main
-        from dqdsim.errors import ConfigError
 
         def no_ramp(*args):
             raise AssertionError("the support ramp ran before the refusal")
@@ -153,3 +151,37 @@ class TestChainTeleport:
             channel = ChainChannel(ChainSpec(4, params, T_ghz=50.0))
         res = channel.teleport(InputQubit(0.6, 0.8))
         assert 0.0 <= res.fidelity_to_input <= 1.0
+
+
+def dense_crossing_gap(params, n_support):
+    """The reference gap: the lowest splitting of the 2^n plateau register."""
+    plateau = support_graph(params, n_support, Schedule.constant(params.U_max))
+    evals = np.linalg.eigvalsh(hamiltonian_at(plateau, 0.0))
+    return evals[1] - evals[0]
+
+
+class TestCrossingGap:
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    @pytest.mark.parametrize("U", [4.0, 15.0, 100.0])
+    @pytest.mark.parametrize("n_support", range(2, 7))
+    def test_closed_form_matches_dense_spectrum(self, n_support, U):
+        params = ProtocolParams(U_max=U)
+        assert support_crossing_gap(params, n_support) == pytest.approx(
+            dense_crossing_gap(params, n_support), rel=1e-9)
+
+    def test_long_chain_is_refused_without_building_a_device(self, monkeypatch):
+        from dqdsim import device
+
+        def no_device(*args):
+            raise AssertionError("a 2^n plateau device was built")
+
+        monkeypatch.setattr(device, "hamiltonian_at", no_device)
+        with pytest.raises(ConfigError, match="ramp"):
+            ChainChannel(ChainSpec(11, ProtocolParams(U_max=100.0)))
+
+    def test_underflowed_gap_is_refused(self):
+        # at U = 1e200 w the four-site gap (~ w (2w/U)^3) underflows to 0
+        params = ProtocolParams(U_max=1e200)
+        assert support_crossing_gap(params, 4) == 0.0
+        with pytest.raises(ConfigError, match="ramp"):
+            ChainChannel(ChainSpec(4, params))

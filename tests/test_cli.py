@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -56,10 +57,11 @@ class TestValidateConfig:
         assert validate_config(RunConfig(U_max=5.0)) == []
         assert capsys.readouterr() == ("", "")
 
-    def test_run_prints_the_coupling_advisory(self, tmp_path, capsys):
+    def test_run_prints_the_coupling_advisory(self, tmp_path):
         cfg = RunConfig(experiment="encode", U_max=5.0, output=str(tmp_path / "adv"))
-        assert run(cfg) == 0
-        assert "advisory: w/U_max = 0.200 > 0.1" in capsys.readouterr().err
+        with pytest.warns(UserWarning, match="w/U_max = 0.200 > 0.1") as records:
+            assert run(cfg) == 0
+        assert {os.path.basename(r.filename) for r in records} == {"cli.py"}
 
     def test_parse_values_types(self):
         assert parse_values("U_max", "20, 50") == [20.0, 50.0]
@@ -134,20 +136,6 @@ class TestRuns:
                      "--output", str(tmp_path / "x")])
         assert code == 3
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DQD_SIM_THREADS", "2")
-        out = tmp_path / "tw"
-        code = main(["sweep", "--experiment", "encode", "--axis", "alpha_abs",
-                     "--values", "0.1,0.4,0.8", "--output", str(out)])
-        assert code == 0
-        assert len(read_rows(tmp_path / "tw.csv")) == 3
-
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DQD_SIM_THREADS", "many")
-        code = main(["sweep", "--experiment", "encode", "--axis", "alpha_abs",
-                     "--values", "0.1,0.4", "--output", str(tmp_path / "x")])
-        assert code == 2
-
     def test_float_formatting_12_digits(self, tmp_path):
         out = tmp_path / "fmt"
         main(["encode", "--alpha-abs", "0.2", "--output", str(out)])
@@ -221,16 +209,6 @@ class TestInputSweeps:
                      "--axis", "alpha_abs", "--values", "0.1,0.5,0.9",
                      "--output", str(tmp_path / "x")]) == 0
         assert len(built) == 1
-
-    def test_full_mode_sweep_is_thread_count_independent(self, tmp_path, monkeypatch):
-        csvs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("DQD_SIM_THREADS", threads)
-            out = tmp_path / f"t{threads}"
-            assert main(["sweep", "--experiment", "teleport", "--axis", "U_max",
-                         "--values", "20,30", "--dt", "0.5", "--output", str(out)]) == 0
-            csvs.append((tmp_path / f"t{threads}.csv").read_bytes())
-        assert csvs[0] == csvs[1]
 
     def test_leaked_register_exits_3(self, tmp_path, monkeypatch):
         # a rotation stage that moves weight off the code pair of the receiver

@@ -186,19 +186,6 @@ class TestEvolveScheduled:
                                PropagatorConfig(dt=0.005, richardson_check=True, tolerance=1e-4))
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
 
-    def test_interior_sudden_step_rejected(self):
-        g = DeviceGraph(
-            dqds=(0,),
-            tunnel_terms=(TunnelTerm(0, Schedule.step(1.0, 0.0, t_switch=1.0)),),
-        )
-        state = StateVector.computational(1, 0)
-        with pytest.raises(DimensionError):
-            evolve_scheduled(state, g, 0.0, 2.0, PropagatorConfig(dt=0.01))
-        # splitting at the switch is fine
-        a = evolve_scheduled(state, g, 0.0, 1.0, PropagatorConfig(dt=0.01))
-        b = evolve_scheduled(a, g, 1.0, 2.0, PropagatorConfig(dt=0.01))
-        assert abs(np.linalg.norm(b.amps) - 1.0) < 1e-12
-
     def test_reversed_window_rejected(self):
         g = pair_plateau(1.0)
         with pytest.raises(DimensionError):

@@ -36,7 +36,7 @@ from dqdsim.protocol import (
     bell_evolution,
     bell_target,
     couple_unknown,
-    coupling_stage,
+    coupler_graph,
     cross_to_aligned_ratio,
     effective_rabi,
     encode_graph,
@@ -45,6 +45,7 @@ from dqdsim.protocol import (
     ghz_encoded,
     make_entangled_pair,
     ramp_support,
+    resolve_coupling,
     support_graph,
     teleport_end_to_end,
 )
@@ -245,7 +246,8 @@ class TestSweepAccuracy:
         # Frobenius over the two encoder-block columns); the reference steps
         # dt = 0.0025 and is itself ~1e-11 (entangle) and ~3e-7 (couple) off
         params = ProtocolParams()
-        g, t_couple, _ = coupling_stage(params, 2)
+        t_couple, gap = resolve_coupling(params, 2)
+        g = coupler_graph(params, 2, t_couple, gap)
         block = protocol._encoder_block(*hamiltonian_terms(g))
         S = entangled_pair_reference(params.U_max, params.w).amps
         cols = np.stack([S, S[::-1]], axis=1)
@@ -306,7 +308,8 @@ class TestChannel:
         support = random_state(rng, n_support)
         channel = Channel(support, None, params)
         enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
-        g, t_couple, _ = coupling_stage(params, n_support)
+        t_couple, gap = resolve_coupling(params, n_support)
+        g = coupler_graph(params, n_support, t_couple, gap)
         U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
         expected = U_couple @ tensor_product(enc.state, support).amps
         assert np.max(np.abs(channel.couple(enc.state).amps - expected)) < 1e-12
