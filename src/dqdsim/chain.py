@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import protocol as proto
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .hilbert import fidelity  # noqa: F401  perfbench's tracer test reads dqdsim.chain.fidelity
 
 MAX_QUBITS = 12
@@ -57,10 +57,14 @@ class ChainSpec:
 
 
 def make_ghz_chain(spec: ChainSpec):
-    """Channel state over the support chain; returns (state, diagnostics or None)."""
+    """Channel state over the support chain; returns (state, diagnostics or None).
+    An auto-derived ramp past ``MAX_AUTO_RAMP`` raises ConfigError."""
     if spec.params.mode == "effective":
         return proto.bell_target(spec.n_support), None
-    return proto.ramp_support(spec.params, spec.n_support, spec.resolved_T_ghz())
+    t = spec.resolved_T_ghz()
+    if spec.T_ghz is None and t > proto.MAX_AUTO_RAMP / spec.params.w:
+        raise ConfigError(f"the GHZ ramp needs {t:.3g}/w; lower U_max or set T_ghz")
+    return proto.ramp_support(spec.params, spec.n_support, t)
 
 
 class ChainChannel(proto.Channel):
@@ -71,7 +75,6 @@ class ChainChannel(proto.Channel):
     """
 
     def __init__(self, spec: ChainSpec):
-        self.spec = spec
         proto.resolve_coupling(spec.params, spec.n_support)  # refuse before the ramp
         super().__init__(*make_ghz_chain(spec), spec.params)
 

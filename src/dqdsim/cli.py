@@ -310,10 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common(sp)
-        sp.add_argument("--axis", help="sweep this parameter instead of a single run")
-        sp.add_argument("--values", help="comma-separated sweep values")
+        _add_common(sub.add_parser(name, help=f"run the {name} experiment"))
     sw = sub.add_parser("sweep", help="sweep a parameter of another experiment")
     _add_common(sw)
     sw.add_argument("--experiment", dest="inner_experiment", choices=EXPERIMENTS,

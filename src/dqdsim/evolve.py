@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as dev
-from .errors import ConvergenceError, DimensionError
+from .errors import ConfigError, ConvergenceError, DimensionError
 from .hilbert import StateVector, _unsafe_state, fix_phase
 
 _CHUNK = 4096  # step Hamiltonians assembled and diagonalized per chunk
@@ -39,6 +39,7 @@ GRID_TOL = 0.03
 STILL = 1e-4
 MAX_PHASE = 5.0
 _MAX_HALVINGS = 40
+MAX_INTERVALS = 2**22  # a grid past this many intervals is out of simulation reach
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,7 @@ def cf4(terms, edges):
     return np.stack([f1 - d, f2 + d], axis=1).reshape(2 * len(h), len(terms)), np.repeat(h / 2, 2)
 
 
+@np.errstate(over="ignore")  # an overflowed local-error proxy is inf and still compares
 def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     """Interval edges over [t0, t1], or None when no schedule moves there.
 
@@ -184,7 +186,8 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     phase.  Runs of intervals over which H does not move are merged.  ||dH||
     and ||H|| are bounded from the graph's schedules (a tunneling amplitude
     counts once, a Coulomb link half, as in :func:`device.energy_scale`), so
-    every block and sector of the device steps on the same grid.
+    every block and sector of the device steps on the same grid.  Raises
+    ConfigError before building a grid of more than ``MAX_INTERVALS``.
     """
     driven = [(t.amplitude, 1.0) for t in g.tunnel_terms]
     driven += [(link.strength, 0.5) for link in g.coulomb_links]
@@ -194,9 +197,15 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
         return sum((w * np.abs(np.diff(s.value(edges))) for s, w in driven),
                    np.zeros(len(edges) - 1))
 
+    def check(n_intervals):
+        if not n_intervals <= MAX_INTERVALS:  # NaN and inf fail too
+            raise ConfigError(f"the step grid over [{t0:.3g}, {t1:.3g}] needs {n_intervals:.3g} "
+                              f"intervals, more than {MAX_INTERVALS}; the run is out of reach")
+
     if not variation(np.array([t0, t1]))[0]:
         return None
-    edges = np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / h))) + 1)
+    check(n := np.ceil((t1 - t0) / h))
+    edges = np.linspace(t0, t1, max(1, int(n)) + 1)
     scale = dev.energy_scale(g)
     tol = GRID_TOL * h / (2 * PropagatorConfig().resolve_dt(g))
     for _ in range(_MAX_HALVINGS):
@@ -205,6 +214,7 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
         coarse = (dh * np.maximum(1.0, phase) > tol) | ((dh > STILL) & (phase > MAX_PHASE))
         if not coarse.any():
             break
+        check(len(span) + np.count_nonzero(coarse))
         edges = np.sort(np.concatenate([edges, edges[:-1][coarse] + span[coarse] / 2]))
     moves = variation(edges) > 0
     return edges[np.concatenate([[True], moves[:-1] | moves[1:], [True]])]
@@ -228,9 +238,9 @@ def _sweep(psi, H0, terms, F, hs):
 def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig,
                 compiled=None):
     """Sweep psi (a state or column block) over [t0, t1] under g, or under
-    ``compiled``, an invariant block of ``hamiltonian_terms(g)`` (the step grid
-    still from g), by :func:`cf4` on :func:`step_grid`'s grid of coarse step
-    2 dt.  ``richardson_check`` reruns with every interval halved and bounds
+    ``compiled``, ``hamiltonian_terms(g)`` or a flip sector of it (the step
+    grid still from g), by :func:`cf4` on :func:`step_grid`'s grid of coarse
+    step 2 dt.  ``richardson_check`` reruns with every interval halved and bounds
     the (Frobenius) deviation."""
     if not t1 >= t0:
         raise DimensionError(f"need t0 <= t1, got [{t0}, {t1}]")
@@ -304,11 +314,10 @@ class RampDiagnostics:
 
 
 def adiabatic_ramp(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
-                   cfg: PropagatorConfig | None = None,
-                   gap_samples: int = 64):
+                   cfg: PropagatorConfig | None = None):
     """Scheduled evolution plus spectral-gap and ground-overlap diagnostics.
 
-    The gap samples come from one compile, diagonalized as a batch on the
+    The 64 gap samples come from one compile, diagonalized as a batch on the
     whole register: its two lowest levels lie in different flip sectors.
     Warns when the initial state is not close to the instantaneous ground
     state at t0 (the ramp then has no adiabatic guarantee).
@@ -322,7 +331,7 @@ def adiabatic_ramp(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
             stacklevel=2,
         )
     final = evolve_scheduled(state, g, t0, t1, cfg)
-    ts = np.linspace(t0, t1, max(64, gap_samples))
+    ts = np.linspace(t0, t1, 64)
     H0, terms = dev.hamiltonian_terms(g)
     gaps = np.concatenate([np.ptp(np.linalg.eigvalsh(dev.check_hermitian(Hs))[:, :2], axis=1)
                            for Hs in _hamiltonians(H0, terms, _values(terms, ts))])  # E1 - E0

@@ -19,7 +19,8 @@ encode and measure per input.  :func:`teleport_end_to_end` is the pair case.
 
 Every stage exists in ``full`` mode (numerical propagation of the device
 Hamiltonian) and ``effective`` mode (the closed-form two-level algebra the
-full dynamics approaches when w << U).
+full dynamics approaches when w << U).  Full mode evolves every stage
+through :func:`.evolve.evolve_scheduled`.
 
 Phase conventions: a device tunneling phase p produces the evolution
 amplitude exp(-ip) on logical |1> (see :mod:`.device`), while the encoder is
@@ -322,10 +323,14 @@ def ramp_support(params: ProtocolParams, n_support: int, T: float):
 
 
 def make_entangled_pair(params: ProtocolParams):
-    """Support-pair preparation; returns (state, ramp diagnostics or None)."""
+    """Support-pair preparation; returns (state, ramp diagnostics or None).
+    An auto-derived ramp past ``MAX_AUTO_RAMP`` raises ConfigError."""
     if params.mode == "effective":
         return entangled_pair_reference(params.U_max, params.w), None
-    return ramp_support(params, 2, params.resolved_T_ent())
+    t = params.resolved_T_ent()
+    if params.T_ent is None and t > MAX_AUTO_RAMP / params.w:
+        raise ConfigError(f"the entangling ramp needs {t:.3g}/w; lower U_max or set T_ent")
+    return ramp_support(params, 2, t)
 
 
 def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
@@ -335,31 +340,14 @@ def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
     return StateVector(amps)
 
 
-def _encoder_block(H0: np.ndarray, terms: list):
-    """Encoder-0 block of a compiled coupler ``(H0, [(schedule, B), ...])``.
-
-    Raises DeviceError unless every term keeps the encoder bit (index parity)
-    and the coupler is :func:`evolve.flip_symmetric`, which makes the
-    encoder-1 block the reversed encoder-0 one.
-    """
-    for M in (H0, *(B for _, B in terms)):
-        if np.any(M[0::2, 1::2]):
-            raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
-    if not evolve.flip_symmetric(H0, terms):
-        raise DeviceError("the coupler is not symmetric under the global flip, "
-                          "so one encoder block does not give the other")
-    return H0[0::2, 0::2], [(sched, B[0::2, 0::2]) for sched, B in terms]
-
-
 def couple_unknown(unknown: StateVector, support: StateVector,
                    params: ProtocolParams) -> StateVector:
     """Attach the encoder qubit to the support register.
 
     Full mode ramps the encoder-support repulsion with the gap-adapted
-    profile; effective mode returns alpha|0...0> + beta|1...1> exactly.
-    Full mode sweeps the encoder-0 block (:func:`_encoder_block`) with dt
-    from the whole coupler, on the columns S and S reversed: they give
-    U(|0> x S) on the even indices and, reversed back, U(|1> x S) on the odd.
+    profile through :func:`evolve.evolve_scheduled`; effective mode returns
+    alpha|0...0> + beta|1...1> exactly.  Raises DeviceError when the coupler
+    lets the encoder tunnel, since :class:`Channel` splits on the encoder bit.
     """
     if unknown.n_qubits != 1:
         raise DimensionError("unknown state must be a single qubit")
@@ -369,14 +357,10 @@ def couple_unknown(unknown: StateVector, support: StateVector,
         return ghz_encoded(unknown.amps[0], unknown.amps[1], 1 + support.n_qubits)
     t_couple, gap = resolve_coupling(params, support.n_qubits)
     g = coupler_graph(params, support.n_qubits, t_couple, gap)
-    block = _encoder_block(*dev.hamiltonian_terms(g))
-    S = support.amps
-    cols = evolve.sweep_block(np.stack([S, S[::-1]], axis=1), g, 0.0, t_couple,
-                              params.integrator, block)
-    images = np.zeros((2, 2 * S.size), dtype=complex)
-    images[0, 0::2] = cols[:, 0]
-    images[1, 1::2] = cols[::-1, 1]
-    return _unsafe_state(unknown.amps @ images)
+    if any(term.dqd == 0 for term in g.tunnel_terms):
+        raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
+    return evolve.evolve_scheduled(tensor_product(unknown, support), g, 0.0, t_couple,
+                                   params.integrator)
 
 
 def effective_rabi(w: float, U: float) -> float:
@@ -391,9 +375,9 @@ def effective_rabi(w: float, U: float) -> float:
 def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:
     """Timed rotation of the (q0, q1) aligned block; all other qubits frozen.
 
-    Full mode evolves the static rotation-stage device exactly; effective
-    mode applies cos(wt)*I + i sin(wt)*(flip q0, q1) on the aligned block
-    with the rate from :func:`effective_rabi`.
+    Full mode evolves the static rotation-stage device, which is one
+    exponential; effective mode applies cos(wt)*I + i sin(wt)*(flip q0, q1)
+    on the aligned block with the rate from :func:`effective_rabi`.
     """
     n = state.n_qubits
     if n < 2:
@@ -407,8 +391,8 @@ def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> Stat
         amps[0::4] = c * a00 + 1j * s * a11
         amps[3::4] = c * a11 + 1j * s * a00
         return _unsafe_state(amps)
-    H = dev.hamiltonian_at(bell_stage_graph(params, n), 0.0)
-    return evolve.evolve_static(state, H, t)
+    return evolve.evolve_scheduled(state, bell_stage_graph(params, n), 0.0, t,
+                                   params.integrator)
 
 
 @dataclass(frozen=True)
@@ -517,17 +501,15 @@ class Channel:
     the encoder bit into the images U(|0> x S) and U(|1> x S).  The split is
     exact because the encoder does not tunnel while it is coupled, so U is
     block-diagonal in its bit; :func:`couple_unknown` checks that on the
-    compiled coupler and, using the global flip, sweeps only one block.
-    Both images then go through the rotation stage.  ``teleport`` encodes an
+    coupler graph.  The coupler commutes with the global flip, and |+> x S
+    is flip-even for a flip-even support, so the coupling sweeps only that
+    half-dimension sector.  Both images then go through the rotation stage.  ``teleport`` encodes an
     input, combines the rotated images with its amplitudes and lets Alice
     measure.
     """
 
     def __init__(self, support: StateVector, ramp, params: ProtocolParams):
         self.params = params
-        self.support = support
-        self.ramp = ramp
-        self.n_qubits = n = 1 + support.n_qubits
         self.t_couple, gap = resolve_coupling(params, support.n_qubits)
         if gap is not None and self.t_couple < 0.5 * faithful_ramp(gap):
             warnings.warn(
@@ -548,7 +530,7 @@ class Channel:
         else:
             eff = replace(params, mode="effective")
             self._ideal_post = np.stack([
-                bell_evolution(ghz_encoded(1.0 - k, k, n), eff, self.t_wait).amps
+                bell_evolution(ghz_encoded(1.0 - k, k, 1 + support.n_qubits), eff, self.t_wait).amps
                 for k in (0, 1)
             ])
         self._entangle_log = {"norm": float(np.linalg.norm(support.amps))}

@@ -4,12 +4,13 @@ import pytest
 from dqdsim.chain import ChainChannel, ChainSpec, make_ghz_chain
 from dqdsim.device import Schedule, hamiltonian_at
 from dqdsim.errors import ConfigError, DimensionError
-from dqdsim.evolve import PropagatorConfig, adiabatic_ramp, ground_state
+from dqdsim.evolve import PropagatorConfig
 from dqdsim.hilbert import StateVector, fidelity, partial_trace
 from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
     bell_target,
+    ramp_support,
     support_crossing_gap,
     support_graph,
     teleport_end_to_end,
@@ -62,9 +63,7 @@ class TestGhzChain:
         cfg = PropagatorConfig(dt=2e-3)
         for ns in (2, 3, 4):
             params = ProtocolParams(U_max=100.0, mode="full", integrator=cfg)
-            g = support_graph(params, ns, Schedule.smooth(0.0, 100.0, 0.0, 300.0))
-            start = ground_state(hamiltonian_at(g, 0.0)).state
-            _, diag = adiabatic_ramp(start, g, 0.0, 300.0, cfg)
+            _, diag = ramp_support(params, ns, 300.0)
             infids.append(1.0 - diag.final_ground_overlap_sq)
         assert infids[0] <= infids[1] <= infids[2]
 

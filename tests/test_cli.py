@@ -271,6 +271,15 @@ class TestFullModeRows:
                      "--output", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["entangle", "--u-max", "1e200"],
+        ["chain", "--u-max", "1e200", "--n-support", "4", "--t-couple", "10"],
+    ])
+    def test_out_of_reach_auto_ramp_exits_2(self, tmp_path, capsys, argv):
+        assert main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "config error:" in capsys.readouterr().err
+
     def test_teleport_sweep_infidelity_non_increasing(self, tmp_path):
         out = tmp_path / "sweepU"
         code = main(["sweep", "--experiment", "teleport", "--axis", "U_max",

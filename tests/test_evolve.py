@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqdsim import evolve
 from dqdsim.device import (
     DeviceGraph,
     Schedule,
@@ -13,7 +14,7 @@ from dqdsim.device import (
     hamiltonian_at,
     hamiltonian_terms,
 )
-from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
+from dqdsim.errors import ConfigError, ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
     PropagatorConfig,
     _step_propagators,
@@ -28,8 +29,8 @@ from dqdsim.evolve import (
     step_grid,
     sweep_block,
 )
-from dqdsim.hilbert import StateVector
-from dqdsim.protocol import _encoder_block, cross_to_aligned_ratio
+from dqdsim.hilbert import StateVector, tensor_product
+from dqdsim.protocol import cross_to_aligned_ratio
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -274,6 +275,17 @@ class TestStepGrid:
         ref = sweep(dt / 16)
         assert np.linalg.norm(sweep(dt / 2) - ref) <= np.linalg.norm(sweep(dt) - ref) / 2
 
+    def test_refuses_a_grid_past_the_cap(self, monkeypatch):
+        g = DeviceGraph(dqds=(0,),
+                        tunnel_terms=(TunnelTerm(0, Schedule.linear(0.0, 1e3, 0.0, 1.0)),))
+        assert len(step_grid(g, 0.0, 1.0, 1.0)) - 1 > 8  # one coarse interval, refined
+        with pytest.raises(ConfigError, match="step grid"):
+            step_grid(g, 0.0, 1.0, 1e-320)  # a coarse count that is not finite
+        monkeypatch.setattr(evolve, "MAX_INTERVALS", 8)
+        for h in (1.0, 0.1):  # refined past the cap; coarse past it
+            with pytest.raises(ConfigError, match="more than 8"):
+                step_grid(g, 0.0, 1.0, h)
+
     def test_richardson_flags_a_coarse_refined_grid(self):
         with pytest.raises(ConvergenceError, match="decrease dt"):
             sweep_block(np.eye(4), wobble_graph(), 0.0, 2.0,
@@ -311,8 +323,8 @@ class TestGridProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(support=ramps, couple=ramps, w=st.floats(0.2, 2.0), dt=dts, seed=st.integers(0, 99))
-    def test_encoder_block_and_flip_sector_match_the_full_sweep(self, support, couple, w, dt,
-                                                                seed):
+    def test_coupler_keeps_the_encoder_bit_and_flip_sectors_match_the_full_sweep(
+            self, support, couple, w, dt, seed):
         t1 = max(support[3], couple[3])
         cfg = PropagatorConfig(dt=dt)
         rng = np.random.default_rng(seed)
@@ -324,23 +336,20 @@ class TestGridProperties:
             + dqd_pair_links(0, 1, ramp(*couple)),
         )
         S = rng.normal(size=4) + 1j * rng.normal(size=4)
+        S = S + S[::-1]
         S /= np.linalg.norm(S)
         full = np.zeros(8, dtype=complex)
         full[0::2] = S
-        full = sweep_block(full, coupler, 0.0, t1, cfg)
-        block = sweep_block(S, coupler, 0.0, t1, cfg,
-                            _encoder_block(*hamiltonian_terms(coupler)))
-        assert np.max(np.abs(full[0::2] - block)) <= 1e-12
-        assert np.max(np.abs(full[1::2])) <= 1e-12
-        # the support pair alone, from a flip-even state
+        assert np.max(np.abs(sweep_block(full, coupler, 0.0, t1, cfg)[1::2])) <= 1e-12
+        # the coupler from the flip-even |+> x S, and the support pair alone from S
         pair = DeviceGraph(dqds=(0, 1), tunnel_terms=[TunnelTerm(k, Schedule.constant(w))
                                                       for k in (0, 1)],
                            coulomb_links=dqd_pair_links(0, 1, ramp(*support)))
-        S = S + S[::-1]
-        S /= np.linalg.norm(S)
-        sector = evolve_scheduled(StateVector(S), pair, 0.0, t1, cfg).amps
-        whole = sweep_block(S, pair, 0.0, t1, cfg)
-        assert np.max(np.abs(sector - whole)) <= 1e-12
+        plus = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
+        for g, state in ((coupler, tensor_product(plus, StateVector(S))), (pair, StateVector(S))):
+            sector = evolve_scheduled(state, g, 0.0, t1, cfg).amps
+            whole = sweep_block(state.amps, g, 0.0, t1, cfg)
+            assert np.max(np.abs(sector - whole)) <= 1e-12
 
 
 class TestPropagatorConfig:

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqdsim import evolve, protocol
-from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at, hamiltonian_terms
+from dqdsim.chain import ChainChannel, ChainSpec
+from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
 from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
     PropagatorConfig,
@@ -44,6 +45,7 @@ from dqdsim.protocol import (
     entangled_pair_reference,
     ghz_encoded,
     make_entangled_pair,
+    pair_channel,
     ramp_support,
     resolve_coupling,
     support_graph,
@@ -243,22 +245,21 @@ class TestSupportRamp:
 class TestSweepAccuracy:
     def test_default_pair_sweeps_against_a_converged_reference(self):
         # no worse than the midpoint rule's 5.3e-7 (entangle) and 2.3e-4 (couple,
-        # Frobenius over the two encoder-block columns); the reference steps
-        # dt = 0.0025 and is itself ~1e-11 (entangle) and ~3e-7 (couple) off
+        # taken over the images of |0> and |1>: sqrt 2 times the deviation of the
+        # coupled |+> x S); the reference steps dt = 0.0025 and is itself ~1e-11
+        # (entangle) and ~3e-7 (couple) off
         params = ProtocolParams()
         t_couple, gap = resolve_coupling(params, 2)
         g = coupler_graph(params, 2, t_couple, gap)
-        block = protocol._encoder_block(*hamiltonian_terms(g))
-        S = entangled_pair_reference(params.U_max, params.w).amps
-        cols = np.stack([S, S[::-1]], axis=1)
+        plus_support = tensor_product(_PLUS_STATE, entangled_pair_reference(params.U_max, params.w))
 
         def stages(cfg):
             ent = ramp_support(replace(params, integrator=cfg), 2, params.resolved_T_ent())[0]
-            return ent.amps, evolve.sweep_block(cols, g, 0.0, t_couple, cfg, block)
+            return ent.amps, evolve_scheduled(plus_support, g, 0.0, t_couple, cfg).amps
         ent, cpl = stages(params.integrator)
         ent_ref, cpl_ref = stages(evolve.PropagatorConfig(dt=0.0025))
         assert np.linalg.norm(ent - ent_ref) <= 5.3e-7
-        assert np.linalg.norm(cpl - cpl_ref) <= 2.3e-4
+        assert np.sqrt(2) * np.linalg.norm(cpl - cpl_ref) <= 2.3e-4
 
 
 class TestCouple:
@@ -336,7 +337,7 @@ class TestChannel:
         with pytest.raises(DeviceError, match="encoder"):
             Channel(bell_target(2), None, small_full_params())
 
-    def test_refuses_a_coupler_without_flip_symmetry(self, monkeypatch):
+    def test_sweeps_a_coupler_without_flip_symmetry_whole(self, monkeypatch):
         # a tunneling phase on a support DQD keeps the encoder bit but breaks X^n
         original = protocol.coupler_graph
 
@@ -347,8 +348,35 @@ class TestChannel:
             return DeviceGraph(g.dqds, terms, g.coulomb_links)
 
         monkeypatch.setattr(protocol, "coupler_graph", phased_support)
-        with pytest.raises(DeviceError, match="flip"):
-            Channel(bell_target(2), None, small_full_params())
+        params = small_full_params()
+        support = bell_target(2)
+        channel = Channel(support, None, params)
+        t_couple, gap = resolve_coupling(params, 2)
+        U_couple = scheduled_propagator(protocol.coupler_graph(params, 2, t_couple, gap),
+                                        0.0, t_couple, params.integrator)
+        enc = encode_qubit(InputQubit(0.6, 0.8), params.w, params.phi)
+        expected = U_couple @ tensor_product(enc.state, support).amps
+        assert np.max(np.abs(channel.couple(enc.state).amps - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n_support", [2, 3])
+    def test_couples_in_the_flip_sector(self, n_support, monkeypatch):
+        # pair and chain channels sweep |+> x S at half the register's dimension
+        params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.05))
+        t_couple, _ = resolve_coupling(params, n_support)
+        coupling_dims = []
+        original = evolve.sweep_block
+
+        def spy(psi, g, t0, t1, *args):
+            if g.n_qubits == n_support + 1 and t1 == t_couple:
+                coupling_dims.append(psi.shape[0])
+            return original(psi, g, t0, t1, *args)
+
+        monkeypatch.setattr(evolve, "sweep_block", spy)
+        if n_support == 2:
+            pair_channel(params)
+        else:
+            ChainChannel(ChainSpec(n_support, params))
+        assert coupling_dims == [2**n_support]
 
     def test_richardson_check_covers_the_coupling(self):
         params = small_full_params(integrator=PropagatorConfig(
