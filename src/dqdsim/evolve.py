@@ -26,7 +26,7 @@ from . import device as dev
 from .errors import ConfigError, ConvergenceError, DimensionError
 from .hilbert import StateVector, _unsafe_state, fix_phase
 
-_CHUNK = 4096  # step Hamiltonians assembled and diagonalized per chunk
+_CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack: its working set stays in cache
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # a float64 2 pi errs by 2.4e-16 per turn
 
 DEGENERACY_TOL = 1e-10
@@ -40,6 +40,7 @@ STILL = 1e-4
 MAX_PHASE = 5.0
 _MAX_HALVINGS = 40
 MAX_INTERVALS = 2**22  # a grid past this many intervals is out of simulation reach
+MAX_EXPONENTIAL_BYTES = 2**30  # one exponential's working set past this is out of reach
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,12 @@ def evolve_static(state: StateVector, H: np.ndarray, duration: float) -> StateVe
     return _unsafe_state(amps)
 
 
+def exponential_bytes(d: int) -> int:
+    """Working set of one refined exponential at dimension d: its complex input
+    and the ~7 temporaries of that size ``_step_propagators`` holds."""
+    return 8 * 16 * d * d
+
+
 def _step_propagators(Hs, h):
     """exp(-i H h) for a batch of Hermitian H, exact to ~eps rather than eps ||H|| h.
 
@@ -136,8 +143,8 @@ def _step_propagators(Hs, h):
 
 
 def _hamiltonians(H0, terms, F):
-    """H0 + sum_j F[k, j] B_j for each row k of F, in stacks of <= 32 MiB (complex)."""
-    n = max(1, min(_CHUNK, 2**25 // (16 * H0.size)))
+    """H0 + sum_j F[k, j] B_j per row k of F, in complex stacks of <= _CHUNK_BYTES or of one H."""
+    n = max(1, _CHUNK_BYTES // (16 * H0.size))
     for c0 in range(0, len(F), n):
         Fc = F[c0:c0 + n]
         Hs = np.broadcast_to(H0, (len(Fc),) + H0.shape).copy()

@@ -228,13 +228,21 @@ def coupler_graph(params: ProtocolParams, n_support: int,
 def resolve_coupling(params: ProtocolParams, n_support: int):
     """(T_couple, crossing gap) of a full-mode register; (None, None) in effective mode.
 
-    Raises ConfigError when the auto-derived ramp is out of reach; channel
-    builders call it before they prepare the support, so no ramp is stepped.
+    Raises ConfigError when the auto-derived ramp is out of reach, or when one
+    exponential of the rotation stage's whole register would exceed
+    ``evolve.MAX_EXPONENTIAL_BYTES``; channel builders call it before they
+    prepare the support, so no ramp is stepped.
     """
     if params.mode == "effective":
         return None, None
     gap = support_crossing_gap(params, n_support)
-    return params.resolved_T_couple(gap), gap
+    t_couple = params.resolved_T_couple(gap)
+    need = evolve.exponential_bytes(2 ** (n_support + 1))  # the largest dimension swept
+    if need > evolve.MAX_EXPONENTIAL_BYTES:
+        raise ConfigError(f"one exponential of the {n_support + 1}-qubit register needs "
+                          f"{need / 2**20:.0f} MiB, more than "
+                          f"{evolve.MAX_EXPONENTIAL_BYTES / 2**20:.0f} MiB; shorten the chain")
+    return t_couple, gap
 
 
 def bell_stage_graph(params: ProtocolParams, n_qubits: int) -> dev.DeviceGraph:

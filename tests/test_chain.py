@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dqdsim.chain import ChainChannel, ChainSpec, make_ghz_chain
+import dqdsim
+from dqdsim import evolve
+from dqdsim.chain import MAX_QUBITS, ChainChannel, ChainSpec, make_ghz_chain
 from dqdsim.device import Schedule, hamiltonian_at
 from dqdsim.errors import ConfigError, DimensionError
 from dqdsim.evolve import PropagatorConfig
@@ -10,7 +17,9 @@ from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
     bell_target,
+    pair_channel,
     ramp_support,
+    resolve_coupling,
     support_crossing_gap,
     support_graph,
     teleport_end_to_end,
@@ -150,6 +159,58 @@ class TestChainTeleport:
             channel = ChainChannel(ChainSpec(4, params, T_ghz=50.0))
         res = channel.teleport(InputQubit(0.6, 0.8))
         assert 0.0 <= res.fidelity_to_input <= 1.0
+
+
+# ru_maxrss growth (KiB on Linux) over building the benchmark's chain4 channel
+RSS_GROWTH = """
+import resource
+import dqdsim
+spec = dqdsim.ChainSpec(4, dqdsim.ProtocolParams(
+    U_max=15.0, Uprime_max=100.0, integrator=dqdsim.PropagatorConfig(dt=0.2)), T_ghz=45.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+dqdsim.ChainChannel(spec)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+class TestMemoryPreflight:
+    """A full-mode channel is refused before any ramp when one exponential of
+    its largest sweep, the rotation stage's whole register, is out of reach."""
+
+    def test_estimate_refuses_the_longest_dense_chain(self):
+        # n_support = 11: 4096 x 4096 complex matrices, 2 GiB per exponential
+        assert evolve.exponential_bytes(4096) == 2 * 2**30 > evolve.MAX_EXPONENTIAL_BYTES
+        assert evolve.exponential_bytes(2048) <= evolve.MAX_EXPONENTIAL_BYTES
+        with pytest.raises(ConfigError, match="2048 MiB"):  # an explicit ramp is in reach
+            resolve_coupling(ProtocolParams(T_couple=100.0), MAX_QUBITS - 1)
+        assert resolve_coupling(EFFECTIVE, MAX_QUBITS - 1) == (None, None)
+
+    def test_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
+        from dqdsim.cli import main
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep started before the refusal")
+
+        monkeypatch.setattr(evolve, "sweep_block", no_sweep)
+        monkeypatch.setattr(evolve, "MAX_EXPONENTIAL_BYTES", evolve.exponential_bytes(8) - 1)
+        params = ProtocolParams(U_max=15.0, Uprime_max=40.0, integrator=PropagatorConfig(dt=0.2))
+        for build in (lambda: pair_channel(params), lambda: ChainChannel(ChainSpec(3, params))):
+            with pytest.raises(ConfigError, match="MiB"):
+                build()
+        assert main(["chain", "--n-support", "3", "--u-max", "15", "--uprime-max", "40",
+                     "--dt", "0.2", "--output", str(tmp_path / "x")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "config error:" in capsys.readouterr().err
+
+    def test_chain4_build_stays_within_32_MiB(self):
+        """A step-count-sized temporary in a sweep shows as RSS growth past
+        the post-import level of a fresh process (one BLAS thread)."""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(Path(dqdsim.__file__).parents[1]),
+                                                            os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", RSS_GROWTH], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert int(out.stdout) / 1024 <= 32.0
 
 
 def dense_crossing_gap(params, n_support):

@@ -30,7 +30,13 @@ from dqdsim.evolve import (
     sweep_block,
 )
 from dqdsim.hilbert import StateVector, tensor_product
-from dqdsim.protocol import cross_to_aligned_ratio
+from dqdsim.protocol import (
+    ProtocolParams,
+    coupler_graph,
+    cross_to_aligned_ratio,
+    support_crossing_gap,
+    support_graph,
+)
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -307,9 +313,8 @@ class TestGridProperties:
     """Random devices and steps: the sweep is unitary, and every invariant block
     or flip sector steps on the same grid as the whole register."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 3), data=st.data(), dt=dts, t1=st.floats(0.1, 4.0))
-    def test_propagator_is_unitary(self, n, data, dt, t1):
+    @staticmethod
+    def random_device(n, data):
         tunnel = [TunnelTerm(k, ramp(*data.draw(ramps)) if data.draw(st.booleans())
                              else Schedule.constant(data.draw(st.floats(0.0, 2.0))),
                              phase=data.draw(st.floats(-np.pi, np.pi)))
@@ -317,9 +322,22 @@ class TestGridProperties:
         links = []
         for k in range(n - 1):
             links += dqd_pair_links(k, k + 1, ramp(*data.draw(ramps)))
-        g = DeviceGraph(dqds=range(n), tunnel_terms=tunnel, coulomb_links=links)
-        U = scheduled_propagator(g, 0.0, t1, PropagatorConfig(dt=dt))
+        return DeviceGraph(dqds=range(n), tunnel_terms=tunnel, coulomb_links=links)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data(), dt=dts, t1=st.floats(0.1, 4.0))
+    def test_propagator_is_unitary(self, n, data, dt, t1):
+        U = scheduled_propagator(self.random_device(n, data), 0.0, t1, PropagatorConfig(dt=dt))
         assert np.max(np.abs(U.conj().T @ U - np.eye(2**n))) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data(), dt=dts, t1=st.floats(0.1, 4.0))
+    def test_one_matrix_chunks_sweep_to_the_default_result(self, n, data, dt, t1):
+        g, cfg = self.random_device(n, data), PropagatorConfig(dt=dt)
+        U = scheduled_propagator(g, 0.0, t1, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve, "_CHUNK_BYTES", 1)
+            assert np.max(np.abs(scheduled_propagator(g, 0.0, t1, cfg) - U)) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(support=ramps, couple=ramps, w=st.floats(0.2, 2.0), dt=dts, seed=st.integers(0, 99))
@@ -370,16 +388,22 @@ def sequential_sweep(psi, g, t1, dt):
     return psi
 
 
+CHUNK_D4 = evolve._CHUNK_BYTES // (16 * 4 * 4)  # exponentials per chunk at d = 4
+
+
 class TestChunkProduct:
     """Each chunk of exponentials is applied as one product; it equals step-by-step.
 
     Five steps take six exponentials, whose pairwise product carries an odd
-    factor.  Past t = 2 the wobble device is static; the grid merges that
+    factor; n - 1, n + 1 and 2n + 1 steps fill one chunk of n, one and a part,
+    and two and a part, and 4095, 4097 and 8193 steps span four chunks and a
+    part.  Past t = 2 the wobble device is static; the grid merges that
     stretch into one step, so no chunk repeats one step unitary thousands of
     times (where the product's rounding added up coherently to ~1e-13).
     """
 
-    @pytest.mark.parametrize("nsteps", [1, 2, 3, 5, 4095, 4097, 8193])
+    @pytest.mark.parametrize("nsteps", [1, 2, 3, 5, CHUNK_D4 - 1, CHUNK_D4 + 1, 2 * CHUNK_D4 + 1,
+                                        4095, 4097, 8193])
     @pytest.mark.parametrize("columns", [None, 2, "identity"])
     def test_matches_sequential_steps(self, nsteps, columns):
         g = wobble_graph()
@@ -397,6 +421,43 @@ class TestChunkProduct:
             out = sweep_block(psi, g, 0.0, nsteps * dt, cfg)
         assert out.shape == psi.shape
         assert np.max(np.abs(out - sequential_sweep(psi, g, nsteps * dt, dt))) <= 1e-13
+
+
+class TestChunkBudget:
+    """Every batch of step Hamiltonians a sweep diagonalizes fits ``_CHUNK_BYTES``
+    as a complex stack, down to one matrix per chunk."""
+
+    @staticmethod
+    def batch_shapes(monkeypatch):
+        shapes = []
+        original = evolve._step_propagators
+
+        def spy(Hs, h):
+            shapes.append(Hs.shape)
+            return original(Hs, h)
+
+        monkeypatch.setattr(evolve, "_step_propagators", spy)
+        return shapes
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_batches_fit_the_budget(self, d, monkeypatch):
+        if d == 4:  # the wobble pair (no flip symmetry) over two chunks and a part
+            g, t1, dt = wobble_graph(), (2 * CHUNK_D4 + 1) * 2.0**-11, 2.0**-11
+        else:  # a 5-qubit coupler, swept in its flip sector from the flip-even |+>^5
+            params = ProtocolParams(U_max=15.0, Uprime_max=40.0)
+            g, t1, dt = coupler_graph(params, 4, 20.0, support_crossing_gap(params, 4)), 20.0, 0.02
+        plus = StateVector(np.full(2**g.n_qubits, 2 ** (-g.n_qubits / 2), dtype=complex))
+        shapes = self.batch_shapes(monkeypatch)
+        evolve_scheduled(plus, g, 0.0, t1, PropagatorConfig(dt=dt))
+        assert {s[1:] for s in shapes} == {(d, d)}
+        assert all(16 * np.prod(s) <= evolve._CHUNK_BYTES for s in shapes)
+        assert len(shapes) > 2 and max(s[0] for s in shapes) == evolve._CHUNK_BYTES // (16 * d * d)
+
+    def test_one_matrix_per_chunk_on_a_7_qubit_register(self, monkeypatch):
+        g = support_graph(ProtocolParams(), 7, Schedule.linear(0.0, 1.0, 0.0, 10.0))
+        shapes = self.batch_shapes(monkeypatch)
+        sweep_block(np.eye(128, dtype=complex)[0], g, 0.0, 0.4, PropagatorConfig(dt=0.1))
+        assert shapes == [(1, 128, 128)] * 8  # four CF4 steps
 
 
 def mp_expm_step(H, h):
