@@ -16,6 +16,7 @@ logical |0> under it yields ``cos(wt)|0> + i sin(wt) exp(-ip)|1>``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,21 +241,48 @@ def hamiltonian_terms(g: DeviceGraph):
     if errs:
         raise DeviceError("; ".join(errs))
     n = g.n_qubits
-    H0 = np.zeros((2**n, 2**n), dtype=complex)
+    tunnels = ((term.amplitude, _embed_single(_tunnel_matrix(term.phase), term.dqd, n))
+               for term in g.tunnel_terms)
+    links = ((link.strength, np.diag(link_diagonal(link, n)).astype(complex))
+             for link in g.coulomb_links)
+    return _split(np.zeros((2**n, 2**n), dtype=complex), tunnels, links)
+
+
+def _split(H0, *parts):
+    """(H0 plus the constant parts, [the driven ones]) of iterables of (schedule, B), lazily."""
     terms = []
-    for term in g.tunnel_terms:
-        B = _embed_single(_tunnel_matrix(term.phase), term.dqd, n)
-        if term.amplitude.is_constant:
-            H0 += term.amplitude.v_start * B
+    for sched, B in (part for group in parts for part in group):
+        if sched.is_constant:
+            H0 += sched.v_start * B
         else:
-            terms.append((term.amplitude, B))
-    for link in g.coulomb_links:
-        B = np.diag(link_diagonal(link, n)).astype(complex)
-        if link.strength.is_constant:
-            H0 += link.strength.v_start * B
-        else:
-            terms.append((link.strength, B))
+            terms.append((sched, B))
     return H0, terms
+
+
+def majorana_terms(g: DeviceGraph):
+    """The device as a free-fermion chain H(t) = i sum_jk a_j K(t)_jk b_k + const,
+    K lower-bidiagonal, over the Jordan-Wigner Majoranas a_k = X_0..X_{k-1} Z_k,
+    b_k = X_0..X_{k-1} Y_k: a tunneling term -w X_k is -w i a_k b_k, a crossed
+    link pair U (1 - Z_k Z_{k+1}) / 2 is (U/2) i a_{k+1} b_k, each link carrying
+    half.  Returns ``(K0, [(schedule, K_j), ...])`` split like
+    :func:`hamiltonian_terms`; None unless every tunneling phase is 0 and every
+    link has its crossed partner on the same schedule between DQDs k and k+1.
+    """
+    if errs := validate(g):
+        raise DeviceError("; ".join(errs))
+    if any(term.phase != 0 for term in g.tunnel_terms):
+        return None
+    unit = np.eye(g.n_qubits)
+    parts = [(term.amplitude, -np.outer(unit[term.dqd], unit[term.dqd])) for term in g.tunnel_terms]
+    unpaired = Counter()  # a link's single-Z terms cancel against its crossed partner's
+    for link in g.coulomb_links:
+        (qa, odd_a), (qb, odd_b) = sorted((dot_qubit(d), dot_is_odd(d))
+                                          for d in (link.dot_i, link.dot_j))
+        if qb != qa + 1 or odd_a == odd_b:
+            return None
+        unpaired[qa, link.strength] += 1 if odd_a else -1
+        parts.append((link.strength, 0.25 * np.outer(unit[qb], unit[qa])))
+    return None if any(unpaired.values()) else _split(np.zeros_like(unit), parts)
 
 
 def hamiltonian_at(g: DeviceGraph, t: float) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import device as dev
 from .errors import ConfigError, ConvergenceError, DimensionError
-from .hilbert import StateVector, _unsafe_state, fix_phase
+from .hilbert import StateVector, _unsafe_state, align_phase, fix_phase, gaussian_state
 
 _CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack: its working set stays in cache
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # a float64 2 pi errs by 2.4e-16 per turn
@@ -142,9 +142,20 @@ def _step_propagators(Hs, h):
     return V @ (E @ W)
 
 
-def _hamiltonians(H0, terms, F):
-    """H0 + sum_j F[k, j] B_j per row k of F, in complex stacks of <= _CHUNK_BYTES or of one H."""
-    n = max(1, _CHUNK_BYTES // (16 * H0.size))
+def _rotations(Ks, h):
+    """exp(h A), A = [[0, 2K], [-2K^T, 0]], for a batch of real M x M K (the Majorana rotation
+    of a step h of H = i sum a_j K_jk b_k), in closed form from the SVD 2hK = U S V^T: [[U cos S
+    U^T, U sin S V^T], [-V sin S U^T, V cos S V^T]] = Re(conj(Z) exp(-iS) Z^T), Z = [U; iV]."""
+    U, s, Vt = np.linalg.svd(Ks)
+    Z = np.concatenate([U, 1j * np.swapaxes(Vt, 1, 2)], axis=1)
+    return ((Z.conj() * np.exp(-2j * np.reshape(h, (-1, 1, 1)) * s[:, None, :]))
+            @ np.swapaxes(Z, 1, 2)).real
+
+
+def _hamiltonians(H0, terms, F, d=None):
+    """H0 + sum_j F[k, j] B_j per row k of F, in stacks sized as complex d x d (d = len(H0)
+    unless given) stacks of <= _CHUNK_BYTES, or of one H."""
+    n = max(1, _CHUNK_BYTES // (16 * (d or len(H0)) ** 2))
     for c0 in range(0, len(F), n):
         Fc = F[c0:c0 + n]
         Hs = np.broadcast_to(H0, (len(Fc),) + H0.shape).copy()
@@ -227,19 +238,44 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     return edges[np.concatenate([[True], moves[:-1] | moves[1:], [True]])]
 
 
-def _sweep(psi, H0, terms, F, hs):
-    """Advance psi (a state or a column block) by exp(-i hs[k] (H0 + sum_j F[k, j] B_j))
+def _sweep(psi, H0, terms, F, hs, step=None):
+    """Advance psi (a state or a column block) by step(H0 + sum_j F[k, j] B_j, hs[k])
     for k = 0, 1, ...: each chunk's product U[N-1] ... U[0] is taken pairwise in
-    log-depth batched calls and applied once."""
-    c0 = 0
-    for Hs in _hamiltonians(H0, terms, F):
-        Us = _step_propagators(Hs, hs[c0:c0 + len(Hs)])
+    log-depth batched calls and applied once.  ``step`` is the batched exponential,
+    exp(-i h H) by ``_step_propagators`` unless given."""
+    step, c0 = step or _step_propagators, 0
+    for Hs in _hamiltonians(H0, terms, F, len(psi)):
+        Us = step(Hs, hs[c0:c0 + len(Hs)])
         c0 += len(Hs)
         while len(Us) > 1:  # an odd count carries its last factor
             pairs = Us[1::2] @ Us[0:-1:2]
             Us = np.concatenate([pairs, Us[-1:]]) if len(Us) % 2 else pairs
         psi = Us[0] @ psi
     return psi
+
+
+def _graded(g, t0, t1, cfg, run, deviation):
+    """run(rule, edges) by :func:`cf4` on :func:`step_grid`'s grid of coarse step 2 dt, or by one
+    (exact) midpoint exponential when nothing moves; ``richardson_check`` reruns with every
+    interval halved and bounds ``deviation`` between the two results."""
+    if not t1 >= t0:
+        raise DimensionError(f"need t0 <= t1, got [{t0}, {t1}]")
+    dt = cfg.resolve_dt(g)
+    edges = step_grid(g, t0, t1, 2 * dt)
+    if edges is None:
+        return run(midpoint, np.array([t0, t1]))
+    out = run(cf4, edges)
+    if cfg.richardson_check:
+        halves = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2]))
+        out_half = run(cf4, halves)
+        err = deviation(out, out_half)
+        if err > cfg.tolerance:
+            raise ConvergenceError(
+                f"step-doubling deviation {err:.3e} exceeds tolerance {cfg.tolerance:.1e} "
+                f"at dt={dt:.3e}; decrease dt"
+            )
+        out = out_half
+    return out
 
 
 def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig,
@@ -249,27 +285,25 @@ def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorCo
     grid still from g), by :func:`cf4` on :func:`step_grid`'s grid of coarse
     step 2 dt.  ``richardson_check`` reruns with every interval halved and bounds
     the (Frobenius) deviation."""
-    if not t1 >= t0:
-        raise DimensionError(f"need t0 <= t1, got [{t0}, {t1}]")
     if t1 == t0:
         return psi
     H0, terms = compiled or dev.hamiltonian_terms(g)
-    dt = cfg.resolve_dt(g)
-    edges = step_grid(g, t0, t1, 2 * dt)
-    if edges is None:  # nothing moves: one exponential is exact
-        return _sweep(psi, H0, terms, *midpoint(terms, np.array([t0, t1])))
-    out = _sweep(psi, H0, terms, *cf4(terms, edges))
-    if cfg.richardson_check:
-        halves = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2]))
-        out_half = _sweep(psi, H0, terms, *cf4(terms, halves))
-        err = float(np.linalg.norm(out - out_half))
-        if err > cfg.tolerance:
-            raise ConvergenceError(
-                f"step-doubling deviation {err:.3e} exceeds tolerance {cfg.tolerance:.1e} "
-                f"at dt={dt:.3e}; decrease dt"
-            )
-        out = out_half
-    return out
+    return _graded(g, t0, t1, cfg,
+                   lambda rule, edges: _sweep(psi, H0, terms, *rule(terms, edges)),
+                   lambda a, b: float(np.linalg.norm(a - b)))
+
+
+def sweep_majorana(gamma, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig,
+                   compiled) -> StateVector:
+    """The Gaussian state of covariance ``gamma`` swept over [t0, t1] under g, up to a global
+    phase: :func:`sweep_block`'s sweep under ``compiled`` = :func:`device.majorana_terms` (g),
+    stepped by 2M x 2M Majorana rotations O, gives the state of O gamma O^T.
+    ``richardson_check`` bounds the change of the phase-aligned state on the halved grid."""
+    def run(rule, edges):
+        O = _sweep(np.eye(len(gamma)), *compiled, *rule(compiled[1], edges), _rotations)
+        return gaussian_state(O @ gamma @ O.T)
+    return _unsafe_state(_graded(g, t0, t1, cfg, run,
+                                 lambda a, b: float(np.linalg.norm(align_phase(b, a) - a))))
 
 
 def flip_symmetric(H0: np.ndarray, terms: list) -> bool:

@@ -138,6 +138,39 @@ def fix_phase(amps: np.ndarray) -> np.ndarray:
     return amps * np.exp(-1j * ph)
 
 
+def align_phase(amps: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``amps`` times the global phase that brings it closest to ``ref``."""
+    overlap = np.vdot(amps, ref)
+    return amps * (overlap / abs(overlap) if overlap else 1.0)
+
+
+def _majoranas(n: int):
+    """Jordan-Wigner Majoranas a_k = X_0..X_{k-1} Z_k, then b_k = X_0..X_{k-1} Y_k,
+    of n qubits as (flip, sign): c|i> = sign[i] |i ^ flip>."""
+    return [((m << k) - 1, s * (-1.0) ** ((np.arange(2**n) >> k) & 1))
+            for m, s in ((1, 1.0), (2, 1j)) for k in range(n)]
+
+
+def majorana_covariance(amps: np.ndarray) -> np.ndarray:
+    """Gamma_pq = i <c_p c_q> (p != q) over the Majoranas (a, b) of :func:`_majoranas`,
+    as the Gram matrix of the vectors c_p|psi>: O(n^2 2^n), no 2^n x 2^n operator."""
+    idx, n = np.arange(amps.size), int(np.log2(amps.size))
+    phi = np.array([(sign * amps)[idx ^ flip] for flip, sign in _majoranas(n)])
+    return -np.imag(phi.conj() @ phi.T)
+
+
+def gaussian_state(gamma: np.ndarray) -> np.ndarray:
+    """The pure Gaussian state of covariance ``gamma``, phase-fixed: the ground state
+    of its parent Hamiltonian -(i/4) sum_pq Gamma_pq c_p c_q (gap 1), by one ``eigh``."""
+    c = _majoranas(len(gamma) // 2)
+    idx = np.arange(c[0][1].size)
+    H = np.zeros((idx.size, idx.size), dtype=complex)
+    for p, (fp, sp) in enumerate(c):
+        for q, (fq, sq) in enumerate(c[p + 1:], p + 1):  # c_p c_q |i> = sp[i^fq] sq[i] |i^fq^fp>
+            H[idx ^ fq ^ fp, idx] -= 0.5j * gamma[p, q] * sp[idx ^ fq] * sq
+    return fix_phase(np.linalg.eigh(H)[1][:, 0])
+
+
 def _axis(qubit: int, n: int) -> int:
     # numpy reshape of a little-endian vector puts qubit n-1 on axis 0
     return n - 1 - qubit

@@ -19,8 +19,8 @@ encode and measure per input.  :func:`teleport_end_to_end` is the pair case.
 
 Every stage exists in ``full`` mode (numerical propagation of the device
 Hamiltonian) and ``effective`` mode (the closed-form two-level algebra the
-full dynamics approaches when w << U).  Full mode evolves every stage
-through :func:`.evolve.evolve_scheduled`.
+full dynamics approaches when w << U).  Full mode evolves every stage through
+:func:`.evolve.evolve_scheduled` but a coupling :func:`couple_unknown` rotates as Majoranas.
 
 Phase conventions: a device tunneling phase p produces the evolution
 amplitude exp(-ip) on logical |1> (see :mod:`.device`), while the encoder is
@@ -47,9 +47,12 @@ from .hilbert import (
     PAULI_Z,
     StateVector,
     _unsafe_state,
+    align_phase,
     check_density,
     fidelity,
     fix_phase,
+    gaussian_state,
+    majorana_covariance,
     tensor_product,
 )
 
@@ -83,7 +86,7 @@ class InputQubit:
 
     def __post_init__(self):
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN and inf fail too
             raise DimensionError(f"|alpha|^2 + |beta|^2 = {norm} != 1")
 
     def state(self) -> StateVector:
@@ -169,14 +172,6 @@ class ProtocolParams:
 
 # --------------------------------------------------------------------------
 # stage devices
-
-
-def encode_graph(w: float, phi: float) -> dev.DeviceGraph:
-    """Single-DQD encoder device realizing the +2*phi amplitude family."""
-    return dev.DeviceGraph(
-        dqds=(0,),
-        tunnel_terms=(dev.TunnelTerm(0, dev.Schedule.constant(w), phase=-2.0 * phi),),
-    )
 
 
 def support_graph(params: ProtocolParams, n_support: int, link: dev.Schedule,
@@ -277,8 +272,9 @@ def encode_qubit(target: InputQubit, w: float, phi: float = 0.0) -> EncodeResult
 
     Only the magnitude of the target is programmable; the relative phase of
     the achieved qubit is fixed to i*exp(2i phi).  The achieved amplitudes
-    are returned and downstream fidelity checks score against them; the
-    evolution of :func:`encode_graph` is taken in its closed form.
+    are returned and downstream fidelity checks score against them.  The state
+    is the closed form of the encoder DQD's free evolution under tunneling w
+    with device phase -2 phi.
     """
     mag = abs(target.alpha)
     if mag > 1.0 + 1e-12:
@@ -353,9 +349,13 @@ def couple_unknown(unknown: StateVector, support: StateVector,
     """Attach the encoder qubit to the support register.
 
     Full mode ramps the encoder-support repulsion with the gap-adapted
-    profile through :func:`evolve.evolve_scheduled`; effective mode returns
-    alpha|0...0> + beta|1...1> exactly.  Raises DeviceError when the coupler
-    lets the encoder tunnel, since :class:`Channel` splits on the encoder bit.
+    profile.  A coupler that :func:`device.majorana_terms` compiles, on a
+    Gaussian state (its own covariance rebuilds it to 1e-12 in norm after
+    phase alignment), is swept by :func:`evolve.sweep_majorana`, up to a global
+    phase; anything else by :func:`evolve.evolve_scheduled`, phase included.
+    Effective mode returns alpha|0...0> + beta|1...1> exactly.  Raises
+    DeviceError when the coupler lets the encoder tunnel, since
+    :class:`Channel` splits on the encoder bit.
     """
     if unknown.n_qubits != 1:
         raise DimensionError("unknown state must be a single qubit")
@@ -367,8 +367,12 @@ def couple_unknown(unknown: StateVector, support: StateVector,
     g = coupler_graph(params, support.n_qubits, t_couple, gap)
     if any(term.dqd == 0 for term in g.tunnel_terms):
         raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
-    return evolve.evolve_scheduled(tensor_product(unknown, support), g, 0.0, t_couple,
-                                   params.integrator)
+    state = tensor_product(unknown, support)
+    if (chain := dev.majorana_terms(g)) is not None:
+        gamma = majorana_covariance(state.amps)
+        if np.linalg.norm(align_phase(gaussian_state(gamma), state.amps) - state.amps) <= 1e-12:
+            return evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator, chain)
+    return evolve.evolve_scheduled(state, g, 0.0, t_couple, params.integrator)
 
 
 def effective_rabi(w: float, U: float) -> float:
@@ -509,11 +513,12 @@ class Channel:
     the encoder bit into the images U(|0> x S) and U(|1> x S).  The split is
     exact because the encoder does not tunnel while it is coupled, so U is
     block-diagonal in its bit; :func:`couple_unknown` checks that on the
-    coupler graph.  The coupler commutes with the global flip, and |+> x S
-    is flip-even for a flip-even support, so the coupling sweeps only that
-    half-dimension sector.  Both images then go through the rotation stage.  ``teleport`` encodes an
-    input, combines the rotated images with its amplitudes and lets Alice
-    measure.
+    coupler graph.  The coupler is an open transverse-field Ising chain, and
+    |+> x S is Gaussian for a ramped support, so the coupling is a rotation of
+    2(n_support + 1) Majoranas; it fixes both images up to one common global
+    phase, on which no output depends.  Both images then go through the
+    rotation stage.  ``teleport`` encodes an input, combines the rotated images
+    with its amplitudes and lets Alice measure.
     """
 
     def __init__(self, support: StateVector, ramp, params: ProtocolParams):

@@ -191,7 +191,8 @@ class TestMemoryPreflight:
         def no_sweep(*args):
             raise AssertionError("a sweep started before the refusal")
 
-        monkeypatch.setattr(evolve, "sweep_block", no_sweep)
+        for engine in ("sweep_block", "sweep_majorana"):  # the dense and the Majorana sweep
+            monkeypatch.setattr(evolve, engine, no_sweep)
         monkeypatch.setattr(evolve, "MAX_EXPONENTIAL_BYTES", evolve.exponential_bytes(8) - 1)
         params = ProtocolParams(U_max=15.0, Uprime_max=40.0, integrator=PropagatorConfig(dt=0.2))
         for build in (lambda: pair_channel(params), lambda: ChainChannel(ChainSpec(3, params))):

@@ -11,11 +11,14 @@ from dqdsim.device import (
     dqd_pair_links,
     link_diagonal,
     hamiltonian_at,
+    majorana_terms,
     schedule_value,
     validate,
 )
 from dqdsim.errors import DeviceError
 from dqdsim.hilbert import P0, P1
+from dqdsim.protocol import ProtocolParams, coupler_graph, support_crossing_gap
+from references import majorana_matrices
 
 
 def pair_graph(U_sched, w=1.0):
@@ -200,6 +203,47 @@ class TestHamiltonian:
                         tunnel_terms=(TunnelTerm(0, Schedule.constant(1.0), phase=0.3j),))
         with pytest.raises(DeviceError, match="Hermitian"):
             hamiltonian_at(g, 0.0)
+
+
+class TestMajoranaTerms:
+    """The free-fermion form i sum_jk a_j K(t)_jk b_k of a transverse-field Ising device."""
+
+    @staticmethod
+    def generator(compiled, t):
+        K0, terms = compiled
+        return K0 + sum(schedule_value(s, t) * K for s, K in terms)
+
+    @pytest.mark.parametrize("n_support", [2, 3, 4])
+    def test_coupler_matches_the_dense_hamiltonian_up_to_a_constant(self, n_support):
+        params = ProtocolParams(U_max=15.0, Uprime_max=40.0)
+        g = coupler_graph(params, n_support, 20.0, support_crossing_gap(params, n_support))
+        compiled = majorana_terms(g)
+        n = n_support + 1
+        c = majorana_matrices(n)
+        for t in (0.0, 7.3, 19.9, 20.0):
+            K = self.generator(compiled, t)
+            assert np.array_equal(K, np.tril(np.triu(K, -1)))  # lower-bidiagonal
+            H = sum(1j * K[j, k] * c[j] @ c[n + k] for j in range(n) for k in range(n))
+            shift = hamiltonian_at(g, t) - H
+            assert np.max(np.abs(shift - shift[0, 0] * np.eye(2**n))) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["phased tunnel", "single uncrossed link",
+                                      "half a crossed pair", "non-adjacent DQDs"])
+    def test_refuses_what_is_not_a_free_fermion_chain(self, case):
+        U = Schedule.constant(5.0)
+        tunnel = [TunnelTerm(k, Schedule.constant(1.0)) for k in range(3)]
+        links = list(dqd_pair_links(0, 1, U))
+        assert majorana_terms(DeviceGraph(range(3), tunnel, links)) is not None
+        if case == "phased tunnel":
+            tunnel[1] = TunnelTerm(1, Schedule.constant(1.0), phase=0.3)
+        elif case == "single uncrossed link":  # P1 P1: odd dot to odd dot
+            links.append(CoulombLink(3, 5, U))
+        elif case == "half a crossed pair":
+            links.append(dqd_pair_links(1, 2, U)[0])
+        else:
+            links += dqd_pair_links(0, 2, U)
+        g = DeviceGraph(dqds=range(3), tunnel_terms=tunnel, coulomb_links=links)
+        assert majorana_terms(g) is None
 
 
 class TestValidate:

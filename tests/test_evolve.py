@@ -32,6 +32,8 @@ from dqdsim.evolve import (
 from dqdsim.hilbert import StateVector, tensor_product
 from dqdsim.protocol import (
     ProtocolParams,
+    bell_target,
+    couple_unknown,
     coupler_graph,
     cross_to_aligned_ratio,
     support_crossing_gap,
@@ -452,6 +454,23 @@ class TestChunkBudget:
         assert {s[1:] for s in shapes} == {(d, d)}
         assert all(16 * np.prod(s) <= evolve._CHUNK_BYTES for s in shapes)
         assert len(shapes) > 2 and max(s[0] for s in shapes) == evolve._CHUNK_BYTES // (16 * d * d)
+
+    def test_majorana_chunks_fit_the_budget(self, monkeypatch):
+        # a 5-site coupler's rotations are 10 x 10, budgeted as complex 10 x 10 stacks
+        params = ProtocolParams(U_max=15.0, Uprime_max=40.0, T_couple=20.0,
+                                integrator=PropagatorConfig(dt=0.02))
+        shapes, original = [], evolve._rotations
+
+        def spy(Ks, h):
+            shapes.append(Ks.shape)
+            Os = original(Ks, h)
+            assert Os.nbytes <= evolve._CHUNK_BYTES
+            return Os
+
+        monkeypatch.setattr(evolve, "_rotations", spy)
+        couple_unknown(StateVector(np.full(2, np.sqrt(0.5), dtype=complex)), bell_target(4), params)
+        assert {s[1:] for s in shapes} == {(5, 5)}
+        assert len(shapes) > 2 and max(s[0] for s in shapes) == evolve._CHUNK_BYTES // (16 * 10 * 10)
 
     def test_one_matrix_per_chunk_on_a_7_qubit_register(self, monkeypatch):
         g = support_graph(ProtocolParams(), 7, Schedule.linear(0.0, 1.0, 0.0, 10.0))

@@ -11,14 +11,19 @@ from dqdsim.hilbert import (
     PAULI_X,
     DensityMatrix,
     StateVector,
+    align_phase,
     apply_local,
     basis_index,
     fidelity,
+    gaussian_state,
     kron_le,
+    majorana_covariance,
     measure_qubit,
     partial_trace,
     tensor_product,
 )
+from dqdsim.protocol import ProtocolParams, bell_target, ramp_support
+from references import majorana_matrices
 
 
 def random_state(rng, n):
@@ -235,3 +240,38 @@ class TestTypes:
         one, zero = StateVector.computational(1, 1), StateVector.computational(1, 0)
         assert np.allclose(tensor_product(one, zero).amps,
                            StateVector.computational(2, 1).amps)
+
+
+class TestMajoranaCovariance:
+    """Gamma_pq = i <c_p c_q> by index arithmetic, and the state rebuilt from it."""
+
+    @staticmethod
+    def states():
+        for n in (1, 2, 3, 4):
+            yield f"|+>^{n}", np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+        for n in (2, 3, 4):
+            yield f"bell_target({n})", bell_target(n).amps
+        ramped, _ = ramp_support(ProtocolParams(U_max=10.0), 3, 30.0)
+        yield "ramped support", ramped.amps
+
+    def test_matches_the_dense_majoranas_and_round_trips(self):
+        for name, amps in self.states():
+            n = int(np.log2(amps.size))
+            c = majorana_matrices(n)
+            dense = np.array([[0.0 if p == q else (1j * np.vdot(amps, cp @ cq @ amps)).real
+                               for q, cq in enumerate(c)] for p, cp in enumerate(c)])
+            gamma = majorana_covariance(amps)
+            assert np.max(np.abs(gamma - dense)) <= 1e-14, name
+            assert np.max(np.abs(gamma @ gamma + np.eye(2 * n))) <= 1e-12, name  # pure
+            rebuilt = gaussian_state(gamma)
+            assert np.linalg.norm(align_phase(rebuilt, amps) - amps) <= 1e-12, name
+
+    def test_a_non_gaussian_state_does_not_round_trip(self):
+        amps = random_state(np.random.default_rng(4), 3).amps
+        rebuilt = gaussian_state(majorana_covariance(amps))
+        assert np.linalg.norm(align_phase(rebuilt, amps) - amps) > 0.1
+
+    def test_align_phase(self):
+        amps = random_state(np.random.default_rng(5), 2).amps
+        assert np.max(np.abs(align_phase(np.exp(2.1j) * amps, amps) - amps)) <= 1e-15
+        assert np.array_equal(align_phase(amps, np.zeros(4)), amps)  # no overlap, no phase

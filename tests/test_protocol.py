@@ -21,8 +21,11 @@ from dqdsim.evolve import (
 )
 from dqdsim.hilbert import (
     StateVector,
+    align_phase,
     fidelity,
     fix_phase,
+    gaussian_state,
+    majorana_covariance,
     measure_qubit,
     partial_trace,
     tensor_product,
@@ -40,7 +43,6 @@ from dqdsim.protocol import (
     coupler_graph,
     cross_to_aligned_ratio,
     effective_rabi,
-    encode_graph,
     encode_qubit,
     entangled_pair_reference,
     ghz_encoded,
@@ -51,6 +53,7 @@ from dqdsim.protocol import (
     support_graph,
     teleport_end_to_end,
 )
+from references import encode_graph
 
 EFFECTIVE = ProtocolParams(mode="effective")
 
@@ -76,6 +79,14 @@ class TestInputQubit:
     def test_rejects_unnormalized(self):
         with pytest.raises(DimensionError):
             InputQubit(1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", ["alpha", "beta"])
+    def test_rejects_non_finite_amplitudes(self, bad, slot):
+        # a NaN norm compares False with any bound, so the check must fail it explicitly
+        amps = {"alpha": 0.6, "beta": 0.8, slot: bad}
+        with pytest.raises(DimensionError):
+            InputQubit(**amps)
 
     def test_random_is_normalized(self):
         q = InputQubit.random(np.random.default_rng(0))
@@ -293,6 +304,17 @@ class TestCouple:
 _PLUS_STATE = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
 
 
+def _phased_support(coupler_graph):
+    """coupler_graph with a tunneling phase on support DQD 1: it keeps the encoder
+    bit but breaks X^n, and it is no free-fermion chain."""
+    def phased(*args):
+        g = coupler_graph(*args)
+        terms = tuple(TunnelTerm(t.dqd, t.amplitude, phase=0.3) if t.dqd == 1 else t
+                      for t in g.tunnel_terms)
+        return DeviceGraph(g.dqds, terms, g.coulomb_links)
+    return phased
+
+
 def random_state(rng, n_qubits):
     v = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
     return StateVector(v / np.linalg.norm(v))
@@ -339,15 +361,7 @@ class TestChannel:
 
     def test_sweeps_a_coupler_without_flip_symmetry_whole(self, monkeypatch):
         # a tunneling phase on a support DQD keeps the encoder bit but breaks X^n
-        original = protocol.coupler_graph
-
-        def phased_support(*args):
-            g = original(*args)
-            terms = tuple(TunnelTerm(t.dqd, t.amplitude, phase=0.3) if t.dqd == 1 else t
-                          for t in g.tunnel_terms)
-            return DeviceGraph(g.dqds, terms, g.coulomb_links)
-
-        monkeypatch.setattr(protocol, "coupler_graph", phased_support)
+        monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
         params = small_full_params()
         support = bell_target(2)
         channel = Channel(support, None, params)
@@ -358,31 +372,85 @@ class TestChannel:
         expected = U_couple @ tensor_product(enc.state, support).amps
         assert np.max(np.abs(channel.couple(enc.state).amps - expected)) <= 1e-12
 
+    @staticmethod
+    def coupling_sweeps(monkeypatch, n_support, t_couple):
+        """Record each coupling sweep as (engine, dimension swept)."""
+        seen = []
+        block, majorana = evolve.sweep_block, evolve.sweep_majorana
+
+        def block_spy(psi, g, t0, t1, *args):
+            if g.n_qubits == n_support + 1 and t1 == t_couple:
+                seen.append(("dense", psi.shape[0]))
+            return block(psi, g, t0, t1, *args)
+
+        def majorana_spy(gamma, *args):
+            seen.append(("majorana", gamma.shape[0]))
+            return majorana(gamma, *args)
+
+        monkeypatch.setattr(evolve, "sweep_block", block_spy)
+        monkeypatch.setattr(evolve, "sweep_majorana", majorana_spy)
+        return seen
+
     @pytest.mark.parametrize("n_support", [2, 3])
-    def test_couples_in_the_flip_sector(self, n_support, monkeypatch):
-        # pair and chain channels sweep |+> x S at half the register's dimension
+    def test_couples_through_the_majorana_sweep(self, n_support, monkeypatch):
+        # pair and chain channels rotate the 2M Majoranas of M = n_support + 1 sites
         params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.05))
         t_couple, _ = resolve_coupling(params, n_support)
-        coupling_dims = []
-        original = evolve.sweep_block
-
-        def spy(psi, g, t0, t1, *args):
-            if g.n_qubits == n_support + 1 and t1 == t_couple:
-                coupling_dims.append(psi.shape[0])
-            return original(psi, g, t0, t1, *args)
-
-        monkeypatch.setattr(evolve, "sweep_block", spy)
+        seen = self.coupling_sweeps(monkeypatch, n_support, t_couple)
         if n_support == 2:
             pair_channel(params)
         else:
             ChainChannel(ChainSpec(n_support, params))
-        assert coupling_dims == [2**n_support]
+        assert seen == [("majorana", 2 * (n_support + 1))]
 
-    def test_richardson_check_covers_the_coupling(self):
+    @pytest.mark.parametrize("case", ["random support", "phased support"])
+    def test_other_couplings_take_the_dense_sweep(self, case, monkeypatch):
+        # neither is flip-symmetric, so the dense sweep runs on the whole register
+        params = small_full_params()
+        t_couple, _ = resolve_coupling(params, 2)
+        support = bell_target(2)
+        if case == "random support":  # not a Gaussian state
+            support = random_state(np.random.default_rng(4), 2)
+        else:
+            monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
+        seen = self.coupling_sweeps(monkeypatch, 2, t_couple)
+        Channel(support, None, params)
+        assert seen == [("dense", 8)]
+
+    @settings(max_examples=12, deadline=None)
+    @given(n_support=st.sampled_from([2, 3, 4]), U=st.floats(10.0, 40.0),
+           Uprime=st.floats(4.0, 100.0), dt=st.floats(0.02, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_majorana_route_matches_the_dense_sweep(self, n_support, U, Uprime, dt, seed):
+        # a random Gaussian support: a random rotation of the covariance of |+>^n
+        rng = np.random.default_rng(seed)
+        O = np.linalg.qr(rng.normal(size=(2 * n_support, 2 * n_support)))[0]
+        support = StateVector(gaussian_state(O @ majorana_covariance(
+            np.full(2**n_support, 2.0 ** (-n_support / 2), dtype=complex)) @ O.T))
+        params = ProtocolParams(U_max=U, Uprime_max=Uprime, T_couple=20.0,
+                                integrator=PropagatorConfig(dt=dt))
+        g = coupler_graph(params, n_support, *resolve_coupling(params, n_support))
+        with pytest.MonkeyPatch.context() as mp:
+            seen = self.coupling_sweeps(mp, n_support, 20.0)
+            route = couple_unknown(_PLUS_STATE, support, params).amps
+        assert seen == [("majorana", 2 * (n_support + 1))]
+        dense = evolve_scheduled(tensor_product(_PLUS_STATE, support), g, 0.0, 20.0,
+                                 params.integrator).amps
+        assert np.linalg.norm(align_phase(route, dense) - dense) <= 1e-12
+
+    def test_richardson_check_covers_the_coupling(self, monkeypatch):
         params = small_full_params(integrator=PropagatorConfig(
             dt=0.5, richardson_check=True, tolerance=1e-14))
+        seen = self.coupling_sweeps(monkeypatch, 2, resolve_coupling(params, 2)[0])
         with pytest.raises(ConvergenceError, match="step-doubling"):
             couple_unknown(_PLUS_STATE, bell_target(2), params)
+        assert seen == [("majorana", 6)]
+        # at a loose tolerance it passes with the halved grid's state, as the dense check does
+        cfg = PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1e-3)
+        t_couple, gap = resolve_coupling(params, 2)
+        out = couple_unknown(_PLUS_STATE, bell_target(2), replace(params, integrator=cfg)).amps
+        ref = evolve_scheduled(tensor_product(_PLUS_STATE, bell_target(2)),
+                               coupler_graph(params, 2, t_couple, gap), 0.0, t_couple, cfg).amps
+        assert np.linalg.norm(align_phase(out, ref) - ref) <= 1e-12
 
     def test_reuse_matches_one_shot(self):
         params = small_full_params()
