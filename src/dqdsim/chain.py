@@ -50,10 +50,7 @@ class ChainSpec:
             )
 
     def resolved_T_ghz(self) -> float:
-        if self.T_ghz is not None:
-            return self.T_ghz
-        p = self.params
-        return max(3.0 * p.U_max / p.w**2, 10.0 / p.w)
+        return self.params.default_ramp(3.0) if self.T_ghz is None else self.T_ghz
 
 
 def make_ghz_chain(spec: ChainSpec):

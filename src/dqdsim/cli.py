@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
@@ -94,6 +95,18 @@ def validate_config(cfg: RunConfig) -> list:
         errors.append(f"alpha_abs must lie in [0, 1], got {cfg.alpha_abs}")
     if not 2 <= cfg.n_support <= MAX_QUBITS - 1:
         errors.append(f"n_support must lie in [2, {MAX_QUBITS - 1}], got {cfg.n_support}")
+    if not errors:  # the derived values: ramp durations and a channel's preflight
+        try:
+            with warnings.catch_warnings():  # the run gives the w/U_max advisory
+                warnings.simplefilter("ignore")
+                params = build_params(cfg)
+            params.resolved_T_ent()
+            if cfg.experiment in CHANNEL_EXPERIMENTS:
+                proto.resolve_coupling(params, cfg.n_support if cfg.experiment == "chain" else 2)
+            if cfg.experiment == "chain":
+                ChainSpec(cfg.n_support, params, cfg.T_ghz).resolved_T_ghz()
+        except ConfigError as exc:
+            errors.append(str(exc))
     if cfg.axis is not None and cfg.axis not in SWEEP_AXES:
         errors.append(f"unknown sweep axis {cfg.axis!r}; choose from {', '.join(SWEEP_AXES)}")
     if cfg.axis is not None or cfg.values is not None:

@@ -267,9 +267,12 @@ def majorana_terms(g: DeviceGraph):
     half.  Returns ``(K0, [(schedule, K_j), ...])`` split like
     :func:`hamiltonian_terms`; None unless every tunneling phase is 0 and every
     link has its crossed partner on the same schedule between DQDs k and k+1.
+    A non-real phase raises DeviceError first, as :func:`check_hermitian` does.
     """
     if errs := validate(g):
         raise DeviceError("; ".join(errs))
+    for term in g.tunnel_terms:
+        check_hermitian(_tunnel_matrix(term.phase))
     if any(term.phase != 0 for term in g.tunnel_terms):
         return None
     unit = np.eye(g.n_qubits)

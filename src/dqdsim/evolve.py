@@ -13,6 +13,11 @@ H moves fast, by a threshold that shrinks with dt, and merged where it does
 not move, so a static window is one exponential.  Every exponential's
 eigendecomposition is refined (``_step_propagators``).  The exponential
 midpoint rule (:func:`midpoint`, second order) stays as the reference rule.
+
+The dense sweep (:func:`sweep_block`) of the whole 2^n register is the general
+engine and the tests' reference.  The support ramps (:func:`adiabatic_ramp`)
+and the coupling sweep an open transverse-field Ising chain on a Gaussian state
+as 2M x 2M rotations of its Majorana covariance (:func:`sweep_majorana`).
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as dev
-from .errors import ConfigError, ConvergenceError, DimensionError
-from .hilbert import StateVector, _unsafe_state, align_phase, fix_phase, gaussian_state
+from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
+from .hilbert import (StateVector, _unsafe_state, align_phase, fix_phase, gaussian_state,
+                      majorana_covariance)
 
 _CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack: its working set stays in cache
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # a float64 2 pi errs by 2.4e-16 per turn
@@ -278,16 +284,13 @@ def _graded(g, t0, t1, cfg, run, deviation):
     return out
 
 
-def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig,
-                compiled=None):
-    """Sweep psi (a state or column block) over [t0, t1] under g, or under
-    ``compiled``, ``hamiltonian_terms(g)`` or a flip sector of it (the step
-    grid still from g), by :func:`cf4` on :func:`step_grid`'s grid of coarse
-    step 2 dt.  ``richardson_check`` reruns with every interval halved and bounds
-    the (Frobenius) deviation."""
+def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig):
+    """Sweep psi (a state or column block) over [t0, t1] under ``hamiltonian_terms(g)``,
+    by :func:`cf4` on :func:`step_grid`'s grid of coarse step 2 dt.  ``richardson_check``
+    reruns with every interval halved and bounds the (Frobenius) deviation."""
     if t1 == t0:
         return psi
-    H0, terms = compiled or dev.hamiltonian_terms(g)
+    H0, terms = dev.hamiltonian_terms(g)
     return _graded(g, t0, t1, cfg,
                    lambda rule, edges: _sweep(psi, H0, terms, *rule(terms, edges)),
                    lambda a, b: float(np.linalg.norm(a - b)))
@@ -306,34 +309,25 @@ def sweep_majorana(gamma, g: dev.DeviceGraph, t0: float, t1: float, cfg: Propaga
                                  lambda a, b: float(np.linalg.norm(align_phase(b, a) - a))))
 
 
-def flip_symmetric(H0: np.ndarray, terms: list) -> bool:
-    """Whether a compiled device ``(H0, [(schedule, B), ...])`` commutes with the
-    global flip X^n: H0 and each schedule's summed terms equal their index reversal."""
-    driven = [sum(B for f, B in terms if f == sched) for sched in {f for f, _ in terms}]
-    return all(np.array_equal(M, M[::-1, ::-1]) for M in (H0, *driven))
+def majorana_start(state: StateVector, g: dev.DeviceGraph):
+    """(covariance of ``state``, :func:`device.majorana_terms` (g)), the start of
+    :func:`sweep_majorana`.  Raises DeviceError (after ``majorana_terms``' Hermiticity
+    refusal) for a g that is no open transverse-field Ising chain, or a state that is not
+    Gaussian: its covariance does not rebuild it to 1e-12 in norm after phase alignment."""
+    if (chain := dev.majorana_terms(g)) is None:
+        raise DeviceError("the device is no open transverse-field Ising chain (a tunneling phase, "
+                          "or a link without its crossed partner between neighbouring DQDs)")
+    gamma = majorana_covariance(state.amps)
+    if not np.linalg.norm(align_phase(gaussian_state(gamma), state.amps) - state.amps) <= 1e-12:
+        raise DeviceError("the state is not Gaussian: its Majorana covariance does not rebuild it")
+    return gamma, chain
 
 
 def evolve_scheduled(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
                      cfg: PropagatorConfig | None = None) -> StateVector:
-    """Integrate the time-dependent device Hamiltonian from t0 to t1.
-
-    Schedules are sampled at each step's Gauss nodes, inside the step.  A
-    :func:`flip_symmetric` device sweeps a state that is exactly a flip
-    eigenvector (S[::-1] == s S, s = +-1) in its half-dimension sector, on the
-    orthonormal basis (e_i + s e_{d-1-i}) / sqrt(2).
-    """
-    cfg = cfg or PropagatorConfig()
-    S, (H0, terms) = state.amps, dev.hamiltonian_terms(g)
-    h = S.size // 2
-    s = next((s for s in (1, -1) if h and np.array_equal(S[::-1], s * S)), 0)
-    if not (s and flip_symmetric(H0, terms)):
-        return _unsafe_state(sweep_block(S, g, t0, t1, cfg, (H0, terms)))
-
-    def sector(M):
-        return M[:h, :h] + s * M[:h, h:][:, ::-1]
-    c = sweep_block(np.sqrt(2) * S[:h], g, t0, t1, cfg,
-                    (sector(H0), [(sched, sector(B)) for sched, B in terms]))
-    return _unsafe_state(np.concatenate([c, s * c[::-1]]) / np.sqrt(2))
+    """Integrate the time-dependent device Hamiltonian from t0 to t1 on the whole register,
+    global phase included; schedules are sampled at each step's Gauss nodes, inside the step."""
+    return _unsafe_state(sweep_block(state.amps, g, t0, t1, cfg or PropagatorConfig()))
 
 
 def scheduled_propagator(g: dev.DeviceGraph, t0: float, t1: float,
@@ -356,27 +350,35 @@ class RampDiagnostics:
 
 def adiabatic_ramp(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
                    cfg: PropagatorConfig | None = None):
-    """Scheduled evolution plus spectral-gap and ground-overlap diagnostics.
+    """Scheduled evolution of a Gaussian state by :func:`sweep_majorana` (up to a global
+    phase), plus spectral-gap and ground-overlap diagnostics from K(t) of
+    :func:`device.majorana_terms`; raises DeviceError as :func:`majorana_start` does.
 
-    The 64 gap samples come from one compile, diagonalized as a batch on the
-    whole register: its two lowest levels lie in different flip sectors.
-    Warns when the initial state is not close to the instantaneous ground
-    state at t0 (the ramp then has no adiabatic guarantee).
+    One batched SVD K = U S V^T at 64 times gives the gaps E1 - E0 = 2 sigma_min and,
+    at t0 and t1, the ground state's covariance [[0, -U V^T], [V U^T, 0]], whose squared
+    overlap with a state of covariance Gamma is sqrt|det((Gamma_gs + Gamma) / 2)|.  Warns
+    when the initial state is not close to the instantaneous ground state at t0 (the
+    ramp then has no adiabatic guarantee).
     """
-    gs0 = ground_state(dev.hamiltonian_at(g, t0))
-    init_overlap = float(abs(np.vdot(gs0.state.amps, state.amps)) ** 2)
+    gamma, chain = majorana_start(state, g)
+    ts = np.linspace(t0, t1, 64)
+    K0, terms = chain
+    U, s, Vt = np.linalg.svd(np.concatenate(list(_hamiltonians(K0, terms, _values(terms, ts)))))
+
+    def ground_overlap_sq(k, gamma):
+        W = U[k] @ Vt[k]
+        gs = np.block([[np.zeros_like(W), -W], [W.T, np.zeros_like(W)]])
+        return float(np.sqrt(abs(np.linalg.det((gs + gamma) / 2))))
+
+    init_overlap = ground_overlap_sq(0, gamma)
     if init_overlap < 0.99:
         warnings.warn(
             f"initial ground-state overlap^2 is {init_overlap:.4f}; "
             "adiabatic following is not guaranteed",
             stacklevel=2,
         )
-    final = evolve_scheduled(state, g, t0, t1, cfg)
-    ts = np.linspace(t0, t1, 64)
-    H0, terms = dev.hamiltonian_terms(g)
-    gaps = np.concatenate([np.ptp(np.linalg.eigvalsh(dev.check_hermitian(Hs))[:, :2], axis=1)
-                           for Hs in _hamiltonians(H0, terms, _values(terms, ts))])  # E1 - E0
-    gsT = ground_state(dev.hamiltonian_at(g, t1))
-    final_overlap = float(abs(np.vdot(gsT.state.amps, final.amps)) ** 2)
-    diag = RampDiagnostics(float(np.min(gaps)), ts, gaps, init_overlap, final_overlap)
+    final = sweep_majorana(gamma, g, t0, t1, cfg or PropagatorConfig(), chain)
+    gaps = 2 * s[:, -1]
+    diag = RampDiagnostics(float(np.min(gaps)), ts, gaps, init_overlap,
+                           ground_overlap_sq(-1, majorana_covariance(final.amps)))
     return final, diag

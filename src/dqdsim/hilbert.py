@@ -9,10 +9,7 @@ Conventions (used consistently everywhere in the package):
 
 * qubit 0 is the least-significant bit of a basis index
   (``basis_index([1, 0]) == 1``);
-* ket strings are written qubit-0 first, so ``|10>`` means q0=1, q1=0;
-* multi-qubit operator matrices passed to :func:`apply_local` are indexed
-  little-endian in ``targets`` order (targets[0] is the least-significant
-  bit of the operator's row/column index).
+* ket strings are written qubit-0 first, so ``|10>`` means q0=1, q1=0.
 """
 
 from __future__ import annotations
@@ -49,18 +46,6 @@ def basis_index(bits) -> int:
             raise DimensionError(f"bit {k} is {b!r}, expected 0 or 1")
         idx |= int(b) << k
     return idx
-
-
-def kron_le(*ops) -> np.ndarray:
-    """Kronecker product with little-endian factor order.
-
-    ``kron_le(A, B)`` acts with A on the least-significant qubit of the
-    result, matching :func:`basis_index`.
-    """
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(np.asarray(op, dtype=complex), out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -174,35 +159,6 @@ def gaussian_state(gamma: np.ndarray) -> np.ndarray:
 def _axis(qubit: int, n: int) -> int:
     # numpy reshape of a little-endian vector puts qubit n-1 on axis 0
     return n - 1 - qubit
-
-
-def apply_local(state: StateVector, op, targets) -> StateVector:
-    """Apply a k-qubit operator to the given target qubits.
-
-    ``op`` must be a 2^k x 2^k matrix indexed little-endian in ``targets``
-    order.  The result is (I x ... x op x ... x I)|state> with the correct
-    index permutation; the norm is preserved iff ``op`` is unitary.
-    """
-    targets = list(targets)
-    n = state.n_qubits
-    k = len(targets)
-    if len(set(targets)) != k:
-        raise DimensionError(f"repeated target in {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise DimensionError(f"target out of range for {n} qubits: {targets}")
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2**k, 2**k):
-        raise DimensionError(f"operator shape {op.shape} does not match {k} targets")
-
-    arr = state.amps.reshape([2] * n)
-    # operator tensor axes: [r_{k-1},...,r_0, c_{k-1},...,c_0] (little-endian index)
-    op_t = op.reshape([2] * (2 * k))
-    contract = [_axis(t, n) for t in reversed(targets)]
-    out = np.tensordot(op_t, arr, axes=(list(range(k, 2 * k)), contract))
-    # tensordot puts the k output axes first (targets reversed); restore positions
-    out = np.moveaxis(out, list(range(k)), contract)
-    # unnormalized results are legal: projectors shrink the norm
-    return _unsafe_state(out.reshape(-1))
 
 
 def _unsafe_state(amps: np.ndarray) -> StateVector:

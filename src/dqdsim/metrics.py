@@ -1,4 +1,4 @@
-"""Diagnostics: entanglement measures, spectral gaps, oscillation fits."""
+"""Diagnostics: entanglement measures and oscillation fits."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import device as dev
 from .errors import DimensionError
 from .hilbert import DensityMatrix, PAULI_Y, StateVector, partial_trace
 
@@ -36,12 +35,6 @@ def entanglement_entropy(state: StateVector, partition) -> float:
     evals = np.linalg.eigvalsh(rho.matrix)
     evals = evals[evals > 1e-15]
     return float(-np.sum(evals * np.log2(evals)))
-
-
-def instantaneous_gap(g: dev.DeviceGraph, t: float) -> float:
-    """E1(t) - E0(t) of the device Hamiltonian (0 when degenerate)."""
-    evals = np.linalg.eigvalsh(dev.hamiltonian_at(g, t))
-    return float(evals[1] - evals[0]) if len(evals) > 1 else 0.0
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,11 @@ encode and measure per input.  :func:`teleport_end_to_end` is the pair case.
 
 Every stage exists in ``full`` mode (numerical propagation of the device
 Hamiltonian) and ``effective`` mode (the closed-form two-level algebra the
-full dynamics approaches when w << U).  Full mode evolves every stage through
-:func:`.evolve.evolve_scheduled` but a coupling :func:`couple_unknown` rotates as Majoranas.
+full dynamics approaches when w << U).  In full mode every ramp device the
+protocol builds, the support ramps and the coupler, is an open transverse-field
+Ising chain, so those stages sweep the Majorana covariance of a Gaussian state
+(:func:`.evolve.adiabatic_ramp`, :func:`.evolve.sweep_majorana`); the rotation
+stage is one exponential of a two-qubit device, applied as a 4 x 4 gate.
 
 Phase conventions: a device tunneling phase p produces the evolution
 amplitude exp(-ip) on logical |1> (see :mod:`.device`), while the encoder is
@@ -40,21 +43,7 @@ import numpy as np
 from . import device as dev
 from . import evolve
 from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import (
-    ID2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    StateVector,
-    _unsafe_state,
-    align_phase,
-    check_density,
-    fidelity,
-    fix_phase,
-    gaussian_state,
-    majorana_covariance,
-    tensor_product,
-)
+from .hilbert import StateVector, _unsafe_state, check_density, fidelity, fix_phase, tensor_product
 
 # Adiabaticity budget of the gap-adapted coupling ramp: the sweep rate is
 # eps * gap^3 / J, so the default duration is 1/(4 J eps) = 4/J.
@@ -152,16 +141,37 @@ class ProtocolParams:
     def resolved_bell_U(self) -> float:
         return self.resolved_Uprime() if self.bell_U is None else self.bell_U
 
+    def default_ramp(self, factor: float) -> float:
+        """The default support ramp max(factor U_max / w^2, 10 / w) (factor 2 for T_ent, 3 for
+        T_ghz); ConfigError when it is not finite."""
+        w2 = self.w**2
+        t = max(factor * self.U_max / w2, 10.0 / self.w) if w2 else np.inf
+        if not t < np.inf:
+            raise ConfigError(f"the default support ramp {factor:g} U_max/w^2 is not finite at "
+                              f"w = {self.w:.3g}; raise w or set the ramp duration")
+        return t
+
     def resolved_T_ent(self) -> float:
-        if self.T_ent is not None:
-            return self.T_ent
-        return max(2.0 * self.U_max / self.w**2, 10.0 / self.w)
+        return self.default_ramp(2.0) if self.T_ent is None else self.T_ent
+
+    def resolved_wait(self) -> float:
+        """The rotation stage's wait, wait_angle over the rate 2 w^2 / bell_U; ConfigError
+        unless bell_U, the rate and the wait are positive and finite."""
+        bell_U = self.resolved_bell_U()
+        if not bell_U > 0:
+            raise ConfigError(f"the rotation stage needs a positive bell_U, got {bell_U:g}")
+        rate = effective_rabi(self.w, bell_U)
+        wait = self.wait_angle / rate if 0 < rate < np.inf else np.nan
+        if not 0 < wait < np.inf:
+            raise ConfigError(f"the rotation stage's rate 2w^2/bell_U = {rate:.3g} and its wait "
+                              f"{wait:.3g} must be positive and finite")
+        return wait
 
     def resolved_T_couple(self, support_gap: float) -> float:
         if self.T_couple is not None:
             return self.T_couple
         t = faithful_ramp(support_gap)
-        if t > MAX_AUTO_RAMP / self.w:
+        if not t * self.w <= MAX_AUTO_RAMP:  # inf and NaN fail too
             raise ConfigError(
                 f"faithful coupling needs a ramp of {t:.3g}/w (crossing gap "
                 f"{support_gap:.3g}); lower U_max, shorten the chain, or set "
@@ -223,16 +233,20 @@ def coupler_graph(params: ProtocolParams, n_support: int,
 def resolve_coupling(params: ProtocolParams, n_support: int):
     """(T_couple, crossing gap) of a full-mode register; (None, None) in effective mode.
 
-    Raises ConfigError when the auto-derived ramp is out of reach, or when one
-    exponential of the rotation stage's whole register would exceed
-    ``evolve.MAX_EXPONENTIAL_BYTES``; channel builders call it before they
-    prepare the support, so no ramp is stepped.
+    The channel's preflight: channel builders call it before they prepare the
+    support, so no ramp is stepped before a refusal.  Raises ConfigError when
+    the rotation stage's wait is not positive and finite, when the auto-derived
+    ramp is out of reach, or when one exponential of the 2^(n_support+1)
+    register would exceed ``evolve.MAX_EXPONENTIAL_BYTES``: the coupling
+    rebuilds its state with ``hilbert.gaussian_state``, which fills a parent
+    Hamiltonian of that size and diagonalizes it by one ``eigh``.
     """
+    params.resolved_wait()
     if params.mode == "effective":
         return None, None
     gap = support_crossing_gap(params, n_support)
     t_couple = params.resolved_T_couple(gap)
-    need = evolve.exponential_bytes(2 ** (n_support + 1))  # the largest dimension swept
+    need = evolve.exponential_bytes(2 ** (n_support + 1))  # gaussian_state's parent Hamiltonian
     if need > evolve.MAX_EXPONENTIAL_BYTES:
         raise ConfigError(f"one exponential of the {n_support + 1}-qubit register needs "
                           f"{need / 2**20:.0f} MiB, more than "
@@ -240,14 +254,14 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
     return t_couple, gap
 
 
-def bell_stage_graph(params: ProtocolParams, n_qubits: int) -> dev.DeviceGraph:
-    """Rotation-stage device: tunneling on qubits 0 and 1 plus their link.
+def bell_stage_graph(params: ProtocolParams) -> dev.DeviceGraph:
+    """Rotation-stage device on qubits 0 and 1: their tunneling plus their link.
 
     Bob and any intermediate chain qubits carry no terms at all -- their
-    dynamics is frozen by construction.
+    dynamics is frozen by construction -- so the stage is a two-qubit gate.
     """
     return dev.DeviceGraph(
-        dqds=tuple(range(n_qubits)),
+        dqds=(0, 1),
         tunnel_terms=(
             dev.TunnelTerm(0, dev.Schedule.constant(params.w)),
             dev.TunnelTerm(1, dev.Schedule.constant(params.w)),
@@ -318,8 +332,10 @@ def ramp_support(params: ProtocolParams, n_support: int, T: float):
     """Adiabatic preparation of a support register; returns (state, RampDiagnostics).
 
     The register starts in its uncoupled ground state |+>^n, taken in closed
-    form and so an exact flip eigenvector (the ramp sweeps its flip sector),
-    and every link ramps 0 -> U_max together over T.
+    form, and every link ramps 0 -> U_max together over T.  The ramp is an open
+    transverse-field Ising chain and |+>^n is Gaussian, so
+    :func:`evolve.adiabatic_ramp` sweeps its Majorana covariance; the state it
+    returns carries the global phase ``hilbert.gaussian_state`` fixes.
     """
     g = support_graph(params, n_support, dev.Schedule.smooth(0.0, params.U_max, 0.0, T))
     start = StateVector(np.full(2**n_support, 2.0 ** (-n_support / 2), dtype=complex))
@@ -344,18 +360,21 @@ def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
     return StateVector(amps)
 
 
+# The encoder in |+>: coupling it once yields the images of |0> and |1>.
+_PLUS = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
+
+
 def couple_unknown(unknown: StateVector, support: StateVector,
                    params: ProtocolParams) -> StateVector:
     """Attach the encoder qubit to the support register.
 
     Full mode ramps the encoder-support repulsion with the gap-adapted
-    profile.  A coupler that :func:`device.majorana_terms` compiles, on a
-    Gaussian state (its own covariance rebuilds it to 1e-12 in norm after
-    phase alignment), is swept by :func:`evolve.sweep_majorana`, up to a global
-    phase; anything else by :func:`evolve.evolve_scheduled`, phase included.
-    Effective mode returns alpha|0...0> + beta|1...1> exactly.  Raises
-    DeviceError when the coupler lets the encoder tunnel, since
-    :class:`Channel` splits on the encoder bit.
+    profile.  The encoder does not tunnel, so U(u x S) = u_0 U(|0> x S) +
+    u_1 U(|1> x S), read off U(|+> x S): the coupler is an open transverse-field
+    Ising chain, and :func:`evolve.sweep_majorana` sweeps the covariance of the
+    Gaussian |+> x S, up to a global phase.  Effective mode returns
+    alpha|0...0> + beta|1...1> exactly.  Raises DeviceError when the coupler
+    lets the encoder tunnel, and as :func:`evolve.majorana_start` does.
     """
     if unknown.n_qubits != 1:
         raise DimensionError("unknown state must be a single qubit")
@@ -367,12 +386,10 @@ def couple_unknown(unknown: StateVector, support: StateVector,
     g = coupler_graph(params, support.n_qubits, t_couple, gap)
     if any(term.dqd == 0 for term in g.tunnel_terms):
         raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
-    state = tensor_product(unknown, support)
-    if (chain := dev.majorana_terms(g)) is not None:
-        gamma = majorana_covariance(state.amps)
-        if np.linalg.norm(align_phase(gaussian_state(gamma), state.amps) - state.amps) <= 1e-12:
-            return evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator, chain)
-    return evolve.evolve_scheduled(state, g, 0.0, t_couple, params.integrator)
+    gamma, chain = evolve.majorana_start(tensor_product(_PLUS, support), g)
+    coupled = evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator, chain).amps
+    # the encoder bit is the parity of the basis index
+    return _unsafe_state(coupled * np.tile(unknown.amps / _PLUS.amps, coupled.size // 2))
 
 
 def effective_rabi(w: float, U: float) -> float:
@@ -387,24 +404,22 @@ def effective_rabi(w: float, U: float) -> float:
 def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:
     """Timed rotation of the (q0, q1) aligned block; all other qubits frozen.
 
-    Full mode evolves the static rotation-stage device, which is one
-    exponential; effective mode applies cos(wt)*I + i sin(wt)*(flip q0, q1)
-    on the aligned block with the rate from :func:`effective_rabi`.
+    One 4 x 4 gate G on qubits 0 and 1, applied as ``amps.reshape(-1, 4) @ G.T``
+    (the index is q0 + 2 q1 + 4 * the rest).  Full mode takes G as the one
+    exponential of the static two-qubit :func:`bell_stage_graph` over t;
+    effective mode takes cos(wt) I + i sin(wt) (flip q0, q1) on the aligned
+    block {|00>, |11>} with the rate from :func:`effective_rabi`.
     """
-    n = state.n_qubits
-    if n < 2:
+    if state.n_qubits < 2:
         raise DimensionError("rotation stage needs at least qubits 0 and 1")
     if params.mode == "effective":
         om = effective_rabi(params.w, params.resolved_bell_U())
-        amps = state.amps.copy()
-        c, s = np.cos(om * t), np.sin(om * t)
-        # q0 = q1 = 0 at indices 0 mod 4, q0 = q1 = 1 at 3 mod 4
-        a00, a11 = amps[0::4].copy(), amps[3::4].copy()
-        amps[0::4] = c * a00 + 1j * s * a11
-        amps[3::4] = c * a11 + 1j * s * a00
-        return _unsafe_state(amps)
-    return evolve.evolve_scheduled(state, bell_stage_graph(params, n), 0.0, t,
-                                   params.integrator)
+        c, s = np.cos(om * t), 1j * np.sin(om * t)
+        G = np.array([[c, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]])
+    else:
+        G = evolve.sweep_block(np.eye(4, dtype=complex), bell_stage_graph(params), 0.0, t,
+                               params.integrator)
+    return _unsafe_state((state.amps.reshape(-1, 4) @ G.T).ravel())
 
 
 @dataclass(frozen=True)
@@ -472,6 +487,8 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
     n = state.n_qubits
     if n < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
+    if not np.all(np.isfinite(state.amps)):
+        raise ConvergenceError("the register's amplitudes are not finite")
     nt = n - 2
     target = np.array([achieved.alpha, achieved.beta], dtype=complex)
     arr = state.amps.reshape(2**nt, 2, 2)  # [register, support bit, encoder bit]
@@ -501,10 +518,6 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
                           {"measure": {"p0": p0, "p1": p1, "leakage": leakage}})
 
 
-# The encoder in |+>: coupling it once yields the images of |0> and |1>.
-_PLUS = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
-
-
 class Channel:
     """Teleportation engine over any prepared support register, pair or chain.
 
@@ -516,8 +529,9 @@ class Channel:
     coupler graph.  The coupler is an open transverse-field Ising chain, and
     |+> x S is Gaussian for a ramped support, so the coupling is a rotation of
     2(n_support + 1) Majoranas; it fixes both images up to one common global
-    phase, on which no output depends.  Both images then go through the
-    rotation stage.  ``teleport`` encodes an input, combines the rotated images
+    phase, on which no output depends.  A support that is not Gaussian is
+    refused with DeviceError.  Both images then go through the rotation stage's
+    4 x 4 gate.  ``teleport`` encodes an input, combines the rotated images
     with its amplitudes and lets Alice measure.
     """
 
@@ -535,7 +549,7 @@ class Channel:
         self._coupled = np.zeros((2, coupled.size), dtype=complex)
         for k in (0, 1):  # the encoder bit is the parity of the basis index
             self._coupled[k, k::2] = coupled[k::2] / _PLUS.amps[k]
-        self.t_wait = params.wait_angle / effective_rabi(params.w, params.resolved_bell_U())
+        self.t_wait = params.resolved_wait()
         self._post = np.stack([bell_evolution(_unsafe_state(c), params, self.t_wait).amps
                                for c in self._coupled])
         if params.mode == "effective":  # the rotated images are the reference
@@ -601,65 +615,3 @@ def teleport_end_to_end(target: InputQubit, params: ProtocolParams) -> TeleportR
     and call its ``teleport``.
     """
     return pair_channel(params).teleport(target)
-
-
-# --------------------------------------------------------------------------
-# reference identity: the textbook four-branch decomposition
-
-
-BELL_BASIS = {
-    "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
-    "phi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
-    "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
-    "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
-}
-
-PAULIS = {"I": ID2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-
-
-@dataclass(frozen=True)
-class BellBranch:
-    name: str
-    probability: float
-    corrections: tuple
-    best_fidelity: float
-
-
-@dataclass(frozen=True)
-class BellDecompositionReport:
-    branches: dict
-    ok: bool
-
-
-def bell_decomposition_check(target: InputQubit, tol: float = 1e-10) -> BellDecompositionReport:
-    """Verify the four-branch measurement identity on (unknown x shared pair).
-
-    Builds (a|0>+b|1>) x (|01>+|10>)/sqrt(2), projects the first two qubits
-    onto each Bell state and reports which single-qubit Pauli restores the
-    input on the third qubit (up to a global phase).  For generic inputs the
-    mapping is phi+ -> X, phi- -> Y, psi+ -> I, psi- -> Z; the psi- branch
-    carries the Z correction that standard bookkeeping sometimes mislabels.
-    """
-    shared = StateVector(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
-    psi = tensor_product(target.state(), shared)
-    arr = psi.amps.reshape(2, 2, 2)  # axes [q2, q1, q0]
-
-    branches = {}
-    ok = True
-    for name, bell in BELL_BASIS.items():
-        bell_arr = bell.reshape(2, 2)  # axes [q1, q0]
-        # cond[x] = <bell|_{q0,q1} psi>, leaving the B amplitude on x
-        cond = np.einsum("bxy,xy->b", arr, bell_arr.conj())
-        prob = float(np.vdot(cond, cond).real)
-        found = []
-        best = 0.0
-        if prob > 1e-14:
-            cond_n = cond / np.sqrt(prob)
-            for pname, P in PAULIS.items():
-                f = abs(np.vdot(target.state().amps, P @ cond_n)) ** 2
-                best = max(best, f)
-                if f >= 1.0 - tol:
-                    found.append(pname)
-        branches[name] = BellBranch(name, prob, tuple(found), best)
-        ok = ok and bool(found)
-    return BellDecompositionReport(branches, ok)

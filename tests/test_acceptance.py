@@ -32,7 +32,6 @@ from dqdsim.metrics import fit_oscillation
 from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
-    bell_decomposition_check,
     bell_evolution,
     bell_target,
     cross_to_aligned_ratio,
@@ -41,7 +40,7 @@ from dqdsim.protocol import (
     pair_channel,
     teleport_end_to_end,
 )
-from references import encode_graph
+from references import bell_decomposition_check, encode_graph
 
 
 def report(name, ok, budget_s, elapsed_s, detail):

@@ -174,8 +174,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 
 class TestMemoryPreflight:
-    """A full-mode channel is refused before any ramp when one exponential of
-    its largest sweep, the rotation stage's whole register, is out of reach."""
+    """A full-mode channel is refused before any ramp when the coupled register
+    is out of reach: ``gaussian_state`` rebuilds it from a 2^(n_support+1)
+    parent Hamiltonian and one ``eigh``, sized as one exponential."""
 
     def test_estimate_refuses_the_longest_dense_chain(self):
         # n_support = 11: 4096 x 4096 complex matrices, 2 GiB per exponential
@@ -246,3 +247,46 @@ class TestCrossingGap:
         assert support_crossing_gap(params, 4) == 0.0
         with pytest.raises(ConfigError, match="ramp"):
             ChainChannel(ChainSpec(4, params))
+
+
+class TestNoDenseRegisterSweep:
+    """A full-mode channel build ramps and couples on the Majorana route and rotates with
+    a two-qubit gate: nothing larger than 4 x 4 reaches the dense engine."""
+
+    PARAMS = ProtocolParams(U_max=15.0, Uprime_max=40.0, integrator=PropagatorConfig(dt=0.2))
+
+    @staticmethod
+    def dense_dims(monkeypatch):
+        dims = []
+        block, step = evolve.sweep_block, evolve._step_propagators
+
+        def block_spy(psi, *args):
+            dims.append(psi.shape[0])
+            return block(psi, *args)
+
+        def step_spy(Hs, h):
+            dims.append(Hs.shape[-1])
+            return step(Hs, h)
+
+        monkeypatch.setattr(evolve, "sweep_block", block_spy)
+        monkeypatch.setattr(evolve, "_step_propagators", step_spy)
+        return dims
+
+    @pytest.mark.parametrize("n_support", [2, 3, 4])
+    def test_channel_build(self, n_support, monkeypatch):
+        dims = self.dense_dims(monkeypatch)
+        if n_support == 2:
+            channel = pair_channel(self.PARAMS)
+        else:
+            channel = ChainChannel(ChainSpec(n_support, self.PARAMS, T_ghz=45.0))
+        channel.teleport(InputQubit(0.6, 0.8))
+        assert dims and max(dims) == 4
+
+    @pytest.mark.parametrize("experiment", ["teleport", "chain"])
+    def test_cli(self, experiment, tmp_path, monkeypatch):
+        from dqdsim.cli import main
+
+        dims = self.dense_dims(monkeypatch)
+        assert main([experiment, "--n-support", "4", "--u-max", "15", "--uprime-max", "40",
+                     "--t-ghz", "45", "--dt", "0.2", "--output", str(tmp_path / "x")]) == 0
+        assert dims and max(dims) == 4

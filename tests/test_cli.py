@@ -220,6 +220,37 @@ class TestInputSweeps:
         assert not (tmp_path / "leak.csv").exists()
 
 
+class TestDerivedValues:
+    """A channel needs a positive rotation repulsion, and every derived rate, wait and
+    ramp duration must be finite and positive: exit 2, before any stage, and no CSV."""
+
+    @pytest.mark.parametrize("argv", [
+        ["teleport", "--uprime-max", "0"],
+        ["teleport", "--mode", "effective", "--uprime-max", "0"],
+        ["bell", "--uprime-max", "0"],
+        ["couple", "--uprime-max", "0"],
+        ["chain", "--uprime-max", "0"],
+        ["teleport", "--mode", "effective", "--bell-u", "1e-320"],  # the rate overflows
+        ["teleport", "--mode", "effective", "--w", "1e-300"],  # w^2 underflows
+        ["sweep", "--experiment", "teleport", "--mode", "effective", "--axis", "bell_U",
+         "--values", "100,1e-320"],
+    ], ids=" ".join)
+    def test_refused_before_any_stage(self, argv, tmp_path, capsys, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("a stage ran before the refusal")
+
+        for stage in ("make_entangled_pair", "ramp_support", "couple_unknown", "bell_evolution"):
+            monkeypatch.setattr(protocol, stage, no_stage)
+        assert main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "config error:" in capsys.readouterr().err
+
+    def test_positive_rotation_repulsion_runs(self, tmp_path):
+        # U' = 0 leaves the coupler unramped, but an explicit bell_U runs the channel
+        assert main(["teleport", "--mode", "effective", "--uprime-max", "0", "--bell-u", "100",
+                     "--output", str(tmp_path / "x")]) == 0
+
+
 class TestFullModeRows:
     def test_couple_row(self, tmp_path):
         out = tmp_path / "cp"

@@ -29,7 +29,7 @@ from dqdsim.evolve import (
     step_grid,
     sweep_block,
 )
-from dqdsim.hilbert import StateVector, tensor_product
+from dqdsim.hilbert import StateVector, align_phase, tensor_product
 from dqdsim.protocol import (
     ProtocolParams,
     bell_target,
@@ -39,6 +39,7 @@ from dqdsim.protocol import (
     support_crossing_gap,
     support_graph,
 )
+from references import random_gaussian_state
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -230,7 +231,7 @@ class TestAdiabaticRamp:
 
     def test_warns_off_ground_start(self):
         g = entangling_ramp(50.0, 100.0)
-        excited = StateVector.computational(2, 3)
+        excited = StateVector(np.array([0.5, -0.5, -0.5, 0.5], dtype=complex))  # |->|->, Gaussian
         with pytest.warns(UserWarning, match="overlap"):
             adiabatic_ramp(excited, g, 0.0, 0.5, PropagatorConfig(dt=0.01))
 
@@ -311,9 +312,47 @@ ramps = st.tuples(st.sampled_from(["linear", "smooth", "tangent"]), st.floats(0.
 dts = st.floats(0.005, 0.5)
 
 
+def schedule(kind, v0, v1, t1, gap):
+    return Schedule.constant(v0) if kind == "constant" else ramp(kind, v0, v1, t1, gap)
+
+
+def schedules(lo, hi):
+    kinds = st.sampled_from(["constant", "linear", "smooth", "tangent"])
+    return st.tuples(kinds, st.floats(lo, hi), st.floats(lo, hi), st.floats(0.1, 4.0),
+                     st.floats(0.01, 2.0))
+
+
+class TestRampOnIsingChains:
+    """adiabatic_ramp's Majorana sweep and K(t) diagnostics against the dense register.
+
+    Tunneling stays in [0.5, 2] and links in [0, 3], so the ground gap stays above
+    ~0.02 and the dense ground state is resolved far below the 1e-12 compared."""
+
+    @pytest.mark.filterwarnings("ignore:initial ground-state overlap")
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 4), data=st.data(), dt=dts, seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_sweep_and_spectrum(self, n, data, dt, seed):
+        tunnels = [TunnelTerm(k, schedule(*data.draw(schedules(0.5, 2.0)))) for k in range(n)]
+        links = [dqd_pair_links(k, k + 1, schedule(*data.draw(schedules(0.0, 3.0))))
+                 for k in range(n - 1)]
+        g = DeviceGraph(range(n), tunnels, [link for pair in links for link in pair])
+        t1 = data.draw(st.floats(0.1, 4.0))
+        cfg = PropagatorConfig(dt=dt)
+        start = random_gaussian_state(np.random.default_rng(seed), n)
+        final, diag = adiabatic_ramp(start, g, 0.0, t1, cfg)
+        expected = scheduled_propagator(g, 0.0, t1, cfg) @ start.amps
+        assert np.linalg.norm(align_phase(final.amps, expected) - expected) <= 1e-12
+        gaps = [np.diff(np.linalg.eigvalsh(hamiltonian_at(g, t))[:2])[0] for t in diag.gap_times]
+        assert np.max(np.abs(diag.gaps - gaps)) <= 1e-12
+        for t, amps, overlap in ((0.0, start.amps, diag.initial_ground_overlap_sq),
+                                 (t1, final.amps, diag.final_ground_overlap_sq)):
+            gs = ground_state(hamiltonian_at(g, t)).state.amps
+            assert abs(overlap - abs(np.vdot(gs, amps)) ** 2) <= 1e-12
+
+
 class TestGridProperties:
-    """Random devices and steps: the sweep is unitary, and every invariant block
-    or flip sector steps on the same grid as the whole register."""
+    """Random devices and steps: the sweep is unitary, and it keeps every invariant
+    block and flip sector of the whole register."""
 
     @staticmethod
     def random_device(n, data):
@@ -361,15 +400,15 @@ class TestGridProperties:
         full = np.zeros(8, dtype=complex)
         full[0::2] = S
         assert np.max(np.abs(sweep_block(full, coupler, 0.0, t1, cfg)[1::2])) <= 1e-12
-        # the coupler from the flip-even |+> x S, and the support pair alone from S
+        # the whole sweep keeps the flip-even |+> x S, and the support pair alone keeps S,
+        # flip-even: the global flip X^n is the Majorana parity, which the chains conserve
         pair = DeviceGraph(dqds=(0, 1), tunnel_terms=[TunnelTerm(k, Schedule.constant(w))
                                                       for k in (0, 1)],
                            coulomb_links=dqd_pair_links(0, 1, ramp(*support)))
         plus = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
         for g, state in ((coupler, tensor_product(plus, StateVector(S))), (pair, StateVector(S))):
-            sector = evolve_scheduled(state, g, 0.0, t1, cfg).amps
-            whole = sweep_block(state.amps, g, 0.0, t1, cfg)
-            assert np.max(np.abs(sector - whole)) <= 1e-12
+            whole = evolve_scheduled(state, g, 0.0, t1, cfg).amps
+            assert np.max(np.abs(whole[::-1] - whole)) <= 1e-12
 
 
 class TestPropagatorConfig:
@@ -445,9 +484,9 @@ class TestChunkBudget:
     def test_batches_fit_the_budget(self, d, monkeypatch):
         if d == 4:  # the wobble pair (no flip symmetry) over two chunks and a part
             g, t1, dt = wobble_graph(), (2 * CHUNK_D4 + 1) * 2.0**-11, 2.0**-11
-        else:  # a 5-qubit coupler, swept in its flip sector from the flip-even |+>^5
+        else:  # a 4-qubit coupler, swept whole from |+>^4
             params = ProtocolParams(U_max=15.0, Uprime_max=40.0)
-            g, t1, dt = coupler_graph(params, 4, 20.0, support_crossing_gap(params, 4)), 20.0, 0.02
+            g, t1, dt = coupler_graph(params, 3, 20.0, support_crossing_gap(params, 3)), 20.0, 0.02
         plus = StateVector(np.full(2**g.n_qubits, 2 ** (-g.n_qubits / 2), dtype=complex))
         shapes = self.batch_shapes(monkeypatch)
         evolve_scheduled(plus, g, 0.0, t1, PropagatorConfig(dt=dt))

@@ -12,18 +12,16 @@ from dqdsim.hilbert import (
     DensityMatrix,
     StateVector,
     align_phase,
-    apply_local,
     basis_index,
     fidelity,
     gaussian_state,
-    kron_le,
     majorana_covariance,
     measure_qubit,
     partial_trace,
     tensor_product,
 )
 from dqdsim.protocol import ProtocolParams, bell_target, ramp_support
-from references import majorana_matrices
+from references import apply_local, kron_le, majorana_matrices
 
 
 def random_state(rng, n):

@@ -8,14 +8,14 @@ import pytest
 import dqdsim
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, dqd_pair_links
 from dqdsim.errors import DimensionError
-from dqdsim.hilbert import StateVector, apply_local
+from dqdsim.hilbert import StateVector
 from dqdsim.metrics import (
     concurrence,
     entanglement_entropy,
     fit_oscillation,
-    instantaneous_gap,
 )
 from dqdsim.protocol import bell_target, entangled_pair_reference
+from references import apply_local, instantaneous_gap
 
 
 def random_unitary(rng):

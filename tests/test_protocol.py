@@ -1,4 +1,3 @@
-from contextlib import nullcontext
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from dqdsim import evolve, protocol
 from dqdsim.chain import ChainChannel, ChainSpec
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
-from dqdsim.errors import ConvergenceError, DeviceError, DimensionError
+from dqdsim.errors import ConfigError, ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
     PropagatorConfig,
     adiabatic_ramp,
@@ -24,8 +23,6 @@ from dqdsim.hilbert import (
     align_phase,
     fidelity,
     fix_phase,
-    gaussian_state,
-    majorana_covariance,
     measure_qubit,
     partial_trace,
     tensor_product,
@@ -36,7 +33,6 @@ from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
     alice_measure_and_correct,
-    bell_decomposition_check,
     bell_evolution,
     bell_target,
     couple_unknown,
@@ -53,7 +49,7 @@ from dqdsim.protocol import (
     support_graph,
     teleport_end_to_end,
 )
-from references import encode_graph
+from references import bell_decomposition_check, encode_graph, random_gaussian_state
 
 EFFECTIVE = ProtocolParams(mode="effective")
 
@@ -177,22 +173,28 @@ class TestEntangledPair:
 
 
 class TestSupportRamp:
-    """Support ramps start in |+>^n exactly and sweep its flip-even sector."""
+    """Support ramps start in |+>^n exactly and sweep its Majorana covariance."""
 
     PARAMS = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.05))
     T = 30.0
 
     @staticmethod
-    def swept_dims(monkeypatch):
-        dims = []
-        original = evolve.sweep_block
+    def engines(monkeypatch):
+        """Record each sweep as (engine, dimension swept)."""
+        seen = []
+        block, majorana = evolve.sweep_block, evolve.sweep_majorana
 
-        def spy(psi, *args):
-            dims.append(psi.shape[0])
-            return original(psi, *args)
+        def block_spy(psi, *args):
+            seen.append(("dense", psi.shape[0]))
+            return block(psi, *args)
 
-        monkeypatch.setattr(evolve, "sweep_block", spy)
-        return dims
+        def majorana_spy(gamma, *args):
+            seen.append(("majorana", gamma.shape[0]))
+            return majorana(gamma, *args)
+
+        monkeypatch.setattr(evolve, "sweep_block", block_spy)
+        monkeypatch.setattr(evolve, "sweep_majorana", majorana_spy)
+        return seen
 
     def ramp_graph(self, n_support):
         return support_graph(self.PARAMS, n_support,
@@ -211,46 +213,46 @@ class TestSupportRamp:
 
     @pytest.mark.parametrize("n_support", [2, 3, 4])
     def test_matches_the_full_propagator(self, n_support, monkeypatch):
-        dims = self.swept_dims(monkeypatch)
+        # the ramp keeps the global phase gaussian_state fixes: compare after aligning it
+        seen = self.engines(monkeypatch)
         final, diag = ramp_support(self.PARAMS, n_support, self.T)
+        assert seen == [("majorana", 2 * n_support)]
         g = self.ramp_graph(n_support)
         start = np.full(2**n_support, 2.0 ** (-n_support / 2))
         expected = scheduled_propagator(g, 0.0, self.T, self.PARAMS.integrator) @ start
-        assert dims[0] == 2**n_support // 2
-        assert np.max(np.abs(final.amps - expected)) <= 1e-12
+        assert np.max(np.abs(align_phase(final.amps, expected) - expected)) <= 1e-12
         self.assert_diagnostics_match_scan(g, start, final.amps, diag)
 
     def test_antisymmetric_state_sweeps_its_sector(self, monkeypatch):
+        # |->|+>|+> is Gaussian and flip-odd (S[::-1] == -S): its ramp stays in that sector
         g = self.ramp_graph(3)
-        S = np.zeros(8, dtype=complex)
-        S[[1, 2]], S[[6, 5]] = [0.5, 0.5j], [-0.5, -0.5j]  # S[::-1] == -S
-        dims = self.swept_dims(monkeypatch)
-        out = evolve_scheduled(StateVector(S), g, 0.0, self.T, self.PARAMS.integrator)
+        S = np.full(8, 2.0 ** -1.5, dtype=complex)
+        S[1::2] *= -1
+        seen = self.engines(monkeypatch)
+        with pytest.warns(UserWarning, match="overlap"):  # the first excited state
+            out, diag = adiabatic_ramp(StateVector(S), g, 0.0, self.T, self.PARAMS.integrator)
+        assert seen == [("majorana", 6)]
         expected = scheduled_propagator(g, 0.0, self.T, self.PARAMS.integrator) @ S
-        assert dims[0] == 4
-        assert np.max(np.abs(out.amps - expected)) <= 1e-12
+        assert np.max(np.abs(expected[::-1] + expected)) <= 1e-12
+        assert np.max(np.abs(align_phase(out.amps, expected) - expected)) <= 1e-12
+        self.assert_diagnostics_match_scan(g, S, out.amps, diag)
 
-    @pytest.mark.parametrize("case", ["flip-breaking device", "state off the sector"])
-    def test_takes_the_full_sweep_otherwise(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", ["phased device", "non-Gaussian start"])
+    def test_refuses_what_the_majorana_route_cannot_sweep(self, case, monkeypatch):
         g = self.ramp_graph(3)
-        start = np.full(8, 1.0, dtype=complex)
-        if case == "flip-breaking device":
-            # a tunneling phase on one DQD keeps H Hermitian but breaks X^n
+        start = StateVector(np.full(8, 2.0 ** -1.5, dtype=complex))
+        if case == "phased device":
+            # a tunneling phase on one DQD keeps H Hermitian but leaves no free-fermion chain
             terms = tuple(TunnelTerm(t.dqd, t.amplitude, phase=0.3) if t.dqd == 1 else t
                           for t in g.tunnel_terms)
             g = DeviceGraph(g.dqds, terms, g.coulomb_links)
         else:
-            start[0] += 1e-13
-        start /= np.linalg.norm(start)
-        dims = self.swept_dims(monkeypatch)
-        # |+>^n is not the ground state of the phased device
-        with pytest.warns(UserWarning) if case == "flip-breaking device" else nullcontext():
-            final, diag = adiabatic_ramp(StateVector(start), g, 0.0, self.T,
-                                         self.PARAMS.integrator)
-        expected = scheduled_propagator(g, 0.0, self.T, self.PARAMS.integrator) @ start
-        assert dims[0] == 8
-        assert np.max(np.abs(final.amps - expected)) <= 1e-12
-        self.assert_diagnostics_match_scan(g, start, final.amps, diag)
+            start = random_state(np.random.default_rng(4), 3)
+        seen = self.engines(monkeypatch)
+        refusal = "Ising chain" if case == "phased device" else "Gaussian"
+        with pytest.raises(DeviceError, match=refusal):
+            adiabatic_ramp(start, g, 0.0, self.T, self.PARAMS.integrator)
+        assert seen == []
 
 
 class TestSweepAccuracy:
@@ -325,17 +327,19 @@ class TestChannel:
     @given(n_support=st.sampled_from([2, 3]), U=st.floats(10.0, 40.0),
            seed=st.integers(0, 2**32 - 1))
     def test_split_matches_propagator(self, n_support, U, seed):
-        # the images of |0> and |1> reassemble the coupled state of any input
+        # the images of |0> and |1> reassemble the coupled state of any input, up to
+        # the one global phase the Majorana route leaves open
         rng = np.random.default_rng(seed)
         params = ProtocolParams(U_max=U, integrator=PropagatorConfig(dt=0.5))
-        support = random_state(rng, n_support)
+        support = random_gaussian_state(rng, n_support)
         channel = Channel(support, None, params)
         enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
         t_couple, gap = resolve_coupling(params, n_support)
         g = coupler_graph(params, n_support, t_couple, gap)
         U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
         expected = U_couple @ tensor_product(enc.state, support).amps
-        assert np.max(np.abs(channel.couple(enc.state).amps - expected)) < 1e-12
+        assert np.max(np.abs(align_phase(channel.couple(enc.state).amps, expected)
+                             - expected)) < 1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(n_support=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
@@ -359,19 +363,6 @@ class TestChannel:
         with pytest.raises(DeviceError, match="encoder"):
             Channel(bell_target(2), None, small_full_params())
 
-    def test_sweeps_a_coupler_without_flip_symmetry_whole(self, monkeypatch):
-        # a tunneling phase on a support DQD keeps the encoder bit but breaks X^n
-        monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
-        params = small_full_params()
-        support = bell_target(2)
-        channel = Channel(support, None, params)
-        t_couple, gap = resolve_coupling(params, 2)
-        U_couple = scheduled_propagator(protocol.coupler_graph(params, 2, t_couple, gap),
-                                        0.0, t_couple, params.integrator)
-        enc = encode_qubit(InputQubit(0.6, 0.8), params.w, params.phi)
-        expected = U_couple @ tensor_product(enc.state, support).amps
-        assert np.max(np.abs(channel.couple(enc.state).amps - expected)) <= 1e-12
-
     @staticmethod
     def coupling_sweeps(monkeypatch, n_support, t_couple):
         """Record each coupling sweep as (engine, dimension swept)."""
@@ -393,7 +384,8 @@ class TestChannel:
 
     @pytest.mark.parametrize("n_support", [2, 3])
     def test_couples_through_the_majorana_sweep(self, n_support, monkeypatch):
-        # pair and chain channels rotate the 2M Majoranas of M = n_support + 1 sites
+        # pair and chain channels ramp the 2n_support Majoranas of the support, then
+        # rotate the 2M of the coupler's M = n_support + 1 sites
         params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.05))
         t_couple, _ = resolve_coupling(params, n_support)
         seen = self.coupling_sweeps(monkeypatch, n_support, t_couple)
@@ -401,31 +393,28 @@ class TestChannel:
             pair_channel(params)
         else:
             ChainChannel(ChainSpec(n_support, params))
-        assert seen == [("majorana", 2 * (n_support + 1))]
+        assert seen == [("majorana", 2 * n_support), ("majorana", 2 * (n_support + 1))]
 
     @pytest.mark.parametrize("case", ["random support", "phased support"])
-    def test_other_couplings_take_the_dense_sweep(self, case, monkeypatch):
-        # neither is flip-symmetric, so the dense sweep runs on the whole register
+    def test_other_couplings_are_refused(self, case, monkeypatch):
+        # the coupling sweeps only a Gaussian |+> x S under an open transverse-field Ising chain
         params = small_full_params()
         t_couple, _ = resolve_coupling(params, 2)
         support = bell_target(2)
         if case == "random support":  # not a Gaussian state
             support = random_state(np.random.default_rng(4), 2)
-        else:
+        else:  # a tunneling phase on a support DQD keeps the encoder bit but breaks the chain
             monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
         seen = self.coupling_sweeps(monkeypatch, 2, t_couple)
-        Channel(support, None, params)
-        assert seen == [("dense", 8)]
+        with pytest.raises(DeviceError, match="Gaussian" if case == "random support" else "Ising"):
+            Channel(support, None, params)
+        assert seen == []
 
     @settings(max_examples=12, deadline=None)
     @given(n_support=st.sampled_from([2, 3, 4]), U=st.floats(10.0, 40.0),
            Uprime=st.floats(4.0, 100.0), dt=st.floats(0.02, 0.5), seed=st.integers(0, 2**32 - 1))
     def test_majorana_route_matches_the_dense_sweep(self, n_support, U, Uprime, dt, seed):
-        # a random Gaussian support: a random rotation of the covariance of |+>^n
-        rng = np.random.default_rng(seed)
-        O = np.linalg.qr(rng.normal(size=(2 * n_support, 2 * n_support)))[0]
-        support = StateVector(gaussian_state(O @ majorana_covariance(
-            np.full(2**n_support, 2.0 ** (-n_support / 2), dtype=complex)) @ O.T))
+        support = random_gaussian_state(np.random.default_rng(seed), n_support)
         params = ProtocolParams(U_max=U, Uprime_max=Uprime, T_couple=20.0,
                                 integrator=PropagatorConfig(dt=dt))
         g = coupler_graph(params, n_support, *resolve_coupling(params, n_support))
@@ -640,6 +629,14 @@ class TestMeasureAndCorrect:
         with pytest.raises(DimensionError, match="Hermitian"):
             protocol._logical_pair(np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitudes_are_refused(self, bad):
+        # no path writes a NaN readout: the register is checked before any branch
+        amps = eq11_form(0.6, 0.8).amps.copy()
+        amps[0b011] = bad
+        with pytest.raises(ConvergenceError, match="not finite"):
+            alice_measure_and_correct(protocol._unsafe_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
+
     def test_leaked_register_is_refused_by_the_measurement(self):
         # encoder and support in |00>, receiving register in |10> (qubit 2 set)
         st4 = StateVector.computational(4, 0b0100)
@@ -750,3 +747,32 @@ class TestParams:
         gap = (np.hypot(100.0, 4.0) - 100.0) / 2.0
         assert p.resolved_T_couple(gap) == pytest.approx(8.0 / gap)
         assert p.resolved_bell_U() == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(Uprime_max=0.0), "positive bell_U"),  # bell_U tracks U'
+        (dict(bell_U=1e-320), "rate"),  # 2w^2/bell_U overflows: no wait is left
+        (dict(w=1e-300, T_ent=10.0), "rate"),  # w^2 underflows: the rate is 0
+        (dict(wait_angle=0.0), "wait"),
+    ])
+    @pytest.mark.parametrize("mode", ["full", "effective"])
+    def test_channel_refuses_an_unrunnable_rotation_stage_first(self, kwargs, match, mode,
+                                                                 monkeypatch):
+        def no_ramp(*args):
+            raise AssertionError("the support ramp ran before the refusal")
+
+        monkeypatch.setattr(protocol, "make_entangled_pair", no_ramp)
+        monkeypatch.setattr(protocol, "ramp_support", no_ramp)
+        params = ProtocolParams(mode=mode, **kwargs)
+        with pytest.raises(ConfigError, match=match):
+            pair_channel(params)
+        with pytest.raises(ConfigError, match=match):
+            ChainChannel(ChainSpec(3, params))
+
+    def test_overflowing_default_ramps_are_refused(self):
+        # w^2 underflows to 0 at w = 1e-300: 2 U_max / w^2 is not a duration
+        params = ProtocolParams(w=1e-300)
+        with pytest.raises(ConfigError, match="not finite"):
+            params.resolved_T_ent()
+        with pytest.raises(ConfigError, match="not finite"):
+            ChainSpec(3, params).resolved_T_ghz()
+        assert ProtocolParams(w=1e-300, T_ent=10.0).resolved_T_ent() == 10.0
