@@ -237,22 +237,28 @@ class TestSupportRamp:
         assert np.max(np.abs(align_phase(out.amps, expected) - expected)) <= 1e-12
         self.assert_diagnostics_match_scan(g, S, out.amps, diag)
 
-    @pytest.mark.parametrize("case", ["phased device", "non-Gaussian start"])
-    def test_refuses_what_the_majorana_route_cannot_sweep(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", ["flip-breaking device", "state off the sector"])
+    def test_takes_the_full_sweep_otherwise(self, case, monkeypatch):
+        # adiabatic_ramp refuses what its Majorana route cannot sweep, before any sweep;
+        # the dense engine evolve_scheduled takes the full sweep of it
         g = self.ramp_graph(3)
         start = StateVector(np.full(8, 2.0 ** -1.5, dtype=complex))
-        if case == "phased device":
+        if case == "flip-breaking device":
             # a tunneling phase on one DQD keeps H Hermitian but leaves no free-fermion chain
             terms = tuple(TunnelTerm(t.dqd, t.amplitude, phase=0.3) if t.dqd == 1 else t
                           for t in g.tunnel_terms)
             g = DeviceGraph(g.dqds, terms, g.coulomb_links)
-        else:
+        else:  # in neither flip sector, and not a Gaussian state
             start = random_state(np.random.default_rng(4), 3)
         seen = self.engines(monkeypatch)
-        refusal = "Ising chain" if case == "phased device" else "Gaussian"
+        refusal = "Ising chain" if case == "flip-breaking device" else "Gaussian"
         with pytest.raises(DeviceError, match=refusal):
             adiabatic_ramp(start, g, 0.0, self.T, self.PARAMS.integrator)
         assert seen == []
+        final = evolve_scheduled(start, g, 0.0, self.T, self.PARAMS.integrator)
+        assert seen == [("dense", 8)]
+        expected = scheduled_propagator(g, 0.0, self.T, self.PARAMS.integrator) @ start.amps
+        assert np.max(np.abs(final.amps - expected)) <= 1e-12
 
 
 class TestSweepAccuracy:
@@ -396,10 +402,12 @@ class TestChannel:
         assert seen == [("majorana", 2 * n_support), ("majorana", 2 * (n_support + 1))]
 
     @pytest.mark.parametrize("case", ["random support", "phased support"])
-    def test_other_couplings_are_refused(self, case, monkeypatch):
-        # the coupling sweeps only a Gaussian |+> x S under an open transverse-field Ising chain
+    def test_other_couplings_take_the_dense_sweep(self, case, monkeypatch):
+        # the channel couples only a Gaussian |+> x S under an open transverse-field Ising
+        # chain and refuses anything else before any sweep; the dense engine
+        # evolve_scheduled sweeps such a coupling on the whole register
         params = small_full_params()
-        t_couple, _ = resolve_coupling(params, 2)
+        t_couple, gap = resolve_coupling(params, 2)
         support = bell_target(2)
         if case == "random support":  # not a Gaussian state
             support = random_state(np.random.default_rng(4), 2)
@@ -409,6 +417,25 @@ class TestChannel:
         with pytest.raises(DeviceError, match="Gaussian" if case == "random support" else "Ising"):
             Channel(support, None, params)
         assert seen == []
+        g = protocol.coupler_graph(params, 2, t_couple, gap)
+        evolve_scheduled(tensor_product(_PLUS_STATE, support), g, 0.0, t_couple,
+                         params.integrator)
+        assert seen == [("dense", 8)]
+
+    def test_sweeps_a_coupler_without_flip_symmetry_whole(self, monkeypatch):
+        # a tunneling phase on a support DQD keeps the encoder bit but breaks X^n: the
+        # channel refuses the coupler, and the dense engine sweeps any input through it
+        monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
+        params = small_full_params()
+        support = bell_target(2)
+        t_couple, gap = resolve_coupling(params, 2)
+        g = protocol.coupler_graph(params, 2, t_couple, gap)
+        U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
+        assert np.max(np.abs(U_couple[::-1, ::-1] - U_couple)) > 1e-3  # no X^n symmetry
+        enc = encode_qubit(InputQubit(0.6, 0.8), params.w, params.phi)
+        psi = tensor_product(enc.state, support)
+        out = evolve_scheduled(psi, g, 0.0, t_couple, params.integrator)
+        assert np.max(np.abs(out.amps - U_couple @ psi.amps)) <= 1e-12
 
     @settings(max_examples=12, deadline=None)
     @given(n_support=st.sampled_from([2, 3, 4]), U=st.floats(10.0, 40.0),
