@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .chain import MAX_QUBITS, ChainChannel, ChainSpec
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, DimensionError
 from .evolve import PropagatorConfig
 from .hilbert import fidelity
 from .metrics import concurrence
@@ -105,7 +105,7 @@ def validate_config(cfg: RunConfig) -> list:
                 proto.resolve_coupling(params, cfg.n_support if cfg.experiment == "chain" else 2)
             if cfg.experiment == "chain":
                 ChainSpec(cfg.n_support, params, cfg.T_ghz).resolved_T_ghz()
-        except ConfigError as exc:
+        except (ConfigError, DimensionError) as exc:  # ProtocolParams' own refusals, the seed's
             errors.append(str(exc))
     if cfg.axis is not None and cfg.axis not in SWEEP_AXES:
         errors.append(f"unknown sweep axis {cfg.axis!r}; choose from {', '.join(SWEEP_AXES)}")
@@ -333,6 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotations as text: "float | None"
+
+
+def _field_value(key: str, value):
+    """A config file's value for RunConfig field ``key``, an int made a float for a float field.
+    ConfigError unless it has the field's type: an int field takes an int, a float field an int
+    (that a float holds) or a float, neither a bool; None fits only an optional field."""
+    kind, _, optional = _TYPES[key].partition(" | ")
+    types = {"int": int, "float": (int, float), "bool": bool, "str": str}[kind]
+    if (value is None and optional) or (
+            isinstance(value, types) and (kind == "bool" or not isinstance(value, bool))):
+        try:
+            return float(value) if kind == "float" and value is not None else value
+        except OverflowError:
+            pass
+    raise ConfigError(f"config field {key!r} must be {_TYPES[key]}, got {value!r:.40}")
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, an optional JSON config file, and CLI flags (strongest)."""
     cfg = RunConfig()
@@ -342,10 +360,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}")
+        if not isinstance(doc, dict):
+            raise ConfigError("a config file holds one JSON object of RunConfig fields")
         for key, value in doc.items():
             if key not in _NAMES:
                 raise ConfigError(f"unknown config field {key!r}")
-            setattr(cfg, key, value)
+            setattr(cfg, key, _field_value(key, value))
     for name in _NAMES:
         if name != "experiment" and (v := getattr(args, name, None)) is not None:
             setattr(cfg, name, v)

@@ -1,6 +1,6 @@
 """Propagation engines.
 
-All evolution is done with exact exponentials of Hermitian matrices obtained
+Dense evolution is done with exact exponentials of Hermitian matrices obtained
 by eigendecomposition, so every step is unitary to machine precision and the
 norm is conserved by construction.  A time-dependent device
 H(t) = H0 + sum_j f_j(t) B_j is integrated with the fourth-order
@@ -17,11 +17,14 @@ midpoint rule (:func:`midpoint`, second order) stays as the reference rule.
 The dense sweep (:func:`sweep_block`) of the whole 2^n register is the general
 engine and the tests' reference.  The support ramps (:func:`adiabatic_ramp`)
 and the coupling sweep an open transverse-field Ising chain on a Gaussian state
-as 2M x 2M rotations of its Majorana covariance (:func:`sweep_majorana`).
+as 2M x 2M rotations of its Majorana covariance (:func:`sweep_majorana`); those
+rotations are taken by scaling and squaring with batched products alone
+(``_rotations``), without an eigendecomposition.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +42,13 @@ DEGENERACY_TOL = 1e-10
 
 _GAUSS = 0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6  # Gauss nodes on [0, 1]
 _CF4_C = np.sqrt(3) / 3 - 0.5  # the CF4:2 weights 1/4 +- sqrt3/6, as an extrapolation
+
+# x^k coefficients, k <= 12, of C, S, T = cos sqrt x, sin sqrt x / sqrt x, (1 - cos sqrt x) / x
+# in Paterson-Stockmeyer blocks: block b holds x^(4b), ..., x^(4b+4), the x^12 in the top one
+_TAYLOR = np.array([[(-1) ** k / math.factorial(2 * k + j) for k in range(13)] for j in range(3)])
+_TAYLOR_BLOCKS = np.stack([np.pad(_TAYLOR[:, :4], [(0, 0), (0, 1)]),
+                           np.pad(_TAYLOR[:, 4:8], [(0, 0), (0, 1)]), _TAYLOR[:, 8:]], axis=1)
+_GOLDEN = (np.sqrt(5) - 1) / 2  # _rotations' step perturbations: k * _GOLDEN mod 1
 
 # step_grid's thresholds
 GRID_TOL = 0.03
@@ -150,12 +160,45 @@ def _step_propagators(Hs, h):
 
 def _rotations(Ks, h):
     """exp(h A), A = [[0, 2K], [-2K^T, 0]], for a batch of real M x M K (the Majorana rotation
-    of a step h of H = i sum a_j K_jk b_k), in closed form from the SVD 2hK = U S V^T: [[U cos S
-    U^T, U sin S V^T], [-V sin S U^T, V cos S V^T]] = Re(conj(Z) exp(-iS) Z^T), Z = [U; iV]."""
-    U, s, Vt = np.linalg.svd(Ks)
-    Z = np.concatenate([U, 1j * np.swapaxes(Vt, 1, 2)], axis=1)
-    return ((Z.conj() * np.exp(-2j * np.reshape(h, (-1, 1, 1)) * s[:, None, :]))
-            @ np.swapaxes(Z, 1, 2)).real
+    of a step h of H = i sum a_j K_jk b_k), by matrix products alone.  With B = 2hK and
+    P = B B^T it is [[C(P), S(P) B], [-(S(P) B)^T, I - B^T T(P) B]], C(x) = cos sqrt x,
+    S(x) = sin sqrt x / sqrt x, T(x) = (1 - cos sqrt x) / x: entire functions of P, so
+    repeated and zero singular values need no care.  They are taken at B / 2^s, s the
+    chunk's least with sqrt(||B||_1 ||B||_inf) / 2^s <= 2 (so ||P|| <= 4), as degree-12
+    Paterson-Stockmeyer sums sharing P, ..., P^4, and the rotation is squared s times
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+
+    Consecutive steps of a sweep share their length and every constant entry of K, so they
+    would round alike and their errors add up: over the ~3k coupling steps of a 4-site
+    coupler at a step angle of 17 the coupled state erred by up to 2.6e-12 against the dense
+    sweep, where the SVD this replaces stayed within 3e-13.  So step k of a batch is taken at
+    t = 2h/2^s (1 + eps_k), eps_k within +-2^-30 from the Weyl sequence k _GOLDEN mod 1, and
+    moved on by the exact remainder rho = 2h/2^s - t to first order, times
+    I + [[0, rho K], [-rho K^T, 0]]; the second order is below 1e-17.
+    """
+    h2 = 2 * np.broadcast_to(h, len(Ks))
+    mag = np.abs(Ks)
+    bound = (np.abs(h2) * np.sqrt(mag.sum(1).max(1) * mag.sum(2).max(1))).max()  # >= ||B||_2
+    s = int(np.ceil(np.log2(max(bound, 2.0) / 2)))
+    tau = np.ldexp(h2, -s)
+    t = tau * (1 + 2.0**-29 * ((np.arange(len(Ks)) * _GOLDEN) % 1 - 0.5))
+    B = t[:, None, None] * Ks
+    Bt = np.swapaxes(B, 1, 2)
+    eye = np.eye(B.shape[-1])
+    P = B @ Bt
+    P2 = P @ P
+    P4 = P2 @ P2
+    blocks = np.tensordot(_TAYLOR_BLOCKS, np.stack([np.broadcast_to(eye, P.shape), P, P2,
+                                                    P2 @ P, P4]), 1)
+    C, S, T = (blocks[:, 2] @ P4 + blocks[:, 1]) @ P4 + blocks[:, 0]
+    SB = S @ B
+    O = np.block([[C, SB], [-np.swapaxes(SB, 1, 2), eye - Bt @ (T @ B)]])
+    rK = (tau - t)[:, None, None] * Ks  # tau - t is exact (Sterbenz)
+    zero = np.zeros_like(rK)
+    O += O @ np.block([[zero, rK], [-np.swapaxes(rK, 1, 2), zero]])
+    for _ in range(s):
+        O = O @ O
+    return O
 
 
 def _hamiltonians(H0, terms, F, d=None):

@@ -128,6 +128,9 @@ class ProtocolParams:
             raise DimensionError("Coulomb strengths must be nonnegative")
         if self.mode not in ("full", "effective"):
             raise DimensionError(f"mode must be 'full' or 'effective', got {self.mode!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise DimensionError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.U_max > 0 and self.w / self.U_max > 0.1:
             warnings.warn(
                 f"w/U_max = {self.w / self.U_max:.3f} > 0.1: the two-level "

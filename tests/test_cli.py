@@ -181,6 +181,53 @@ class TestSweepPointRanges:
         assert validate_config(RunConfig(experiment="encode", axis="w", values="0.5,1")) == []
 
 
+class TestSeedAndConfigTypes:
+    """A negative seed, or a config-file value of the wrong JSON type, is a config
+    error: exit 2 before any stage, and nothing written."""
+
+    @pytest.fixture
+    def no_stage(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a stage ran before the refusal")
+
+        for stage in ("make_entangled_pair", "ramp_support", "couple_unknown", "bell_evolution"):
+            monkeypatch.setattr(protocol, stage, refused)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["teleport", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+        (["sweep", "--axis", "seed", "--values", "1,-2"],
+         "sweep point seed=-2: seed must be a nonnegative integer, got -2"),
+    ], ids=["teleport", "sweep"])
+    def test_negative_seed_exits_2(self, argv, message, tmp_path, capsys, no_stage):
+        assert main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": 1.5}', "'seed' must be int, got 1.5"),
+        ('{"alpha_abs": "0.3"}', "'alpha_abs' must be float, got '0.3'"),
+        ('{"richardson": "yes"}', "'richardson' must be bool, got 'yes'"),
+        ('{"n_support": true}', "'n_support' must be int, got True"),
+        ('{"w": null}', "'w' must be float, got None"),
+        ('{"U_max": 1' + "0" * 400 + "}", "'U_max' must be float"),  # past a float's range
+        ('["seed", 1]', "one JSON object"),
+    ], ids=["float-seed", "str-alpha_abs", "str-richardson", "bool-n_support", "null-w",
+            "huge-U_max", "list"])
+    def test_mistyped_config_exits_2(self, text, message, tmp_path, capsys, no_stage):
+        (tmp_path / "cfg.json").write_text(text)
+        argv = ["teleport", "--config", str(tmp_path / "cfg.json"), "--output", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        assert message in capsys.readouterr().err
+
+    def test_ints_fit_float_fields_and_null_optional_ones(self, tmp_path):
+        doc = {"mode": "effective", "U_max": 50, "T_ent": None, "richardson": False, "seed": 0}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["teleport", "--config", str(tmp_path / "cfg.json"),
+                     "--output", str(tmp_path / "x")]) == 0
+        assert read_rows(tmp_path / "x.csv")[0]["U_max"] == "50"
+
+
 class TestInputSweeps:
     """An input-axis sweep of a protocol experiment shares one channel."""
 

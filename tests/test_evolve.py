@@ -543,6 +543,32 @@ class TestStepPrecision:
         U = _step_propagators(H[None], h)[0]
         assert np.max(np.abs(U - mp_expm_step(H, h))) <= 1e-15
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 6])
+    @pytest.mark.parametrize("angle", [0.0, 0.1, 4.0, 16.5, 1000.0])
+    @pytest.mark.parametrize("kind", ["zero", "rank-1", "repeated"])
+    def test_rotation_matches_30_digit_exponential(self, M, angle, kind):
+        # the Majorana rotation exp(h [[0, 2K], [-2K^T, 0]]) at ||2hK||_2 = angle
+        u, v = np.random.default_rng(M).normal(size=(2, M))
+        K = {"zero": np.zeros((M, M)), "rank-1": np.outer(u, v), "repeated": 1.7 * np.eye(M)}[kind]
+        norm = np.linalg.norm(2 * K, 2)
+        h = angle / norm if norm else 1.0
+        Z = np.zeros((M, M))
+        expected = mp_expm_step(1j * np.block([[Z, 2 * K], [-2 * K.T, Z]]), h).real
+        O = evolve._rotations(K[None], np.array([h]))[0]
+        bound = 2e-15 * max(1.0, angle)
+        assert np.max(np.abs(O - expected)) <= bound
+        assert np.max(np.abs(O.T @ O - np.eye(2 * M))) <= bound
+
+    def test_rotations_take_no_linalg_call(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("svd", "eigh", "eig"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        Ks = np.random.default_rng(0).normal(size=(50, 3, 3))
+        O = evolve._rotations(Ks, np.linspace(0.0, 5.0, 50))
+        assert np.max(np.abs(np.swapaxes(O, 1, 2) @ O - np.eye(6))) <= 1e-13
+
 
 class TestBatchHermiticity:
     def test_stack_with_one_non_hermitian_matrix_is_refused(self):

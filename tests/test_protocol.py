@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dqdsim import evolve, protocol
@@ -281,6 +281,36 @@ class TestSweepAccuracy:
         assert np.sqrt(2) * np.linalg.norm(cpl - cpl_ref) <= 2.3e-4
 
 
+class TestStageNorms:
+    """Random full-mode parameters: every Majorana product a support ramp or a coupling
+    steps is orthogonal, and both stages return unit-norm states."""
+
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    @settings(max_examples=60, deadline=None)
+    @given(U=st.floats(4.0, 200.0), Uprime=st.floats(4.0, 200.0), dt=st.floats(0.05, 0.5),
+           T_ent=st.floats(1.0, 20.0), T_couple=st.floats(1.0, 20.0), n=st.sampled_from([2, 3]),
+           theta=st.floats(0.0, np.pi))
+    def test_orthogonal_products_and_unit_norms(self, U, Uprime, dt, T_ent, T_couple, n, theta):
+        params = ProtocolParams(U_max=U, Uprime_max=Uprime, T_ent=T_ent, T_couple=T_couple,
+                                integrator=PropagatorConfig(dt=dt))
+        products, sweep = [], evolve._sweep
+
+        def spy(*args):
+            products.append(sweep(*args))
+            return products[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve, "_sweep", spy)
+            support = ramp_support(params, n, T_ent)[0]
+            unknown = StateVector(np.array([np.cos(theta / 2), 1j * np.sin(theta / 2)]))
+            coupled = couple_unknown(unknown, support, params)
+        assert len(products) == 2
+        for O in products:
+            assert np.max(np.abs(O.T @ O - np.eye(len(O)))) <= 1e-12
+        for state in (support, coupled):
+            assert abs(np.linalg.norm(state.amps) - 1) <= 1e-12
+
+
 class TestCouple:
     def test_effective_is_exact(self):
         rng = np.random.default_rng(3)
@@ -332,6 +362,7 @@ class TestChannel:
     @settings(max_examples=10, deadline=None)
     @given(n_support=st.sampled_from([2, 3]), U=st.floats(10.0, 40.0),
            seed=st.integers(0, 2**32 - 1))
+    @example(n_support=3, U=32.951171875, seed=0)  # Majorana rounding that adds up coherently
     def test_split_matches_propagator(self, n_support, U, seed):
         # the images of |0> and |1> reassemble the coupled state of any input, up to
         # the one global phase the Majorana route leaves open
@@ -749,6 +780,11 @@ class TestParams:
     def test_warns_on_shallow_coupling(self):
         with pytest.warns(UserWarning, match="w/U_max"):
             ProtocolParams(U_max=5.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7"])
+    def test_rejects_a_seed_that_is_no_nonnegative_int(self, seed):
+        with pytest.raises(DimensionError, match="seed"):
+            ProtocolParams(seed=seed)
 
     def test_rejects_bad_mode(self):
         with pytest.raises(DimensionError):
