@@ -173,8 +173,9 @@ def _rotations(Ks, h):
     coupler at a step angle of 17 the coupled state erred by up to 2.6e-12 against the dense
     sweep, where the SVD this replaces stayed within 3e-13.  So step k of a batch is taken at
     t = 2h/2^s (1 + eps_k), eps_k within +-2^-30 from the Weyl sequence k _GOLDEN mod 1, and
-    moved on by the exact remainder rho = 2h/2^s - t to first order, times
-    I + [[0, rho K], [-rho K^T, 0]]; the second order is below 1e-17.
+    moved on by the exact remainder to first order: with d = (2h/2^s - t) / t, O + d G O,
+    G = [[0, B], [-B^T, 0]], is the rotation above with C - d P S, S + d C and T + d S in
+    place of C, S and T; the second order is below 1e-17.
     """
     h2 = 2 * np.broadcast_to(h, len(Ks))
     mag = np.abs(Ks)
@@ -191,11 +192,10 @@ def _rotations(Ks, h):
     blocks = np.tensordot(_TAYLOR_BLOCKS, np.stack([np.broadcast_to(eye, P.shape), P, P2,
                                                     P2 @ P, P4]), 1)
     C, S, T = (blocks[:, 2] @ P4 + blocks[:, 1]) @ P4 + blocks[:, 0]
+    d = np.divide(tau - t, t, out=np.zeros_like(t), where=t != 0)[:, None, None]  # tau - t exact
+    C, S, T = C - d * (P @ S), S + d * C, T + d * S  # O + d [[0, B], [-B^T, 0]] O
     SB = S @ B
     O = np.block([[C, SB], [-np.swapaxes(SB, 1, 2), eye - Bt @ (T @ B)]])
-    rK = (tau - t)[:, None, None] * Ks  # tau - t is exact (Sterbenz)
-    zero = np.zeros_like(rK)
-    O += O @ np.block([[zero, rK], [-np.swapaxes(rK, 1, 2), zero]])
     for _ in range(s):
         O = O @ O
     return O
