@@ -104,14 +104,13 @@ class DensityMatrix:
         return cls(np.outer(state.amps, state.amps.conj()))
 
 
-def check_density(m: np.ndarray, evals: np.ndarray | None = None) -> None:
-    """Raise DimensionError unless ``m`` is Hermitian, of unit trace and has no
-    eigenvalue below the floor; ``evals`` are its eigenvalues if already known."""
+def check_density(m: np.ndarray) -> None:
+    """Raise DimensionError unless ``m`` is Hermitian, unit-trace and above the eigenvalue floor."""
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise DimensionError("density matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > NORM_TOL:
         raise DimensionError(f"trace {np.trace(m).real} deviates from 1")
-    if np.min(np.linalg.eigvalsh(m) if evals is None else evals) < EIGENVALUE_FLOOR:
+    if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
         raise DimensionError("density matrix has a negative eigenvalue")
 
 

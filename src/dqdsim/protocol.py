@@ -35,6 +35,7 @@ against the single-DQD Hamiltonian use the device phase directly.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -43,7 +44,7 @@ import numpy as np
 from . import device as dev
 from . import evolve
 from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import StateVector, _unsafe_state, check_density, fidelity, fix_phase, tensor_product
+from .hilbert import NORM_TOL, StateVector, _unsafe_state, fidelity, tensor_product
 
 # Adiabaticity budget of the gap-adapted coupling ramp: the sweep rate is
 # eps * gap^3 / J, so the default duration is 1/(4 J eps) = 4/J.
@@ -452,66 +453,66 @@ def _seeded_uniform(seed) -> float:
     return np.random.default_rng(seed).random()
 
 
-def _logical_pair(rho: np.ndarray) -> np.ndarray:
-    """Two-dimensional logical readout of a (near-)pure trailing register.
-
-    One ``eigh`` both validates ``rho`` as a density matrix and gives its
-    dominant eigenvector, whose normalized weight on the code pair
-    {|0...0>, |1...1>} is returned; for a single trailing qubit this is the
-    eigenvector itself.  Raises ConvergenceError when that weight is below
-    1e-12: the register has leaked out of the code pair.
-    """
-    vals, vecs = np.linalg.eigh(rho)
-    check_density(rho, vals)
-    pair = vecs[[0, -1], -1]
-    norm = np.linalg.norm(pair)
-    if norm < 1e-12:
-        raise ConvergenceError(
-            f"the receiving register's dominant state has code-pair weight {norm:.1e}; "
-            "it has leaked out of {|0...0>, |1...1>}")
-    return pair / norm
+def _phase_fixed_pair(x0: complex, x1: complex) -> StateVector:
+    """:func:`.hilbert.fix_phase` of the normalized pair (x0, x1), on Python scalars."""
+    big = x0 if abs(x0) >= abs(x1) else x1
+    scale = big.conjugate() / (abs(big) * math.hypot(abs(x0), abs(x1)))
+    return _unsafe_state(np.array([x0 * scale, x1 * scale]))
 
 
 def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
                               achieved: InputQubit) -> TeleportResult:
     """Measure the encoder charge, apply Bob's conditional phase, and score.
 
-    Works for any register length: Alice keeps qubits 0 and 1, everything
-    from qubit 2 on is the receiving register.  Its target is the achieved
-    amplitudes written on the {|0...0>, |1...1>} pair, which for the
-    three-DQD protocol is literally Bob's qubit.  Both branches are always
-    evaluated; ``outcome`` follows a seeded draw.  Branch k is the slice
-    ``amps[k::2]``, whose Gram product is the register's reduced matrix; Bob's
-    correction D is diagonal, so it scales the raw readout and the fidelity is
-    (D^+ t)^+ rho (D^+ t), where the target t lives on the code pair only.
-    Leakage is the weight outside the code pair, sum_k p_k (1 - rho_k[0,0] -
-    rho_k[-1,-1]), summed directly so that it is never negative.
+    Alice keeps qubits 0 and 1; the rest is the receiving register, whose target
+    t is the achieved amplitudes on the code pair {|0...0>, |1...1>}.  Both
+    branches are evaluated; ``outcome`` follows a seeded draw.  Branch k is the
+    2^(n-2) x 2 slice a = ``arr[:, :, k]``: p_k is the trace of its Gram matrix
+    G = a^+ a, and the rank <= 2 register matrix a a^+, never formed, has the
+    dominant eigenvector a v for G's dominant v, in closed form (v = (1, 0), the
+    support-0 column, for a degenerate top pair G = p_k I / 2).  The raw readout
+    is c v normalized, c = a[[0, -1]] the code-pair rows; Bob's diagonal
+    correction D scales it, and the fidelity is |c^+ (D^+ t)|^2 / p_k.  Leakage,
+    the weight off the code pair, is summed directly, so it is never negative.
+    Refused: non-finite amplitudes and a dominant state of code-pair amplitude
+    norm < 1e-12 (ConvergenceError); |p_0 + p_1 - 1| > NORM_TOL (DimensionError).
     """
     n = state.n_qubits
     if n < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
     if not np.all(np.isfinite(state.amps)):
         raise ConvergenceError("the register's amplitudes are not finite")
-    nt = n - 2
-    target = np.array([achieved.alpha, achieved.beta], dtype=complex)
-    arr = state.amps.reshape(2**nt, 2, 2)  # [register, support bit, encoder bit]
-    p0, p1 = (float(p) for p in np.sum(np.abs(arr) ** 2, axis=(0, 1)))
-    leakage = float(np.sum(np.abs(arr[1:-1]) ** 2))
+    arr = state.amps.reshape(2 ** (n - 2), 2, 2)  # [register, support bit, encoder bit]
+    grams = np.einsum("isk,itk->kst", arr.conj(), arr).tolist()
+    pair_rows = arr[::arr.shape[0] - 1].transpose(2, 0, 1).tolist()  # rows 0, -1 per branch
+    p0, p1 = probs = [(g[0][0] + g[1][1]).real for g in grams]
+    if abs(p0 + p1 - 1.0) > NORM_TOL:
+        raise DimensionError(f"the branches' total weight (trace) {p0 + p1} deviates from 1")
+    leakage = float(np.vdot(arr[1:-1], arr[1:-1]).real)
     branches = []
-    for outcome, prob in enumerate((p0, p1)):
-        if prob < 1e-12:
-            # an empty branch can only occur for degenerate inputs
+    for k, (prob, ((g00, g01), (_, g11)), ((c00, c01), (c10, c11))) in enumerate(
+            zip(probs, grams, pair_rows)):
+        if prob < 1e-12:  # an empty branch can only occur for degenerate inputs
             branches.append(None)
             continue
-        a = arr[:, :, outcome] / np.sqrt(prob)
-        rho = a @ a.conj().T
-        raw = _logical_pair(rho)
+        h = (g00 - g11).real / 2
+        r = math.hypot(h, abs(g01))
+        # cancellation-free; h + r is 0 only for G = p I / 2, then v = (1, 0)
+        v0, v1 = (h + r or 1.0, g01.conjugate()) if h >= 0 else (g01, r - h)
+        w0, w1 = c00 * v0 + c01 * v1, c10 * v0 + c11 * v1
+        pair_norm = math.hypot(abs(w0), abs(w1)) / math.sqrt(  # |c v| / |a v|, where
+            (prob / 2 + r) * (abs(v0) ** 2 + abs(v1) ** 2))  # |a v|^2 = lambda_max |v|^2
+        if pair_norm < 1e-12:
+            raise ConvergenceError(
+                f"the register's normalized dominant state has amplitude norm {pair_norm:.1e} "
+                "< 1e-12 on the code pair; it has leaked out of the code-pair subspace")
         # D on the code pair: |0...0> has Bob's bit 0, |1...1> has it 1
-        corr = CORRECTIONS[outcome].diagonal()
-        undone = corr.conj() * target
-        fid = float(np.real(np.vdot(undone, rho[np.ix_([0, -1], [0, -1])] @ undone)))
-        branches.append(BranchResult(outcome, prob, _unsafe_state(fix_phase(raw)),
-                                     _unsafe_state(fix_phase(raw * corr)), fid))
+        phase = complex(CORRECTIONS[k][1, 1])
+        u0, u1 = complex(achieved.alpha), phase.conjugate() * complex(achieved.beta)
+        fid = (abs(c00.conjugate() * u0 + c10.conjugate() * u1) ** 2
+               + abs(c01.conjugate() * u0 + c11.conjugate() * u1) ** 2) / prob
+        branches.append(BranchResult(k, prob, _phase_fixed_pair(w0, w1),
+                                     _phase_fixed_pair(w0, phase * w1), fid))
 
     drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
     picked = branches[drawn] or branches[1 - drawn]  # never the empty branch

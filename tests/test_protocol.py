@@ -631,13 +631,16 @@ class TestMeasureAndCorrect:
                             StateVector.computational(1, 0)) == pytest.approx(1.0, abs=1e-10)
 
     def test_leaked_register_is_refused(self):
-        # the dominant state |01> has no weight on the code pair {|00>, |11>}
-        rho = np.diag([0.1, 0.0, 0.9, 0.0]).astype(complex)
+        # branch 0 has rank 2: weight 0.9 on the register's |01> (support bit 0) and
+        # 0.1 on |00> (support bit 1); its dominant state |01> is off the code pair
+        amps = np.zeros(16, dtype=complex)
+        amps[0b1000] = np.sqrt(0.9)
+        amps[0b0010] = np.sqrt(0.1)
         with pytest.raises(ConvergenceError, match="code-pair"):
-            protocol._logical_pair(rho)
+            alice_measure_and_correct(StateVector(amps), EFFECTIVE, InputQubit(0.6, 0.8))
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.sampled_from([3, 4, 5]), state_seed=st.integers(0, 2**32 - 1),
+    @given(n=st.integers(3, 7), state_seed=st.integers(0, 2**32 - 1),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_the_primitive_reference(self, n, state_seed, seed):
         rng = np.random.default_rng(state_seed)
@@ -680,12 +683,52 @@ class TestMeasureAndCorrect:
             assert_matches_reference(res, *reference_measure(state, params, enc.achieved))
 
     def test_readout_checks_the_density_matrix(self):
+        # the branches' weights must sum to 1: total weight 2 is refused
+        amps = np.sqrt(2.0) * eq11_form(0.6, 0.8).amps
         with pytest.raises(DimensionError, match="trace"):
-            protocol._logical_pair(np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex))
-        with pytest.raises(DimensionError, match="negative"):
-            protocol._logical_pair(np.diag([1.1, -0.1]).astype(complex))
-        with pytest.raises(DimensionError, match="Hermitian"):
-            protocol._logical_pair(np.array([[1.0, 0.5], [0.0, 0.0]], dtype=complex))
+            alice_measure_and_correct(protocol._unsafe_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_degenerate_top_pair(self, exact):
+        # branch 0's register matrix is P/2 for a rank-2 projector P: no unique readout
+        rng = np.random.default_rng(8)
+        if exact:  # support bit 0 on register |00>, |10>; bit 1 on |01>, |11>
+            cols = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=complex) / np.sqrt(8)
+        else:  # orthonormal columns mixing the code pair and the leaked states
+            cols = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0] / 2
+        arr = np.zeros((4, 2, 2), dtype=complex)  # [register, support bit, encoder bit]
+        arr[:, :, 0] = cols
+        other = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        arr[:, :, 1] = other / (np.sqrt(2) * np.linalg.norm(other))
+        state = StateVector(arr.ravel())
+        q = InputQubit(0.6, 0.8j)
+        for seed in range(2):
+            params = ProtocolParams(mode="effective", seed=seed)
+            meas, ref = reference_measure(state, params, q)
+            top = np.linalg.eigvalsh(ref[0][1])[-2:]
+            assert top[1] - top[0] <= 1e-15
+            res = alice_measure_and_correct(state, params, q)
+            if exact:  # G = p I / 2 reads the support-0 column
+                assert np.max(np.abs(res.branches[0].bob_state_raw.amps - [1, 0])) <= 1e-15
+            assert abs(res.p0 - meas.p0) <= 1e-14 and abs(res.p1 - meas.p1) <= 1e-14
+            for b in res.branches:
+                for readout in (b.bob_state_raw, b.bob_state_corrected):
+                    assert abs(np.linalg.norm(readout.amps) - 1.0) <= 1e-14
+                assert abs(b.fidelity - ref[b.outcome][-1]) <= 1e-12
+
+    def test_readout_takes_no_linalg_call(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        channel = ChainChannel(ChainSpec(4, EFFECTIVE))
+        rng = np.random.default_rng(3)
+        state = random_state(rng, 5)  # a chain4 channel's register size
+        q = InputQubit.random(rng)
+        reference = reference_measure(state, EFFECTIVE, q)
+        for name in ("eigh", "eigvalsh", "svd", "eig"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        assert_matches_reference(alice_measure_and_correct(state, EFFECTIVE, q), *reference)
+        assert channel.teleport(q).fidelity_to_input == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_amplitudes_are_refused(self, bad):
