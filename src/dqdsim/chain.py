@@ -20,10 +20,11 @@ many inputs can be teleported cheaply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import protocol as proto
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .hilbert import fidelity  # noqa: F401  perfbench's tracer test reads dqdsim.chain.fidelity
 
 MAX_QUBITS = 12
@@ -42,15 +43,19 @@ class ChainSpec:
     T_ghz: float | None = None
 
     def __post_init__(self):
-        if self.n_support < 2:
-            raise DimensionError("a chain needs at least two support DQDs")
-        if self.n_support + 1 > MAX_QUBITS:
-            raise DimensionError(
-                f"{self.n_support + 1} qubits exceed the dense-simulation budget of {MAX_QUBITS}"
-            )
+        n = self.n_support
+        if not 2 <= n <= MAX_QUBITS - 1:  # with the encoder, n_support + 1 qubits
+            raise DimensionError(f"n_support must lie in [2, {MAX_QUBITS - 1}], got {n}")
+        if self.T_ghz is not None and not 0 < self.T_ghz < math.inf:  # NaN fails too
+            raise DimensionError(f"T_ghz must be positive and finite, got {self.T_ghz}")
 
     def resolved_T_ghz(self) -> float:
         return self.params.default_ramp(3.0) if self.T_ghz is None else self.T_ghz
+
+    def support_ramp(self) -> float:
+        """The duration of the GHZ ramp as it is stepped: T_ghz, refused when it is
+        auto-derived and out of reach."""
+        return self.params.in_reach(self.resolved_T_ghz(), self.T_ghz, "GHZ ramp T_ghz")
 
 
 def make_ghz_chain(spec: ChainSpec):
@@ -58,10 +63,7 @@ def make_ghz_chain(spec: ChainSpec):
     An auto-derived ramp past ``MAX_AUTO_RAMP`` raises ConfigError."""
     if spec.params.mode == "effective":
         return proto.bell_target(spec.n_support), None
-    t = spec.resolved_T_ghz()
-    if spec.T_ghz is None and t > proto.MAX_AUTO_RAMP / spec.params.w:
-        raise ConfigError(f"the GHZ ramp needs {t:.3g}/w; lower U_max or set T_ghz")
-    return proto.ramp_support(spec.params, spec.n_support, t)
+    return proto.ramp_support(spec.params, spec.n_support, spec.support_ramp())
 
 
 class ChainChannel(proto.Channel):

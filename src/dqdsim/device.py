@@ -33,9 +33,9 @@ class Schedule:
     """Scalar function of time.
 
     Every kind holds v_start for t <= t_start and v_end for t >= t_end and is
-    continuous.  ``smooth_ramp`` uses the cubic smoothstep
-    3x^2 - 2x^3, which has zero slope at both endpoints.  ``tangent_ramp``
-    is a gap-adapted profile for sweeping a two-level avoided crossing
+    continuous; values and times must be finite.  ``smooth_ramp`` uses the
+    cubic smoothstep 3x^2 - 2x^3, which has zero slope at both endpoints.
+    ``tangent_ramp`` is a gap-adapted profile for sweeping a two-level avoided crossing
     [[0, -J], [-J, v]]: it follows dv/dt proportional to gap^3 so that the
     sweep spends its time where the instantaneous gap (min 2J at v=0) is
     smallest; ``gap_scale`` holds J.
@@ -51,10 +51,13 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise DeviceError(f"unknown schedule kind {self.kind!r}")
+        if not np.all(np.isfinite((self.v_start, self.v_end, self.t_start, self.t_end))):
+            raise DeviceError("schedule values and times must be finite")
         if self.t_start > self.t_end:
             raise DeviceError("schedule has t_start > t_end")
-        if self.kind == "tangent_ramp" and not (self.gap_scale and self.gap_scale > 0):
-            raise DeviceError("tangent_ramp requires a positive gap_scale")
+        if self.kind == "tangent_ramp" and not (
+                self.gap_scale is not None and 0 < self.gap_scale < np.inf):  # NaN fails too
+            raise DeviceError("tangent_ramp requires a positive, finite gap_scale")
 
     @classmethod
     def constant(cls, value: float) -> "Schedule":

@@ -57,11 +57,11 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
+        if amps.ndim != 1 or amps.size < 1 or amps.size & (amps.size - 1):
+            raise DimensionError(f"state shape {amps.shape} is not one power-of-two axis")
         n = int(np.log2(amps.size))
-        if 2**n != amps.size:
-            raise DimensionError(f"state length {amps.size} is not a power of two")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf fail too
             raise DimensionError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -90,9 +90,9 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"density matrix shape {m.shape} is not square")
-        n = int(np.log2(m.shape[0]))
-        if 2**n != m.shape[0]:
+        if m.shape[0] < 1 or m.shape[0] & (m.shape[0] - 1):
             raise DimensionError(f"dimension {m.shape[0]} is not a power of two")
+        n = int(np.log2(m.shape[0]))
         check_density(m)
         m = m.copy()
         m.setflags(write=False)
@@ -105,7 +105,10 @@ class DensityMatrix:
 
 
 def check_density(m: np.ndarray) -> None:
-    """Raise DimensionError unless ``m`` is Hermitian, unit-trace and above the eigenvalue floor."""
+    """Raise DimensionError unless ``m`` is finite, Hermitian, unit-trace and above the
+    eigenvalue floor."""
+    if not np.all(np.isfinite(m)):
+        raise DimensionError("density matrix has a non-finite entry")
     if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise DimensionError("density matrix is not Hermitian")
     if abs(np.trace(m).real - 1.0) > NORM_TOL:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,19 +119,21 @@ class ProtocolParams:
     integrator: evolve.PropagatorConfig = field(default_factory=evolve.PropagatorConfig)
 
     def __post_init__(self):
-        for f in fields(self):
-            if isinstance(v := getattr(self, f.name), float) and not np.isfinite(v):
-                raise DimensionError(f"{f.name} must be finite, got {v}")
-        if any(v is not None and not v > 0
-               for v in (self.w, self.T_ent, self.T_couple, self.bell_U)):
-            raise DimensionError("w, and T_ent, T_couple and bell_U when given, must be positive")
-        if not self.U_max >= 0 or not (self.Uprime_max is None or self.Uprime_max >= 0):
-            raise DimensionError("Coulomb strengths must be nonnegative")
+        """DimensionError naming every bad field; None leaves a field to be derived."""
+        bad = [f"{f.name} must be finite, got {v}" for f in fields(self)
+               if isinstance(v := getattr(self, f.name), (float, np.floating))
+               and not np.isfinite(v)]
+        for name in ("w", "U_max", "Uprime_max", "T_ent", "T_couple", "bell_U"):
+            v, nonneg = getattr(self, name), name in ("U_max", "Uprime_max")
+            if v is not None and np.isfinite(v) and not (v >= 0 if nonneg else v > 0):
+                bad.append(f"{name} must be {'nonnegative' if nonneg else 'positive'}, got {v}")
         if self.mode not in ("full", "effective"):
-            raise DimensionError(f"mode must be 'full' or 'effective', got {self.mode!r}")
+            bad.append(f"mode must be 'full' or 'effective', got {self.mode!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
                 or self.seed < 0:
-            raise DimensionError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            bad.append(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if bad:
+            raise DimensionError("; ".join(bad))
         if self.U_max > 0 and self.w / self.U_max > 0.1:
             warnings.warn(
                 f"w/U_max = {self.w / self.U_max:.3f} > 0.1: the two-level "
@@ -171,17 +173,24 @@ class ProtocolParams:
                               f"{wait:.3g} must be positive and finite")
         return wait
 
+    def in_reach(self, t: float, given: float | None, ramp: str) -> float:
+        """The duration t of ``ramp``; ConfigError when it is auto-derived (``given`` is None)
+        and longer than MAX_AUTO_RAMP / w."""
+        if given is None and not t * self.w <= MAX_AUTO_RAMP:  # inf and NaN fail too
+            raise ConfigError(f"the auto-derived {ramp} needs {t:.3g}/w, more than "
+                              f"{MAX_AUTO_RAMP:g}/w; lower U_max or set it explicitly")
+        return t
+
+    def support_ramp(self) -> float:
+        """The duration of the support pair's entangling ramp as it is stepped: T_ent,
+        refused when it is auto-derived and out of reach."""
+        return self.in_reach(self.resolved_T_ent(), self.T_ent, "entangling ramp T_ent")
+
     def resolved_T_couple(self, support_gap: float) -> float:
         if self.T_couple is not None:
             return self.T_couple
-        t = faithful_ramp(support_gap)
-        if not t * self.w <= MAX_AUTO_RAMP:  # inf and NaN fail too
-            raise ConfigError(
-                f"faithful coupling needs a ramp of {t:.3g}/w (crossing gap "
-                f"{support_gap:.3g}); lower U_max, shorten the chain, or set "
-                "T_couple explicitly to run it anyway"
-            )
-        return t
+        return self.in_reach(faithful_ramp(support_gap), None,
+                             f"coupling ramp T_couple across the crossing gap {support_gap:.3g}")
 
 
 # --------------------------------------------------------------------------
@@ -256,22 +265,6 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
                           f"{need / 2**20:.0f} MiB, more than "
                           f"{evolve.MAX_EXPONENTIAL_BYTES / 2**20:.0f} MiB; shorten the chain")
     return t_couple, gap
-
-
-def bell_stage_graph(params: ProtocolParams) -> dev.DeviceGraph:
-    """Rotation-stage device on qubits 0 and 1: their tunneling plus their link.
-
-    Bob and any intermediate chain qubits carry no terms at all -- their
-    dynamics is frozen by construction -- so the stage is a two-qubit gate.
-    """
-    return dev.DeviceGraph(
-        dqds=(0, 1),
-        tunnel_terms=(
-            dev.TunnelTerm(0, dev.Schedule.constant(params.w)),
-            dev.TunnelTerm(1, dev.Schedule.constant(params.w)),
-        ),
-        coulomb_links=dev.dqd_pair_links(0, 1, dev.Schedule.constant(params.resolved_bell_U())),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -351,10 +344,7 @@ def make_entangled_pair(params: ProtocolParams):
     An auto-derived ramp past ``MAX_AUTO_RAMP`` raises ConfigError."""
     if params.mode == "effective":
         return entangled_pair_reference(params.U_max, params.w), None
-    t = params.resolved_T_ent()
-    if params.T_ent is None and t > MAX_AUTO_RAMP / params.w:
-        raise ConfigError(f"the entangling ramp needs {t:.3g}/w; lower U_max or set T_ent")
-    return ramp_support(params, 2, t)
+    return ramp_support(params, 2, params.support_ramp())
 
 
 def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
@@ -405,24 +395,30 @@ def effective_rabi(w: float, U: float) -> float:
     return 2.0 * w**2 / U
 
 
+def effective_gate(params: ProtocolParams, t: float) -> np.ndarray:
+    """The effective rotation stage's 4 x 4 gate over t: cos(wt) I + i sin(wt) (flip q0, q1)
+    on the aligned block {|00>, |11>}, with the rate from :func:`effective_rabi`."""
+    om = effective_rabi(params.w, params.resolved_bell_U())
+    c, s = np.cos(om * t), 1j * np.sin(om * t)
+    return np.array([[c, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]])
+
+
 def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:
     """Timed rotation of the (q0, q1) aligned block; all other qubits frozen.
 
     One 4 x 4 gate G on qubits 0 and 1, applied as ``amps.reshape(-1, 4) @ G.T``
     (the index is q0 + 2 q1 + 4 * the rest).  Full mode takes G as the one
-    exponential of the static two-qubit :func:`bell_stage_graph` over t;
-    effective mode takes cos(wt) I + i sin(wt) (flip q0, q1) on the aligned
-    block {|00>, |11>} with the rate from :func:`effective_rabi`.
+    exponential over t of the two-qubit :func:`support_graph` whose link holds
+    bell_U: Bob and any chain qubits in between carry no terms, so they are frozen.
+    Effective mode takes :func:`effective_gate`.
     """
     if state.n_qubits < 2:
         raise DimensionError("rotation stage needs at least qubits 0 and 1")
     if params.mode == "effective":
-        om = effective_rabi(params.w, params.resolved_bell_U())
-        c, s = np.cos(om * t), 1j * np.sin(om * t)
-        G = np.array([[c, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]])
+        G = effective_gate(params, t)
     else:
-        G = evolve.sweep_block(np.eye(4, dtype=complex), bell_stage_graph(params), 0.0, t,
-                               params.integrator)
+        stage = support_graph(params, 2, dev.Schedule.constant(params.resolved_bell_U()))
+        G = evolve.sweep_block(np.eye(4, dtype=complex), stage, 0.0, t, params.integrator)
     return _unsafe_state((state.amps.reshape(-1, 4) @ G.T).ravel())
 
 
@@ -558,10 +554,10 @@ class Channel:
                                for c in self._coupled])
         if params.mode == "effective":  # the rotated images are the reference
             self._ideal_post = self._post
-        else:
-            eff = replace(params, mode="effective")
+        else:  # the effective gate on the code-pair images |0...0> and |1...1>
+            G = effective_gate(params, self.t_wait)
             self._ideal_post = np.stack([
-                bell_evolution(ghz_encoded(1.0 - k, k, 1 + support.n_qubits), eff, self.t_wait).amps
+                (ghz_encoded(1.0 - k, k, 1 + support.n_qubits).amps.reshape(-1, 4) @ G.T).ravel()
                 for k in (0, 1)
             ])
         self._entangle_log = {"norm": float(np.linalg.norm(support.amps))}

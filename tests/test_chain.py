@@ -115,6 +115,11 @@ class TestChainTeleport:
         res = ChainChannel(ChainSpec(2, EFFECTIVE)).teleport(InputQubit(0.6, 0.8))
         assert res.fidelity_to_input == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("T_ghz", [-1.0, 0.0, np.nan])
+    def test_spec_refuses_a_ghz_ramp_that_is_not_positive_and_finite(self, T_ghz):
+        with pytest.raises(DimensionError, match="T_ghz must be positive and finite"):
+            ChainSpec(3, ProtocolParams(U_max=15.0), T_ghz=T_ghz)
+
     def test_infeasible_auto_ramp_is_refused(self):
         # a four-DQD chain at U = 100w hides an exponentially small crossing
         # gap; the auto-derived ramp would be ~5e5/w and is rejected

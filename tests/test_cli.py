@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,10 @@ from dqdsim.cli import (
 )
 from dqdsim.hilbert import StateVector
 from dqdsim.protocol import ProtocolParams, support_crossing_gap
+
+
+def no_ramp(*args):
+    raise AssertionError("a support ramp ran before the refusal")
 
 
 def read_rows(path):
@@ -62,6 +67,12 @@ class TestValidateConfig:
         with pytest.warns(UserWarning, match="w/U_max = 0.200 > 0.1") as records:
             assert run(cfg) == 0
         assert {os.path.basename(r.filename) for r in records} == {"cli.py"}
+        # a full-mode channel prints it once as well, under the default one-per-location filter
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("default")
+            assert run(replace(cfg, experiment="teleport")) == 0
+        assert [(os.path.basename(r.filename), r.category) for r in records] == [
+            ("cli.py", UserWarning)]
 
     def test_parse_values_types(self):
         assert parse_values("U_max", "20, 50") == [20.0, 50.0]
@@ -171,11 +182,27 @@ class TestSweepPointRanges:
         (["sweep", "--axis", "alpha_abs", "--values", "0.5,1.5"], "alpha_abs=1.5"),
         (["sweep", "--axis", "n_support", "--values", f"2,{MAX_QUBITS}"],
          f"n_support={MAX_QUBITS}"),
+        # the auto-derived support ramp of the second point is out of reach
+        (["sweep", "--experiment", "entangle", "--axis", "U_max", "--values", "100,1e5"],
+         "U_max=100000.0"),
+        (["sweep", "--experiment", "teleport", "--axis", "U_max", "--values", "100,1e5"],
+         "U_max=100000.0"),
+        (["sweep", "--experiment", "chain", "--n-support", "3", "--t-couple", "100",
+          "--axis", "U_max", "--values", "15,1e5"], "U_max=100000.0"),
     ])
-    def test_exit_2_before_any_point_runs(self, tmp_path, capsys, argv, field):
+    def test_exit_2_before_any_point_runs(self, tmp_path, capsys, monkeypatch, argv, field):
+        monkeypatch.setattr(protocol, "ramp_support", no_ramp)
         assert main(argv + ["--output", str(tmp_path / "x")]) == 2
         assert list(tmp_path.iterdir()) == []
         assert f"sweep point {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["teleport", "--mode", "effective"], ["chain", "--mode", "effective"], ["encode"],
+    ], ids=" ".join)
+    def test_runs_without_a_ramp_are_not_refused_for_one(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(protocol, "ramp_support", no_ramp)
+        assert main(argv + ["--u-max", "1e5", "--output", str(tmp_path / "x")]) == 0
+        assert len(read_rows(tmp_path / "x.csv")) == 1
 
     def test_valid_points_pass(self):
         assert validate_config(RunConfig(experiment="encode", axis="w", values="0.5,1")) == []

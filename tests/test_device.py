@@ -90,6 +90,17 @@ class TestSchedule:
         with pytest.raises(DeviceError):
             Schedule.linear(0.0, 1.0, 5.0, 2.0)
 
+    @pytest.mark.parametrize("args", [
+        ("smooth_ramp", 0.0, 1.0, 0.0, np.nan), ("smooth_ramp", 0.0, 1.0, np.nan, 1.0),
+        ("linear_ramp", np.nan, 1.0, 0.0, 1.0), ("constant", np.inf, np.inf),
+        ("linear_ramp", 0.0, 1.0, -np.inf, 1.0), ("tangent_ramp", 0.0, 1.0, 0.0, 1.0, np.nan),
+        ("tangent_ramp", 0.0, 1.0, 0.0, 1.0, np.inf),
+    ], ids=["nan-end", "nan-start", "nan-value", "inf-value", "inf-start", "nan-gap",
+            "inf-gap"])
+    def test_non_finite_schedule_is_refused(self, args):
+        with pytest.raises(DeviceError):
+            Schedule(*args)
+
     @settings(deadline=None)
     @given(st.floats(min_value=-5.0, max_value=15.0, allow_nan=False))
     def test_values_bounded(self, t):

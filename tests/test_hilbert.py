@@ -233,6 +233,21 @@ class TestTypes:
         with pytest.raises(DimensionError):
             DensityMatrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("amps", [
+        [np.nan, 0.0], [np.inf, 0.0], [], [[1.0, 0.0], [0.0, 0.0]], 1.0,
+    ], ids=["nan", "inf", "empty", "matrix", "scalar"])
+    def test_state_fails_closed(self, amps):
+        with pytest.raises(DimensionError):
+            StateVector(np.array(amps, dtype=complex))
+
+    @pytest.mark.parametrize("matrix", [
+        [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 0.0]], [[np.inf, 0.0], [0.0, 0.0]],
+        np.zeros((0, 0)), [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+    ], ids=["nan-diagonal", "nan-coherence", "inf", "empty", "not-power-of-two"])
+    def test_density_matrix_fails_closed(self, matrix):
+        with pytest.raises(DimensionError):
+            DensityMatrix(np.array(matrix, dtype=complex))
+
     def test_tensor_product_order(self):
         # first factor owns the low qubit: |1>_q0 x |0>_q1 -> index 1
         one, zero = StateVector.computational(1, 1), StateVector.computational(1, 0)

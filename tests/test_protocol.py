@@ -847,6 +847,13 @@ class TestParams:
         with pytest.raises(DimensionError, match="positive"):
             ProtocolParams(**kwargs)
 
+    def test_names_every_bad_field(self):
+        with pytest.raises(DimensionError) as err:
+            ProtocolParams(w=0.0, U_max=-1.0, T_couple=-2.0, mode="hybrid")
+        assert str(err.value) == ("w must be positive, got 0.0; U_max must be nonnegative, "
+                                  "got -1.0; T_couple must be positive, got -2.0; mode must be "
+                                  "'full' or 'effective', got 'hybrid'")
+
     def test_duration_defaults_scale_with_coupling(self):
         p = ProtocolParams(U_max=100.0, Uprime_max=100.0)
         assert p.resolved_T_ent() == pytest.approx(200.0)
