@@ -79,30 +79,18 @@ SWEEP_AXES = tuple(n for n in PARAM_COLUMNS if n not in ("experiment", "mode", "
 
 def validate_config(cfg: RunConfig) -> list:
     """Schema and invariant checks; an empty list means the config is runnable."""
-    errors = []
-    if cfg.experiment not in EXPERIMENTS:
-        errors.append(f"unknown experiment {cfg.experiment!r}")
-    errors += [f"{f.name} must be finite, got {v}" for f in fields(cfg)
-               if isinstance(v := getattr(cfg, f.name), float) and not np.isfinite(v)]
-    if not 0.0 <= cfg.alpha_abs <= 1.0:
-        errors.append(f"alpha_abs must lie in [0, 1], got {cfg.alpha_abs}")
-    if not errors:  # the settings' owners check them, then the derived values
-        try:
-            with warnings.catch_warnings():  # the run gives the w/U_max advisory
-                warnings.simplefilter("ignore")
-                params = build_params(cfg)
-            spec = ChainSpec(cfg.n_support, params, cfg.T_ghz)
-            params.resolved_T_ent()  # the CSV's T_ent column
-            chain = cfg.experiment == "chain"
-            if cfg.mode == "full" and cfg.experiment != "encode":  # the support ramp it steps
-                (spec if chain else params).support_ramp()
-            if cfg.experiment in CHANNEL_EXPERIMENTS:
-                proto.resolve_coupling(params, cfg.n_support if chain else 2)
-        except (ConfigError, DimensionError) as exc:
-            errors.append(str(exc))
-    if cfg.axis is not None and cfg.axis not in SWEEP_AXES:
-        errors.append(f"unknown sweep axis {cfg.axis!r}; choose from {', '.join(SWEEP_AXES)}")
-    if cfg.axis is not None or cfg.values is not None:
+    with warnings.catch_warnings():  # the run gives the w/U_max advisory
+        warnings.simplefilter("ignore")
+        return checked_points(cfg)[0]
+
+
+def checked_points(cfg: RunConfig):
+    """(errors, points) of :func:`validate_config`'s checks; ``points`` pairs each run's config
+    with its one ProtocolParams, built for the checks and shared by the run (none on errors)."""
+    if cfg.axis is not None or cfg.values is not None:  # a sweep: its base, then its points
+        errors = validate_config(replace(cfg, axis=None, values=None))  # quietly: it never runs
+        if cfg.axis is not None and cfg.axis not in SWEEP_AXES:
+            errors.append(f"unknown sweep axis {cfg.axis!r}; choose from {', '.join(SWEEP_AXES)}")
         if cfg.axis is None or cfg.values is None:
             errors.append("a sweep needs both --axis and --values")
         elif cfg.axis in SWEEP_AXES:
@@ -110,10 +98,33 @@ def validate_config(cfg: RunConfig) -> list:
                 values = parse_values(cfg.axis, cfg.values)
             except ValueError as exc:
                 errors.append(str(exc))
-            if not errors:  # a valid base: check every point before the first one runs
-                errors += [f"sweep point {cfg.axis}={getattr(p, cfg.axis)}: {e}"
-                           for p in sweep_points(cfg, values) for e in validate_config(p)]
-    return errors
+        points = []
+        for v in [] if errors else sorted(values):  # all checked before one runs
+            errs, pts = checked_points(replace(cfg, axis=None, values=None, **{cfg.axis: v}))
+            errors += [f"sweep point {cfg.axis}={v}: {e}" for e in errs]
+            points += pts
+        return errors, [] if errors else points
+    errors = []
+    if cfg.experiment not in EXPERIMENTS:
+        errors.append(f"unknown experiment {cfg.experiment!r}")
+    errors += [f"{f.name} must be finite, got {v}" for f in fields(cfg)
+               if isinstance(v := getattr(cfg, f.name), float) and not np.isfinite(v)]
+    if not 0.0 <= cfg.alpha_abs <= 1.0:
+        errors.append(f"alpha_abs must lie in [0, 1], got {cfg.alpha_abs}")
+    if errors:
+        return errors, []
+    try:  # the settings' owners check them, then the derived values
+        params = build_params(cfg)
+        spec = ChainSpec(cfg.n_support, params, cfg.T_ghz)
+        params.resolved_T_ent()  # the CSV's T_ent column
+        chain = cfg.experiment == "chain"
+        if cfg.mode == "full" and cfg.experiment != "encode":  # the support ramp it steps
+            (spec if chain else params).support_ramp()
+        if cfg.experiment in CHANNEL_EXPERIMENTS:
+            proto.resolve_coupling(params, cfg.n_support if chain else 2)
+    except (ConfigError, DimensionError) as exc:
+        return [str(exc)], []
+    return [], [(cfg, params)]
 
 
 def parse_values(axis: str, text: str) -> list:
@@ -149,46 +160,40 @@ def input_qubit(cfg: RunConfig) -> proto.InputQubit:
     return proto.InputQubit(a, b)
 
 
-def _param_cells(cfg: RunConfig) -> dict:
+def _param_cells(cfg: RunConfig, params: proto.ProtocolParams) -> dict:
     """The parameter columns of cfg's row; derived values in place of None."""
-    params = build_params(cfg)
     row = {c: "" if (v := getattr(cfg, c)) is None else v for c in PARAM_COLUMNS}
     row.update(Uprime_max=params.resolved_Uprime(), bell_U=params.resolved_bell_U(),
                T_ent=params.resolved_T_ent())
     return row
 
 
-def build_channel(cfg: RunConfig) -> proto.Channel:
+def build_channel(cfg: RunConfig, params: proto.ProtocolParams) -> proto.Channel:
     """The pair channel, or the chain channel for the ``chain`` experiment."""
-    params = build_params(cfg)
     if cfg.experiment == "chain":
         return ChainChannel(ChainSpec(cfg.n_support, params, cfg.T_ghz))
     return proto.pair_channel(params)
 
 
-def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None) -> dict:
-    """Execute one experiment (through ``channel`` if given) and return its CSV row cells."""
-    row = _param_cells(cfg)
-    params = build_params(cfg)
+def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None,
+                   params: proto.ProtocolParams | None = None) -> dict:
+    """Execute one experiment (through ``channel``, with ``params``, if given): its CSV row."""
+    params = build_params(cfg) if params is None else params
+    row = _param_cells(cfg, params)
     target = input_qubit(cfg)
 
     if cfg.experiment == "encode":
         enc = proto.encode_qubit(target, cfg.w, cfg.phi)
-        row.update(
-            t_bar=enc.t_bar,
-            achieved_alpha_re=enc.achieved.alpha.real,
-            achieved_alpha_im=enc.achieved.alpha.imag,
-            achieved_beta_re=enc.achieved.beta.real,
-            achieved_beta_im=enc.achieved.beta.imag,
-        )
+        a, b = enc.achieved.alpha, enc.achieved.beta
+        row.update(t_bar=enc.t_bar, achieved_alpha_re=a.real, achieved_alpha_im=a.imag,
+                   achieved_beta_re=b.real, achieved_beta_im=b.imag)
         return row
 
     if cfg.experiment == "entangle":
         state, diag = proto.make_entangled_pair(params)
         row.update(
             bell_overlap_sq=fidelity(state, proto.bell_target(2)),
-            reference_overlap_sq=fidelity(
-                state, proto.entangled_pair_reference(cfg.U_max, cfg.w)),
+            reference_overlap_sq=fidelity(state, proto.entangled_pair_reference(cfg.U_max, cfg.w)),
             ground_overlap_sq=diag.final_ground_overlap_sq if diag else 1.0,
             min_gap=diag.min_gap if diag else "",
             concurrence=concurrence(state),
@@ -196,7 +201,7 @@ def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None) -> dict
         return row
 
     if cfg.experiment in CHANNEL_EXPERIMENTS:
-        res = (channel or build_channel(cfg)).teleport(target)
+        res = (channel or build_channel(cfg, params)).teleport(target)
         log = res.step_log
         if log["channel"]["T_couple"] is not None:
             row["T_couple"] = log["channel"]["T_couple"]
@@ -217,22 +222,12 @@ def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None) -> dict
     raise ConfigError(f"unknown experiment {cfg.experiment!r}")
 
 
-def sweep_points(cfg: RunConfig, values: list) -> list:
-    """One single-run config per sweep value, in ascending order."""
-    points = []
-    for v in sorted(values):
-        point = replace(cfg, axis=None, values=None)
-        setattr(point, cfg.axis, v)
-        points.append(point)
-    return points
-
-
-def run_sweep(cfg: RunConfig) -> list:
-    points = sweep_points(cfg, parse_values(cfg.axis, cfg.values))
+def run_sweep(cfg: RunConfig, points: list) -> list:
+    """The checked points' rows; a channel experiment swept over an input shares one channel."""
     channel = None
     if cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS:
-        channel = build_channel(points[0])
-    return [run_experiment(p, channel) for p in points]
+        channel = build_channel(*points[0])
+    return [run_experiment(p, channel, params) for p, params in points]
 
 
 def format_cell(v) -> str:
@@ -248,15 +243,8 @@ def write_outputs(cfg: RunConfig, rows: list, columns: tuple, out_base: str):
         writer.writerow(columns)
         for row in rows:
             writer.writerow([format_cell(row.get(c, "")) for c in columns])
-    manifest = {
-        "config": asdict(cfg),
-        "seed": cfg.seed,
-        "versions": {
-            "dqdsim": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
-    }
+    versions = {"dqdsim": __version__, "numpy": np.__version__, "python": sys.version.split()[0]}
+    manifest = {"config": asdict(cfg), "seed": cfg.seed, "versions": versions}
     with open(out_base + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -265,14 +253,13 @@ def write_outputs(cfg: RunConfig, rows: list, columns: tuple, out_base: str):
 
 def run(cfg: RunConfig) -> int:
     """Validate, execute and write artifacts; returns the process exit code."""
-    errors = validate_config(cfg)
+    errors, points = checked_points(cfg)
+    for e in errors:
+        print(f"config error: {e}", file=sys.stderr)
     if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
         return 2
-    is_sweep = cfg.axis is not None
     try:
-        rows = run_sweep(cfg) if is_sweep else [run_experiment(cfg)]
+        rows = run_sweep(cfg, points)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -280,7 +267,7 @@ def run(cfg: RunConfig) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     columns = PARAM_COLUMNS + RESULT_COLUMNS[cfg.experiment]
-    out_base = cfg.output or (f"sweep_{cfg.experiment}_{cfg.axis}" if is_sweep else cfg.experiment)
+    out_base = cfg.output or (f"sweep_{cfg.experiment}_{cfg.axis}" if cfg.axis else cfg.experiment)
     csv_path = write_outputs(cfg, rows, columns, out_base)
     print(f"wrote {csv_path} ({len(rows)} row{'s' if len(rows) != 1 else ''})")
     return 0

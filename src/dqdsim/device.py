@@ -155,10 +155,6 @@ def dot_qubit(dot: int) -> int:
     return (dot - 1) // 2
 
 
-def dot_is_odd(dot: int) -> bool:
-    return dot % 2 == 1
-
-
 def validate(g: DeviceGraph) -> list:
     """Check structural invariants; an empty list means the graph is valid."""
     errors = []
@@ -228,8 +224,7 @@ def link_diagonal(link: CoulombLink, n: int) -> np.ndarray:
     qa, qb = dot_qubit(link.dot_i), dot_qubit(link.dot_j)
     if qa == qb:
         raise DeviceError(f"link ({link.dot_i},{link.dot_j}) joins dots of one DQD")
-    want_a = 1 if dot_is_odd(link.dot_i) else 0
-    want_b = 1 if dot_is_odd(link.dot_j) else 0
+    want_a, want_b = link.dot_i % 2, link.dot_j % 2  # odd dots map to P1
     idx = np.arange(2**n)
     return ((((idx >> qa) & 1) == want_a) & (((idx >> qb) & 1) == want_b)).astype(float)
 
@@ -240,8 +235,7 @@ def hamiltonian_terms(g: DeviceGraph):
     Returns ``(H0, [(schedule, B_j), ...])``; used by the propagators to
     assemble many time samples at once.
     """
-    errs = validate(g)
-    if errs:
+    if errs := validate(g):
         raise DeviceError("; ".join(errs))
     n = g.n_qubits
     tunnels = ((term.amplitude, _embed_single(_tunnel_matrix(term.phase), term.dqd, n))
@@ -282,7 +276,7 @@ def majorana_terms(g: DeviceGraph):
     parts = [(term.amplitude, -np.outer(unit[term.dqd], unit[term.dqd])) for term in g.tunnel_terms]
     unpaired = Counter()  # a link's single-Z terms cancel against its crossed partner's
     for link in g.coulomb_links:
-        (qa, odd_a), (qb, odd_b) = sorted((dot_qubit(d), dot_is_odd(d))
+        (qa, odd_a), (qb, odd_b) = sorted((dot_qubit(d), d % 2)
                                           for d in (link.dot_i, link.dot_j))
         if qb != qa + 1 or odd_a == odd_b:
             return None

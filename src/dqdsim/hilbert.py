@@ -164,12 +164,15 @@ def _axis(qubit: int, n: int) -> int:
 
 
 def _unsafe_state(amps: np.ndarray) -> StateVector:
-    """Build a StateVector bypassing the norm check (projected branches etc.)."""
-    sv = object.__new__(StateVector)
-    amps = np.asarray(amps, dtype=complex).copy()
+    """A StateVector over a copy of ``amps``, bypassing the norm check (projected branches)."""
+    return _own_state(np.array(amps, dtype=complex))
+
+
+def _own_state(amps: np.ndarray) -> StateVector:
+    """A StateVector over the fresh complex array ``amps`` itself, read-only: no copy, no check."""
     amps.setflags(write=False)
-    object.__setattr__(sv, "amps", amps)
-    object.__setattr__(sv, "n_qubits", int(np.log2(amps.size)))
+    sv = object.__new__(StateVector)
+    sv.__dict__.update(amps=amps, n_qubits=amps.size.bit_length() - 1)
     return sv
 
 

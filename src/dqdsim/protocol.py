@@ -44,7 +44,7 @@ import numpy as np
 from . import device as dev
 from . import evolve
 from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import NORM_TOL, StateVector, _unsafe_state, fidelity, tensor_product
+from .hilbert import NORM_TOL, StateVector, _own_state, fidelity, tensor_product
 
 # Adiabaticity budget of the gap-adapted coupling ramp: the sweep rate is
 # eps * gap^3 / J, so the default duration is 1/(4 J eps) = 4/J.
@@ -209,11 +209,8 @@ def support_graph(params: ProtocolParams, n_support: int, link: dev.Schedule,
     links = []
     for k in qubits[:-1]:
         links += dev.dqd_pair_links(k, k + 1, link)
-    return dev.DeviceGraph(
-        dqds=range(first + n_support),
-        tunnel_terms=[dev.TunnelTerm(k, dev.Schedule.constant(params.w)) for k in qubits],
-        coulomb_links=links,
-    )
+    tunnels = [dev.TunnelTerm(k, dev.Schedule.constant(params.w)) for k in qubits]
+    return dev.DeviceGraph(range(first + n_support), tunnels, links)
 
 
 def support_crossing_gap(params: ProtocolParams, n_support: int) -> float:
@@ -320,9 +317,7 @@ def entangled_pair_reference(U: float, w: float) -> StateVector:
 
 
 def bell_target(n_qubits: int = 2) -> StateVector:
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return StateVector(amps)
+    return ghz_encoded(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), n_qubits)
 
 
 def ramp_support(params: ProtocolParams, n_support: int, T: float):
@@ -383,7 +378,7 @@ def couple_unknown(unknown: StateVector, support: StateVector,
     gamma, chain = evolve.majorana_start(tensor_product(_PLUS, support), g)
     coupled = evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator, chain).amps
     # the encoder bit is the parity of the basis index
-    return _unsafe_state(coupled * np.tile(unknown.amps / _PLUS.amps, coupled.size // 2))
+    return _own_state(coupled * np.tile(unknown.amps / _PLUS.amps, coupled.size // 2))
 
 
 def effective_rabi(w: float, U: float) -> float:
@@ -403,23 +398,22 @@ def effective_gate(params: ProtocolParams, t: float) -> np.ndarray:
     return np.array([[c, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]])
 
 
-def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:
-    """Timed rotation of the (q0, q1) aligned block; all other qubits frozen.
+def rotation_gate(params: ProtocolParams, t: float) -> np.ndarray:
+    """The rotation stage's 4 x 4 gate over t on qubits 0 and 1: :func:`effective_gate`, or
+    in full mode the exponential of the two-qubit :func:`support_graph` linked by bell_U."""
+    if params.mode == "effective":
+        return effective_gate(params, t)
+    stage = support_graph(params, 2, dev.Schedule.constant(params.resolved_bell_U()))
+    return evolve.sweep_block(np.eye(4, dtype=complex), stage, 0.0, t, params.integrator)
 
-    One 4 x 4 gate G on qubits 0 and 1, applied as ``amps.reshape(-1, 4) @ G.T``
-    (the index is q0 + 2 q1 + 4 * the rest).  Full mode takes G as the one
-    exponential over t of the two-qubit :func:`support_graph` whose link holds
-    bell_U: Bob and any chain qubits in between carry no terms, so they are frozen.
-    Effective mode takes :func:`effective_gate`.
-    """
+
+def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:
+    """Timed rotation of the (q0, q1) aligned block: :func:`rotation_gate`'s G applied as
+    ``amps.reshape(-1, 4) @ G.T`` (index q0 + 2 q1 + 4 * the rest, which stay frozen)."""
     if state.n_qubits < 2:
         raise DimensionError("rotation stage needs at least qubits 0 and 1")
-    if params.mode == "effective":
-        G = effective_gate(params, t)
-    else:
-        stage = support_graph(params, 2, dev.Schedule.constant(params.resolved_bell_U()))
-        G = evolve.sweep_block(np.eye(4, dtype=complex), stage, 0.0, t, params.integrator)
-    return _unsafe_state((state.amps.reshape(-1, 4) @ G.T).ravel())
+    G = rotation_gate(params, t)
+    return _own_state((state.amps.reshape(-1, 4) @ G.T).ravel())
 
 
 @dataclass(frozen=True)
@@ -453,69 +447,101 @@ def _phase_fixed_pair(x0: complex, x1: complex) -> StateVector:
     """:func:`.hilbert.fix_phase` of the normalized pair (x0, x1), on Python scalars."""
     big = x0 if abs(x0) >= abs(x1) else x1
     scale = big.conjugate() / (abs(big) * math.hypot(abs(x0), abs(x1)))
-    return _unsafe_state(np.array([x0 * scale, x1 * scale]))
+    return _own_state(np.array([x0 * scale, x1 * scale]))
+
+
+class _Readout:
+    """Alice's readout of the register x = u @ post at any amplitudes u, from forms in u
+    computed once, so ``read`` costs the same at every register size.
+
+    ``post`` maps u to the register, index k + 2 s + 4 i (encoder bit k, support bit s,
+    receiving register i < R); a channel adds its coupled images and their effective
+    reference for the step log.  Branch k's slice a[i, s] = x[i, s, k] has p_k = tr G_k,
+    G_k = a^+ a; the dominant eigenvector of a a^+ (rank <= 2, never formed) is a v for
+    G_k's dominant v, in closed form (v = (1, 0) if the top pair is degenerate).  Bob's raw
+    readout is c v normalized, c = a[[0, -1]]; his diagonal correction D scales it and the
+    fidelity is |c^+ (D^+ t)|^2 / p_k.  G_k, the leakage (weight on 0 < i < R - 1) and the
+    step log's norms and overlaps are forms u^+ F u from one stacked product of the image
+    rows; c is linear, u @ L.
+    """
+
+    def __init__(self, post, coupled=None, ideal=None):
+        r, R = post.shape[0], post.shape[1] // 4
+        mid = post.reshape(r, R, 4).copy()
+        mid[:, ::R - 1] = 0.0  # the rows off the code pair
+        images = [post, mid.reshape(r, -1)] + ([] if coupled is None else [coupled, ideal])
+        Y = np.concatenate(images)
+        if not np.isfinite(Y).all():
+            raise ConvergenceError("the register's amplitudes are not finite")
+        Z = Y.reshape(len(Y), R, 4).transpose(2, 0, 1).reshape(-1, R)  # [k + 2 s, image, u] x i
+        M = (Z.conj() @ Z.T).reshape(4, len(images), r, 4, len(images), r)
+        # <a|b>: the leakage (mid, mid), then (post, post), (coupled, coupled), (post, ideal)
+        a, b = ([1], [1]) if coupled is None else ([1, 0, 2, 0], [1, 0, 2, 3])
+        self._quad = np.concatenate([M[:, 0, :, :, 0].transpose(0, 2, 1, 3).reshape(16, r, r),
+                                     M.trace(axis1=0, axis2=3)[a, :, b]])
+        code = post.reshape(r, R, 2, 2)[:, ::R - 1].transpose(0, 3, 1, 2).reshape(r, 8)
+        ends = [] if coupled is None else [coupled[:, ::len(Y[0]) - 1]]  # coupled[:, [0, -1]]
+        self._lin = np.concatenate([code] + ends, axis=1)
+
+    def read(self, u: np.ndarray, params: ProtocolParams, achieved: InputQubit) -> TeleportResult:
+        """The readout at u; a channel's step_log also holds ``couple`` and ``bell``."""
+        q = ((self._quad @ u) @ u.conj()).tolist()
+        x = (u @ self._lin).tolist()  # branch k's c[i][s] = x[4 k + 2 i + s]
+        p0, p1 = probs = [(q[0] + q[10]).real, (q[5] + q[15]).real]  # G_k[s][t] = q[5k + 8s + 2t]
+        if abs(p0 + p1 - 1.0) > NORM_TOL:
+            raise DimensionError(f"the branches' total weight (trace) {p0 + p1} deviates from 1")
+        branches = []
+        for k, prob, (c00, c01, c10, c11) in zip((0, 1), probs, (x[:4], x[4:8])):
+            if prob < 1e-12:  # an empty branch can only occur for degenerate inputs
+                branches.append(None)
+                continue
+            g00, g01, g11 = q[5 * k], q[5 * k + 2], q[5 * k + 10]
+            h = (g00 - g11).real / 2
+            r = math.hypot(h, abs(g01))
+            # cancellation-free; h + r is 0 only for G = p I / 2, then v = (1, 0)
+            v0, v1 = (h + r or 1.0, g01.conjugate()) if h >= 0 else (g01, r - h)
+            w0, w1 = c00 * v0 + c01 * v1, c10 * v0 + c11 * v1
+            pair_norm = math.hypot(abs(w0), abs(w1)) / math.sqrt(  # |c v| / |a v|, where
+                (prob / 2 + r) * (abs(v0) ** 2 + abs(v1) ** 2))  # |a v|^2 = lambda_max |v|^2
+            if pair_norm < 1e-12:
+                raise ConvergenceError(f"the register's normalized dominant state has amplitude "
+                                       f"norm {pair_norm:.1e} < 1e-12 on the code pair; it has "
+                                       "leaked out of the code-pair subspace")
+            # D on the code pair: |0...0> has Bob's bit 0, |1...1> has it 1
+            phase = complex(CORRECTIONS[k][1, 1])
+            t0, t1 = complex(achieved.alpha), phase.conjugate() * complex(achieved.beta)
+            fid = (abs(c00.conjugate() * t0 + c10.conjugate() * t1) ** 2
+                   + abs(c01.conjugate() * t0 + c11.conjugate() * t1) ** 2) / prob
+            branches.append(BranchResult(k, prob, _phase_fixed_pair(w0, w1),
+                                         _phase_fixed_pair(w0, phase * w1), fid))
+
+        drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
+        picked = branches[drawn] or branches[1 - drawn]  # never the empty branch
+        # the leakage form is positive semidefinite; rounding must not take it below 0
+        log = {"measure": {"p0": p0, "p1": p1, "leakage": max(0.0, q[16].real)}}
+        if len(q) > 17:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
+            log["couple"] = {"target_overlap_sq": float(abs(np.vdot(x[8:], u)) ** 2),
+                             "norm": math.sqrt(q[18].real)}
+            log["bell"] = {"effective_overlap_sq": abs(q[19]) ** 2, "norm": math.sqrt(q[17].real)}
+        return TeleportResult(picked.outcome, p0, p1, picked.bob_state_raw,
+                              picked.bob_state_corrected, picked.fidelity,
+                              tuple(b for b in branches if b is not None), log)
 
 
 def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
                               achieved: InputQubit) -> TeleportResult:
-    """Measure the encoder charge, apply Bob's conditional phase, and score.
+    """Measure the encoder charge, apply Bob's conditional phase, and score: the
+    :class:`_Readout` of the one-row map of ``state``, as in :class:`Channel`.
 
-    Alice keeps qubits 0 and 1; the rest is the receiving register, whose target
-    t is the achieved amplitudes on the code pair {|0...0>, |1...1>}.  Both
-    branches are evaluated; ``outcome`` follows a seeded draw.  Branch k is the
-    2^(n-2) x 2 slice a = ``arr[:, :, k]``: p_k is the trace of its Gram matrix
-    G = a^+ a, and the rank <= 2 register matrix a a^+, never formed, has the
-    dominant eigenvector a v for G's dominant v, in closed form (v = (1, 0), the
-    support-0 column, for a degenerate top pair G = p_k I / 2).  The raw readout
-    is c v normalized, c = a[[0, -1]] the code-pair rows; Bob's diagonal
-    correction D scales it, and the fidelity is |c^+ (D^+ t)|^2 / p_k.  Leakage,
-    the weight off the code pair, is summed directly, so it is never negative.
-    Refused: non-finite amplitudes and a dominant state of code-pair amplitude
-    norm < 1e-12 (ConvergenceError); |p_0 + p_1 - 1| > NORM_TOL (DimensionError).
+    Alice keeps qubits 0 and 1; the rest is the receiving register, whose target t is
+    the achieved amplitudes on the code pair {|0...0>, |1...1>}.  Both branches are
+    evaluated; ``outcome`` follows a seeded draw.  Refused: non-finite amplitudes and a
+    dominant state of code-pair amplitude norm < 1e-12 (ConvergenceError);
+    |p_0 + p_1 - 1| > NORM_TOL (DimensionError).
     """
-    n = state.n_qubits
-    if n < 3:
+    if state.n_qubits < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
-    if not np.all(np.isfinite(state.amps)):
-        raise ConvergenceError("the register's amplitudes are not finite")
-    arr = state.amps.reshape(2 ** (n - 2), 2, 2)  # [register, support bit, encoder bit]
-    grams = np.einsum("isk,itk->kst", arr.conj(), arr).tolist()
-    pair_rows = arr[::arr.shape[0] - 1].transpose(2, 0, 1).tolist()  # rows 0, -1 per branch
-    p0, p1 = probs = [(g[0][0] + g[1][1]).real for g in grams]
-    if abs(p0 + p1 - 1.0) > NORM_TOL:
-        raise DimensionError(f"the branches' total weight (trace) {p0 + p1} deviates from 1")
-    leakage = float(np.vdot(arr[1:-1], arr[1:-1]).real)
-    branches = []
-    for k, (prob, ((g00, g01), (_, g11)), ((c00, c01), (c10, c11))) in enumerate(
-            zip(probs, grams, pair_rows)):
-        if prob < 1e-12:  # an empty branch can only occur for degenerate inputs
-            branches.append(None)
-            continue
-        h = (g00 - g11).real / 2
-        r = math.hypot(h, abs(g01))
-        # cancellation-free; h + r is 0 only for G = p I / 2, then v = (1, 0)
-        v0, v1 = (h + r or 1.0, g01.conjugate()) if h >= 0 else (g01, r - h)
-        w0, w1 = c00 * v0 + c01 * v1, c10 * v0 + c11 * v1
-        pair_norm = math.hypot(abs(w0), abs(w1)) / math.sqrt(  # |c v| / |a v|, where
-            (prob / 2 + r) * (abs(v0) ** 2 + abs(v1) ** 2))  # |a v|^2 = lambda_max |v|^2
-        if pair_norm < 1e-12:
-            raise ConvergenceError(
-                f"the register's normalized dominant state has amplitude norm {pair_norm:.1e} "
-                "< 1e-12 on the code pair; it has leaked out of the code-pair subspace")
-        # D on the code pair: |0...0> has Bob's bit 0, |1...1> has it 1
-        phase = complex(CORRECTIONS[k][1, 1])
-        u0, u1 = complex(achieved.alpha), phase.conjugate() * complex(achieved.beta)
-        fid = (abs(c00.conjugate() * u0 + c10.conjugate() * u1) ** 2
-               + abs(c01.conjugate() * u0 + c11.conjugate() * u1) ** 2) / prob
-        branches.append(BranchResult(k, prob, _phase_fixed_pair(w0, w1),
-                                     _phase_fixed_pair(w0, phase * w1), fid))
-
-    drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
-    picked = branches[drawn] or branches[1 - drawn]  # never the empty branch
-    return TeleportResult(picked.outcome, p0, p1, picked.bob_state_raw,
-                          picked.bob_state_corrected, picked.fidelity,
-                          tuple(b for b in branches if b is not None),
-                          {"measure": {"p0": p0, "p1": p1, "leakage": leakage}})
+    return _Readout(state.amps[None]).read(np.ones(1), params, achieved)
 
 
 class Channel:
@@ -531,8 +557,8 @@ class Channel:
     2(n_support + 1) Majoranas; it fixes both images up to one common global
     phase, on which no output depends.  A support that is not Gaussian is
     refused with DeviceError.  Both images then go through the rotation stage's
-    4 x 4 gate.  ``teleport`` encodes an input, combines the rotated images
-    with its amplitudes and lets Alice measure.
+    4 x 4 gate, and the readout's forms are built (:class:`_Readout`).  ``teleport``
+    encodes an input and evaluates them; it forms no register-sized array.
     """
 
     def __init__(self, support: StateVector, ramp, params: ProtocolParams):
@@ -550,16 +576,12 @@ class Channel:
         for k in (0, 1):  # the encoder bit is the parity of the basis index
             self._coupled[k, k::2] = coupled[k::2] / _PLUS.amps[k]
         self.t_wait = params.resolved_wait()
-        self._post = np.stack([bell_evolution(_unsafe_state(c), params, self.t_wait).amps
-                               for c in self._coupled])
-        if params.mode == "effective":  # the rotated images are the reference
-            self._ideal_post = self._post
-        else:  # the effective gate on the code-pair images |0...0> and |1...1>
-            G = effective_gate(params, self.t_wait)
-            self._ideal_post = np.stack([
-                (ghz_encoded(1.0 - k, k, 1 + support.n_qubits).amps.reshape(-1, 4) @ G.T).ravel()
-                for k in (0, 1)
-            ])
+        G = rotation_gate(params, self.t_wait)  # once, for both images
+        self._post = (self._coupled.reshape(2, -1, 4) @ G.T).reshape(2, -1)
+        E = G if params.mode == "effective" else effective_gate(params, self.t_wait)
+        ideal = np.zeros_like(self._coupled)  # the effective gate on |0...0> and |1...1>
+        ideal[0, :4], ideal[1, -4:] = E[:, [0, 3]].T
+        self._readout = _Readout(self._post, self._coupled, ideal)
         self._entangle_log = {"norm": float(np.linalg.norm(support.amps))}
         if ramp is not None:
             self._entangle_log["min_gap"] = ramp.min_gap
@@ -571,7 +593,7 @@ class Channel:
 
     def couple(self, encoded: StateVector) -> StateVector:
         """Coupling-stage output for an encoded qubit, from the two images."""
-        return _unsafe_state(encoded.amps @ self._coupled)
+        return _own_state(encoded.amps @ self._coupled)
 
     def teleport(self, target: InputQubit) -> TeleportResult:
         """Encode, couple, rotate, measure and correct one input.
@@ -582,22 +604,16 @@ class Channel:
         """
         p = self.params
         enc = encode_qubit(target, p.w, p.phi)
-        amps = enc.state.amps
-        coupled = amps @ self._coupled
-        post = amps @ self._post
-        result = alice_measure_and_correct(_unsafe_state(post), p, enc.achieved)
+        result = self._readout.read(enc.state.amps, p, enc.achieved)
+        log = result.step_log
         result.step_log = {
             "encode": {"t_bar": enc.t_bar,
                        "achieved": (enc.achieved.alpha, enc.achieved.beta)},
             "entangle": dict(self._entangle_log),
             "channel": dict(self._channel_log),
-            # the reference alpha|0...0> + beta|1...1> lives on the first and last index
-            "couple": {"target_overlap_sq": float(abs(np.vdot(coupled[[0, -1]], amps)) ** 2),
-                       "norm": float(np.linalg.norm(coupled))},
-            "bell": {"t_wait": self.t_wait,
-                     "effective_overlap_sq": float(abs(np.vdot(post, amps @ self._ideal_post)) ** 2),
-                     "norm": float(np.linalg.norm(post))},
-            "measure": result.step_log["measure"],
+            "couple": log["couple"],
+            "bell": {"t_wait": self.t_wait, **log["bell"]},
+            "measure": log["measure"],
         }
         return result
 

@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dqdsim import protocol
+from dqdsim import cli, protocol
 from dqdsim.chain import MAX_QUBITS
 from dqdsim.cli import (
     PARAM_COLUMNS,
     RESULT_COLUMNS,
     RunConfig,
+    build_params,
     main,
     parse_values,
     run,
@@ -19,7 +20,6 @@ from dqdsim.cli import (
     validate_config,
     write_outputs,
 )
-from dqdsim.hilbert import StateVector
 from dqdsim.protocol import ProtocolParams, support_crossing_gap
 
 
@@ -73,6 +73,28 @@ class TestValidateConfig:
             assert run(replace(cfg, experiment="teleport")) == 0
         assert [(os.path.basename(r.filename), r.category) for r in records] == [
             ("cli.py", UserWarning)]
+
+    @pytest.mark.parametrize("argv, advised", [
+        (["encode", "--u-max", "5"], 1),  # the preflight and the run share one ProtocolParams
+        (["sweep", "--experiment", "encode", "--axis", "U_max", "--values", "5,50"], 1),
+        # no point runs a sweep's base config, so it gives no advisory
+        (["sweep", "--experiment", "encode", "--u-max", "5", "--axis", "U_max",
+          "--values", "50,100"], 0),
+    ], ids=["encode", "sweep-point", "sweep-base"])
+    def test_encode_records_the_advisory_once(self, tmp_path, argv, advised):
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            assert main(argv + ["--output", str(tmp_path / "x")]) == 0
+        assert [str(r.message)[:22] for r in records] == ["w/U_max = 0.200 > 0.1:"] * advised
+
+    def test_builds_each_points_params_once(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_params", lambda cfg: built.append(cfg) or
+                            build_params(cfg))
+        assert main(["sweep", "--mode", "effective", "--axis", "alpha_abs", "--values",
+                     "0.2,0.7", "--output", str(tmp_path / "x")]) == 0
+        # the base config is checked once, then each point once, for preflight and run
+        assert [c.alpha_abs for c in built] == [0.6, 0.2, 0.7]
 
     def test_parse_values_types(self):
         assert parse_values("U_max", "20, 50") == [20.0, 50.0]
@@ -217,7 +239,8 @@ class TestSeedAndConfigTypes:
         def refused(*args):
             raise AssertionError("a stage ran before the refusal")
 
-        for stage in ("make_entangled_pair", "ramp_support", "couple_unknown", "bell_evolution"):
+        for stage in ("make_entangled_pair", "ramp_support", "couple_unknown", "bell_evolution",
+                      "rotation_gate"):
             monkeypatch.setattr(protocol, stage, refused)
 
     @pytest.mark.parametrize("argv, message", [
@@ -285,9 +308,10 @@ class TestInputSweeps:
         assert len(built) == 1
 
     def test_leaked_register_exits_3(self, tmp_path, monkeypatch):
-        # a rotation stage that moves weight off the code pair of the receiver
-        monkeypatch.setattr(protocol, "bell_evolution",
-                            lambda state, params, t: StateVector(np.roll(state.amps, 4)))
+        # the channel computes one rotation gate for both images; a 4 x 4 gate on the
+        # encoder and support cannot move weight off the receiver's code pair, so the
+        # broken gate here is a non-finite one, refused by the readout's build
+        monkeypatch.setattr(protocol, "rotation_gate", lambda params, t: np.full((4, 4), np.nan))
         out = tmp_path / "leak"
         assert main(["chain", "--mode", "effective", "--n-support", "3",
                      "--output", str(out)]) == 3
@@ -313,7 +337,8 @@ class TestDerivedValues:
         def no_stage(*args):
             raise AssertionError("a stage ran before the refusal")
 
-        for stage in ("make_entangled_pair", "ramp_support", "couple_unknown", "bell_evolution"):
+        for stage in ("make_entangled_pair", "ramp_support", "couple_unknown", "bell_evolution",
+                      "rotation_gate"):
             monkeypatch.setattr(protocol, stage, no_stage)
         assert main(argv + ["--output", str(tmp_path / "x")]) == 2
         assert list(tmp_path.iterdir()) == []

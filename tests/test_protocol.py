@@ -1,3 +1,5 @@
+import functools
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,6 +22,7 @@ from dqdsim.evolve import (
 )
 from dqdsim.hilbert import (
     StateVector,
+    _unsafe_state,
     align_phase,
     fidelity,
     fix_phase,
@@ -686,7 +689,7 @@ class TestMeasureAndCorrect:
         # the branches' weights must sum to 1: total weight 2 is refused
         amps = np.sqrt(2.0) * eq11_form(0.6, 0.8).amps
         with pytest.raises(DimensionError, match="trace"):
-            alice_measure_and_correct(protocol._unsafe_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
+            alice_measure_and_correct(_unsafe_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_degenerate_top_pair(self, exact):
@@ -736,7 +739,7 @@ class TestMeasureAndCorrect:
         amps = eq11_form(0.6, 0.8).amps.copy()
         amps[0b011] = bad
         with pytest.raises(ConvergenceError, match="not finite"):
-            alice_measure_and_correct(protocol._unsafe_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
+            alice_measure_and_correct(_unsafe_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
 
     def test_leaked_register_is_refused_by_the_measurement(self):
         # encoder and support in |00>, receiving register in |10> (qubit 2 set)
@@ -753,6 +756,86 @@ class TestMeasureAndCorrect:
         a = alice_measure_and_correct(st, ProtocolParams(mode="effective", seed=5), q)
         b = alice_measure_and_correct(st, ProtocolParams(mode="effective", seed=5), q)
         assert a.outcome == b.outcome
+
+
+class TestReadoutForms:
+    """``Channel.teleport`` evaluates forms built once from the rotated images: it must give
+    what Alice's readout of the register u @ post gives, at every register size."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def channel(n_support, mode):
+        if mode == "effective":
+            return ChainChannel(ChainSpec(n_support, EFFECTIVE))
+        # small U and short ramps keep the builds fast; the coupling is unfaithful on purpose
+        params = ProtocolParams(U_max=10.0, T_couple=30.0, integrator=PropagatorConfig(dt=0.25))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "coupling ramp")
+            return ChainChannel(ChainSpec(n_support, params, T_ghz=20.0))
+
+    @staticmethod
+    def assert_same_result(res, ref, tol):
+        assert res.outcome == ref.outcome
+        for a, b in ((res.p0, ref.p0), (res.p1, ref.p1),
+                     (res.fidelity_to_input, ref.fidelity_to_input),
+                     (res.step_log["measure"]["leakage"], ref.step_log["measure"]["leakage"])):
+            assert abs(a - b) <= tol
+        for a, b in ((res.bob_state_raw, ref.bob_state_raw),
+                     (res.bob_state_corrected, ref.bob_state_corrected)):
+            assert np.max(np.abs(a.amps - b.amps)) <= tol
+        assert [b.outcome for b in res.branches] == [b.outcome for b in ref.branches]
+        for a, b in zip(res.branches, ref.branches):
+            assert abs(a.probability - b.probability) <= tol and abs(a.fidelity - b.fidelity) <= tol
+            assert np.max(np.abs(a.bob_state_raw.amps - b.bob_state_raw.amps)) <= tol
+            assert np.max(np.abs(a.bob_state_corrected.amps - b.bob_state_corrected.amps)) <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_support=st.integers(2, 6), mode=st.sampled_from(["full", "effective"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_teleport_is_the_readout_of_the_rotated_register(self, n_support, mode, seed):
+        channel = self.channel(n_support, mode)
+        params, q = channel.params, InputQubit.random(np.random.default_rng(seed))
+        res = channel.teleport(q)
+        enc = encode_qubit(q, params.w, params.phi)
+        u = enc.state.amps
+        post = u @ channel._post
+        self.assert_same_result(res, alice_measure_and_correct(StateVector(post), params,
+                                                               enc.achieved), 1e-14)
+        coupled = u @ channel._coupled
+        # the effective reference: the effective rotation of alpha|0...0> + beta|1...1>
+        ideal = bell_evolution(ghz_encoded(u[0], u[1], n_support + 1),
+                               replace(params, mode="effective"), channel.t_wait).amps
+        log = res.step_log
+        assert abs(log["couple"]["norm"] - np.linalg.norm(coupled)) <= 1e-14
+        assert abs(log["couple"]["target_overlap_sq"]
+                   - abs(np.vdot(coupled[[0, -1]], u)) ** 2) <= 1e-14
+        assert abs(log["bell"]["norm"] - np.linalg.norm(post)) <= 1e-14
+        assert abs(log["bell"]["effective_overlap_sq"] - abs(np.vdot(post, ideal)) ** 2) <= 1e-14
+
+    @pytest.mark.parametrize("mode", ["full", "effective"])
+    def test_teleport_forms_no_register_sized_array(self, mode, monkeypatch):
+        class Refused:
+            """Stands in for an image array and refuses every use."""
+            __array_ufunc__ = None  # numpy hands @ and ufuncs over to the reflected methods
+
+            def refuse(self, *args, **kwargs):
+                raise AssertionError("teleport used a 2^n image array")
+
+            __array__ = __getitem__ = __matmul__ = __rmatmul__ = __mul__ = __rmul__ = refuse
+            __getattr__ = refuse
+
+        with pytest.raises(AssertionError, match="image array"):
+            np.ones(2) @ Refused()
+        channel = self.channel(4, mode)
+        rng = np.random.default_rng(5)
+        qubits = [InputQubit.random(rng) for _ in range(3)]
+        before = [channel.teleport(q) for q in qubits]
+        for name in ("_coupled", "_post"):
+            monkeypatch.setattr(channel, name, Refused())
+        for q, ref in zip(qubits, before):
+            res = channel.teleport(q)
+            self.assert_same_result(res, ref, 0.0)
+            assert res.step_log == ref.step_log
 
 
 class TestEndToEnd:
