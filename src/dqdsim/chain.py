@@ -74,6 +74,6 @@ class ChainChannel(proto.Channel):
     """
 
     def __init__(self, spec: ChainSpec):
-        proto.resolve_coupling(spec.params, spec.n_support)  # refuse before the ramp
-        super().__init__(*make_ghz_chain(spec), spec.params)
+        coupling = proto.resolve_coupling(spec.params, spec.n_support)  # refuse before the ramp
+        super().__init__(*make_ghz_chain(spec), spec.params, coupling)
 

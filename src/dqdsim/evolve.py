@@ -35,7 +35,7 @@ from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
 from .hilbert import (StateVector, _unsafe_state, align_phase, fix_phase, gaussian_state,
                       majorana_covariance)
 
-_CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack: its working set stays in cache
+_CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack; _rotations peaks at ~2.9x this
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # a float64 2 pi errs by 2.4e-16 per turn
 
 DEGENERACY_TOL = 1e-10
@@ -44,10 +44,11 @@ _GAUSS = 0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6  # Gauss nodes on [0, 1]
 _CF4_C = np.sqrt(3) / 3 - 0.5  # the CF4:2 weights 1/4 +- sqrt3/6, as an extrapolation
 
 # x^k coefficients, k <= 12, of C, S, T = cos sqrt x, sin sqrt x / sqrt x, (1 - cos sqrt x) / x
-# in Paterson-Stockmeyer blocks: block b holds x^(4b), ..., x^(4b+4), the x^12 in the top one
+# in Paterson-Stockmeyer blocks: block b holds x^(4b), ..., x^(4b+4), the x^12 in the top one;
+# one row per (block, function)
 _TAYLOR = np.array([[(-1) ** k / math.factorial(2 * k + j) for k in range(13)] for j in range(3)])
-_TAYLOR_BLOCKS = np.stack([np.pad(_TAYLOR[:, :4], [(0, 0), (0, 1)]),
-                           np.pad(_TAYLOR[:, 4:8], [(0, 0), (0, 1)]), _TAYLOR[:, 8:]], axis=1)
+_TAYLOR_BLOCKS = np.concatenate([np.pad(_TAYLOR[:, :4], [(0, 0), (0, 1)]),
+                                 np.pad(_TAYLOR[:, 4:8], [(0, 0), (0, 1)]), _TAYLOR[:, 8:]])
 _GOLDEN = (np.sqrt(5) - 1) / 2  # _rotations' step perturbations: k * _GOLDEN mod 1
 
 # step_grid's thresholds
@@ -177,25 +178,27 @@ def _rotations(Ks, h):
     G = [[0, B], [-B^T, 0]], is the rotation above with C - d P S, S + d C and T + d S in
     place of C, S and T; the second order is below 1e-17.
     """
-    h2 = 2 * np.broadcast_to(h, len(Ks))
-    mag = np.abs(Ks)
-    bound = (np.abs(h2) * np.sqrt(mag.sum(1).max(1) * mag.sum(2).max(1))).max()  # >= ||B||_2
-    s = int(np.ceil(np.log2(max(bound, 2.0) / 2)))
+    N, M = Ks.shape[0], Ks.shape[-1]
+    h2 = 2 * np.broadcast_to(h, N)
+    norms = [np.einsum(f, np.abs(Ks)).max(1) for f in ("kij->kj", "kij->ki")]  # ||K||_1, _inf
+    s = int(np.ceil(np.log2(max((np.abs(h2) * np.sqrt(norms[0] * norms[1])).max(), 2.0) / 2)))
     tau = np.ldexp(h2, -s)
-    t = tau * (1 + 2.0**-29 * ((np.arange(len(Ks)) * _GOLDEN) % 1 - 0.5))
+    t = tau * (1 + 2.0**-29 * ((np.arange(N) * _GOLDEN) % 1 - 0.5))
     B = t[:, None, None] * Ks
-    Bt = np.swapaxes(B, 1, 2)
-    eye = np.eye(B.shape[-1])
-    P = B @ Bt
-    P2 = P @ P
-    P4 = P2 @ P2
-    blocks = np.tensordot(_TAYLOR_BLOCKS, np.stack([np.broadcast_to(eye, P.shape), P, P2,
-                                                    P2 @ P, P4]), 1)
-    C, S, T = (blocks[:, 2] @ P4 + blocks[:, 1]) @ P4 + blocks[:, 0]
+    Bt = np.ascontiguousarray(np.swapaxes(B, 1, 2))
+    X = np.empty((5, N, M, M))  # I, P, P^2, P^3, P^4, written in place
+    _, P, P2, P3, P4 = X
+    X[0] = np.eye(M)
+    for a, b, out in ((B, Bt, P), (P, P, P2), (P2, P, P3), (P2, P2, P4)):
+        np.matmul(a, b, out=out)
+    blocks = (_TAYLOR_BLOCKS @ X.reshape(5, -1)).reshape(3, 3, N, M, M)  # [block, function]
+    C, S, T = (blocks[2] @ P4 + blocks[1]) @ P4 + blocks[0]
+    del blocks  # its nine stacks, freed before the rotation is assembled and squared
     d = np.divide(tau - t, t, out=np.zeros_like(t), where=t != 0)[:, None, None]  # tau - t exact
     C, S, T = C - d * (P @ S), S + d * C, T + d * S  # O + d [[0, B], [-B^T, 0]] O
-    SB = S @ B
-    O = np.block([[C, SB], [-np.swapaxes(SB, 1, 2), eye - Bt @ (T @ B)]])
+    O = np.empty((N, 2 * M, 2 * M))
+    O[:, :M, :M], O[:, :M, M:] = C, S @ B
+    O[:, M:, :M], O[:, M:, M:] = -np.swapaxes(O[:, :M, M:], 1, 2), X[0] - Bt @ (T @ B)
     for _ in range(s):
         O = O @ O
     return O

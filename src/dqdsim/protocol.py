@@ -44,7 +44,7 @@ import numpy as np
 from . import device as dev
 from . import evolve
 from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import NORM_TOL, StateVector, _own_state, fidelity, tensor_product
+from .hilbert import NORM_TOL, StateVector, _own_state, fidelity, tensor_product  # noqa: F401
 
 # Adiabaticity budget of the gap-adapted coupling ramp: the sweep rate is
 # eps * gap^3 / J, so the default duration is 1/(4 J eps) = 4/J.
@@ -241,19 +241,19 @@ def coupler_graph(params: ProtocolParams, n_support: int,
 
 
 def resolve_coupling(params: ProtocolParams, n_support: int):
-    """(T_couple, crossing gap) of a full-mode register; (None, None) in effective mode.
+    """(T_couple, crossing gap, rotation wait); T_couple and the gap are None in effective mode.
 
-    The channel's preflight: channel builders call it before they prepare the
-    support, so no ramp is stepped before a refusal.  Raises ConfigError when
-    the rotation stage's wait is not positive and finite, when the auto-derived
-    ramp is out of reach, or when one exponential of the 2^(n_support+1)
-    register would exceed ``evolve.MAX_EXPONENTIAL_BYTES``: the coupling
-    rebuilds its state with ``hilbert.gaussian_state``, which fills a parent
-    Hamiltonian of that size and diagonalizes it by one ``eigh``.
+    The channel's preflight: channel builders call it before they prepare the support, so
+    no ramp is stepped before a refusal, and pass its result to the :class:`Channel`.
+    Raises ConfigError when the rotation stage's wait is not positive and finite, when the
+    auto-derived ramp is out of reach, or when one exponential of the 2^(n_support+1)
+    register would exceed ``evolve.MAX_EXPONENTIAL_BYTES``: the coupling rebuilds its state
+    with ``hilbert.gaussian_state``, which fills a parent Hamiltonian of that size and
+    diagonalizes it by one ``eigh``.
     """
-    params.resolved_wait()
+    t_wait = params.resolved_wait()
     if params.mode == "effective":
-        return None, None
+        return None, None, t_wait
     gap = support_crossing_gap(params, n_support)
     t_couple = params.resolved_T_couple(gap)
     need = evolve.exponential_bytes(2 ** (n_support + 1))  # gaussian_state's parent Hamiltonian
@@ -261,7 +261,7 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
         raise ConfigError(f"one exponential of the {n_support + 1}-qubit register needs "
                           f"{need / 2**20:.0f} MiB, more than "
                           f"{evolve.MAX_EXPONENTIAL_BYTES / 2**20:.0f} MiB; shorten the chain")
-    return t_couple, gap
+    return t_couple, gap, t_wait
 
 
 # --------------------------------------------------------------------------
@@ -288,10 +288,9 @@ def encode_qubit(target: InputQubit, w: float, phi: float = 0.0) -> EncodeResult
     if mag > 1.0 + 1e-12:
         raise DimensionError(f"|alpha| = {mag} > 1")
     t_bar = float(np.arccos(min(mag, 1.0)) / w)
-    state = StateVector(np.array([np.cos(w * t_bar),
-                                  1j * np.exp(2j * phi) * np.sin(w * t_bar)]))
-    achieved = InputQubit(state.amps[0], state.amps[1])
-    return EncodeResult(t_bar, state, achieved)
+    a, b = complex(np.cos(w * t_bar)), complex(1j * np.exp(2j * phi) * np.sin(w * t_bar))
+    achieved = InputQubit(a, b)  # refuses what is not finite; cos^2 + sin^2 = 1 holds otherwise
+    return EncodeResult(t_bar, _own_state(np.array([a, b])), achieved)
 
 
 def cross_to_aligned_ratio(U: float, w: float) -> float:
@@ -312,8 +311,7 @@ def entangled_pair_reference(U: float, w: float) -> StateVector:
     normalized; the cross sign is positive, matching direct diagonalization.
     """
     r = cross_to_aligned_ratio(U, w)
-    amps = np.array([1.0, r, r, 1.0], dtype=complex)
-    return StateVector(amps / np.linalg.norm(amps))
+    return _own_state(np.array([1.0, r, r, 1.0], dtype=complex) / math.hypot(1.0, r, r, 1.0))
 
 
 def bell_target(n_qubits: int = 2) -> StateVector:
@@ -354,24 +352,27 @@ _PLUS = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
 
 
 def couple_unknown(unknown: StateVector, support: StateVector,
-                   params: ProtocolParams) -> StateVector:
+                   params: ProtocolParams, coupling=None) -> StateVector:
     """Attach the encoder qubit to the support register.
 
     Full mode ramps the encoder-support repulsion with the gap-adapted
     profile.  The encoder does not tunnel, so U(u x S) = u_0 U(|0> x S) +
     u_1 U(|1> x S), read off U(|+> x S): the coupler is an open transverse-field
     Ising chain, and :func:`evolve.sweep_majorana` sweeps the covariance of the
-    Gaussian |+> x S, up to a global phase.  Effective mode returns
-    alpha|0...0> + beta|1...1> exactly.  Raises DeviceError when the coupler
-    lets the encoder tunnel, and as :func:`evolve.majorana_start` does.
+    Gaussian |+> x S, up to a global phase.  Effective mode returns alpha|0...0> +
+    beta|1...1> exactly, normalized as ``unknown`` is.  ``coupling``: as in :class:`Channel`.
+    Raises DeviceError when the coupler lets the encoder tunnel, and as
+    :func:`evolve.majorana_start` does.
     """
     if unknown.n_qubits != 1:
         raise DimensionError("unknown state must be a single qubit")
     if support.n_qubits < 2:
         raise DimensionError("support register needs at least two qubits")
     if params.mode == "effective":
-        return ghz_encoded(unknown.amps[0], unknown.amps[1], 1 + support.n_qubits)
-    t_couple, gap = resolve_coupling(params, support.n_qubits)
+        amps = np.zeros(2 ** (1 + support.n_qubits), dtype=complex)
+        amps[::amps.size - 1] = unknown.amps
+        return _own_state(amps)
+    t_couple, gap, _ = coupling or resolve_coupling(params, support.n_qubits)
     g = coupler_graph(params, support.n_qubits, t_couple, gap)
     if any(term.dqd == 0 for term in g.tunnel_terms):
         raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
@@ -443,13 +444,6 @@ def _seeded_uniform(seed) -> float:
     return np.random.default_rng(seed).random()
 
 
-def _phase_fixed_pair(x0: complex, x1: complex) -> StateVector:
-    """:func:`.hilbert.fix_phase` of the normalized pair (x0, x1), on Python scalars."""
-    big = x0 if abs(x0) >= abs(x1) else x1
-    scale = big.conjugate() / (abs(big) * math.hypot(abs(x0), abs(x1)))
-    return _own_state(np.array([x0 * scale, x1 * scale]))
-
-
 class _Readout:
     """Alice's readout of the register x = u @ post at any amplitudes u, from forms in u
     computed once, so ``read`` costs the same at every register size.
@@ -460,40 +454,43 @@ class _Readout:
     G_k = a^+ a; the dominant eigenvector of a a^+ (rank <= 2, never formed) is a v for
     G_k's dominant v, in closed form (v = (1, 0) if the top pair is degenerate).  Bob's raw
     readout is c v normalized, c = a[[0, -1]]; his diagonal correction D scales it and the
-    fidelity is |c^+ (D^+ t)|^2 / p_k.  G_k, the leakage (weight on 0 < i < R - 1) and the
-    step log's norms and overlaps are forms u^+ F u from one stacked product of the image
-    rows; c is linear, u @ L.
+    fidelity is |c^+ (D^+ t)|^2 / p_k.  c is linear in u, u @ L; G_k, the leakage (weight on
+    0 < i < R - 1) and the step log's overlaps are forms u^+ F u.  Both are rows of one
+    matrix W, so ``read`` takes one product, of W with (u, conj(u_a) u_b for all a, b).
     """
 
     def __init__(self, post, coupled=None, ideal=None):
         r, R = post.shape[0], post.shape[1] // 4
         mid = post.reshape(r, R, 4).copy()
         mid[:, ::R - 1] = 0.0  # the rows off the code pair
-        images = [post, mid.reshape(r, -1)] + ([] if coupled is None else [coupled, ideal])
-        Y = np.concatenate(images)
-        if not np.isfinite(Y).all():
+        bras = np.array([post, mid.reshape(r, -1)] + ([] if coupled is None else [coupled]))
+        if not np.isfinite(bras).all():
             raise ConvergenceError("the register's amplitudes are not finite")
-        Z = Y.reshape(len(Y), R, 4).transpose(2, 0, 1).reshape(-1, R)  # [k + 2 s, image, u] x i
-        M = (Z.conj() @ Z.T).reshape(4, len(images), r, 4, len(images), r)
-        # <a|b>: the leakage (mid, mid), then (post, post), (coupled, coupled), (post, ideal)
-        a, b = ([1], [1]) if coupled is None else ([1, 0, 2, 0], [1, 0, 2, 3])
-        self._quad = np.concatenate([M[:, 0, :, :, 0].transpose(0, 2, 1, 3).reshape(16, r, r),
-                                     M.trace(axis1=0, axis2=3)[a, :, b]])
-        code = post.reshape(r, R, 2, 2)[:, ::R - 1].transpose(0, 3, 1, 2).reshape(r, 8)
-        ends = [] if coupled is None else [coupled[:, ::len(Y[0]) - 1]]  # coupled[:, [0, -1]]
-        self._lin = np.concatenate([code] + ends, axis=1)
+        kets = bras if ideal is None else np.array([ideal, *bras[1:]])
+        Z = post.reshape(r, R, 4).transpose(2, 0, 1).reshape(-1, R)  # [k + 2 s, u] x i
+        # G_k, then <a|b> over the register: (post, ideal), the leakage (mid, mid), then
+        # (coupled, coupled) and the coupled ends' conjugates, <coupled u|u on the code pair>
+        forms = [(Z.conj() @ Z.T).reshape(4, r, 4, r).transpose(0, 2, 1, 3).reshape(16, r, r),
+                 bras.conj() @ kets.transpose(0, 2, 1)]
+        if coupled is not None:
+            forms.append(coupled[None, :, ::coupled.shape[1] - 1].conj())  # [:, [0, -1]]
+        forms = np.concatenate(forms)
+        self._W = np.zeros((8 + len(forms), r + 1, r), dtype=complex)
+        self._W[:8, 0] = post.reshape(r, R, 2, 2)[:, ::R - 1].transpose(3, 1, 2, 0).reshape(8, r)
+        self._W[8:, 1:] = forms  # row n: W[n, 0] . u + sum_ab W[n, 1 + a, b] conj(u_a) u_b
+        self._W = self._W.reshape(len(self._W), -1)
 
-    def read(self, u: np.ndarray, params: ProtocolParams, achieved: InputQubit) -> TeleportResult:
-        """The readout at u; a channel's step_log also holds ``couple`` and ``bell``."""
-        q = ((self._quad @ u) @ u.conj()).tolist()
-        x = (u @ self._lin).tolist()  # branch k's c[i][s] = x[4 k + 2 i + s]
+    def read(self, u, params: ProtocolParams, achieved: InputQubit) -> TeleportResult:
+        """The readout at the amplitudes u (a sequence of complex); a channel's step_log also
+        holds ``couple`` and ``bell``."""
+        y = (self._W @ np.array(list(u) + [a.conjugate() * b for a in u for b in u])).tolist()
+        x, q = y[:8], y[8:]  # branch k's c[i][s] = x[4 k + 2 i + s]; the forms
         p0, p1 = probs = [(q[0] + q[10]).real, (q[5] + q[15]).real]  # G_k[s][t] = q[5k + 8s + 2t]
         if abs(p0 + p1 - 1.0) > NORM_TOL:
             raise DimensionError(f"the branches' total weight (trace) {p0 + p1} deviates from 1")
-        branches = []
+        found, bob = [], []
         for k, prob, (c00, c01, c10, c11) in zip((0, 1), probs, (x[:4], x[4:8])):
             if prob < 1e-12:  # an empty branch can only occur for degenerate inputs
-                branches.append(None)
                 continue
             g00, g01, g11 = q[5 * k], q[5 * k + 2], q[5 * k + 10]
             h = (g00 - g11).real / 2
@@ -512,20 +509,25 @@ class _Readout:
             t0, t1 = complex(achieved.alpha), phase.conjugate() * complex(achieved.beta)
             fid = (abs(c00.conjugate() * t0 + c10.conjugate() * t1) ** 2
                    + abs(c01.conjugate() * t0 + c11.conjugate() * t1) ** 2) / prob
-            branches.append(BranchResult(k, prob, _phase_fixed_pair(w0, w1),
-                                         _phase_fixed_pair(w0, phase * w1), fid))
+            found.append((k, prob, fid))
+            for z0, z1 in ((w0, w1), (w0, phase * w1)):  # Bob's raw and corrected readout,
+                big = z0 if abs(z0) >= abs(z1) else z1  # phase-fixed as hilbert.fix_phase does
+                scale = big.conjugate() / (abs(big) * math.hypot(abs(z0), abs(z1)))
+                bob += [z0 * scale, z1 * scale]
+        bob = np.array(bob).reshape(-1, 2, 2)  # per branch: the raw and corrected readouts
+        branches = {k: BranchResult(k, prob, _own_state(raw), _own_state(corrected), fid)
+                    for (k, prob, fid), (raw, corrected) in zip(found, bob)}
 
         drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
-        picked = branches[drawn] or branches[1 - drawn]  # never the empty branch
+        picked = branches.get(drawn) or branches[1 - drawn]  # never the empty branch
         # the leakage form is positive semidefinite; rounding must not take it below 0
-        log = {"measure": {"p0": p0, "p1": p1, "leakage": max(0.0, q[16].real)}}
-        if len(q) > 17:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
-            log["couple"] = {"target_overlap_sq": float(abs(np.vdot(x[8:], u)) ** 2),
-                             "norm": math.sqrt(q[18].real)}
-            log["bell"] = {"effective_overlap_sq": abs(q[19]) ** 2, "norm": math.sqrt(q[17].real)}
+        log = {"measure": {"p0": p0, "p1": p1, "leakage": max(0.0, q[17].real)}}
+        if len(q) > 18:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
+            log["couple"] = {"target_overlap_sq": abs(q[19]) ** 2, "norm": math.sqrt(q[18].real)}
+            log["bell"] = {"effective_overlap_sq": abs(q[16]) ** 2, "norm": math.sqrt(p0 + p1)}
         return TeleportResult(picked.outcome, p0, p1, picked.bob_state_raw,
                               picked.bob_state_corrected, picked.fidelity,
-                              tuple(b for b in branches if b is not None), log)
+                              tuple(branches.values()), log)
 
 
 def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
@@ -541,7 +543,7 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
     """
     if state.n_qubits < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
-    return _Readout(state.amps[None]).read(np.ones(1), params, achieved)
+    return _Readout(state.amps[None]).read([1.0], params, achieved)
 
 
 class Channel:
@@ -561,35 +563,31 @@ class Channel:
     encodes an input and evaluates them; it forms no register-sized array.
     """
 
-    def __init__(self, support: StateVector, ramp, params: ProtocolParams):
+    def __init__(self, support: StateVector, ramp, params: ProtocolParams, coupling=None):
+        """``coupling``: :func:`resolve_coupling`'s result, if the builder resolved it first."""
         self.params = params
-        self.t_couple, gap = resolve_coupling(params, support.n_qubits)
+        coupling = coupling or resolve_coupling(params, support.n_qubits)
+        self.t_couple, gap, self.t_wait = coupling
         if gap is not None and self.t_couple < 0.5 * faithful_ramp(gap):
-            warnings.warn(
-                f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
-                f"~{faithful_ramp(gap):.3g}/w the crossing gap {gap:.3g} requires; "
-                "the transfer will be unfaithful",
-                stacklevel=2,
-            )
-        coupled = couple_unknown(_PLUS, support, params).amps
+            warnings.warn(f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
+                          f"~{faithful_ramp(gap):.3g}/w the crossing gap {gap:.3g} requires; "
+                          "the transfer will be unfaithful", stacklevel=2)
+        coupled = couple_unknown(_PLUS, support, params, coupling).amps
         self._coupled = np.zeros((2, coupled.size), dtype=complex)
         for k in (0, 1):  # the encoder bit is the parity of the basis index
             self._coupled[k, k::2] = coupled[k::2] / _PLUS.amps[k]
-        self.t_wait = params.resolved_wait()
         G = rotation_gate(params, self.t_wait)  # once, for both images
         self._post = (self._coupled.reshape(2, -1, 4) @ G.T).reshape(2, -1)
         E = G if params.mode == "effective" else effective_gate(params, self.t_wait)
-        ideal = np.zeros_like(self._coupled)  # the effective gate on |0...0> and |1...1>
-        ideal[0, :4], ideal[1, -4:] = E[:, [0, 3]].T
+        ideal = np.zeros((2, coupled.size), dtype=complex)  # E on |0...0> and |1...1>
+        ideal[0, :4], ideal[1, -4:] = E[:, 0], E[:, 3]
         self._readout = _Readout(self._post, self._coupled, ideal)
         self._entangle_log = {"norm": float(np.linalg.norm(support.amps))}
         if ramp is not None:
             self._entangle_log["min_gap"] = ramp.min_gap
             self._entangle_log["ground_overlap_sq"] = ramp.final_ground_overlap_sq
-        self._channel_log = {
-            "ghz_overlap_sq": fidelity(support, bell_target(support.n_qubits)),
-            "T_couple": self.t_couple,
-        }
+        self._channel_log = {"ghz_overlap_sq": abs(support.amps[0] + support.amps[-1]) ** 2 / 2,
+                             "T_couple": self.t_couple}  # ghz_overlap_sq = |<S|GHZ>|^2, closed form
 
     def couple(self, encoded: StateVector) -> StateVector:
         """Coupling-stage output for an encoded qubit, from the two images."""
@@ -604,11 +602,10 @@ class Channel:
         """
         p = self.params
         enc = encode_qubit(target, p.w, p.phi)
-        result = self._readout.read(enc.state.amps, p, enc.achieved)
+        result = self._readout.read((enc.achieved.alpha, enc.achieved.beta), p, enc.achieved)
         log = result.step_log
         result.step_log = {
-            "encode": {"t_bar": enc.t_bar,
-                       "achieved": (enc.achieved.alpha, enc.achieved.beta)},
+            "encode": {"t_bar": enc.t_bar, "achieved": (enc.achieved.alpha, enc.achieved.beta)},
             "entangle": dict(self._entangle_log),
             "channel": dict(self._channel_log),
             "couple": log["couple"],
@@ -620,8 +617,8 @@ class Channel:
 
 def pair_channel(params: ProtocolParams) -> Channel:
     """The support pair's channel; an out-of-reach coupling is refused first."""
-    resolve_coupling(params, 2)
-    return Channel(*make_entangled_pair(params), params)
+    coupling = resolve_coupling(params, 2)
+    return Channel(*make_entangled_pair(params), params, coupling)
 
 
 def teleport_end_to_end(target: InputQubit, params: ProtocolParams) -> TeleportResult:

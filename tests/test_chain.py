@@ -189,7 +189,8 @@ class TestMemoryPreflight:
         assert evolve.exponential_bytes(2048) <= evolve.MAX_EXPONENTIAL_BYTES
         with pytest.raises(ConfigError, match="2048 MiB"):  # an explicit ramp is in reach
             resolve_coupling(ProtocolParams(T_couple=100.0), MAX_QUBITS - 1)
-        assert resolve_coupling(EFFECTIVE, MAX_QUBITS - 1) == (None, None)
+        assert resolve_coupling(EFFECTIVE, MAX_QUBITS - 1) == (None, None,
+                                                             EFFECTIVE.resolved_wait())
 
     def test_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
         from dqdsim.cli import main

@@ -271,7 +271,7 @@ class TestSweepAccuracy:
         # coupled |+> x S); the reference steps dt = 0.0025 and is itself ~1e-11
         # (entangle) and ~3e-7 (couple) off
         params = ProtocolParams()
-        t_couple, gap = resolve_coupling(params, 2)
+        t_couple, gap, _ = resolve_coupling(params, 2)
         g = coupler_graph(params, 2, t_couple, gap)
         plus_support = tensor_product(_PLUS_STATE, entangled_pair_reference(params.U_max, params.w))
 
@@ -374,7 +374,7 @@ class TestChannel:
         support = random_gaussian_state(rng, n_support)
         channel = Channel(support, None, params)
         enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
-        t_couple, gap = resolve_coupling(params, n_support)
+        t_couple, gap, _ = resolve_coupling(params, n_support)
         g = coupler_graph(params, n_support, t_couple, gap)
         U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
         expected = U_couple @ tensor_product(enc.state, support).amps
@@ -427,7 +427,7 @@ class TestChannel:
         # pair and chain channels ramp the 2n_support Majoranas of the support, then
         # rotate the 2M of the coupler's M = n_support + 1 sites
         params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.05))
-        t_couple, _ = resolve_coupling(params, n_support)
+        t_couple, _, _ = resolve_coupling(params, n_support)
         seen = self.coupling_sweeps(monkeypatch, n_support, t_couple)
         if n_support == 2:
             pair_channel(params)
@@ -441,7 +441,7 @@ class TestChannel:
         # chain and refuses anything else before any sweep; the dense engine
         # evolve_scheduled sweeps such a coupling on the whole register
         params = small_full_params()
-        t_couple, gap = resolve_coupling(params, 2)
+        t_couple, gap, _ = resolve_coupling(params, 2)
         support = bell_target(2)
         if case == "random support":  # not a Gaussian state
             support = random_state(np.random.default_rng(4), 2)
@@ -462,7 +462,7 @@ class TestChannel:
         monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
         params = small_full_params()
         support = bell_target(2)
-        t_couple, gap = resolve_coupling(params, 2)
+        t_couple, gap, _ = resolve_coupling(params, 2)
         g = protocol.coupler_graph(params, 2, t_couple, gap)
         U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
         assert np.max(np.abs(U_couple[::-1, ::-1] - U_couple)) > 1e-3  # no X^n symmetry
@@ -478,7 +478,7 @@ class TestChannel:
         support = random_gaussian_state(np.random.default_rng(seed), n_support)
         params = ProtocolParams(U_max=U, Uprime_max=Uprime, T_couple=20.0,
                                 integrator=PropagatorConfig(dt=dt))
-        g = coupler_graph(params, n_support, *resolve_coupling(params, n_support))
+        g = coupler_graph(params, n_support, *resolve_coupling(params, n_support)[:2])
         with pytest.MonkeyPatch.context() as mp:
             seen = self.coupling_sweeps(mp, n_support, 20.0)
             route = couple_unknown(_PLUS_STATE, support, params).amps
@@ -496,7 +496,7 @@ class TestChannel:
         assert seen == [("majorana", 6)]
         # at a loose tolerance it passes with the halved grid's state, as the dense check does
         cfg = PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1e-3)
-        t_couple, gap = resolve_coupling(params, 2)
+        t_couple, gap, _ = resolve_coupling(params, 2)
         out = couple_unknown(_PLUS_STATE, bell_target(2), replace(params, integrator=cfg)).amps
         ref = evolve_scheduled(tensor_product(_PLUS_STATE, bell_target(2)),
                                coupler_graph(params, 2, t_couple, gap), 0.0, t_couple, cfg).amps
@@ -972,3 +972,55 @@ class TestParams:
         with pytest.raises(ConfigError, match="not finite"):
             ChainSpec(3, params).resolved_T_ghz()
         assert ProtocolParams(w=1e-300, T_ent=10.0).resolved_T_ent() == 10.0
+
+
+class TestNoRechecks:
+    """The channel build and the per-input path wrap states whose norm holds by
+    construction without StateVector's norm check."""
+
+    @staticmethod
+    def checked_states(monkeypatch):
+        seen = []
+        original = StateVector.__post_init__
+
+        def spy(self):
+            seen.append(self)
+            original(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", spy)
+        return seen
+
+    def test_effective_build_and_teleports_check_no_state(self, monkeypatch):
+        chain = ChainChannel(ChainSpec(3, EFFECTIVE))  # its support is bell_target, checked
+        checked = self.checked_states(monkeypatch)
+        pair = pair_channel(EFFECTIVE)
+        assert checked == []
+        rng = np.random.default_rng(12)
+        for channel in (pair, chain):
+            for _ in range(5):
+                channel.teleport(InputQubit.random(rng))
+        assert checked == []
+        StateVector.computational(1)
+        assert len(checked) == 1  # the spy sees a checked state
+
+    @pytest.mark.parametrize("n_support", [2, 3, 4, 5, 6])
+    def test_ghz_overlap_is_the_fidelity_with_the_ghz_state(self, n_support):
+        # the channel log's closed form |S[0] + S[-1]|^2 / 2 on ramped supports
+        params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.25))
+        support, ramp = ramp_support(params, n_support, 20.0)
+        log = Channel(support, ramp, EFFECTIVE).teleport(InputQubit(0.6, 0.8)).step_log
+        expected = fidelity(support, bell_target(n_support))
+        assert 0.1 < expected < 0.999
+        assert abs(log["channel"]["ghz_overlap_sq"] - expected) <= 1e-15
+
+
+class TestEffectiveLimit:
+    def test_full_mode_approaches_the_effective_limit(self):
+        # as w/U -> 0 the full dynamics' mean infidelity falls, and like w/U
+        qubits = [InputQubit.random(np.random.default_rng(seed)) for seed in range(20)]
+        losses = []
+        for U in (25.0, 50.0, 100.0, 200.0):
+            channel = pair_channel(ProtocolParams(U_max=U))
+            losses.append(1.0 - np.mean([channel.teleport(q).fidelity_to_input for q in qubits]))
+            assert losses[-1] * U <= 0.06  # in units of w
+        assert all(a > b for a, b in zip(losses, losses[1:])), losses
