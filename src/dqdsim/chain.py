@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import protocol as proto
 from .errors import DimensionError
 from .hilbert import fidelity  # noqa: F401  perfbench's tracer test reads dqdsim.chain.fidelity
@@ -44,8 +46,10 @@ class ChainSpec:
 
     def __post_init__(self):
         n = self.n_support
-        if not 2 <= n <= MAX_QUBITS - 1:  # with the encoder, n_support + 1 qubits
-            raise DimensionError(f"n_support must lie in [2, {MAX_QUBITS - 1}], got {n}")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) \
+                or not 2 <= n <= MAX_QUBITS - 1:  # with the encoder, n_support + 1 qubits
+            raise DimensionError(f"n_support must be an integer in [2, {MAX_QUBITS - 1}], "
+                                 f"got {n!r}")
         if self.T_ghz is not None and not 0 < self.T_ghz < math.inf:  # NaN fails too
             raise DimensionError(f"T_ghz must be positive and finite, got {self.T_ghz}")
 

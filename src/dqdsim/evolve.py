@@ -32,8 +32,8 @@ import numpy as np
 
 from . import device as dev
 from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import (StateVector, _unsafe_state, align_phase, fix_phase, gaussian_state,
-                      majorana_covariance)
+from .hilbert import (StateVector, _own_state, _unsafe_state, align_phase, fix_phase,
+                      gaussian_state, majorana_covariance)
 
 _CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack; _rotations peaks at ~2.9x this
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # a float64 2 pi errs by 2.4e-16 per turn
@@ -57,7 +57,6 @@ STILL = 1e-4
 MAX_PHASE = 5.0
 _MAX_HALVINGS = 40
 MAX_INTERVALS = 2**22  # a grid past this many intervals is out of simulation reach
-MAX_EXPONENTIAL_BYTES = 2**30  # one exponential's working set past this is out of reach
 
 
 @dataclass(frozen=True)
@@ -97,30 +96,27 @@ class GroundState:
     degenerate: bool
 
 
+def _hermitian(H) -> np.ndarray:
+    """H as an array, after checking it is Hermitian to 1e-12 (DimensionError otherwise)."""
+    H = np.asarray(H)
+    if not np.max(np.abs(H - H.conj().T)) <= 1e-12:  # NaN fails too
+        raise DimensionError("Hamiltonian is not Hermitian (or not finite)")
+    return H
+
+
 def ground_state(H: np.ndarray) -> GroundState:
     """Lowest eigenpair, phase-fixed; flags a ground gap below 1e-10."""
-    H = np.asarray(H)
-    if np.max(np.abs(H - H.conj().T)) > 1e-12:
-        raise DimensionError("Hamiltonian is not Hermitian")
-    evals, evecs = np.linalg.eigh(H)
+    evals, evecs = np.linalg.eigh(_hermitian(H))
     degenerate = bool(len(evals) > 1 and evals[1] - evals[0] <= DEGENERACY_TOL)
     return GroundState(float(evals[0]), _unsafe_state(fix_phase(evecs[:, 0])), degenerate)
 
 
 def evolve_static(state: StateVector, H: np.ndarray, duration: float) -> StateVector:
-    """exp(-i H duration)|state> via eigendecomposition (exact to roundoff)."""
-    H = np.asarray(H)
+    """exp(-i H duration)|state> by the refined exponential of ``_step_propagators``."""
+    H = _hermitian(H)
     if H.shape[0] != state.dim:
         raise DimensionError(f"H dim {H.shape[0]} vs state dim {state.dim}")
-    evals, evecs = np.linalg.eigh(H)
-    amps = evecs @ (np.exp(-1j * evals * duration) * (evecs.conj().T @ state.amps))
-    return _unsafe_state(amps)
-
-
-def exponential_bytes(d: int) -> int:
-    """Working set of one refined exponential at dimension d: its complex input
-    and the ~7 temporaries of that size ``_step_propagators`` holds."""
-    return 8 * 16 * d * d
+    return _own_state(_step_propagators(H[None], duration)[0] @ state.amps)
 
 
 def _step_propagators(Hs, h):

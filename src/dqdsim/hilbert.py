@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateBranchError, DimensionError
+from .errors import ConvergenceError, DegenerateBranchError, DimensionError
 
 NORM_TOL = 1e-9          # constructor tolerance on state / density-matrix norm
 HERMITICITY_TOL = 1e-12
@@ -132,30 +132,36 @@ def align_phase(amps: np.ndarray, ref: np.ndarray) -> np.ndarray:
 
 
 def _majoranas(n: int):
-    """Jordan-Wigner Majoranas a_k = X_0..X_{k-1} Z_k, then b_k = X_0..X_{k-1} Y_k,
-    of n qubits as (flip, sign): c|i> = sign[i] |i ^ flip>."""
-    return [((m << k) - 1, s * (-1.0) ** ((np.arange(2**n) >> k) & 1))
-            for m, s in ((1, 1.0), (2, 1j)) for k in range(n)]
+    """Jordan-Wigner Majoranas a_k = X_0..X_{k-1} Z_k, then b_k = X_0..X_{k-1} Y_k, of n
+    qubits as (gather, sign): (c_p psi)[i] = sign[p, i] psi[gather[p, i]]."""
+    k = np.arange(n)
+    gather = np.arange(2**n) ^ np.concatenate([(1 << k) - 1, (2 << k) - 1])[:, None]
+    z = 1.0 - 2.0 * ((gather[:n] >> k[:, None]) & 1)
+    return gather, np.concatenate([z, -1j * z])
 
 
 def majorana_covariance(amps: np.ndarray) -> np.ndarray:
     """Gamma_pq = i <c_p c_q> (p != q) over the Majoranas (a, b) of :func:`_majoranas`,
     as the Gram matrix of the vectors c_p|psi>: O(n^2 2^n), no 2^n x 2^n operator."""
-    idx, n = np.arange(amps.size), int(np.log2(amps.size))
-    phi = np.array([(sign * amps)[idx ^ flip] for flip, sign in _majoranas(n)])
+    gather, sign = _majoranas(amps.size.bit_length() - 1)
+    phi = sign * amps[gather]
     return -np.imag(phi.conj() @ phi.T)
 
 
 def gaussian_state(gamma: np.ndarray) -> np.ndarray:
-    """The pure Gaussian state of covariance ``gamma``, phase-fixed: the ground state
-    of its parent Hamiltonian -(i/4) sum_pq Gamma_pq c_p c_q (gap 1), by one ``eigh``."""
-    c = _majoranas(len(gamma) // 2)
-    idx = np.arange(c[0][1].size)
-    H = np.zeros((idx.size, idx.size), dtype=complex)
-    for p, (fp, sp) in enumerate(c):
-        for q, (fq, sq) in enumerate(c[p + 1:], p + 1):  # c_p c_q |i> = sp[i^fq] sq[i] |i^fq^fp>
-            H[idx ^ fq ^ fp, idx] -= 0.5j * gamma[p, q] * sp[idx ^ fq] * sq
-    return fix_phase(np.linalg.eigh(H)[1][:, 0])
+    """The pure Gaussian state of covariance ``gamma``, phase-fixed: the vacuum of the modes
+    A = sum_p v_p c_p over the +1 eigenvectors v of i gamma (one 2M x 2M ``eigh``), taken as
+    prod_A A A^+ / 2 applied to a seeded random vector, O(M^2 2^M).  Raises ConvergenceError
+    when the projected norm is not positive and finite."""
+    n = len(gamma) // 2
+    gather, sign = _majoranas(n)
+    psi = np.random.default_rng(0).standard_normal(2 ** (n + 1)).view(complex)
+    for v in np.linalg.eigh(1j * gamma)[1][:, n:].T:
+        psi = v @ (sign * (v.conj() @ (sign * psi[gather]))[gather]) / 2
+    norm = np.linalg.norm(psi)
+    if not 0 < norm < np.inf:  # NaN fails too
+        raise ConvergenceError(f"the projection onto the Gaussian state left norm {norm}")
+    return fix_phase(psi / norm)
 
 
 def _axis(qubit: int, n: int) -> int:

@@ -245,23 +245,15 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
 
     The channel's preflight: channel builders call it before they prepare the support, so
     no ramp is stepped before a refusal, and pass its result to the :class:`Channel`.
-    Raises ConfigError when the rotation stage's wait is not positive and finite, when the
-    auto-derived ramp is out of reach, or when one exponential of the 2^(n_support+1)
-    register would exceed ``evolve.MAX_EXPONENTIAL_BYTES``: the coupling rebuilds its state
-    with ``hilbert.gaussian_state``, which fills a parent Hamiltonian of that size and
-    diagonalizes it by one ``eigh``.
+    Raises ConfigError when the rotation stage's wait is not positive and finite, or when
+    the auto-derived coupling ramp is out of reach.  The register's size is bounded by
+    ``chain.MAX_QUBITS`` alone: no stage of a channel holds a 2^n x 2^n array.
     """
     t_wait = params.resolved_wait()
     if params.mode == "effective":
         return None, None, t_wait
     gap = support_crossing_gap(params, n_support)
-    t_couple = params.resolved_T_couple(gap)
-    need = evolve.exponential_bytes(2 ** (n_support + 1))  # gaussian_state's parent Hamiltonian
-    if need > evolve.MAX_EXPONENTIAL_BYTES:
-        raise ConfigError(f"one exponential of the {n_support + 1}-qubit register needs "
-                          f"{need / 2**20:.0f} MiB, more than "
-                          f"{evolve.MAX_EXPONENTIAL_BYTES / 2**20:.0f} MiB; shorten the chain")
-    return t_couple, gap, t_wait
+    return params.resolved_T_couple(gap), gap, t_wait
 
 
 # --------------------------------------------------------------------------

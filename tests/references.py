@@ -3,11 +3,13 @@
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import curve_fit
 
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
 from dqdsim.errors import DimensionError
-from dqdsim.hilbert import (ID2, PAULI_X, PAULI_Y, PAULI_Z, StateVector, _unsafe_state,
-                            gaussian_state, majorana_covariance, tensor_product)
+from dqdsim.hilbert import (ID2, PAULI_X, PAULI_Y, PAULI_Z, StateVector, _majoranas,
+                            _unsafe_state, fix_phase, gaussian_state, majorana_covariance,
+                            tensor_product)
 
 
 def encode_graph(w: float, phi: float) -> DeviceGraph:
@@ -30,6 +32,18 @@ def majorana_matrices(n: int) -> list:
     a_k = X_0..X_{k-1} Z_k and b_k = X_0..X_{k-1} Y_k, as 2^n x 2^n matrices."""
     return [kron_le(*[PAULI_X] * k, P, *[ID2] * (n - k - 1))
             for P in (PAULI_Z, PAULI_Y) for k in range(n)]
+
+
+def parent_gaussian_state(gamma: np.ndarray) -> np.ndarray:
+    """The pure Gaussian state of covariance ``gamma``, phase-fixed: the ground state of its
+    parent Hamiltonian -(i/4) sum_pq Gamma_pq c_p c_q (gap 1), by one 2^M x 2^M ``eigh``."""
+    gather, sign = _majoranas(len(gamma) // 2)
+    rows = np.arange(gather.shape[1])
+    H = np.zeros((rows.size, rows.size), dtype=complex)
+    for p in range(len(gamma)):
+        for q in range(p + 1, len(gamma)):  # <i| c_p c_q |gather_q[gather_p[i]]>
+            H[rows, gather[q][gather[p]]] -= 0.5j * gamma[p, q] * sign[p] * sign[q][gather[p]]
+    return fix_phase(np.linalg.eigh(H)[1][:, 0])
 
 
 def random_gaussian_state(rng, n_qubits: int) -> StateVector:
@@ -122,3 +136,61 @@ def bell_decomposition_check(target, tol: float = 1e-10) -> BellDecompositionRep
         branches[name] = BellBranch(name, prob, tuple(found), best)
         ok = ok and bool(found)
     return BellDecompositionReport(branches, ok)
+
+
+# the oscillation fit of a population series
+
+@dataclass(frozen=True)
+class RabiFit:
+    """Least-squares fit of a population series to offset + amplitude*sin^2(f t).
+
+    ``frequency`` is the sin^2 rate f; a population following sin^2(f t)
+    completes a full transfer cycle at the cosine rate 2f, reported as
+    ``doubled_frequency``.  ``oscillatory`` is False when the data carries no
+    resolvable oscillation (flat series, vanishing amplitude).
+    """
+
+    frequency: float
+    amplitude: float
+    offset: float
+    rms_residual: float
+    oscillatory: bool
+
+    @property
+    def doubled_frequency(self) -> float:
+        return 2.0 * self.frequency
+
+
+def fit_oscillation(times, populations) -> RabiFit:
+    """Fit ``a + b sin^2(f t)`` to a sampled population series.
+
+    Needs at least 16 samples spanning roughly a period.  The initial
+    frequency guess comes from the discrete spectrum of the series.
+    """
+    t = np.asarray(times, dtype=float)
+    p = np.asarray(populations, dtype=float)
+    if t.size < 16 or t.size != p.size:
+        raise DimensionError("need >= 16 (time, population) samples")
+
+    spread = float(np.max(p) - np.min(p))
+    if spread < 1e-12:
+        return RabiFit(0.0, 0.0, float(np.mean(p)), 0.0, oscillatory=False)
+
+    # sin^2(f t) oscillates at 2f: locate the spectral peak of the detrended data
+    dt_s = float(np.mean(np.diff(t)))
+    spec = np.abs(np.fft.rfft(p - np.mean(p)))
+    freqs = 2 * np.pi * np.fft.rfftfreq(t.size, d=dt_s)
+    f0 = freqs[np.argmax(spec[1:]) + 1] / 2.0 if spec.size > 1 else 0.0
+    f0 = f0 if f0 > 0 else np.pi / (t[-1] - t[0])
+
+    def model(tt, a, b, f):
+        return a + b * np.sin(f * tt) ** 2
+
+    popt, _ = curve_fit(model, t, p, p0=[float(np.min(p)), spread, f0], maxfev=20000)
+    a, b, f = popt
+    if b < 0:  # sin^2 ambiguity: fold negative amplitude onto a phase-shifted branch
+        a, b, f = a + b, -b, f
+    resid = p - model(t, a, b, abs(f))
+    rms = float(np.sqrt(np.mean(resid**2)))
+    oscillatory = b > max(1e-9, 10 * rms) * 0.01 and abs(f) * (t[-1] - t[0]) > 0.5
+    return RabiFit(float(abs(f)), float(b), float(a), rms, oscillatory)

@@ -28,7 +28,6 @@ from dqdsim.evolve import (
     sweep_block,
 )
 from dqdsim.hilbert import StateVector, fidelity, measure_qubit
-from dqdsim.metrics import fit_oscillation
 from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
@@ -40,7 +39,7 @@ from dqdsim.protocol import (
     pair_channel,
     teleport_end_to_end,
 )
-from references import bell_decomposition_check, encode_graph
+from references import bell_decomposition_check, encode_graph, fit_oscillation
 
 
 def report(name, ok, budget_s, elapsed_s, detail):

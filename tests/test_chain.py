@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from dqdsim.protocol import (
     bell_target,
     pair_channel,
     ramp_support,
-    resolve_coupling,
     support_crossing_gap,
     support_graph,
     teleport_end_to_end,
@@ -30,8 +30,10 @@ EFFECTIVE = ProtocolParams(mode="effective")
 
 class TestSpec:
     def test_minimum_size(self):
-        with pytest.raises(DimensionError):
-            ChainSpec(1, EFFECTIVE)
+        for n_support in (1, True, 3.5, 3.0, "3", None):  # and anything but an integer
+            with pytest.raises(DimensionError, match="n_support"):
+                ChainSpec(n_support, EFFECTIVE)
+        assert ChainSpec(np.int64(3), EFFECTIVE).n_support == 3
 
     def test_budget(self):
         with pytest.raises(DimensionError):
@@ -179,36 +181,32 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 
 class TestMemoryPreflight:
-    """A full-mode channel is refused before any ramp when the coupled register
-    is out of reach: ``gaussian_state`` rebuilds it from a 2^(n_support+1)
-    parent Hamiltonian and one ``eigh``, sized as one exponential."""
+    """A full-mode channel holds no 2^n x 2^n array: the support and the coupled register are
+    rebuilt from their covariances by ``hilbert.gaussian_state`` in O(M^2 2^M), so
+    ``MAX_QUBITS`` is the one size limit."""
 
-    def test_estimate_refuses_the_longest_dense_chain(self):
-        # n_support = 11: 4096 x 4096 complex matrices, 2 GiB per exponential
-        assert evolve.exponential_bytes(4096) == 2 * 2**30 > evolve.MAX_EXPONENTIAL_BYTES
-        assert evolve.exponential_bytes(2048) <= evolve.MAX_EXPONENTIAL_BYTES
-        with pytest.raises(ConfigError, match="2048 MiB"):  # an explicit ramp is in reach
-            resolve_coupling(ProtocolParams(T_couple=100.0), MAX_QUBITS - 1)
-        assert resolve_coupling(EFFECTIVE, MAX_QUBITS - 1) == (None, None,
-                                                             EFFECTIVE.resolved_wait())
+    def test_no_eigh_past_the_majorana_covariance(self, monkeypatch):
+        dims, eigh = [], np.linalg.eigh
 
-    def test_refused_before_any_sweep(self, tmp_path, capsys, monkeypatch):
-        from dqdsim.cli import main
+        def spy(a, *args, **kwargs):
+            dims.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
 
-        def no_sweep(*args):
-            raise AssertionError("a sweep started before the refusal")
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.2))
+        ChainChannel(ChainSpec(6, params, T_ghz=45.0))
+        assert dims and max(dims) == 14  # 2M of the 7-qubit coupled register, not 2^7
 
-        for engine in ("sweep_block", "sweep_majorana"):  # the dense and the Majorana sweep
-            monkeypatch.setattr(evolve, engine, no_sweep)
-        monkeypatch.setattr(evolve, "MAX_EXPONENTIAL_BYTES", evolve.exponential_bytes(8) - 1)
-        params = ProtocolParams(U_max=15.0, Uprime_max=40.0, integrator=PropagatorConfig(dt=0.2))
-        for build in (lambda: pair_channel(params), lambda: ChainChannel(ChainSpec(3, params))):
-            with pytest.raises(ConfigError, match="MiB"):
-                build()
-        assert main(["chain", "--n-support", "3", "--u-max", "15", "--uprime-max", "40",
-                     "--dt", "0.2", "--output", str(tmp_path / "x")]) == 2
-        assert list(tmp_path.iterdir()) == []
-        assert "config error:" in capsys.readouterr().err
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    def test_n_support_10_builds_within_3_s(self):
+        start = time.perf_counter()
+        ChainChannel(ChainSpec(10, ProtocolParams(U_max=4.0)))
+        assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    def test_the_longest_chain_builds(self):
+        channel = ChainChannel(ChainSpec(MAX_QUBITS - 1, ProtocolParams(U_max=4.0)))
+        assert channel.teleport(InputQubit(0.6, 0.8)).fidelity_to_input > 0.5
 
     def test_chain4_build_stays_within_32_MiB(self):
         """A step-count-sized temporary in a sweep shows as RSS growth past

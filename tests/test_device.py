@@ -11,12 +11,14 @@ from dqdsim.device import (
     dqd_pair_links,
     link_diagonal,
     hamiltonian_at,
+    hamiltonian_terms,
     majorana_terms,
     schedule_value,
     validate,
 )
 from dqdsim.errors import DeviceError
-from dqdsim.hilbert import P0, P1
+from dqdsim.evolve import evolve_scheduled, scheduled_propagator
+from dqdsim.hilbert import P0, P1, StateVector
 from dqdsim.protocol import ProtocolParams, coupler_graph, support_crossing_gap
 from references import majorana_matrices
 
@@ -208,12 +210,19 @@ class TestHamiltonian:
                 assert H[idx, idx].real == pytest.approx(direct)
 
     def test_non_hermitian_term_raises(self):
-        # a complex phase makes the tunneling term non-Hermitian; the check
-        # must hold under python -O, so it raises DeviceError, not AssertionError
-        g = DeviceGraph(dqds=(0,),
-                        tunnel_terms=(TunnelTerm(0, Schedule.constant(1.0), phase=0.3j),))
-        with pytest.raises(DeviceError, match="Hermitian"):
-            hamiltonian_at(g, 0.0)
+        # a phase that is not real and finite makes the tunneling term non-Hermitian, and
+        # every compiler refuses it (the dense engine would step a non-unitary "state"); the
+        # check must hold under python -O, so it raises DeviceError, not AssertionError
+        state = StateVector.computational(1, 0)
+        for phase in (0.3j, 0.3 + 0.5j, np.nan, np.inf):
+            g = DeviceGraph(dqds=(0,),
+                            tunnel_terms=(TunnelTerm(0, Schedule.constant(1.0), phase=phase),))
+            assert any("Hermitian" in e for e in validate(g))
+            for compile_ in (hamiltonian_terms, majorana_terms, lambda g: hamiltonian_at(g, 0.0),
+                             lambda g: evolve_scheduled(state, g, 0.0, 1.0),
+                             lambda g: scheduled_propagator(g, 0.0, 1.0)):
+                with pytest.raises(DeviceError, match="Hermitian"):
+                    compile_(g)
 
 
 class TestMajoranaTerms:

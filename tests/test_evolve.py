@@ -97,8 +97,9 @@ class TestGroundState:
         assert ground_state(np.zeros((2, 2))).degenerate
 
     def test_rejects_nonhermitian(self):
-        with pytest.raises(DimensionError):
-            ground_state(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        for H in ([[0.0, 1.0], [2.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]]):  # NaN fails too
+            with pytest.raises(DimensionError, match="Hermitian"):
+                ground_state(np.array(H))
 
     def test_phase_fixing(self):
         gs = ground_state(np.array([[0.0, -1.0], [-1.0, 0.0]]))
@@ -131,6 +132,21 @@ class TestEvolveStatic:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             evolve_static(StateVector.computational(2, 0), np.zeros((2, 2)), 1.0)
+
+    @pytest.mark.parametrize("H", [[[0.0, 1.0], [0.0, 0.0]], [[0.0, np.nan], [np.nan, 0.0]]])
+    def test_rejects_a_non_hermitian_or_nan_hamiltonian(self, H):
+        # exp(-i H t) of [[0, 1], [0, 0]] would leave |0> as it is, a made-up "evolution"
+        with pytest.raises(DimensionError, match="Hermitian"):
+            evolve_static(StateVector.computational(1, 0), np.array(H), 1.0)
+
+    def test_matches_the_eigendecomposition(self):
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        H = 5 * (A + A.conj().T)
+        state = StateVector.computational(3, 5)
+        lam, V = np.linalg.eigh(H)
+        expected = V @ (np.exp(-1.7j * lam) * V[5].conj())
+        assert np.max(np.abs(evolve_static(state, H, 1.7).amps - expected)) <= 1e-12
 
 
 class TestEvolveScheduled:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqdsim.errors import DegenerateBranchError, DimensionError
+from dqdsim.errors import ConvergenceError, DegenerateBranchError, DimensionError
 from dqdsim.hilbert import (
     ID2,
     P0,
@@ -21,7 +21,7 @@ from dqdsim.hilbert import (
     tensor_product,
 )
 from dqdsim.protocol import ProtocolParams, bell_target, ramp_support
-from references import apply_local, kron_le, majorana_matrices
+from references import apply_local, kron_le, majorana_matrices, parent_gaussian_state
 
 
 def random_state(rng, n):
@@ -283,6 +283,35 @@ class TestMajoranaCovariance:
         amps = random_state(np.random.default_rng(4), 3).amps
         rebuilt = gaussian_state(majorana_covariance(amps))
         assert np.linalg.norm(align_phase(rebuilt, amps) - amps) > 0.1
+
+    @settings(max_examples=10, deadline=None)  # the reference takes ~1 s at M = 10
+    @given(M=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+    def test_matches_the_parent_hamiltonian_ground_state(self, M, seed, sparse):
+        # a random pure covariance O J O^T; a sparse O (a few Givens rotations) keeps ties
+        # among the largest amplitudes, where fix_phase alone may pick another global phase
+        rng = np.random.default_rng(seed)
+        if sparse:
+            O = np.eye(2 * M)
+            for p, q in rng.integers(0, 2 * M, size=(M, 2)):
+                if p != q:
+                    c, s = np.cos(th := rng.uniform(0, 2 * np.pi)), np.sin(th)
+                    O[[p, q]] = [c * O[p] - s * O[q], s * O[p] + c * O[q]]
+        else:
+            O = np.linalg.qr(rng.normal(size=(2 * M, 2 * M)))[0]
+        J = np.block([[np.zeros((M, M)), np.eye(M)], [-np.eye(M), np.zeros((M, M))]])
+        gamma = O @ J @ O.T
+        amps, expected = gaussian_state(gamma), parent_gaussian_state(gamma)
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-14
+        assert np.linalg.norm(align_phase(amps, expected) - expected) <= 1e-13
+
+    def test_a_start_vector_without_overlap_is_refused(self, monkeypatch):
+        class Zeros:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Zeros())
+        with pytest.raises(ConvergenceError, match="norm"):
+            gaussian_state(majorana_covariance(bell_target(3).amps))
 
     def test_align_phase(self):
         amps = random_state(np.random.default_rng(5), 2).amps

@@ -9,13 +9,9 @@ import dqdsim
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, dqd_pair_links
 from dqdsim.errors import DimensionError
 from dqdsim.hilbert import StateVector
-from dqdsim.metrics import (
-    concurrence,
-    entanglement_entropy,
-    fit_oscillation,
-)
+from dqdsim.metrics import concurrence, entanglement_entropy
 from dqdsim.protocol import bell_target, entangled_pair_reference
-from references import apply_local, instantaneous_gap
+from references import apply_local, fit_oscillation, instantaneous_gap
 
 
 def random_unitary(rng):
@@ -135,7 +131,7 @@ class TestFitOscillation:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.optimize takes ~0.4 s to import; only fit_oscillation needs it
+    # scipy.optimize takes ~0.4 s to import; only the tests' fit_oscillation needs it
     src = os.path.dirname(os.path.dirname(dqdsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, dqdsim, dqdsim.cli; "

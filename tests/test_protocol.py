@@ -30,7 +30,6 @@ from dqdsim.hilbert import (
     partial_trace,
     tensor_product,
 )
-from dqdsim.metrics import fit_oscillation
 from dqdsim.protocol import (
     Channel,
     InputQubit,
@@ -52,7 +51,8 @@ from dqdsim.protocol import (
     support_graph,
     teleport_end_to_end,
 )
-from references import bell_decomposition_check, encode_graph, random_gaussian_state
+from references import (bell_decomposition_check, encode_graph, fit_oscillation,
+                        random_gaussian_state)
 
 EFFECTIVE = ProtocolParams(mode="effective")
 
