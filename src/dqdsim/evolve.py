@@ -32,8 +32,8 @@ import numpy as np
 
 from . import device as dev
 from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import (StateVector, _own_state, _unsafe_state, align_phase, fix_phase,
-                      gaussian_state, majorana_covariance)
+from .hilbert import (StateVector, _own_state, align_phase, fix_phase, gaussian_state,
+                      majorana_covariance)
 
 _CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack; _rotations peaks at ~2.9x this
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # a float64 2 pi errs by 2.4e-16 per turn
@@ -108,14 +108,17 @@ def ground_state(H: np.ndarray) -> GroundState:
     """Lowest eigenpair, phase-fixed; flags a ground gap below 1e-10."""
     evals, evecs = np.linalg.eigh(_hermitian(H))
     degenerate = bool(len(evals) > 1 and evals[1] - evals[0] <= DEGENERACY_TOL)
-    return GroundState(float(evals[0]), _unsafe_state(fix_phase(evecs[:, 0])), degenerate)
+    return GroundState(float(evals[0]), _own_state(fix_phase(evecs[:, 0])), degenerate)
 
 
 def evolve_static(state: StateVector, H: np.ndarray, duration: float) -> StateVector:
-    """exp(-i H duration)|state> by the refined exponential of ``_step_propagators``."""
+    """exp(-i H duration)|state> over a finite duration, by the refined exponential of
+    ``_step_propagators``."""
     H = _hermitian(H)
     if H.shape[0] != state.dim:
         raise DimensionError(f"H dim {H.shape[0]} vs state dim {state.dim}")
+    if not np.isfinite(duration):
+        raise DimensionError(f"duration {duration} is not finite")
     return _own_state(_step_propagators(H[None], duration)[0] @ state.amps)
 
 
@@ -306,8 +309,8 @@ def _graded(g, t0, t1, cfg, run, deviation):
     """run(rule, edges) by :func:`cf4` on :func:`step_grid`'s grid of coarse step 2 dt, or by one
     (exact) midpoint exponential when nothing moves; ``richardson_check`` reruns with every
     interval halved and bounds ``deviation`` between the two results."""
-    if not t1 >= t0:
-        raise DimensionError(f"need t0 <= t1, got [{t0}, {t1}]")
+    if not -np.inf < t0 <= t1 < np.inf:  # NaN fails too
+        raise DimensionError(f"need finite t0 <= t1, got [{t0}, {t1}]")
     dt = cfg.resolve_dt(g)
     edges = step_grid(g, t0, t1, 2 * dt)
     if edges is None:
@@ -347,8 +350,8 @@ def sweep_majorana(gamma, g: dev.DeviceGraph, t0: float, t1: float, cfg: Propaga
     def run(rule, edges):
         O = _sweep(np.eye(len(gamma)), *compiled, *rule(compiled[1], edges), _rotations)
         return gaussian_state(O @ gamma @ O.T)
-    return _unsafe_state(_graded(g, t0, t1, cfg, run,
-                                 lambda a, b: float(np.linalg.norm(align_phase(b, a) - a))))
+    return _own_state(_graded(g, t0, t1, cfg, run,
+                              lambda a, b: float(np.linalg.norm(align_phase(b, a) - a))))
 
 
 def majorana_start(state: StateVector, g: dev.DeviceGraph):
@@ -369,7 +372,7 @@ def evolve_scheduled(state: StateVector, g: dev.DeviceGraph, t0: float, t1: floa
                      cfg: PropagatorConfig | None = None) -> StateVector:
     """Integrate the time-dependent device Hamiltonian from t0 to t1 on the whole register,
     global phase included; schedules are sampled at each step's Gauss nodes, inside the step."""
-    return _unsafe_state(sweep_block(state.amps, g, t0, t1, cfg or PropagatorConfig()))
+    return _own_state(sweep_block(state.amps, g, t0, t1, cfg or PropagatorConfig()))
 
 
 def scheduled_propagator(g: dev.DeviceGraph, t0: float, t1: float,

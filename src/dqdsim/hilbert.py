@@ -14,7 +14,7 @@ Conventions (used consistently everywhere in the package):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,25 +48,26 @@ def basis_index(bits) -> int:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized amplitude vector over the 2^N logical basis."""
+    """Normalized amplitude vector over the 2^N logical basis; == and hash by identity."""
 
     amps: np.ndarray
-    n_qubits: int = field(default=0)
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
         if amps.ndim != 1 or amps.size < 1 or amps.size & (amps.size - 1):
             raise DimensionError(f"state shape {amps.shape} is not one power-of-two axis")
-        n = int(np.log2(amps.size))
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN and inf fail too
             raise DimensionError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "n_qubits", n)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.amps.size.bit_length() - 1
 
     @property
     def dim(self) -> int:
@@ -79,12 +80,11 @@ class StateVector:
         return cls(amps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, trace-one matrix."""
+    """Hermitian, positive-semidefinite, trace-one matrix; == and hash by identity."""
 
     matrix: np.ndarray
-    n_qubits: int = field(default=0)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -92,16 +92,14 @@ class DensityMatrix:
             raise DimensionError(f"density matrix shape {m.shape} is not square")
         if m.shape[0] < 1 or m.shape[0] & (m.shape[0] - 1):
             raise DimensionError(f"dimension {m.shape[0]} is not a power of two")
-        n = int(np.log2(m.shape[0]))
         check_density(m)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "n_qubits", n)
 
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityMatrix":
-        return cls(np.outer(state.amps, state.amps.conj()))
+    @property
+    def n_qubits(self) -> int:
+        return len(self.matrix).bit_length() - 1
 
 
 def check_density(m: np.ndarray) -> None:
@@ -169,16 +167,12 @@ def _axis(qubit: int, n: int) -> int:
     return n - 1 - qubit
 
 
-def _unsafe_state(amps: np.ndarray) -> StateVector:
-    """A StateVector over a copy of ``amps``, bypassing the norm check (projected branches)."""
-    return _own_state(np.array(amps, dtype=complex))
-
-
 def _own_state(amps: np.ndarray) -> StateVector:
-    """A StateVector over the fresh complex array ``amps`` itself, read-only: no copy, no check."""
+    """A StateVector over the complex array ``amps`` itself, made read-only: no copy, no check.
+    ``amps`` is one the caller has just computed, or another state's (already read-only)."""
     amps.setflags(write=False)
     sv = object.__new__(StateVector)
-    sv.__dict__.update(amps=amps, n_qubits=amps.size.bit_length() - 1)
+    sv.__dict__["amps"] = amps
     return sv
 
 
@@ -187,7 +181,7 @@ def tensor_product(*states: StateVector) -> StateVector:
     amps = states[0].amps
     for s in states[1:]:
         amps = np.kron(s.amps, amps)
-    return _unsafe_state(amps)
+    return _own_state(amps)
 
 
 def partial_trace(state: StateVector, keep) -> DensityMatrix:
@@ -256,7 +250,7 @@ def measure_qubit(state: StateVector, qubit: int,
         idx = [slice(None)] * n
         idx[ax] = 1 - outcome
         sel[tuple(idx)] = 0.0
-        branches.append(_unsafe_state(sel.reshape(-1) / np.sqrt(p)))
+        branches.append(_own_state(sel.reshape(-1) / np.sqrt(p)))
 
     outcome = None
     if rng is not None:

@@ -5,23 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .hilbert import DensityMatrix, PAULI_Y, StateVector, partial_trace
+from .hilbert import StateVector, partial_trace
 
 
-def concurrence(rho) -> float:
-    """Two-qubit concurrence: max(0, l1 - l2 - l3 - l4) of the spin-flipped spectrum."""
-    if isinstance(rho, StateVector):
-        rho = DensityMatrix.from_state(rho)
-    m = rho.matrix
-    if m.shape != (4, 4):
-        raise DimensionError("concurrence is defined for two qubits")
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    r = m @ yy @ m.conj() @ yy
-    evals = np.sort(np.linalg.eigvals(r).real)[::-1]
-    # roundoff noise below the leading eigenvalue would blow up under sqrt
-    evals[evals < 1e-14 * max(evals[0], 1e-30)] = 0.0
-    lams = np.sqrt(evals)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+def concurrence(state: StateVector) -> float:
+    """Two-qubit pure-state concurrence 2|psi_00 psi_11 - psi_01 psi_10| (Hill & Wootters,
+    PRL 78, 5022 (1997)); anything but a two-qubit StateVector raises DimensionError."""
+    if not isinstance(state, StateVector) or state.dim != 4:
+        raise DimensionError("concurrence is defined for a two-qubit pure state")
+    a00, a10, a01, a11 = state.amps.tolist()  # index q0 + 2 q1
+    return 2 * abs(a00 * a11 - a01 * a10)
 
 
 def entanglement_entropy(state: StateVector, partition) -> float:

@@ -384,8 +384,10 @@ def effective_rabi(w: float, U: float) -> float:
 
 
 def effective_gate(params: ProtocolParams, t: float) -> np.ndarray:
-    """The effective rotation stage's 4 x 4 gate over t: cos(wt) I + i sin(wt) (flip q0, q1)
-    on the aligned block {|00>, |11>}, with the rate from :func:`effective_rabi`."""
+    """The effective rotation stage's 4 x 4 gate over a finite t: cos(wt) I + i sin(wt)
+    (flip q0, q1) on the aligned block {|00>, |11>}, with the rate from :func:`effective_rabi`."""
+    if not np.isfinite(t):
+        raise DimensionError(f"rotation time {t} is not finite")
     om = effective_rabi(params.w, params.resolved_bell_U())
     c, s = np.cos(om * t), 1j * np.sin(om * t)
     return np.array([[c, 0, 0, s], [0, 1, 0, 0], [0, 0, 1, 0], [s, 0, 0, c]])
@@ -459,11 +461,11 @@ class _Readout:
         if not np.isfinite(bras).all():
             raise ConvergenceError("the register's amplitudes are not finite")
         kets = bras if ideal is None else np.array([ideal, *bras[1:]])
-        Z = post.reshape(r, R, 4).transpose(2, 0, 1).reshape(-1, R)  # [k + 2 s, u] x i
+        Z = post.reshape(r, R, 2, 2).transpose(3, 2, 0, 1).reshape(2, 2 * r, R)  # k x [s, u] x i
         # G_k, then <a|b> over the register: (post, ideal), the leakage (mid, mid), then
         # (coupled, coupled) and the coupled ends' conjugates, <coupled u|u on the code pair>
-        forms = [(Z.conj() @ Z.T).reshape(4, r, 4, r).transpose(0, 2, 1, 3).reshape(16, r, r),
-                 bras.conj() @ kets.transpose(0, 2, 1)]
+        forms = [(Z.conj() @ Z.transpose(0, 2, 1)).reshape(2, 2, r, 2, r).transpose(0, 1, 3, 2, 4)
+                 .reshape(8, r, r), bras.conj() @ kets.transpose(0, 2, 1)]
         if coupled is not None:
             forms.append(coupled[None, :, ::coupled.shape[1] - 1].conj())  # [:, [0, -1]]
         forms = np.concatenate(forms)
@@ -477,14 +479,14 @@ class _Readout:
         holds ``couple`` and ``bell``."""
         y = (self._W @ np.array(list(u) + [a.conjugate() * b for a in u for b in u])).tolist()
         x, q = y[:8], y[8:]  # branch k's c[i][s] = x[4 k + 2 i + s]; the forms
-        p0, p1 = probs = [(q[0] + q[10]).real, (q[5] + q[15]).real]  # G_k[s][t] = q[5k + 8s + 2t]
+        p0, p1 = probs = [(q[0] + q[3]).real, (q[4] + q[7]).real]  # G_k[s][t] = q[4k + 2s + t]
         if abs(p0 + p1 - 1.0) > NORM_TOL:
             raise DimensionError(f"the branches' total weight (trace) {p0 + p1} deviates from 1")
         found, bob = [], []
         for k, prob, (c00, c01, c10, c11) in zip((0, 1), probs, (x[:4], x[4:8])):
             if prob < 1e-12:  # an empty branch can only occur for degenerate inputs
                 continue
-            g00, g01, g11 = q[5 * k], q[5 * k + 2], q[5 * k + 10]
+            g00, g01, g11 = q[4 * k], q[4 * k + 1], q[4 * k + 3]
             h = (g00 - g11).real / 2
             r = math.hypot(h, abs(g01))
             # cancellation-free; h + r is 0 only for G = p I / 2, then v = (1, 0)
@@ -513,10 +515,10 @@ class _Readout:
         drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
         picked = branches.get(drawn) or branches[1 - drawn]  # never the empty branch
         # the leakage form is positive semidefinite; rounding must not take it below 0
-        log = {"measure": {"p0": p0, "p1": p1, "leakage": max(0.0, q[17].real)}}
-        if len(q) > 18:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
-            log["couple"] = {"target_overlap_sq": abs(q[19]) ** 2, "norm": math.sqrt(q[18].real)}
-            log["bell"] = {"effective_overlap_sq": abs(q[16]) ** 2, "norm": math.sqrt(p0 + p1)}
+        log = {"measure": {"p0": p0, "p1": p1, "leakage": max(0.0, q[9].real)}}
+        if len(q) > 10:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
+            log["couple"] = {"target_overlap_sq": abs(q[11]) ** 2, "norm": math.sqrt(q[10].real)}
+            log["bell"] = {"effective_overlap_sq": abs(q[8]) ** 2, "norm": math.sqrt(p0 + p1)}
         return TeleportResult(picked.outcome, p0, p1, picked.bob_state_raw,
                               picked.bob_state_corrected, picked.fidelity,
                               tuple(branches.values()), log)

@@ -8,7 +8,7 @@ from scipy.optimize import curve_fit
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
 from dqdsim.errors import DimensionError
 from dqdsim.hilbert import (ID2, PAULI_X, PAULI_Y, PAULI_Z, StateVector, _majoranas,
-                            _unsafe_state, fix_phase, gaussian_state, majorana_covariance,
+                            _own_state, fix_phase, gaussian_state, majorana_covariance,
                             tensor_product)
 
 
@@ -71,7 +71,7 @@ def apply_local(state: StateVector, op, targets) -> StateVector:
     contract = [n - 1 - t for t in reversed(targets)]
     out = np.tensordot(op.reshape([2] * (2 * k)), state.amps.reshape([2] * n),
                        axes=(list(range(k, 2 * k)), contract))
-    return _unsafe_state(np.moveaxis(out, list(range(k)), contract).reshape(-1))
+    return _own_state(np.moveaxis(out, list(range(k)), contract).reshape(-1))
 
 
 def instantaneous_gap(g: DeviceGraph, t: float) -> float:

@@ -9,7 +9,6 @@ from dqdsim.device import (
     DeviceGraph,
     Schedule,
     TunnelTerm,
-    check_hermitian,
     dqd_pair_links,
     hamiltonian_at,
     hamiltonian_terms,
@@ -138,6 +137,12 @@ class TestEvolveStatic:
         # exp(-i H t) of [[0, 1], [0, 0]] would leave |0> as it is, a made-up "evolution"
         with pytest.raises(DimensionError, match="Hermitian"):
             evolve_static(StateVector.computational(1, 0), np.array(H), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_duration_that_is_not_finite(self, bad):
+        H = hamiltonian_at(single_dqd(), 0.0)
+        with pytest.raises(DimensionError, match="not finite"):
+            evolve_static(StateVector.computational(1, 0), H, bad)
 
     def test_matches_the_eigendecomposition(self):
         rng = np.random.default_rng(2)
@@ -586,17 +591,25 @@ class TestStepPrecision:
         assert np.max(np.abs(np.swapaxes(O, 1, 2) @ O - np.eye(6))) <= 1e-13
 
 
-class TestBatchHermiticity:
-    def test_stack_with_one_non_hermitian_matrix_is_refused(self):
-        ok = hamiltonian_at(wobble_graph(), 0.3)
-        bad = ok.copy()
-        bad[0, 1] += 1e-9
-        assert check_hermitian(np.stack([ok, ok])).shape == (2, 4, 4)
-        with pytest.raises(DeviceError, match="Hermitian"):
-            check_hermitian(np.stack([ok, bad]))
-        with pytest.raises(DeviceError, match="Hermitian"):
-            check_hermitian(np.stack([ok, np.full_like(ok, np.nan)]))
+class TestNonFiniteWindows:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("graph", [single_dqd, wobble_graph], ids=["static", "moving"])
+    def test_every_graded_entry_point_refuses(self, graph, bad):
+        # an infinite static window would be one midpoint step of h = inf, a NaN "state"
+        g = graph()
+        psi = StateVector.computational(g.n_qubits, 0)
+        for run in (lambda: sweep_block(psi.amps, g, 0.0, bad, PropagatorConfig()),
+                    lambda: evolve_scheduled(psi, g, 0.0, bad),
+                    lambda: scheduled_propagator(g, 0.0, bad)):
+            with pytest.raises(DimensionError, match="finite"):
+                run()
 
+    def test_a_finite_window_out_of_reach_keeps_config_error(self):
+        with pytest.raises(ConfigError, match="step grid"):
+            sweep_block(np.eye(4), wobble_graph(), 0.0, 1e300, PropagatorConfig())
+
+
+class TestBatchHermiticity:
     def test_non_hermitian_ramp_is_refused(self):
         g = DeviceGraph(
             dqds=(0, 1),

@@ -248,6 +248,24 @@ class TestTypes:
         with pytest.raises(DimensionError):
             DensityMatrix(np.array(matrix, dtype=complex))
 
+    def test_n_qubits_is_derived_and_not_a_setting(self):
+        assert StateVector.computational(3, 5).n_qubits == 3
+        assert tensor_product(StateVector.computational(1, 0), bell_target(2)).n_qubits == 3
+        assert DensityMatrix(np.eye(4) / 4).n_qubits == 2
+        with pytest.raises(TypeError):
+            StateVector(np.array([1.0, 0.0]), n_qubits=5)
+        with pytest.raises(TypeError):
+            DensityMatrix(np.eye(2) / 2, n_qubits=5)
+
+    @pytest.mark.parametrize("make", [lambda: StateVector.computational(1, 0),
+                                      lambda: DensityMatrix(np.eye(2) / 2)],
+                             ids=["state", "density"])
+    def test_equality_and_hash_are_by_identity(self, make):
+        # equal arrays compare by identity: an array == would raise on its truth value
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_tensor_product_order(self):
         # first factor owns the low qubit: |1>_q0 x |0>_q1 -> index 1
         one, zero = StateVector.computational(1, 1), StateVector.computational(1, 0)

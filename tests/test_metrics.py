@@ -1,14 +1,18 @@
+import csv
 import os
 import subprocess
 import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import dqdsim
+from dqdsim.cli import main
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, dqd_pair_links
 from dqdsim.errors import DimensionError
-from dqdsim.hilbert import StateVector
+from dqdsim.hilbert import DensityMatrix, StateVector
 from dqdsim.metrics import concurrence, entanglement_entropy
 from dqdsim.protocol import bell_target, entangled_pair_reference
 from references import apply_local, fit_oscillation, instantaneous_gap
@@ -18,6 +22,22 @@ def random_unitary(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def mp_concurrence(amps) -> float:
+    """2|psi_00 psi_11 - psi_01 psi_10| of the given amplitudes, evaluated at 50 digits."""
+    with mpmath.workdps(50):
+        a00, a10, a01, a11 = (mpmath.mpc(complex(a)) for a in amps)  # index q0 + 2 q1
+        return float(2 * abs(a00 * a11 - a01 * a10))
+
+
+def near_product_states(eps, count=200, seed=0):
+    """Seeded product states plus an entangling admixture eps, normalized."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        u, v, chi = np.split(rng.normal(size=(8, 2)) @ [1, 1j], [2, 4])
+        psi = np.kron(v, u) + eps * chi
+        yield StateVector(psi / np.linalg.norm(psi))
 
 
 class TestConcurrence:
@@ -47,6 +67,33 @@ class TestConcurrence:
     def test_wrong_dimension(self):
         with pytest.raises(DimensionError):
             concurrence(StateVector.computational(3, 0))
+
+    def test_a_density_matrix_is_refused(self):
+        with pytest.raises(DimensionError, match="pure state"):
+            concurrence(DensityMatrix(np.eye(4) / 4))
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
+    def test_weakly_entangled_states_to_50_digits(self, eps, monkeypatch):
+        # the spin-flipped spectrum erred by up to 6.1 relative at eps = 1e-6; the pure-state
+        # form takes no eigenvalues
+        for name in ("eig", "eigvals", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, None)
+        worst = max(abs(concurrence(s) / mp_concurrence(s.amps) - 1)
+                    for s in near_product_states(eps))
+        assert worst <= 1e-9
+
+    def test_cli_entangle_row_at_a_weak_plateau(self, tmp_path):
+        # at U = 1e-3 w the plateau state is barely entangled (C = 2.5e-4); the row's printed
+        # digits all hold
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the w/U advisory
+            code = main(["entangle", "--mode", "effective", "--u-max", "1e-3",
+                         "--output", str(tmp_path / "ent")])
+        assert code == 0
+        with open(tmp_path / "ent.csv") as fh:
+            row = next(csv.DictReader(fh))
+        expected = mp_concurrence(entangled_pair_reference(1e-3, 1.0).amps)
+        assert abs(float(row["concurrence"]) / expected - 1) <= 1e-9
 
 
 class TestEntropy:

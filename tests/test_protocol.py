@@ -22,7 +22,7 @@ from dqdsim.evolve import (
 )
 from dqdsim.hilbert import (
     StateVector,
-    _unsafe_state,
+    _own_state,
     align_phase,
     fidelity,
     fix_phase,
@@ -40,6 +40,7 @@ from dqdsim.protocol import (
     couple_unknown,
     coupler_graph,
     cross_to_aligned_ratio,
+    effective_gate,
     effective_rabi,
     encode_qubit,
     entangled_pair_reference,
@@ -48,6 +49,7 @@ from dqdsim.protocol import (
     pair_channel,
     ramp_support,
     resolve_coupling,
+    rotation_gate,
     support_graph,
     teleport_end_to_end,
 )
@@ -524,6 +526,17 @@ class TestEffectiveRabi:
 
 
 class TestBellEvolution:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", ["full", "effective"])
+    def test_a_time_that_is_not_finite_is_refused(self, mode, bad):
+        # no NaN amplitudes: the effective gate and the full gate's sweep refuse the time
+        params = ProtocolParams(mode=mode)
+        state = ghz_encoded(0.6, 0.8j, 3)
+        for run in (lambda: effective_gate(params, bad), lambda: rotation_gate(params, bad),
+                    lambda: bell_evolution(state, params, bad)):
+            with pytest.raises(DimensionError, match="finite"):
+                run()
+
     def test_zero_time_identity(self):
         st = ghz_encoded(0.6, 0.8j, 3)
         out = bell_evolution(st, EFFECTIVE, 0.0)
@@ -689,7 +702,7 @@ class TestMeasureAndCorrect:
         # the branches' weights must sum to 1: total weight 2 is refused
         amps = np.sqrt(2.0) * eq11_form(0.6, 0.8).amps
         with pytest.raises(DimensionError, match="trace"):
-            alice_measure_and_correct(_unsafe_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
+            alice_measure_and_correct(_own_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_degenerate_top_pair(self, exact):
@@ -739,7 +752,7 @@ class TestMeasureAndCorrect:
         amps = eq11_form(0.6, 0.8).amps.copy()
         amps[0b011] = bad
         with pytest.raises(ConvergenceError, match="not finite"):
-            alice_measure_and_correct(_unsafe_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
+            alice_measure_and_correct(_own_state(amps), EFFECTIVE, InputQubit(0.6, 0.8))
 
     def test_leaked_register_is_refused_by_the_measurement(self):
         # encoder and support in |00>, receiving register in |10> (qubit 2 set)
