@@ -85,6 +85,7 @@ class Schedule:
         return max(abs(self.v_start), abs(self.v_end))
 
 
+@np.errstate(over="ignore")  # t / span overflows to +-inf on a very short ramp, then clips
 def schedule_value(s: Schedule, t):
     """Value(s) of a schedule at time(s) t (vectorized)."""
     t = np.asarray(t, dtype=float)
@@ -250,25 +251,26 @@ def majorana_terms(g: DeviceGraph):
     b_k = X_0..X_{k-1} Y_k: a tunneling term -w X_k is -w i a_k b_k, a crossed
     link pair U (1 - Z_k Z_{k+1}) / 2 is (U/2) i a_{k+1} b_k, each link carrying
     half.  Returns ``(K0, [(schedule, K_j), ...])`` split like
-    :func:`hamiltonian_terms`; None unless every tunneling phase is 0 and every
-    link has its crossed partner on the same schedule between DQDs k and k+1.
-    An invalid graph, a phase that is not real and finite included, raises DeviceError.
+    :func:`hamiltonian_terms`.  Raises DeviceError for an invalid graph, a phase that is
+    not real and finite included, and unless every tunneling phase is 0 and every link has
+    its crossed partner on the same schedule between DQDs k and k+1.
     """
     if errs := validate(g):
         raise DeviceError("; ".join(errs))
-    if any(term.phase != 0 for term in g.tunnel_terms):
-        return None
+    chain = all(term.phase == 0 for term in g.tunnel_terms)
     unit = np.eye(g.n_qubits)
     parts = [(term.amplitude, -np.outer(unit[term.dqd], unit[term.dqd])) for term in g.tunnel_terms]
     unpaired = Counter()  # a link's single-Z terms cancel against its crossed partner's
     for link in g.coulomb_links:
         (qa, odd_a), (qb, odd_b) = sorted((dot_qubit(d), d % 2)
                                           for d in (link.dot_i, link.dot_j))
-        if qb != qa + 1 or odd_a == odd_b:
-            return None
+        chain &= qb == qa + 1 and odd_a != odd_b
         unpaired[qa, link.strength] += 1 if odd_a else -1
         parts.append((link.strength, 0.25 * np.outer(unit[qb], unit[qa])))
-    return None if any(unpaired.values()) else _split(np.zeros_like(unit), parts)
+    if not chain or any(unpaired.values()):
+        raise DeviceError("the device is no open transverse-field Ising chain (a tunneling phase, "
+                          "or a link without its crossed partner between neighbouring DQDs)")
+    return _split(np.zeros_like(unit), parts)
 
 
 def hamiltonian_at(g: DeviceGraph, t: float) -> np.ndarray:

@@ -16,10 +16,10 @@ midpoint rule (:func:`midpoint`, second order) stays as the reference rule.
 
 The dense sweep (:func:`sweep_block`) of the whole 2^n register is the general
 engine and the tests' reference.  The support ramps (:func:`adiabatic_ramp`)
-and the coupling sweep an open transverse-field Ising chain on a Gaussian state
-as 2M x 2M rotations of its Majorana covariance (:func:`sweep_majorana`); those
-rotations are taken by scaling and squaring with batched products alone
-(``_rotations``), without an eigendecomposition.
+and the coupling sweep an open transverse-field Ising chain as 2M x 2M rotations
+of a Gaussian state's Majorana covariance (:func:`sweep_majorana`), which they take
+and return with no 2^n vector; the rotations are taken by scaling and squaring
+with batched products alone (``_rotations``), without an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as dev
-from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import (StateVector, _own_state, align_phase, fix_phase, gaussian_state,
-                      majorana_covariance)
+from .errors import ConfigError, ConvergenceError, DimensionError
+from .hilbert import StateVector, _own_state, fix_phase
 
 _CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack; _rotations peaks at ~2.9x this
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # a float64 2 pi errs by 2.4e-16 per turn
@@ -97,8 +96,10 @@ class GroundState:
 
 
 def _hermitian(H) -> np.ndarray:
-    """H as an array, after checking it is Hermitian to 1e-12 (DimensionError otherwise)."""
+    """H as a non-empty square array, checked Hermitian to 1e-12 (DimensionError otherwise)."""
     H = np.asarray(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1] or not H.size:
+        raise DimensionError(f"Hamiltonian of shape {H.shape} is not a non-empty square matrix")
     if not np.max(np.abs(H - H.conj().T)) <= 1e-12:  # NaN fails too
         raise DimensionError("Hamiltonian is not Hermitian (or not finite)")
     return H
@@ -342,30 +343,18 @@ def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorCo
 
 
 def sweep_majorana(gamma, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig,
-                   compiled) -> StateVector:
-    """The Gaussian state of covariance ``gamma`` swept over [t0, t1] under g, up to a global
-    phase: :func:`sweep_block`'s sweep under ``compiled`` = :func:`device.majorana_terms` (g),
-    stepped by 2M x 2M Majorana rotations O, gives the state of O gamma O^T.
-    ``richardson_check`` bounds the change of the phase-aligned state on the halved grid."""
+                   compiled) -> np.ndarray:
+    """A Gaussian state's Majorana covariance ``gamma`` swept over [t0, t1] under g: O gamma
+    O^T for the 2M x 2M rotation O of :func:`sweep_block`'s sweep under ``compiled`` =
+    :func:`device.majorana_terms` (g), which drifts from Gamma Gamma^T = I by ~1e-12, taken
+    back to a pure covariance by one Newton-Schulz step Gamma (3I - Gamma^T Gamma) / 2.
+    ``richardson_check`` bounds ||dGamma||_F / 4 on the halved grid, to first order the
+    change of the phase-aligned state."""
     def run(rule, edges):
         O = _sweep(np.eye(len(gamma)), *compiled, *rule(compiled[1], edges), _rotations)
-        return gaussian_state(O @ gamma @ O.T)
-    return _own_state(_graded(g, t0, t1, cfg, run,
-                              lambda a, b: float(np.linalg.norm(align_phase(b, a) - a))))
-
-
-def majorana_start(state: StateVector, g: dev.DeviceGraph):
-    """(covariance of ``state``, :func:`device.majorana_terms` (g)), the start of
-    :func:`sweep_majorana`.  Raises DeviceError (after ``majorana_terms``' Hermiticity
-    refusal) for a g that is no open transverse-field Ising chain, or a state that is not
-    Gaussian: its covariance does not rebuild it to 1e-12 in norm after phase alignment."""
-    if (chain := dev.majorana_terms(g)) is None:
-        raise DeviceError("the device is no open transverse-field Ising chain (a tunneling phase, "
-                          "or a link without its crossed partner between neighbouring DQDs)")
-    gamma = majorana_covariance(state.amps)
-    if not np.linalg.norm(align_phase(gaussian_state(gamma), state.amps) - state.amps) <= 1e-12:
-        raise DeviceError("the state is not Gaussian: its Majorana covariance does not rebuild it")
-    return gamma, chain
+        G = O @ gamma @ O.T
+        return G @ (3 * np.eye(len(G)) - G.T @ G) / 2
+    return _graded(g, t0, t1, cfg, run, lambda a, b: float(np.linalg.norm(a - b)) / 4)
 
 
 def evolve_scheduled(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
@@ -393,11 +382,11 @@ class RampDiagnostics:
     final_ground_overlap_sq: float
 
 
-def adiabatic_ramp(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
+def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
                    cfg: PropagatorConfig | None = None):
-    """Scheduled evolution of a Gaussian state by :func:`sweep_majorana` (up to a global
-    phase), plus spectral-gap and ground-overlap diagnostics from K(t) of
-    :func:`device.majorana_terms`; raises DeviceError as :func:`majorana_start` does.
+    """(Gamma, RampDiagnostics): the Majorana covariance ``gamma`` of a Gaussian state swept
+    by :func:`sweep_majorana`, and spectral-gap and ground-overlap diagnostics from K(t) of
+    :func:`device.majorana_terms`, which raises DeviceError for a g it does not compile.
 
     One batched SVD K = U S V^T at 64 times gives the gaps E1 - E0 = 2 sigma_min and,
     at t0 and t1, the ground state's covariance [[0, -U V^T], [V U^T, 0]], whose squared
@@ -405,9 +394,8 @@ def adiabatic_ramp(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
     when the initial state is not close to the instantaneous ground state at t0 (the
     ramp then has no adiabatic guarantee).
     """
-    gamma, chain = majorana_start(state, g)
+    K0, terms = chain = dev.majorana_terms(g)
     ts = np.linspace(t0, t1, 64)
-    K0, terms = chain
     U, s, Vt = np.linalg.svd(np.concatenate(list(_hamiltonians(K0, terms, _values(terms, ts)))))
 
     def ground_overlap_sq(k, gamma):
@@ -424,6 +412,5 @@ def adiabatic_ramp(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
         )
     final = sweep_majorana(gamma, g, t0, t1, cfg or PropagatorConfig(), chain)
     gaps = 2 * s[:, -1]
-    diag = RampDiagnostics(float(np.min(gaps)), ts, gaps, init_overlap,
-                           ground_overlap_sq(-1, majorana_covariance(final.amps)))
+    diag = RampDiagnostics(float(np.min(gaps)), ts, gaps, init_overlap, ground_overlap_sq(-1, final))
     return final, diag

@@ -21,7 +21,8 @@ Every stage exists in ``full`` mode (numerical propagation of the device
 Hamiltonian) and ``effective`` mode (the closed-form two-level algebra the
 full dynamics approaches when w << U).  In full mode every ramp device the
 protocol builds, the support ramps and the coupler, is an open transverse-field
-Ising chain, so those stages sweep the Majorana covariance of a Gaussian state
+Ising chain, so those stages sweep a Majorana covariance, |+>^n's in closed form
+or that of |+> x S, checked Gaussian in :func:`couple_unknown`
 (:func:`.evolve.adiabatic_ramp`, :func:`.evolve.sweep_majorana`); the rotation
 stage is one exponential of a two-qubit device, applied as a 4 x 4 gate.
 
@@ -44,7 +45,8 @@ import numpy as np
 from . import device as dev
 from . import evolve
 from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import NORM_TOL, StateVector, _own_state, fidelity, tensor_product  # noqa: F401
+from .hilbert import (NORM_TOL, StateVector, _own_state, align_phase, fidelity,  # noqa: F401
+                      gaussian_state, majorana_covariance, tensor_product)
 
 # Adiabaticity budget of the gap-adapted coupling ramp: the sweep rate is
 # eps * gap^3 / J, so the default duration is 1/(4 J eps) = 4/J.
@@ -313,15 +315,16 @@ def bell_target(n_qubits: int = 2) -> StateVector:
 def ramp_support(params: ProtocolParams, n_support: int, T: float):
     """Adiabatic preparation of a support register; returns (state, RampDiagnostics).
 
-    The register starts in its uncoupled ground state |+>^n, taken in closed
-    form, and every link ramps 0 -> U_max together over T.  The ramp is an open
-    transverse-field Ising chain and |+>^n is Gaussian, so
-    :func:`evolve.adiabatic_ramp` sweeps its Majorana covariance; the state it
-    returns carries the global phase ``hilbert.gaussian_state`` fixes.
+    The register starts in its uncoupled ground state |+>^n, of covariance
+    [[0, I], [-I, 0]] in closed form (i<a_k b_k> = <X_k> = 1), and every link ramps
+    0 -> U_max together over T.  The ramp is an open transverse-field Ising chain, so
+    :func:`evolve.adiabatic_ramp` sweeps that covariance; the state built from the
+    result carries the global phase ``hilbert.gaussian_state`` fixes.
     """
     g = support_graph(params, n_support, dev.Schedule.smooth(0.0, params.U_max, 0.0, T))
-    start = StateVector(np.full(2**n_support, 2.0 ** (-n_support / 2), dtype=complex))
-    return evolve.adiabatic_ramp(start, g, 0.0, T, params.integrator)
+    plus = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n_support))
+    gamma, diag = evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
+    return _own_state(gaussian_state(gamma)), diag
 
 
 def make_entangled_pair(params: ProtocolParams):
@@ -353,8 +356,9 @@ def couple_unknown(unknown: StateVector, support: StateVector,
     Ising chain, and :func:`evolve.sweep_majorana` sweeps the covariance of the
     Gaussian |+> x S, up to a global phase.  Effective mode returns alpha|0...0> +
     beta|1...1> exactly, normalized as ``unknown`` is.  ``coupling``: as in :class:`Channel`.
-    Raises DeviceError when the coupler lets the encoder tunnel, and as
-    :func:`evolve.majorana_start` does.
+    Raises DeviceError, before any sweep, when the encoder tunnels, the coupler is no Ising
+    chain, or S is not Gaussian: the Majorana route's one state check, that the covariance
+    of |+> x S rebuilds it to 1e-12 in norm after phase alignment.
     """
     if unknown.n_qubits != 1:
         raise DimensionError("unknown state must be a single qubit")
@@ -368,8 +372,11 @@ def couple_unknown(unknown: StateVector, support: StateVector,
     g = coupler_graph(params, support.n_qubits, t_couple, gap)
     if any(term.dqd == 0 for term in g.tunnel_terms):
         raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
-    gamma, chain = evolve.majorana_start(tensor_product(_PLUS, support), g)
-    coupled = evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator, chain).amps
+    K, start = dev.majorana_terms(g), tensor_product(_PLUS, support).amps
+    gamma = majorana_covariance(start)
+    if not np.linalg.norm(align_phase(gaussian_state(gamma), start) - start) <= 1e-12:
+        raise DeviceError("the state is not Gaussian: its Majorana covariance does not rebuild it")
+    coupled = gaussian_state(evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator, K))
     # the encoder bit is the parity of the basis index
     return _own_state(coupled * np.tile(unknown.amps / _PLUS.amps, coupled.size // 2))
 

@@ -27,7 +27,8 @@ from dqdsim.evolve import (
     midpoint,
     sweep_block,
 )
-from dqdsim.hilbert import StateVector, fidelity, measure_qubit
+from dqdsim.hilbert import (StateVector, fidelity, gaussian_state, majorana_covariance,
+                            measure_qubit)
 from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
@@ -122,10 +123,10 @@ def test_criterion_04_adiabatic_entanglement():
             coulomb_links=dqd_pair_links(0, 1, Schedule.smooth(0.0, 100.0, 0.0, T)),
         )
         start = ground_state(hamiltonian_at(g, 0.0)).state
-        final, diag = adiabatic_ramp(start, g, 0.0, T, cfg)
+        final, diag = adiabatic_ramp(majorana_covariance(start.amps), g, 0.0, T, cfg)
         infids[T] = 1.0 - diag.final_ground_overlap_sq
         if T == 200.0:
-            bell_sq = fidelity(final, bell_target(2))
+            bell_sq = fidelity(StateVector(gaussian_state(final)), bell_target(2))
             ground_sq = diag.final_ground_overlap_sq
     ok = (bell_sq >= 0.99 and ground_sq >= 0.99
           and infids[50.0] > infids[100.0] > infids[200.0] and infids[200.0] < 0.01)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +136,17 @@ class TestSchedule:
     def test_non_finite_schedule_is_refused(self, args):
         with pytest.raises(DeviceError):
             Schedule(*args)
+
+    @pytest.mark.parametrize("make", [Schedule.linear, Schedule.smooth,
+                                      lambda *a: Schedule.tangent(*a, gap_scale=0.5)],
+                             ids=["linear", "smooth", "tangent"])
+    def test_a_very_short_ramp_clips_without_a_warning(self, make):
+        # t / span overflows to +-inf over a span of 1e-310; the clip still gives the ends
+        s = make(2.0, 7.0, 0.0, 1e-310)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert s.value(1e10) == 7.0
+            assert s.value(-1e10) == 2.0
 
     @settings(deadline=None)
     @given(st.floats(min_value=-5.0, max_value=15.0, allow_nan=False))
@@ -316,7 +329,8 @@ class TestMajoranaTerms:
         else:
             links += dqd_pair_links(0, 2, U)
         g = DeviceGraph(dqds=range(3), tunnel_terms=tunnel, coulomb_links=links)
-        assert majorana_terms(g) is None
+        with pytest.raises(DeviceError, match="no open transverse-field Ising chain"):
+            majorana_terms(g)
 
 
 class TestValidate:

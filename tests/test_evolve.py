@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from dqdsim.device import (
     dqd_pair_links,
     hamiltonian_at,
     hamiltonian_terms,
+    majorana_terms,
+    schedule_value,
 )
 from dqdsim.errors import ConfigError, ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
@@ -28,13 +33,16 @@ from dqdsim.evolve import (
     step_grid,
     sweep_block,
 )
-from dqdsim.hilbert import StateVector, align_phase, tensor_product
+from dqdsim.hilbert import (StateVector, align_phase, gaussian_state, majorana_covariance,
+                            tensor_product)
 from dqdsim.protocol import (
     ProtocolParams,
     bell_target,
     couple_unknown,
     coupler_graph,
     cross_to_aligned_ratio,
+    entangled_pair_reference,
+    resolve_coupling,
     support_crossing_gap,
     support_graph,
 )
@@ -138,6 +146,13 @@ class TestEvolveStatic:
         with pytest.raises(DimensionError, match="Hermitian"):
             evolve_static(StateVector.computational(1, 0), np.array(H), 1.0)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2,), (1, 2, 2), (0, 0)])
+    @pytest.mark.parametrize("static", [False, True], ids=["ground_state", "evolve_static"])
+    def test_rejects_what_is_no_non_empty_square_matrix(self, shape, static):
+        H = np.zeros(shape)
+        with pytest.raises(DimensionError, match="non-empty square"):
+            evolve_static(StateVector.computational(1, 0), H, 1.0) if static else ground_state(H)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_duration_that_is_not_finite(self, bad):
         H = hamiltonian_at(single_dqd(), 0.0)
@@ -236,7 +251,8 @@ class TestAdiabaticRamp:
     def test_entangling_ramp_diagnostics(self):
         g = entangling_ramp(100.0, 200.0)
         start = ground_state(hamiltonian_at(g, 0.0)).state
-        final, diag = adiabatic_ramp(start, g, 0.0, 200.0, PropagatorConfig(dt=5e-3))
+        _, diag = adiabatic_ramp(majorana_covariance(start.amps), g, 0.0, 200.0,
+                                 PropagatorConfig(dt=5e-3))
         # gap shrinks monotonically from 2w at the separable end to ~4w^2/U
         assert diag.gaps[0] == pytest.approx(2.0, abs=1e-9)
         expected_min = (np.hypot(100.0, 4.0) - 100.0) / 2.0
@@ -247,14 +263,78 @@ class TestAdiabaticRamp:
     def test_zero_duration_is_identity(self):
         g = entangling_ramp(50.0, 100.0)
         start = ground_state(hamiltonian_at(g, 0.0)).state
-        final, _ = adiabatic_ramp(start, g, 0.0, 1e-9, PropagatorConfig(dt=1e-10))
-        assert np.linalg.norm(final.amps - start.amps) < 1e-8
+        final, _ = adiabatic_ramp(majorana_covariance(start.amps), g, 0.0, 1e-9,
+                                  PropagatorConfig(dt=1e-10))
+        assert np.linalg.norm(gaussian_state(final) - start.amps) < 1e-8
 
     def test_warns_off_ground_start(self):
         g = entangling_ramp(50.0, 100.0)
         excited = StateVector(np.array([0.5, -0.5, -0.5, 0.5], dtype=complex))  # |->|->, Gaussian
         with pytest.warns(UserWarning, match="overlap"):
-            adiabatic_ramp(excited, g, 0.0, 0.5, PropagatorConfig(dt=0.01))
+            adiabatic_ramp(majorana_covariance(excited.amps), g, 0.0, 0.5,
+                           PropagatorConfig(dt=0.01))
+
+
+def plus_covariance(n):
+    """The Majorana covariance of |+>^n: i<a_k b_k> = <X_k> = 1."""
+    return np.kron([[0, 1], [-1, 0]], np.eye(n))
+
+
+class TestCovarianceSweep:
+    """sweep_majorana and adiabatic_ramp take and return Majorana covariances."""
+
+    def test_a_40_site_ramp_holds_no_state_vector(self):
+        # a 2^40 state would take 16 TiB; the density matches the Kibble-Zurek prototype's
+        n, T = 40, 10.0
+        g = support_graph(ProtocolParams(U_max=10.0), n, Schedule.smooth(0.0, 10.0, 0.0, T))
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            gamma, _ = adiabatic_ramp(plus_covariance(n), g, 0.0, T)
+            elapsed, peak = time.perf_counter() - t0, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        K0, terms = majorana_terms(g)
+        U, _, Vt = np.linalg.svd(K0 + sum(schedule_value(s, T) * K for s, K in terms))
+        W = U @ Vt
+        ground = np.block([[np.zeros_like(W), -W], [W.T, np.zeros_like(W)]])
+        assert np.linalg.norm(gamma @ gamma.T - np.eye(2 * n)) <= 1e-13
+        assert peak < 32 * 2**20
+        assert abs((2 * n + np.trace(ground @ gamma)) / (4 * n) - 8.89e-2) <= 1e-3
+        assert elapsed < 10.0
+
+    @pytest.mark.parametrize("U, n, T", [(100.0, 2, 200.0), (100.0, 6, 300.0)],
+                             ids=["default pair", "n6"])
+    def test_the_swept_covariance_is_pure(self, U, n, T):
+        # the raw O gamma O^T drifts from Gamma Gamma^T = I by ~1e-12 on both
+        params = ProtocolParams(U_max=U)
+        g = support_graph(params, n, Schedule.smooth(0.0, U, 0.0, T))
+        gamma, _ = adiabatic_ramp(plus_covariance(n), g, 0.0, T, params.integrator)
+        assert np.linalg.norm(gamma @ gamma.T - np.eye(2 * n)) <= 1e-14
+
+    def test_richardson_bounds_the_state_deviation(self, monkeypatch):
+        # ||dGamma||_F / 4 between the grid and its halving is the phase-aligned state change
+        params = ProtocolParams()
+        t_couple, gap, _ = resolve_coupling(params, 2)
+        g = coupler_graph(params, 2, t_couple, gap)
+        plus = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
+        start = tensor_product(plus, entangled_pair_reference(params.U_max, params.w)).amps
+        pairs, graded = [], evolve._graded
+
+        def spy(g, t0, t1, cfg, run, deviation):
+            def record(a, b):
+                pairs.append((a, b))
+                return deviation(a, b)
+            return graded(g, t0, t1, cfg, run, record)
+
+        monkeypatch.setattr(evolve, "_graded", spy)
+        cfg = PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1.0)
+        evolve.sweep_majorana(majorana_covariance(start), g, 0.0, t_couple, cfg,
+                              majorana_terms(g))
+        (gamma, gamma_half), = pairs
+        psi, psi_half = gaussian_state(gamma), gaussian_state(gamma_half)
+        state_dev = np.linalg.norm(align_phase(psi_half, psi) - psi)
+        assert np.linalg.norm(gamma - gamma_half) / 4 == pytest.approx(state_dev, rel=0.01)
 
 
 def coupling_tail_graph():
@@ -360,13 +440,14 @@ class TestRampOnIsingChains:
         t1 = data.draw(st.floats(0.1, 4.0))
         cfg = PropagatorConfig(dt=dt)
         start = random_gaussian_state(np.random.default_rng(seed), n)
-        final, diag = adiabatic_ramp(start, g, 0.0, t1, cfg)
+        gamma, diag = adiabatic_ramp(majorana_covariance(start.amps), g, 0.0, t1, cfg)
+        final = gaussian_state(gamma)
         expected = scheduled_propagator(g, 0.0, t1, cfg) @ start.amps
-        assert np.linalg.norm(align_phase(final.amps, expected) - expected) <= 1e-12
+        assert np.linalg.norm(align_phase(final, expected) - expected) <= 1e-12
         gaps = [np.diff(np.linalg.eigvalsh(hamiltonian_at(g, t))[:2])[0] for t in diag.gap_times]
         assert np.max(np.abs(diag.gaps - gaps)) <= 1e-12
         for t, amps, overlap in ((0.0, start.amps, diag.initial_ground_overlap_sq),
-                                 (t1, final.amps, diag.final_ground_overlap_sq)):
+                                 (t1, final, diag.final_ground_overlap_sq)):
             gs = ground_state(hamiltonian_at(g, t)).state.amps
             assert abs(overlap - abs(np.vdot(gs, amps)) ** 2) <= 1e-12
 
@@ -618,5 +699,4 @@ class TestBatchHermiticity:
             coulomb_links=dqd_pair_links(0, 1, Schedule.smooth(0.0, 10.0, 0.0, 5.0)),
         )
         with pytest.raises(DeviceError, match="Hermitian"):
-            adiabatic_ramp(StateVector(np.full(4, 0.5, dtype=complex)), g, 0.0, 5.0,
-                           PropagatorConfig(dt=0.1))
+            adiabatic_ramp(plus_covariance(2), g, 0.0, 5.0, PropagatorConfig(dt=0.1))

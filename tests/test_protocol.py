@@ -26,6 +26,8 @@ from dqdsim.hilbert import (
     align_phase,
     fidelity,
     fix_phase,
+    gaussian_state,
+    majorana_covariance,
     measure_qubit,
     partial_trace,
     tensor_product,
@@ -228,6 +230,19 @@ class TestSupportRamp:
         assert np.max(np.abs(align_phase(final.amps, expected) - expected)) <= 1e-12
         self.assert_diagnostics_match_scan(g, start, final.amps, diag)
 
+    @pytest.mark.parametrize("n_support", [2, 3, 4, 5, 6])
+    def test_starts_from_the_covariance_of_plus(self, n_support, monkeypatch):
+        starts, ramp = [], evolve.adiabatic_ramp
+
+        def spy(gamma, *args):
+            starts.append(gamma)
+            return ramp(gamma, *args)
+
+        monkeypatch.setattr(evolve, "adiabatic_ramp", spy)
+        ramp_support(self.PARAMS, n_support, 1.0)
+        (gamma,) = starts
+        assert np.max(np.abs(gaussian_state(gamma) - 2.0 ** (-n_support / 2))) <= 1e-15
+
     def test_antisymmetric_state_sweeps_its_sector(self, monkeypatch):
         # |->|+>|+> is Gaussian and flip-odd (S[::-1] == -S): its ramp stays in that sector
         g = self.ramp_graph(3)
@@ -235,30 +250,29 @@ class TestSupportRamp:
         S[1::2] *= -1
         seen = self.engines(monkeypatch)
         with pytest.warns(UserWarning, match="overlap"):  # the first excited state
-            out, diag = adiabatic_ramp(StateVector(S), g, 0.0, self.T, self.PARAMS.integrator)
+            gamma, diag = adiabatic_ramp(majorana_covariance(S), g, 0.0, self.T,
+                                         self.PARAMS.integrator)
         assert seen == [("majorana", 6)]
+        out = gaussian_state(gamma)
         expected = scheduled_propagator(g, 0.0, self.T, self.PARAMS.integrator) @ S
         assert np.max(np.abs(expected[::-1] + expected)) <= 1e-12
-        assert np.max(np.abs(align_phase(out.amps, expected) - expected)) <= 1e-12
-        self.assert_diagnostics_match_scan(g, S, out.amps, diag)
+        assert np.max(np.abs(align_phase(out, expected) - expected)) <= 1e-12
+        self.assert_diagnostics_match_scan(g, S, out, diag)
 
-    @pytest.mark.parametrize("case", ["flip-breaking device", "state off the sector"])
+    @pytest.mark.parametrize("case", ["flip-breaking device"])
     def test_takes_the_full_sweep_otherwise(self, case, monkeypatch):
         # adiabatic_ramp refuses what its Majorana route cannot sweep, before any sweep;
         # the dense engine evolve_scheduled takes the full sweep of it
         g = self.ramp_graph(3)
         start = StateVector(np.full(8, 2.0 ** -1.5, dtype=complex))
-        if case == "flip-breaking device":
-            # a tunneling phase on one DQD keeps H Hermitian but leaves no free-fermion chain
-            terms = tuple(TunnelTerm(t.dqd, t.amplitude, phase=0.3) if t.dqd == 1 else t
-                          for t in g.tunnel_terms)
-            g = DeviceGraph(g.dqds, terms, g.coulomb_links)
-        else:  # in neither flip sector, and not a Gaussian state
-            start = random_state(np.random.default_rng(4), 3)
+        # a tunneling phase on one DQD keeps H Hermitian but leaves no free-fermion chain
+        terms = tuple(TunnelTerm(t.dqd, t.amplitude, phase=0.3) if t.dqd == 1 else t
+                      for t in g.tunnel_terms)
+        g = DeviceGraph(g.dqds, terms, g.coulomb_links)
         seen = self.engines(monkeypatch)
-        refusal = "Ising chain" if case == "flip-breaking device" else "Gaussian"
-        with pytest.raises(DeviceError, match=refusal):
-            adiabatic_ramp(start, g, 0.0, self.T, self.PARAMS.integrator)
+        with pytest.raises(DeviceError, match="Ising chain"):
+            adiabatic_ramp(majorana_covariance(start.amps), g, 0.0, self.T,
+                           self.PARAMS.integrator)
         assert seen == []
         final = evolve_scheduled(start, g, 0.0, self.T, self.PARAMS.integrator)
         assert seen == [("dense", 8)]
