@@ -18,6 +18,7 @@ from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
     bell_target,
+    couple_unknown,
     pair_channel,
     ramp_support,
     support_crossing_gap,
@@ -202,6 +203,22 @@ class TestMemoryPreflight:
         start = time.perf_counter()
         ChainChannel(ChainSpec(10, ProtocolParams(U_max=4.0)))
         assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    def test_n_support_8_coupling_takes_few_rotations(self, monkeypatch):
+        # U' barely moves over most of the coupler's ramp, so the step grid merges its steps
+        # there: ~2.8k rotations, where a grid of steps no longer than 2 dt took ~138k
+        spec = ChainSpec(8, ProtocolParams(U_max=6.0))
+        support, _ = make_ghz_chain(spec)
+        counts, rotations = [], evolve._rotations
+
+        def spy(Ks, h):
+            counts.append(len(Ks))
+            return rotations(Ks, h)
+
+        monkeypatch.setattr(evolve, "_rotations", spy)
+        couple_unknown(StateVector(np.full(2, np.sqrt(0.5), dtype=complex)), support, spec.params)
+        assert 0 < sum(counts) <= 5000
 
     @pytest.mark.filterwarnings("ignore:w/U_max")
     def test_the_longest_chain_builds(self):
