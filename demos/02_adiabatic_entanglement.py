@@ -8,6 +8,7 @@ residual cross amplitudes follow the closed-form ratio at every plateau.
 
 from dqdsim import (
     ProtocolParams,
+    StateVector,
     bell_target,
     concurrence,
     cross_to_aligned_ratio,
@@ -15,6 +16,7 @@ from dqdsim import (
     fidelity,
     make_entangled_pair,
 )
+from dqdsim.hilbert import gaussian_state
 
 print("Exact plateau ground state vs the closed-form cross/aligned ratio:")
 for U in (0.0, 1.0, 3.0, 10.0, 100.0):
@@ -27,7 +29,8 @@ for U in (0.0, 1.0, 3.0, 10.0, 100.0):
 print("\nFull ramp U: 0 -> 100 w (smooth, duration scan):")
 for T in (50.0, 100.0, 200.0):
     params = ProtocolParams(U_max=100.0, T_ent=T, mode="full")
-    state, diag = make_entangled_pair(params)
+    gamma, diag = make_entangled_pair(params)  # the pair's Majorana covariance
+    state = StateVector(gaussian_state(gamma))
     print(f"  T = {T:5.0f}/w   min gap = {diag.min_gap:.4f} w   "
           f"ground infidelity = {1 - diag.final_ground_overlap_sq:.2e}   "
           f"Bell overlap^2 = {fidelity(state, bell_target(2)):.6f}")

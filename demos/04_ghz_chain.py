@@ -13,12 +13,11 @@ and a correspondingly long gap-adapted ramp.
 
 import numpy as np
 
-from dqdsim import InputQubit, ProtocolParams, PropagatorConfig, entanglement_entropy, make_ghz_chain
+from dqdsim import InputQubit, ProtocolParams, PropagatorConfig, bell_target, entanglement_entropy
 from dqdsim.chain import ChainChannel, ChainSpec
 from dqdsim.protocol import support_crossing_gap
 
-eff = ProtocolParams(mode="effective")
-state, _ = make_ghz_chain(ChainSpec(5, eff))
+state = bell_target(5)  # the idealized channel; make_ghz_chain returns its Majorana covariance
 print("Idealized 5-DQD channel state amplitudes (all-0 and all-1 only):")
 nz = {i: state.amps[i] for i in range(32) if abs(state.amps[i]) > 1e-12}
 print(f"  {nz}")

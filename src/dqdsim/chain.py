@@ -14,8 +14,8 @@ A practical caveat the diagnostics make visible: the avoided-crossing gap
 the coupling ramp must pass shrinks like w(w/U)^(n-1) with chain length, so
 faithful coupling to long chains needs either small U or exponentially long
 ramps.  ``ChainChannel`` is the teleportation engine of :mod:`.protocol`
-fed with the chain state: it does the input-independent work once so that
-many inputs can be teleported cheaply.
+fed with the chain's covariance: it does the input-independent work once so
+that many inputs can be teleported cheaply.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class ChainSpec:
 
 
 def make_ghz_chain(spec: ChainSpec):
-    """Channel state over the support chain; returns (state, diagnostics or None).
-    An auto-derived ramp past ``MAX_AUTO_RAMP`` raises ConfigError."""
+    """(Gamma_S, diagnostics or None) of the support chain, Gamma_S the GHZ state's in
+    effective mode.  An auto-derived ramp past ``MAX_AUTO_RAMP`` raises ConfigError."""
     if spec.params.mode == "effective":
-        return proto.bell_target(spec.n_support), None
+        return proto.ghz_covariance(spec.n_support), None
     return proto.ramp_support(spec.params, spec.n_support, spec.support_ramp())
 
 

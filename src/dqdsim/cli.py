@@ -22,7 +22,7 @@ from . import __version__
 from .chain import ChainChannel, ChainSpec
 from .errors import ConfigError, ConvergenceError, DimensionError
 from .evolve import PropagatorConfig
-from .hilbert import fidelity
+from .hilbert import StateVector, fidelity, gaussian_state
 from .metrics import concurrence
 from . import protocol as proto
 
@@ -190,10 +190,12 @@ def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None,
         return row
 
     if cfg.experiment == "entangle":
-        state, diag = proto.make_entangled_pair(params)
+        gamma, diag = proto.make_entangled_pair(params)
+        reference = proto.entangled_pair_reference(cfg.U_max, cfg.w)
+        state = StateVector(gaussian_state(gamma)) if diag else reference
         row.update(
             bell_overlap_sq=fidelity(state, proto.bell_target(2)),
-            reference_overlap_sq=fidelity(state, proto.entangled_pair_reference(cfg.U_max, cfg.w)),
+            reference_overlap_sq=fidelity(state, reference),
             ground_overlap_sq=diag.final_ground_overlap_sq if diag else 1.0,
             min_gap=diag.min_gap if diag else "",
             concurrence=concurrence(state),

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import device as dev
 from .errors import ConfigError, ConvergenceError, DimensionError
-from .hilbert import StateVector, _own_state, fix_phase
+from .hilbert import StateVector, _own_state, fix_phase, gaussian_overlap_sq
 
 _CHUNK_BYTES = 2**18  # one sweep chunk's complex step stack; _rotations peaks at ~2.9x this
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # a float64 2 pi errs by 2.4e-16 per turn
@@ -409,7 +409,7 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
 
     One batched SVD K = U S V^T at 64 times gives the gaps E1 - E0 = 2 sigma_min and,
     at t0 and t1, the ground state's covariance [[0, -U V^T], [V U^T, 0]], whose squared
-    overlap with a state of covariance Gamma is sqrt|det((Gamma_gs + Gamma) / 2)|.  Warns
+    overlap with a state of covariance Gamma is :func:`.hilbert.gaussian_overlap_sq`.  Warns
     when the initial state is not close to the instantaneous ground state at t0 (the
     ramp then has no adiabatic guarantee).
     """
@@ -418,9 +418,8 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
     U, s, Vt = np.linalg.svd(np.concatenate(list(_hamiltonians(K0, terms, _values(terms, ts)))))
 
     def ground_overlap_sq(k, gamma):
-        W = U[k] @ Vt[k]
-        gs = np.block([[np.zeros_like(W), -W], [W.T, np.zeros_like(W)]])
-        return float(np.sqrt(abs(np.linalg.det((gs + gamma) / 2))))
+        W, Z = U[k] @ Vt[k], np.zeros_like(U[k])
+        return gaussian_overlap_sq(np.block([[Z, -W], [W.T, Z]]), gamma)
 
     init_overlap = ground_overlap_sq(0, gamma)
     if init_overlap < 0.99:

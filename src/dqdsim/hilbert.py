@@ -8,7 +8,7 @@ unrepresentable by construction, so this encoding is exact.
 Conventions (used consistently everywhere in the package):
 
 * qubit 0 is the least-significant bit of a basis index
-  (``basis_index([1, 0]) == 1``);
+  (q0 = 1, q1 = 0 is index 1);
 * ket strings are written qubit-0 first, so ``|10>`` means q0=1, q1=0.
 """
 
@@ -24,29 +24,6 @@ NORM_TOL = 1e-9          # constructor tolerance on state / density-matrix norm
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-12
 COLLAPSE_EPS = 1e-14     # below this branch probability a collapse is undefined
-
-# Single-qubit constants.
-ID2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-P0 = np.array([[1, 0], [0, 0]], dtype=complex)  # projector on logical |0>
-P1 = np.array([[0, 0], [0, 1]], dtype=complex)  # projector on logical |1>
-
-
-def basis_index(bits) -> int:
-    """Map a bit list (qubit 0 first) to its little-endian basis index.
-
-    >>> basis_index([1, 0])
-    1
-    """
-    idx = 0
-    for k, b in enumerate(bits):
-        if b not in (0, 1):
-            raise DimensionError(f"bit {k} is {b!r}, expected 0 or 1")
-        idx |= int(b) << k
-    return idx
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -123,12 +100,6 @@ def fix_phase(amps: np.ndarray) -> np.ndarray:
     return amps * np.exp(-1j * ph)
 
 
-def align_phase(amps: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """``amps`` times the global phase that brings it closest to ``ref``."""
-    overlap = np.vdot(amps, ref)
-    return amps * (overlap / abs(overlap) if overlap else 1.0)
-
-
 def _majoranas(n: int):
     """Jordan-Wigner Majoranas a_k = X_0..X_{k-1} Z_k, then b_k = X_0..X_{k-1} Y_k, of n
     qubits as (gather, sign): (c_p psi)[i] = sign[p, i] psi[gather[p, i]]."""
@@ -138,12 +109,10 @@ def _majoranas(n: int):
     return gather, np.concatenate([z, -1j * z])
 
 
-def majorana_covariance(amps: np.ndarray) -> np.ndarray:
-    """Gamma_pq = i <c_p c_q> (p != q) over the Majoranas (a, b) of :func:`_majoranas`,
-    as the Gram matrix of the vectors c_p|psi>: O(n^2 2^n), no 2^n x 2^n operator."""
-    gather, sign = _majoranas(amps.size.bit_length() - 1)
-    phi = sign * amps[gather]
-    return -np.imag(phi.conj() @ phi.T)
+def gaussian_overlap_sq(gamma: np.ndarray, other: np.ndarray) -> float:
+    """|<psi|phi>|^2 of the pure Gaussian states of covariances ``gamma`` and ``other``:
+    sqrt|det((gamma + other) / 2)|, with no state built."""
+    return float(np.sqrt(abs(np.linalg.det((gamma + other) / 2))))
 
 
 def gaussian_state(gamma: np.ndarray) -> np.ndarray:

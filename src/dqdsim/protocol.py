@@ -22,9 +22,10 @@ Hamiltonian) and ``effective`` mode (the closed-form two-level algebra the
 full dynamics approaches when w << U).  In full mode every ramp device the
 protocol builds, the support ramps and the coupler, is an open transverse-field
 Ising chain, so those stages sweep a Majorana covariance, |+>^n's in closed form
-or that of |+> x S, checked Gaussian in :func:`couple_unknown`
-(:func:`.evolve.adiabatic_ramp`, :func:`.evolve.sweep_majorana`); the rotation
-stage is one exponential of a two-qubit device, applied as a 4 x 4 gate.
+or that of |+> x S (:func:`.evolve.adiabatic_ramp`, :func:`.evolve.sweep_majorana`):
+a support is handed on as its covariance in both modes, and a channel builds one
+state, the coupled one.  The rotation stage is one exponential of a two-qubit
+device, applied as a 4 x 4 gate.
 
 Phase conventions: a device tunneling phase p produces the evolution
 amplitude exp(-ip) on logical |1> (see :mod:`.device`), while the encoder is
@@ -45,8 +46,8 @@ import numpy as np
 from . import device as dev
 from . import evolve
 from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
-from .hilbert import (NORM_TOL, StateVector, _own_state, align_phase, fidelity,  # noqa: F401
-                      gaussian_state, majorana_covariance, tensor_product)
+from .hilbert import (NORM_TOL, StateVector, _own_state, fidelity,  # noqa: F401
+                      gaussian_overlap_sq, gaussian_state)
 
 # Adiabaticity budget of the gap-adapted coupling ramp: the sweep rate is
 # eps * gap^3 / J, so the default duration is 1/(4 J eps) = 4/J.
@@ -312,26 +313,48 @@ def bell_target(n_qubits: int = 2) -> StateVector:
     return ghz_encoded(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), n_qubits)
 
 
+@functools.cache
+def ghz_covariance(n: int) -> np.ndarray:
+    """The read-only Majorana covariance of :func:`bell_target` (n): i<b_k a_(k+1)> =
+    <Z_k Z_(k+1)> = 1 and i<a_0 b_(n-1)> = <X_0 ... X_(n-1)> = 1."""
+    gamma = np.zeros((2 * n, 2 * n))
+    gamma[range(n, 2 * n - 1), range(1, n)] = gamma[0, -1] = 1.0
+    gamma -= gamma.T
+    gamma.setflags(write=False)
+    return gamma
+
+
+def _support_qubits(gamma) -> int:
+    """n of a 2n x 2n support covariance; DimensionError for any other shape or n < 2."""
+    shape = np.shape(gamma)
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 or shape[0] < 4:
+        raise DimensionError(f"a support covariance is 2n x 2n with n >= 2, got shape {shape}")
+    return shape[0] // 2
+
+
 def ramp_support(params: ProtocolParams, n_support: int, T: float):
-    """Adiabatic preparation of a support register; returns (state, RampDiagnostics).
+    """Adiabatic preparation of a support register; returns (Gamma_S, RampDiagnostics).
 
     The register starts in its uncoupled ground state |+>^n, of covariance
     [[0, I], [-I, 0]] in closed form (i<a_k b_k> = <X_k> = 1), and every link ramps
     0 -> U_max together over T.  The ramp is an open transverse-field Ising chain, so
-    :func:`evolve.adiabatic_ramp` sweeps that covariance; the state built from the
-    result carries the global phase ``hilbert.gaussian_state`` fixes.
+    :func:`evolve.adiabatic_ramp` sweeps that covariance and returns the register's,
+    Gamma_S; ``hilbert.gaussian_state(Gamma_S)`` builds its amplitudes.
     """
     g = support_graph(params, n_support, dev.Schedule.smooth(0.0, params.U_max, 0.0, T))
     plus = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n_support))
-    gamma, diag = evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
-    return _own_state(gaussian_state(gamma)), diag
+    return evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
 
 
 def make_entangled_pair(params: ProtocolParams):
-    """Support-pair preparation; returns (state, ramp diagnostics or None).
+    """Support-pair preparation; returns (Gamma_S, ramp diagnostics or None).  Effective
+    mode's is :func:`entangled_pair_reference`'s in closed form, [[0, X], [-X^T, 0]] with
+    X = [[x, c], [-c, x]], x = 2r/(1 + r^2) and c = (1 - r^2)/(1 + r^2).
     An auto-derived ramp past ``MAX_AUTO_RAMP`` raises ConfigError."""
     if params.mode == "effective":
-        return entangled_pair_reference(params.U_max, params.w), None
+        r = cross_to_aligned_ratio(params.U_max, params.w)
+        x, c = 2 * r / (1 + r * r), (1 - r * r) / (1 + r * r)
+        return np.array([[0, 0, x, c], [0, 0, -c, x], [-x, c, 0, 0], [-c, -x, 0, 0]]), None
     return ramp_support(params, 2, params.support_ramp())
 
 
@@ -346,36 +369,42 @@ def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
 _PLUS = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
 
 
-def couple_unknown(unknown: StateVector, support: StateVector,
+def couple_unknown(unknown: StateVector, support: np.ndarray,
                    params: ProtocolParams, coupling=None) -> StateVector:
-    """Attach the encoder qubit to the support register.
+    """Attach the encoder qubit to the support register S of covariance ``support``.
 
     Full mode ramps the encoder-support repulsion with the gap-adapted
     profile.  The encoder does not tunnel, so U(u x S) = u_0 U(|0> x S) +
     u_1 U(|1> x S), read off U(|+> x S): the coupler is an open transverse-field
-    Ising chain, and :func:`evolve.sweep_majorana` sweeps the covariance of the
-    Gaussian |+> x S, up to a global phase.  Effective mode returns alpha|0...0> +
-    beta|1...1> exactly, normalized as ``unknown`` is.  ``coupling``: as in :class:`Channel`.
-    Raises DeviceError, before any sweep, when the encoder tunnels, the coupler is no Ising
-    chain, or S is not Gaussian: the Majorana route's one state check, that the covariance
-    of |+> x S rebuilds it to 1e-12 in norm after phase alignment.
+    Ising chain, and :func:`evolve.sweep_majorana` sweeps the covariance of |+> x S
+    (that of |+> on a_0, b_0, S's on the rest), whose amplitudes are then built once, up
+    to a global phase.  Effective mode returns alpha|0...0> + beta|1...1> exactly,
+    normalized as ``unknown`` is.  ``coupling``: as in :class:`Channel`.  Raises
+    DimensionError unless ``support`` is 2n x 2n, n >= 2, and in full mode DeviceError,
+    before any sweep, when S's covariance is not real, finite, antisymmetric and pure
+    (||G + G^T||_F, ||G G^T - I||_F <= 1e-12), the encoder tunnels or the coupler is no
+    Ising chain.
     """
     if unknown.n_qubits != 1:
         raise DimensionError("unknown state must be a single qubit")
-    if support.n_qubits < 2:
-        raise DimensionError("support register needs at least two qubits")
+    n = _support_qubits(support)
     if params.mode == "effective":
-        amps = np.zeros(2 ** (1 + support.n_qubits), dtype=complex)
+        amps = np.zeros(2 ** (1 + n), dtype=complex)
         amps[::amps.size - 1] = unknown.amps
         return _own_state(amps)
-    t_couple, gap, _ = coupling or resolve_coupling(params, support.n_qubits)
-    g = coupler_graph(params, support.n_qubits, t_couple, gap)
+    skew = np.linalg.norm(support + support.T)
+    mixed = np.linalg.norm(support @ support.T - np.eye(2 * n))
+    if np.iscomplexobj(support) or not skew <= 1e-12 or not mixed <= 1e-12:  # NaN fails too
+        raise DeviceError(f"the support is no real, pure Majorana covariance: ||G + G^T||_F = "
+                          f"{skew:.1e} and ||G G^T - I||_F = {mixed:.1e} must be <= 1e-12")
+    t_couple, gap, _ = coupling or resolve_coupling(params, n)
+    g = coupler_graph(params, n, t_couple, gap)
     if any(term.dqd == 0 for term in g.tunnel_terms):
         raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
-    K, start = dev.majorana_terms(g), tensor_product(_PLUS, support).amps
-    gamma = majorana_covariance(start)
-    if not np.linalg.norm(align_phase(gaussian_state(gamma), start) - start) <= 1e-12:
-        raise DeviceError("the state is not Gaussian: its Majorana covariance does not rebuild it")
+    K, gamma = dev.majorana_terms(g), np.zeros((2 * n + 2, 2 * n + 2))
+    gamma[0, n + 1], gamma[n + 1, 0] = 1.0, -1.0  # |+>: i<a_0 b_0> = <X_0> = 1
+    rest = np.r_[1:n + 1, n + 2:2 * n + 2]
+    gamma[np.ix_(rest, rest)] = support  # S's Majoranas carry X_0, which |+> reads as 1
     coupled = gaussian_state(evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator, K))
     # the encoder bit is the parity of the basis index
     return _own_state(coupled * np.tile(unknown.amps / _PLUS.amps, coupled.size // 2))
@@ -555,19 +584,20 @@ class Channel:
     the encoder bit into the images U(|0> x S) and U(|1> x S).  The split is
     exact because the encoder does not tunnel while it is coupled, so U is
     block-diagonal in its bit; :func:`couple_unknown` checks that on the
-    coupler graph.  The coupler is an open transverse-field Ising chain, and
-    |+> x S is Gaussian for a ramped support, so the coupling is a rotation of
-    2(n_support + 1) Majoranas; it fixes both images up to one common global
-    phase, on which no output depends.  A support that is not Gaussian is
-    refused with DeviceError.  Both images then go through the rotation stage's
-    4 x 4 gate, and the readout's forms are built (:class:`_Readout`).  ``teleport``
-    encodes an input and evaluates them; it forms no register-sized array.
+    coupler graph.  S comes as its Majorana covariance, and the coupler is an open
+    transverse-field Ising chain, so the coupling is a rotation of 2(n_support + 1)
+    Majoranas; it fixes both images up to one common global phase, on which no output
+    depends.  Full mode refuses a covariance that is not pure with DeviceError.  Both
+    images then go through the rotation stage's 4 x 4 gate, and the readout's forms are
+    built (:class:`_Readout`).  ``teleport`` encodes an input and evaluates them; it forms
+    no register-sized array.  The entangle log's ``norm`` is ||Gamma_S||_F / sqrt(2n).
     """
 
-    def __init__(self, support: StateVector, ramp, params: ProtocolParams, coupling=None):
+    def __init__(self, support: np.ndarray, ramp, params: ProtocolParams, coupling=None):
         """``coupling``: :func:`resolve_coupling`'s result, if the builder resolved it first."""
         self.params = params
-        coupling = coupling or resolve_coupling(params, support.n_qubits)
+        n = _support_qubits(support)
+        coupling = coupling or resolve_coupling(params, n)
         self.t_couple, gap, self.t_wait = coupling
         if gap is not None and self.t_couple < 0.5 * faithful_ramp(gap):
             warnings.warn(f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
@@ -583,12 +613,12 @@ class Channel:
         ideal = np.zeros((2, coupled.size), dtype=complex)  # E on |0...0> and |1...1>
         ideal[0, :4], ideal[1, -4:] = E[:, 0], E[:, 3]
         self._readout = _Readout(self._post, self._coupled, ideal)
-        self._entangle_log = {"norm": float(np.linalg.norm(support.amps))}
+        self._entangle_log = {"norm": float(np.linalg.norm(support)) / math.sqrt(2 * n)}
         if ramp is not None:
             self._entangle_log["min_gap"] = ramp.min_gap
             self._entangle_log["ground_overlap_sq"] = ramp.final_ground_overlap_sq
-        self._channel_log = {"ghz_overlap_sq": abs(support.amps[0] + support.amps[-1]) ** 2 / 2,
-                             "T_couple": self.t_couple}  # ghz_overlap_sq = |<S|GHZ>|^2, closed form
+        self._channel_log = {"ghz_overlap_sq": gaussian_overlap_sq(support, ghz_covariance(n)),
+                             "T_couple": self.t_couple}
 
     def couple(self, encoded: StateVector) -> StateVector:
         """Coupling-stage output for an encoded qubit, from the two images."""

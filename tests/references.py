@@ -7,9 +7,44 @@ from scipy.optimize import curve_fit
 
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
 from dqdsim.errors import DimensionError
-from dqdsim.hilbert import (ID2, PAULI_X, PAULI_Y, PAULI_Z, StateVector, _majoranas,
-                            _own_state, fix_phase, gaussian_state, majorana_covariance,
+from dqdsim.hilbert import (StateVector, _majoranas, _own_state, fix_phase, gaussian_state,
                             tensor_product)
+
+# Single-qubit constants.
+ID2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+P0 = np.array([[1, 0], [0, 0]], dtype=complex)  # projector on logical |0>
+P1 = np.array([[0, 0], [0, 1]], dtype=complex)  # projector on logical |1>
+
+
+def basis_index(bits) -> int:
+    """Map a bit list (qubit 0 first) to its little-endian basis index.
+
+    >>> basis_index([1, 0])
+    1
+    """
+    idx = 0
+    for k, b in enumerate(bits):
+        if b not in (0, 1):
+            raise DimensionError(f"bit {k} is {b!r}, expected 0 or 1")
+        idx |= int(b) << k
+    return idx
+
+
+def align_phase(amps: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``amps`` times the global phase that brings it closest to ``ref``."""
+    overlap = np.vdot(amps, ref)
+    return amps * (overlap / abs(overlap) if overlap else 1.0)
+
+
+def majorana_covariance(amps: np.ndarray) -> np.ndarray:
+    """Gamma_pq = i <c_p c_q> (p != q) over the Majoranas (a, b) of ``hilbert._majoranas``,
+    as the Gram matrix of the vectors c_p|psi>: O(n^2 2^n), no 2^n x 2^n operator."""
+    gather, sign = _majoranas(amps.size.bit_length() - 1)
+    phi = sign * amps[gather]
+    return -np.imag(phi.conj() @ phi.T)
 
 
 def encode_graph(w: float, phi: float) -> DeviceGraph:
@@ -46,11 +81,15 @@ def parent_gaussian_state(gamma: np.ndarray) -> np.ndarray:
     return fix_phase(np.linalg.eigh(H)[1][:, 0])
 
 
-def random_gaussian_state(rng, n_qubits: int) -> StateVector:
-    """A random rotation of the Majorana covariance of |+>^n, rebuilt as a state."""
+def random_covariance(rng, n_qubits: int) -> np.ndarray:
+    """A random rotation O Gamma O^T of the Majorana covariance Gamma of |+>^n."""
     O = np.linalg.qr(rng.normal(size=(2 * n_qubits, 2 * n_qubits)))[0]
-    return StateVector(gaussian_state(O @ majorana_covariance(
-        np.full(2**n_qubits, 2.0 ** (-n_qubits / 2), dtype=complex)) @ O.T))
+    return O @ majorana_covariance(np.full(2**n_qubits, 2.0 ** (-n_qubits / 2), dtype=complex)) @ O.T
+
+
+def random_gaussian_state(rng, n_qubits: int) -> StateVector:
+    """The state of :func:`random_covariance`."""
+    return StateVector(gaussian_state(random_covariance(rng, n_qubits)))
 
 
 def apply_local(state: StateVector, op, targets) -> StateVector:

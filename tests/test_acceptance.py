@@ -27,8 +27,7 @@ from dqdsim.evolve import (
     midpoint,
     sweep_block,
 )
-from dqdsim.hilbert import (StateVector, fidelity, gaussian_state, majorana_covariance,
-                            measure_qubit)
+from dqdsim.hilbert import StateVector, fidelity, gaussian_state, measure_qubit
 from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
@@ -40,7 +39,8 @@ from dqdsim.protocol import (
     pair_channel,
     teleport_end_to_end,
 )
-from references import bell_decomposition_check, encode_graph, fit_oscillation
+from references import (bell_decomposition_check, encode_graph, fit_oscillation,
+                        majorana_covariance)
 
 
 def report(name, ok, budget_s, elapsed_s, detail):
@@ -208,13 +208,13 @@ def test_criterion_08_chain_channel():
     t0 = time.perf_counter()
     eff = ProtocolParams(mode="effective")
     for ns in range(2, 7):
-        st, _ = make_ghz_chain(ChainSpec(ns, eff))
+        st = StateVector(gaussian_state(make_ghz_chain(ChainSpec(ns, eff))[0]))
         expected = np.zeros(2**ns, dtype=complex)
         expected[0] = expected[-1] = 1 / np.sqrt(2)
         assert np.max(np.abs(st.amps - expected)) < 1e-12, f"n_support={ns}"
 
     ghz3 = ProtocolParams(U_max=100.0, mode="full")
-    st3, _ = make_ghz_chain(ChainSpec(3, ghz3, T_ghz=300.0))
+    st3 = StateVector(gaussian_state(make_ghz_chain(ChainSpec(3, ghz3, T_ghz=300.0))[0]))
     ghz3_sq = fidelity(st3, bell_target(3))
 
     # four-DQD chain: the crossing gap scales like w(w/U)^3, so the chain

@@ -13,7 +13,7 @@ from dqdsim.chain import MAX_QUBITS, ChainChannel, ChainSpec, make_ghz_chain
 from dqdsim.device import Schedule, hamiltonian_at
 from dqdsim.errors import ConfigError, DimensionError
 from dqdsim.evolve import PropagatorConfig
-from dqdsim.hilbert import StateVector, fidelity, partial_trace
+from dqdsim.hilbert import StateVector, fidelity, gaussian_state, partial_trace
 from dqdsim.protocol import (
     InputQubit,
     ProtocolParams,
@@ -27,6 +27,12 @@ from dqdsim.protocol import (
 )
 
 EFFECTIVE = ProtocolParams(mode="effective")
+
+
+def ghz_state(spec):
+    """make_ghz_chain's support as a state, with its diagnostics."""
+    gamma, diag = make_ghz_chain(spec)
+    return StateVector(gaussian_state(gamma)), diag
 
 
 class TestSpec:
@@ -46,25 +52,25 @@ class TestSpec:
 
 class TestGhzChain:
     def test_effective_pair(self):
-        st, diag = make_ghz_chain(ChainSpec(2, EFFECTIVE))
+        st, diag = ghz_state(ChainSpec(2, EFFECTIVE))
         assert diag is None
         assert np.allclose(st.amps, bell_target(2).amps)
 
     def test_effective_five(self):
-        st, _ = make_ghz_chain(ChainSpec(5, EFFECTIVE))
+        st, _ = ghz_state(ChainSpec(5, EFFECTIVE))
         expected = np.zeros(32)
         expected[0] = expected[-1] = 1 / np.sqrt(2)
         assert np.allclose(st.amps, expected)
 
     def test_effective_marginals_maximally_mixed(self):
-        st, _ = make_ghz_chain(ChainSpec(5, EFFECTIVE))
+        st, _ = ghz_state(ChainSpec(5, EFFECTIVE))
         for q in range(5):
             rho = partial_trace(st, [q]).matrix
             assert np.max(np.abs(rho - np.eye(2) / 2)) <= 1e-10
 
     def test_full_mode_small(self):
         params = ProtocolParams(U_max=40.0, mode="full")
-        st, diag = make_ghz_chain(ChainSpec(3, params))
+        st, diag = ghz_state(ChainSpec(3, params))
         assert fidelity(st, bell_target(3)) >= 0.98
         assert diag.final_ground_overlap_sq >= 0.999
 
@@ -182,9 +188,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 
 
 class TestMemoryPreflight:
-    """A full-mode channel holds no 2^n x 2^n array: the support and the coupled register are
-    rebuilt from their covariances by ``hilbert.gaussian_state`` in O(M^2 2^M), so
-    ``MAX_QUBITS`` is the one size limit."""
+    """A full-mode channel holds no 2^n x 2^n array: the support is handed on as its
+    covariance, and the coupled register is built from its covariance by
+    ``hilbert.gaussian_state`` in O(M^2 2^M), so ``MAX_QUBITS`` is the one size limit."""
 
     def test_no_eigh_past_the_majorana_covariance(self, monkeypatch):
         dims, eigh = [], np.linalg.eigh

@@ -125,6 +125,21 @@ class TestRuns:
         # the separable state overlaps the Bell target with probability 1/2
         assert float(row["bell_overlap_sq"]) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    @pytest.mark.parametrize("argv, row", [
+        # effective mode scores entangled_pair_reference itself, not a state rebuilt from
+        # the covariance make_entangled_pair returns (its concurrence moves in the 12th digit)
+        (["--mode", "effective", "--u-max", "1e-3"],
+         "entangle,effective,1,0,0.001,0.001,0.001,10,,,0.785398163397,0.6,0,2,7,,"
+         "0.500124999996,1,1,,0.000249999992188"),
+        # full mode scores gaussian_state of the ramp's covariance
+        ([], "entangle,full,1,0,100,100,100,200,,,0.785398163397,0.6,0,2,7,,0.999599340002,"
+             "0.999999986294,0.999999986294,0.0399840127872,0.999198705851"),
+    ])
+    def test_entangle_rows_are_pinned(self, argv, row, tmp_path):
+        assert main(["entangle", *argv, "--output", str(tmp_path / "ent")]) == 0
+        assert (tmp_path / "ent.csv").read_text().splitlines()[1] == row
+
     def test_sweep_rows_ordered_by_axis(self, tmp_path):
         out = tmp_path / "sw"
         code = main(["sweep", "--experiment", "encode", "--axis", "alpha_abs",

@@ -21,9 +21,9 @@ from dqdsim.device import (
 )
 from dqdsim.errors import DeviceError
 from dqdsim.evolve import evolve_scheduled, scheduled_propagator
-from dqdsim.hilbert import ID2, P0, P1, StateVector
+from dqdsim.hilbert import StateVector
 from dqdsim.protocol import ProtocolParams, coupler_graph, support_crossing_gap
-from references import kron_le, majorana_matrices
+from references import ID2, P0, P1, kron_le, majorana_matrices
 
 
 def pair_graph(U_sched, w=1.0):

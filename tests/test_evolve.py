@@ -34,20 +34,19 @@ from dqdsim.evolve import (
     step_grid,
     sweep_block,
 )
-from dqdsim.hilbert import (StateVector, align_phase, gaussian_state, majorana_covariance,
-                            tensor_product)
+from dqdsim.hilbert import StateVector, gaussian_state, tensor_product
 from dqdsim.protocol import (
     ProtocolParams,
-    bell_target,
     couple_unknown,
     coupler_graph,
     cross_to_aligned_ratio,
     entangled_pair_reference,
+    ghz_covariance,
     resolve_coupling,
     support_crossing_gap,
     support_graph,
 )
-from references import random_gaussian_state
+from references import align_phase, majorana_covariance, random_gaussian_state
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -667,7 +666,8 @@ class TestChunkBudget:
             return Os
 
         monkeypatch.setattr(evolve, "_rotations", spy)
-        couple_unknown(StateVector(np.full(2, np.sqrt(0.5), dtype=complex)), bell_target(4), params)
+        couple_unknown(StateVector(np.full(2, np.sqrt(0.5), dtype=complex)), ghz_covariance(4),
+                       params)
         assert {s[1:] for s in shapes} == {(5, 5)}
         assert len(shapes) > 2 and max(s[0] for s in shapes) == evolve._CHUNK_BYTES // (16 * 10 * 10)
 

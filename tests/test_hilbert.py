@@ -5,23 +5,17 @@ from hypothesis import strategies as st
 
 from dqdsim.errors import ConvergenceError, DegenerateBranchError, DimensionError
 from dqdsim.hilbert import (
-    ID2,
-    P0,
-    P1,
-    PAULI_X,
     DensityMatrix,
     StateVector,
-    align_phase,
-    basis_index,
     fidelity,
     gaussian_state,
-    majorana_covariance,
     measure_qubit,
     partial_trace,
     tensor_product,
 )
 from dqdsim.protocol import ProtocolParams, bell_target, ramp_support
-from references import apply_local, kron_le, majorana_matrices, parent_gaussian_state
+from references import (ID2, P0, P1, PAULI_X, align_phase, apply_local, basis_index, kron_le,
+                        majorana_covariance, majorana_matrices, parent_gaussian_state)
 
 
 def random_state(rng, n):
@@ -282,8 +276,7 @@ class TestMajoranaCovariance:
             yield f"|+>^{n}", np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
         for n in (2, 3, 4):
             yield f"bell_target({n})", bell_target(n).amps
-        ramped, _ = ramp_support(ProtocolParams(U_max=10.0), 3, 30.0)
-        yield "ramped support", ramped.amps
+        yield "ramped support", gaussian_state(ramp_support(ProtocolParams(U_max=10.0), 3, 30.0)[0])
 
     def test_matches_the_dense_majoranas_and_round_trips(self):
         for name, amps in self.states():

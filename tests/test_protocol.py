@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dqdsim import evolve, protocol
-from dqdsim.chain import ChainChannel, ChainSpec
+from dqdsim import evolve, hilbert, protocol
+from dqdsim.chain import ChainChannel, ChainSpec, make_ghz_chain
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
 from dqdsim.errors import ConfigError, ConvergenceError, DeviceError, DimensionError
 from dqdsim.evolve import (
@@ -23,11 +23,10 @@ from dqdsim.evolve import (
 from dqdsim.hilbert import (
     StateVector,
     _own_state,
-    align_phase,
     fidelity,
     fix_phase,
+    gaussian_overlap_sq,
     gaussian_state,
-    majorana_covariance,
     measure_qubit,
     partial_trace,
     tensor_product,
@@ -46,6 +45,7 @@ from dqdsim.protocol import (
     effective_rabi,
     encode_qubit,
     entangled_pair_reference,
+    ghz_covariance,
     ghz_encoded,
     make_entangled_pair,
     pair_channel,
@@ -55,8 +55,8 @@ from dqdsim.protocol import (
     support_graph,
     teleport_end_to_end,
 )
-from references import (bell_decomposition_check, encode_graph, fit_oscillation,
-                        random_gaussian_state)
+from references import (align_phase, bell_decomposition_check, encode_graph, fit_oscillation,
+                        majorana_covariance, random_covariance)
 
 EFFECTIVE = ProtocolParams(mode="effective")
 
@@ -166,14 +166,16 @@ class TestEntangledPair:
         # |<bell|reference>|^2 == 1/(1+r^2) exactly
         for U in (10.0, 100.0):
             r = cross_to_aligned_ratio(U, 1.0)
-            st, diag = make_entangled_pair(ProtocolParams(U_max=U, mode="effective"))
+            gamma, diag = make_entangled_pair(ProtocolParams(U_max=U, mode="effective"))
+            st = StateVector(gaussian_state(gamma))
             assert diag is None
             assert fidelity(st, bell_target(2)) == pytest.approx(1 / (1 + r**2), abs=1e-12)
         assert fidelity(entangled_pair_reference(100.0, 1.0), bell_target(2)) >= 0.999
 
     def test_full_ramp_reaches_reference(self):
         params = small_full_params()
-        st, diag = make_entangled_pair(params)
+        gamma, diag = make_entangled_pair(params)
+        st = StateVector(gaussian_state(gamma))
         assert fidelity(st, entangled_pair_reference(30.0, 1.0)) >= 0.999
         assert diag.final_ground_overlap_sq >= 0.999
         assert abs(np.linalg.norm(st.amps) - 1.0) < 1e-12
@@ -222,7 +224,8 @@ class TestSupportRamp:
     def test_matches_the_full_propagator(self, n_support, monkeypatch):
         # the ramp keeps the global phase gaussian_state fixes: compare after aligning it
         seen = self.engines(monkeypatch)
-        final, diag = ramp_support(self.PARAMS, n_support, self.T)
+        gamma, diag = ramp_support(self.PARAMS, n_support, self.T)
+        final = StateVector(gaussian_state(gamma))
         assert seen == [("majorana", 2 * n_support)]
         g = self.ramp_graph(n_support)
         start = np.full(2**n_support, 2.0 ** (-n_support / 2))
@@ -280,6 +283,76 @@ class TestSupportRamp:
         assert np.max(np.abs(final.amps - expected)) <= 1e-12
 
 
+class TestSupportCovariance:
+    """A support is handed to the channel as its Majorana covariance: the closed forms,
+    the lift to |+> x S and the GHZ overlap read from it agree with the amplitudes'."""
+
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    @pytest.mark.parametrize("U", [1e-3, 1.0, 100.0, 1e5])
+    def test_effective_pair_is_the_reference_covariance(self, U):
+        gamma, diag = make_entangled_pair(ProtocolParams(U_max=U, mode="effective"))
+        assert diag is None
+        expected = majorana_covariance(entangled_pair_reference(U, 1.0).amps)
+        assert np.max(np.abs(gamma - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_effective_ghz_is_the_ghz_covariance(self, n):
+        gamma = ghz_covariance(n)
+        assert np.max(np.abs(gamma - majorana_covariance(bell_target(n).amps))) <= 1e-15
+        assert not gamma.flags.writeable
+        if n < 8:
+            assert make_ghz_chain(ChainSpec(n, EFFECTIVE))[0] is gamma
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_the_coupler_sweeps_the_covariance_of_plus_times_the_support(self, n, seed):
+        gamma = random_covariance(np.random.default_rng(seed), n)
+        lifted, sweep = [], evolve.sweep_majorana
+
+        def spy(g, *args):
+            lifted.append(g)
+            return sweep(g, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve, "sweep_majorana", spy)
+            couple_unknown(_PLUS_STATE, gamma, small_full_params(T_couple=1.0))
+        expected = majorana_covariance(
+            tensor_product(_PLUS_STATE, StateVector(gaussian_state(gamma))).amps)
+        assert np.max(np.abs(lifted[0] - expected)) <= 1e-14
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_ghz_overlap_is_the_amplitudes_of_either_parity(self, n, seed):
+        # reflecting one Majorana flips the parity X_0 ... X_(n-1), so of a random support and
+        # its reflection one is odd and has no overlap with the (even) GHZ state
+        gamma = random_covariance(np.random.default_rng(seed), n)
+        reflected = gamma.copy()
+        reflected[0], reflected[:, 0] = -gamma[0], -gamma[:, 0]
+        overlaps = []
+        for g in (gamma, reflected):
+            S = gaussian_state(g)
+            overlaps.append(abs(S[0] + S[-1]) ** 2 / 2)
+            assert abs(gaussian_overlap_sq(g, ghz_covariance(n)) - overlaps[-1]) <= 1e-15
+        assert min(overlaps) <= 1e-15 < max(overlaps)
+
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    @pytest.mark.parametrize("n_support", [2, 3, 6])
+    def test_a_full_mode_build_builds_one_state(self, n_support, monkeypatch):
+        # gaussian_state once, for the coupled register; _majoranas, which every pass
+        # between amplitudes and a covariance takes, once, inside that call
+        built, passes = [], []
+        build, majoranas = protocol.gaussian_state, hilbert._majoranas
+        monkeypatch.setattr(protocol, "gaussian_state",
+                            lambda gamma: built.append(len(gamma) // 2) or build(gamma))
+        monkeypatch.setattr(hilbert, "_majoranas", lambda n: passes.append(n) or majoranas(n))
+        params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.2))
+        if n_support == 2:
+            pair_channel(params)
+        else:
+            ChainChannel(ChainSpec(n_support, params, T_ghz=45.0))
+        assert built == passes == [n_support + 1]
+
+
 class TestSweepAccuracy:
     def test_default_pair_sweeps_against_a_converged_reference(self):
         # no worse than the midpoint rule's 5.3e-7 (entangle) and 2.3e-4 (couple,
@@ -292,8 +365,9 @@ class TestSweepAccuracy:
         plus_support = tensor_product(_PLUS_STATE, entangled_pair_reference(params.U_max, params.w))
 
         def stages(cfg):
-            ent = ramp_support(replace(params, integrator=cfg), 2, params.resolved_T_ent())[0]
-            return ent.amps, evolve_scheduled(plus_support, g, 0.0, t_couple, cfg).amps
+            ent = gaussian_state(ramp_support(replace(params, integrator=cfg), 2,
+                                              params.resolved_T_ent())[0])
+            return ent, evolve_scheduled(plus_support, g, 0.0, t_couple, cfg).amps
         ent, cpl = stages(params.integrator)
         ent_ref, cpl_ref = stages(evolve.PropagatorConfig(dt=0.0025))
         assert np.linalg.norm(ent - ent_ref) <= 5.3e-7
@@ -314,7 +388,7 @@ class TestSweepAccuracy:
 
 class TestStageNorms:
     """Random full-mode parameters: every Majorana product a support ramp or a coupling
-    steps is orthogonal, and both stages return unit-norm states."""
+    steps is orthogonal, and the states of both stages have unit norm."""
 
     @pytest.mark.filterwarnings("ignore:w/U_max")
     @settings(max_examples=60, deadline=None)
@@ -338,8 +412,8 @@ class TestStageNorms:
         assert len(products) == 2
         for O in products:
             assert np.max(np.abs(O.T @ O - np.eye(len(O)))) <= 1e-12
-        for state in (support, coupled):
-            assert abs(np.linalg.norm(state.amps) - 1) <= 1e-12
+        for amps in (gaussian_state(support), coupled.amps):
+            assert abs(np.linalg.norm(amps) - 1) <= 1e-12
 
 
 class TestCouple:
@@ -367,7 +441,7 @@ class TestCouple:
     def test_rejects_multiqubit_unknown(self):
         support, _ = make_entangled_pair(EFFECTIVE)
         with pytest.raises(DimensionError):
-            couple_unknown(support, support, EFFECTIVE)
+            couple_unknown(bell_target(2), support, EFFECTIVE)
 
 
 _PLUS_STATE = StateVector(np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
@@ -399,8 +473,8 @@ class TestChannel:
         # the one global phase the Majorana route leaves open
         rng = np.random.default_rng(seed)
         params = ProtocolParams(U_max=U, integrator=PropagatorConfig(dt=0.5))
-        support = random_gaussian_state(rng, n_support)
-        channel = Channel(support, None, params)
+        gamma = random_covariance(rng, n_support)
+        support, channel = StateVector(gaussian_state(gamma)), Channel(gamma, None, params)
         enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
         t_couple, gap, _ = resolve_coupling(params, n_support)
         g = coupler_graph(params, n_support, t_couple, gap)
@@ -413,7 +487,7 @@ class TestChannel:
     @given(n_support=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
     def test_effective_split_is_ghz_encoded(self, n_support, seed):
         rng = np.random.default_rng(seed)
-        channel = Channel(bell_target(n_support), None, EFFECTIVE)
+        channel = Channel(ghz_covariance(n_support), None, EFFECTIVE)
         enc = encode_qubit(InputQubit.random(rng), 1.0)
         a, b = enc.state.amps
         expected = ghz_encoded(a, b, n_support + 1).amps
@@ -429,7 +503,7 @@ class TestChannel:
 
         monkeypatch.setattr(protocol, "coupler_graph", tunneling_encoder)
         with pytest.raises(DeviceError, match="encoder"):
-            Channel(bell_target(2), None, small_full_params())
+            Channel(ghz_covariance(2), None, small_full_params())
 
     @staticmethod
     def coupling_sweeps(monkeypatch, n_support, t_couple):
@@ -463,26 +537,42 @@ class TestChannel:
             ChainChannel(ChainSpec(n_support, params))
         assert seen == [("majorana", 2 * n_support), ("majorana", 2 * (n_support + 1))]
 
-    @pytest.mark.parametrize("case", ["random support", "phased support"])
+    @pytest.mark.parametrize("case", ["phased support"])
     def test_other_couplings_take_the_dense_sweep(self, case, monkeypatch):
-        # the channel couples only a Gaussian |+> x S under an open transverse-field Ising
-        # chain and refuses anything else before any sweep; the dense engine
-        # evolve_scheduled sweeps such a coupling on the whole register
+        # the channel couples only under an open transverse-field Ising chain and refuses
+        # anything else before any sweep; the dense engine evolve_scheduled sweeps such a
+        # coupling on the whole register.  A tunneling phase on a support DQD keeps the
+        # encoder bit but breaks the chain.
         params = small_full_params()
         t_couple, gap, _ = resolve_coupling(params, 2)
-        support = bell_target(2)
-        if case == "random support":  # not a Gaussian state
-            support = random_state(np.random.default_rng(4), 2)
-        else:  # a tunneling phase on a support DQD keeps the encoder bit but breaks the chain
-            monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
+        monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
         seen = self.coupling_sweeps(monkeypatch, 2, t_couple)
-        with pytest.raises(DeviceError, match="Gaussian" if case == "random support" else "Ising"):
-            Channel(support, None, params)
+        with pytest.raises(DeviceError, match="Ising"):
+            Channel(ghz_covariance(2), None, params)
         assert seen == []
         g = protocol.coupler_graph(params, 2, t_couple, gap)
-        evolve_scheduled(tensor_product(_PLUS_STATE, support), g, 0.0, t_couple,
+        evolve_scheduled(tensor_product(_PLUS_STATE, bell_target(2)), g, 0.0, t_couple,
                          params.integrator)
         assert seen == [("dense", 8)]
+
+    @pytest.mark.parametrize("case", ["wrong shape", "odd size", "one qubit", "complex",
+                                      "not antisymmetric", "NaN", "mixed"])
+    def test_refuses_a_covariance_that_is_not_pure(self, case, monkeypatch):
+        # the support's covariance is the caller's: a malformed one is refused before any
+        # sweep, where sweep_majorana's closing Newton-Schulz step and gaussian_state
+        # would otherwise make a state up from it
+        params = small_full_params()
+        seen = self.coupling_sweeps(monkeypatch, 2, resolve_coupling(params, 2)[0])
+        gamma = np.array(ghz_covariance(2))
+        bad = {"wrong shape": gamma[:3], "odd size": gamma[:3, :3], "one qubit": gamma[:2, :2],
+               "complex": 1j * gamma, "not antisymmetric": np.abs(gamma),
+               "NaN": np.where(gamma == 1.0, np.nan, gamma), "mixed": 0.9 * gamma}[case]
+        error = DimensionError if case in ("wrong shape", "odd size", "one qubit") else DeviceError
+        for build in (lambda: Channel(bad, None, params),
+                      lambda: couple_unknown(_PLUS_STATE, bad, params)):
+            with pytest.raises(error):
+                build()
+        assert seen == []
 
     def test_sweeps_a_coupler_without_flip_symmetry_whole(self, monkeypatch):
         # a tunneling phase on a support DQD keeps the encoder bit but breaks X^n: the
@@ -503,13 +593,14 @@ class TestChannel:
     @given(n_support=st.sampled_from([2, 3, 4]), U=st.floats(10.0, 40.0),
            Uprime=st.floats(4.0, 100.0), dt=st.floats(0.02, 0.5), seed=st.integers(0, 2**32 - 1))
     def test_majorana_route_matches_the_dense_sweep(self, n_support, U, Uprime, dt, seed):
-        support = random_gaussian_state(np.random.default_rng(seed), n_support)
+        gamma = random_covariance(np.random.default_rng(seed), n_support)
+        support = StateVector(gaussian_state(gamma))
         params = ProtocolParams(U_max=U, Uprime_max=Uprime, T_couple=20.0,
                                 integrator=PropagatorConfig(dt=dt))
         g = coupler_graph(params, n_support, *resolve_coupling(params, n_support)[:2])
         with pytest.MonkeyPatch.context() as mp:
             seen = self.coupling_sweeps(mp, n_support, 20.0)
-            route = couple_unknown(_PLUS_STATE, support, params).amps
+            route = couple_unknown(_PLUS_STATE, gamma, params).amps
         assert seen == [("majorana", 2 * (n_support + 1))]
         dense = evolve_scheduled(tensor_product(_PLUS_STATE, support), g, 0.0, 20.0,
                                  params.integrator).amps
@@ -520,12 +611,12 @@ class TestChannel:
             dt=0.5, richardson_check=True, tolerance=1e-14))
         seen = self.coupling_sweeps(monkeypatch, 2, resolve_coupling(params, 2)[0])
         with pytest.raises(ConvergenceError, match="step-doubling"):
-            couple_unknown(_PLUS_STATE, bell_target(2), params)
+            couple_unknown(_PLUS_STATE, ghz_covariance(2), params)
         assert seen == [("majorana", 6)]
         # at a loose tolerance it passes with the halved grid's state, as the dense check does
         cfg = PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1e-3)
         t_couple, gap, _ = resolve_coupling(params, 2)
-        out = couple_unknown(_PLUS_STATE, bell_target(2), replace(params, integrator=cfg)).amps
+        out = couple_unknown(_PLUS_STATE, ghz_covariance(2), replace(params, integrator=cfg)).amps
         ref = evolve_scheduled(tensor_product(_PLUS_STATE, bell_target(2)),
                                coupler_graph(params, 2, t_couple, gap), 0.0, t_couple, cfg).amps
         assert np.linalg.norm(align_phase(out, ref) - ref) <= 1e-12
@@ -1030,9 +1121,8 @@ class TestNoRechecks:
         return seen
 
     def test_effective_build_and_teleports_check_no_state(self, monkeypatch):
-        chain = ChainChannel(ChainSpec(3, EFFECTIVE))  # its support is bell_target, checked
         checked = self.checked_states(monkeypatch)
-        pair = pair_channel(EFFECTIVE)
+        chain, pair = ChainChannel(ChainSpec(3, EFFECTIVE)), pair_channel(EFFECTIVE)
         assert checked == []
         rng = np.random.default_rng(12)
         for channel in (pair, chain):
@@ -1044,11 +1134,11 @@ class TestNoRechecks:
 
     @pytest.mark.parametrize("n_support", [2, 3, 4, 5, 6])
     def test_ghz_overlap_is_the_fidelity_with_the_ghz_state(self, n_support):
-        # the channel log's closed form |S[0] + S[-1]|^2 / 2 on ramped supports
+        # the channel log's Gaussian overlap sqrt|det((G_S + G_GHZ) / 2)| on ramped supports
         params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.25))
         support, ramp = ramp_support(params, n_support, 20.0)
         log = Channel(support, ramp, EFFECTIVE).teleport(InputQubit(0.6, 0.8)).step_log
-        expected = fidelity(support, bell_target(n_support))
+        expected = fidelity(StateVector(gaussian_state(support)), bell_target(n_support))
         assert 0.1 < expected < 0.999
         assert abs(log["channel"]["ghz_overlap_sq"] - expected) <= 1e-15
 
