@@ -219,9 +219,10 @@ def _hamiltonians(H0, terms, F, d=None):
 
 
 def _values(terms, ts):
-    """Schedule values f_j(t): one row per time, one column per term."""
-    return np.reshape(np.transpose([dev.schedule_value(s, ts) for s, _ in terms]),
-                      (len(ts), len(terms)))
+    """Schedule values f_j(t): one row per time, one column per term; each distinct schedule
+    (a crossed link pair's two links share one) is evaluated once."""
+    vals = {s: dev.schedule_value(s, ts) for s in dict.fromkeys(s for s, _ in terms)}
+    return np.reshape(np.transpose([vals[s] for s, _ in terms]), (len(ts), len(terms)))
 
 
 def midpoint(terms, edges):
@@ -243,7 +244,8 @@ def cf4(terms, edges):
 
 @np.errstate(over="ignore")  # an overflowed local-error proxy is inf and still compares
 def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
-    """Interval edges over [t0, t1], or None when no schedule moves there.
+    """Interval edges over [t0, t1], or None when no schedule moves there (each takes one
+    value at t0 and t1).
 
     The window is cut into equal intervals of at most h.  An interval of
     length s over which H moves is halved while its local-error proxy
@@ -264,16 +266,21 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     merged.  ||dH|| and ||H|| are bounded from the graph's schedules (a
     tunneling amplitude counts once, a Coulomb link half, as in
     :func:`device.energy_scale`), so every block and sector of the device
-    steps on the same grid.  Raises
-    ConfigError before building a grid of more than ``MAX_INTERVALS``.
+    steps on the same grid.  Cost: each distinct schedule is evaluated at t0
+    and t1 and once per edge the grid creates, each halving pass tests only
+    the intervals the last one split, and the merge passes reuse the values.
+    Raises ConfigError before building a grid of more than ``MAX_INTERVALS``.
     """
     driven = [(t.amplitude, 1.0) for t in g.tunnel_terms]
     driven += [(link.strength, 0.5) for link in g.coulomb_links]
-    driven = [(s, w) for s, w in driven if not s.is_constant]
+    scheds = list(dict.fromkeys(s for s, _ in driven if not s.is_constant))
+    driven = [(scheds.index(s), w) for s, w in driven if not s.is_constant]
 
-    def variation(edges):  # schedules are monotone: the end values bound the change
-        return sum((w * np.abs(np.diff(s.value(edges))) for s, w in driven),
-                   np.zeros(len(edges) - 1))
+    def values(ts):  # one row per distinct schedule, one column per time
+        return np.array([dev.schedule_value(s, ts) for s in scheds])
+
+    def variation(lo, hi):  # schedules are monotone: the end values bound the change
+        return sum((w * np.abs(hi[i] - lo[i]) for i, w in driven), np.zeros(lo.shape[1]))
 
     def check(n_intervals):
         if not n_intervals <= MAX_INTERVALS:  # NaN and inf fail too
@@ -284,28 +291,34 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
         dh, phase = span * moved, span * scale
         return (dh * np.maximum(1.0, phase) > tol) | ((dh > STILL) & (phase > MAX_PHASE))
 
-    if not variation(np.array([t0, t1]))[0]:
+    if all(dev.schedule_value(s, t0) == dev.schedule_value(s, t1) for s in scheds):
         return None
     check(n := np.ceil((t1 - t0) / h))
-    edges = np.linspace(t0, t1, max(1, int(n)) + 1)
-    scale = dev.energy_scale(g)
-    h_auto = 2 * PropagatorConfig().resolve_dt(g)
+    V = values(ts := np.linspace(t0, t1, max(1, int(n)) + 1))
+    scale, h_auto = dev.energy_scale(g), 2 * PropagatorConfig().resolve_dt(g)
     tol = GRID_TOL * h / h_auto
-    for _ in range(_MAX_HALVINGS):
-        span = np.diff(edges)
-        if not (halve := coarse(span, variation(edges))).any():
+    hi = 1 + (lo := np.arange(len(ts) - 1))  # the intervals to test, as indices into ts
+    for _ in range(_MAX_HALVINGS):  # each interval that passes keeps passing
+        span = ts[hi] - ts[lo]
+        if not (halve := coarse(span, variation(V[:, lo], V[:, hi]))).any():
             break
-        check(len(span) + np.count_nonzero(halve))
-        edges = np.sort(np.concatenate([edges, edges[:-1][halve] + span[halve] / 2]))
-    moves = variation(edges) > 0
-    edges = edges[np.concatenate([[True], moves[:-1] | moves[1:], [True]])]
+        check(len(ts) - 1 + np.count_nonzero(halve))
+        lo, hi, mid = lo[halve], hi[halve], np.arange(len(ts), len(ts) + np.count_nonzero(halve))
+        ts = np.concatenate([ts, ts[lo] + span[halve] / 2])
+        V = np.concatenate([V, values(ts[mid])], axis=1)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    edges, V = ts[order := np.argsort(ts)], V[:, order]  # equal times hold equal values
+    moves = variation(V[:, :-1], V[:, 1:]) > 0
+    keep = np.concatenate([[True], moves[:-1] | moves[1:], [True]])
+    edges, V = edges[keep], V[:, keep]
     while h >= h_auto:  # merge intervals 2k, 2k + 1 whose union passes and whose halves move alike
-        moved = variation(edges)
+        moved = variation(V[:, :-1], V[:, 1:])
         a, b, span = moved[0:-1:2], moved[1::2], np.diff(edges[::2])
         bend = span * np.abs(b - a) * np.maximum(1.0, span * scale)
         if not (merge := ~coarse(span, a + b) & (bend <= STILL)).any():
             break
-        edges = np.delete(edges, 2 * np.flatnonzero(merge) + 1)
+        drop = 2 * np.flatnonzero(merge) + 1
+        edges, V = np.delete(edges, drop), np.delete(V, drop, axis=1)
     return edges
 
 

@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
-from dqdsim.errors import DimensionError
+from dqdsim import evolve
+from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, energy_scale, hamiltonian_at
+from dqdsim.errors import ConfigError, DimensionError
 from dqdsim.hilbert import (StateVector, _majoranas, _own_state, fix_phase, gaussian_state,
                             tensor_product)
 
@@ -233,3 +234,55 @@ def fit_oscillation(times, populations) -> RabiFit:
     rms = float(np.sqrt(np.mean(resid**2)))
     oscillatory = b > max(1e-9, 10 * rms) * 0.01 and abs(f) * (t[-1] - t[0]) > 0.5
     return RabiFit(float(abs(f)), float(b), float(a), rms, oscillatory)
+
+
+@np.errstate(over="ignore")
+def step_grid_reference(g: DeviceGraph, t0: float, t1: float, h: float, refined_only=False):
+    """``evolve.step_grid`` as a multi-pass reference: every test re-run on every edge in every
+    pass, each driven term's schedule evaluated afresh each time.  It returns None only when
+    every driven schedule takes the same value at t0 and t1 (a weighted change of 0.5 * 5e-324
+    underflows to 0 while the schedule moves).  ``refined_only`` returns the grid after the
+    halving passes, every edge the grid creates, before still runs are dropped and merged."""
+    driven = [(t.amplitude, 1.0) for t in g.tunnel_terms]
+    driven += [(link.strength, 0.5) for link in g.coulomb_links]
+    driven = [(s, w) for s, w in driven if not s.is_constant]
+
+    def variation(edges):
+        return sum((w * np.abs(np.diff(s.value(edges))) for s, w in driven),
+                   np.zeros(len(edges) - 1))
+
+    def check(n_intervals):
+        if not n_intervals <= evolve.MAX_INTERVALS:
+            raise ConfigError(f"the step grid needs {n_intervals:.3g} intervals, "
+                              f"more than {evolve.MAX_INTERVALS}")
+
+    def coarse(span, moved):
+        dh, phase = span * moved, span * scale
+        return ((dh * np.maximum(1.0, phase) > tol)
+                | ((dh > evolve.STILL) & (phase > evolve.MAX_PHASE)))
+
+    if all(s.value(t0) == s.value(t1) for s, _ in driven):
+        return None
+    check(n := np.ceil((t1 - t0) / h))
+    edges = np.linspace(t0, t1, max(1, int(n)) + 1)
+    scale = energy_scale(g)
+    h_auto = 2 * evolve.PropagatorConfig().resolve_dt(g)
+    tol = evolve.GRID_TOL * h / h_auto
+    for _ in range(evolve._MAX_HALVINGS):
+        span = np.diff(edges)
+        if not (halve := coarse(span, variation(edges))).any():
+            break
+        check(len(span) + np.count_nonzero(halve))
+        edges = np.sort(np.concatenate([edges, edges[:-1][halve] + span[halve] / 2]))
+    if refined_only:
+        return edges
+    moves = variation(edges) > 0
+    edges = edges[np.concatenate([[True], moves[:-1] | moves[1:], [True]])]
+    while h >= h_auto:
+        moved = variation(edges)
+        a, b, span = moved[0:-1:2], moved[1::2], np.diff(edges[::2])
+        bend = span * np.abs(b - a) * np.maximum(1.0, span * scale)
+        if not (merge := ~coarse(span, a + b) & (bend <= evolve.STILL)).any():
+            break
+        edges = np.delete(edges, 2 * np.flatnonzero(merge) + 1)
+    return edges

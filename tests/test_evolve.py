@@ -4,10 +4,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqdsim import evolve
+from dqdsim import device, evolve
 from dqdsim.device import (
     DeviceGraph,
     Schedule,
@@ -46,7 +46,8 @@ from dqdsim.protocol import (
     support_crossing_gap,
     support_graph,
 )
-from references import align_phase, majorana_covariance, random_gaussian_state
+from references import (align_phase, majorana_covariance, random_gaussian_state,
+                        step_grid_reference)
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -535,6 +536,8 @@ class TestGridProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(support=ramps, couple=ramps, w=st.floats(0.2, 2.0), dt=dts)
+    @example(support=("linear", 0.0, 0.0, 1.0, 1.0), couple=("linear", 0.0, 5e-324, 1.0, 1.0),
+             w=1.0, dt=0.5)  # the coupling moves, by a weighted change 0.5 * 5e-324 that is 0
     def test_grid_covers_the_window_and_every_interval_passes(self, support, couple, w, dt):
         g, t1 = self.ramped_coupler(support, couple, w), max(support[3], couple[3])
         edges = step_grid(g, 0.0, t1, 2 * dt)
@@ -544,6 +547,18 @@ class TestGridProperties:
         assert edges[0] == 0.0 and edges[-1] == t1 and np.all(np.diff(edges) > 0)
         passed, merged = grid_checks(g, edges, 2 * dt)
         assert passed.all() and not merged.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(support=ramps, couple=ramps, w=st.floats(0.2, 2.0),
+           ratio=st.one_of(st.just(1.0), st.floats(0.3, 3.0)))
+    @example(support=("smooth", 0.0, 20.0, 2.0, 1.0), couple=("tangent", 0.0, 30.0, 4.0, 0.05),
+             w=1.0, ratio=0.5)
+    def test_grid_is_the_multi_pass_reference_bit_for_bit(self, support, couple, w, ratio):
+        # dt / auto dt = ratio: merging is on from ratio 1 up and off below it
+        g, t1 = self.ramped_coupler(support, couple, w), max(support[3], couple[3])
+        h = 2 * ratio * PropagatorConfig().resolve_dt(g)
+        edges, ref = step_grid(g, 0.0, t1, h), step_grid_reference(g, 0.0, t1, h)
+        assert edges is ref is None or np.array_equal(edges, ref)
 
     @settings(max_examples=30, deadline=None)
     @given(support=ramps, couple=ramps, w=st.floats(0.2, 2.0), dt=dts, seed=st.integers(0, 99))
@@ -568,6 +583,65 @@ class TestGridProperties:
         for g, state in ((coupler, tensor_product(plus, StateVector(S))), (pair, StateVector(S))):
             whole = evolve_scheduled(state, g, 0.0, t1, cfg).amps
             assert np.max(np.abs(whole[::-1] - whole)) <= 1e-12
+
+
+WORKLOAD_GRIDS = ("pair ramp", "pair coupler", "chain4 GHZ ramp", "chain4 coupler")
+
+
+def workload_grid(name):
+    """(device, t1, coarse step 2 dt) of one of the benchmark's graded sweeps over [0, t1]: the
+    default pair's entangling ramp and coupler, and the 4-DQD chain's GHZ ramp and coupler at
+    U = 15w, U' = 100w, T_ghz = 45/w and dt = 0.2."""
+    chain = name.startswith("chain4")
+    params = (ProtocolParams(U_max=15.0, Uprime_max=100.0, integrator=PropagatorConfig(dt=0.2))
+              if chain else ProtocolParams())
+    n = 4 if chain else 2
+    if name.endswith("coupler"):
+        t1, gap, _ = resolve_coupling(params, n)
+        g = coupler_graph(params, n, t1, gap)
+    else:
+        t1 = 45.0 if chain else params.support_ramp()
+        g = support_graph(params, n, Schedule.smooth(0.0, params.U_max, 0.0, t1))
+    return g, t1, 2 * params.integrator.resolve_dt(g)
+
+
+def counting(monkeypatch):
+    """The number of times each call to ``device.schedule_value`` evaluates, from now on."""
+    points = []
+
+    def spy(s, t):
+        points.append(np.size(t))
+        return schedule_value(s, t)
+    monkeypatch.setattr(device, "schedule_value", spy)
+    return points
+
+
+class TestGridCost:
+    @pytest.mark.parametrize("name", WORKLOAD_GRIDS)
+    def test_workload_grids_are_the_multi_pass_reference_bit_for_bit(self, name):
+        g, t1, h = workload_grid(name)
+        assert np.array_equal(step_grid(g, 0.0, t1, h), step_grid_reference(g, 0.0, t1, h))
+
+    @pytest.mark.parametrize("name", WORKLOAD_GRIDS)
+    def test_each_schedule_is_evaluated_once_per_created_edge(self, name, monkeypatch):
+        # the multi-pass grid evaluated every driven term on every edge in every pass: the
+        # pair coupler's two links on ~5000 edges in each of about a dozen passes
+        g, t1, h = workload_grid(name)
+        created = len(step_grid_reference(g, 0.0, t1, h, refined_only=True))
+        driven = {s for s in [t.amplitude for t in g.tunnel_terms]
+                  + [link.strength for link in g.coulomb_links] if not s.is_constant}
+        points = counting(monkeypatch)
+        step_grid(g, 0.0, t1, h)
+        assert sum(points) <= len(driven) * (created + 2)
+
+    @pytest.mark.parametrize("compile_terms", [hamiltonian_terms, majorana_terms])
+    def test_values_evaluates_each_distinct_schedule_once(self, compile_terms, monkeypatch):
+        _, terms = compile_terms(workload_grid("chain4 GHZ ramp")[0])  # six links, one ramp
+        ts = np.linspace(0.0, 45.0, 7)
+        points = counting(monkeypatch)
+        F = evolve._values(terms, ts)
+        assert len(terms) == 6 and len(points) == 1
+        assert np.array_equal(F, np.transpose([schedule_value(s, ts) for s, _ in terms]))
 
 
 class TestPropagatorConfig:
