@@ -4,15 +4,9 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _Module
 
-from .chain import ChainChannel, ChainSpec, make_ghz_chain
+from .chain import ChainChannel, ChainSpec
 from .device import DeviceGraph, Schedule, TunnelTerm, hamiltonian_at
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DegenerateBranchError,
-    DeviceError,
-    DimensionError,
-)
+from .errors import ConfigError, ConvergenceError, DeviceError, DimensionError
 from .evolve import PropagatorConfig, evolve_static, ground_state
 from .hilbert import StateVector, fidelity
 from .metrics import concurrence, entanglement_entropy

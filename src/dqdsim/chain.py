@@ -7,8 +7,11 @@ Teleportation couples the encoder to the first chain qubit and runs the
 rotation/measurement stage there; middle qubits and Bob stay frozen, so the
 input lands on the logical {|0...0>, |1...1>} pair of the receiving
 register, of which Bob's qubit is the far end.  Bob's usual local phase
-completes the transfer; for a two-qubit support this is exactly the
-three-DQD protocol.
+completes the transfer.  A two-qubit chain is the three-DQD protocol only
+with the pair's support: in full mode ``ChainSpec(2, p, T_ghz=p.resolved_T_ent())``
+builds ``protocol.pair_channel(p)`` bit for bit, but the default T_ghz is
+3 U_max/w^2 against T_ent's 2 U_max/w^2, and in effective mode the chain's
+support is the GHZ state, not the pair's plateau ground state.
 
 A practical caveat the diagnostics make visible: the avoided-crossing gap
 the coupling ramp must pass shrinks like w(w/U)^(n-1) with chain length, so

@@ -118,6 +118,8 @@ def checked_points(cfg: RunConfig):
         spec = ChainSpec(cfg.n_support, params, cfg.T_ghz)
         params.resolved_T_ent()  # the CSV's T_ent column
         chain = cfg.experiment == "chain"
+        if chain:
+            spec.resolved_T_ghz()  # the chain rows' T_ghz column
         if cfg.mode == "full" and cfg.experiment != "encode":  # the support ramp it steps
             (spec if chain else params).support_ramp()
         if cfg.experiment in CHANNEL_EXPERIMENTS:
@@ -165,6 +167,8 @@ def _param_cells(cfg: RunConfig, params: proto.ProtocolParams) -> dict:
     row = {c: "" if (v := getattr(cfg, c)) is None else v for c in PARAM_COLUMNS}
     row.update(Uprime_max=params.resolved_Uprime(), bell_U=params.resolved_bell_U(),
                T_ent=params.resolved_T_ent())
+    if cfg.experiment == "chain":  # the GHZ ramp's duration, auto or given
+        row["T_ghz"] = ChainSpec(cfg.n_support, params, cfg.T_ghz).resolved_T_ghz()
     return row
 
 

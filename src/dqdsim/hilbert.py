@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateBranchError, DimensionError
 
-NORM_TOL = 1e-9          # constructor tolerance on state / density-matrix norm
-HERMITICITY_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-12
+NORM_TOL = 1e-9          # constructor tolerance on a state's norm
 COLLAPSE_EPS = 1e-14     # below this branch probability a collapse is undefined
 
 @dataclass(frozen=True, eq=False)
@@ -55,41 +53,6 @@ class StateVector:
         amps = np.zeros(2**n_qubits, dtype=complex)
         amps[index] = 1.0
         return cls(amps)
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, trace-one matrix; == and hash by identity."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"density matrix shape {m.shape} is not square")
-        if m.shape[0] < 1 or m.shape[0] & (m.shape[0] - 1):
-            raise DimensionError(f"dimension {m.shape[0]} is not a power of two")
-        check_density(m)
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.matrix).bit_length() - 1
-
-
-def check_density(m: np.ndarray) -> None:
-    """Raise DimensionError unless ``m`` is finite, Hermitian, unit-trace and above the
-    eigenvalue floor."""
-    if not np.all(np.isfinite(m)):
-        raise DimensionError("density matrix has a non-finite entry")
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-        raise DimensionError("density matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > NORM_TOL:
-        raise DimensionError(f"trace {np.trace(m).real} deviates from 1")
-    if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
-        raise DimensionError("density matrix has a negative eigenvalue")
 
 
 def fix_phase(amps: np.ndarray) -> np.ndarray:
@@ -153,19 +116,25 @@ def tensor_product(*states: StateVector) -> StateVector:
     return _own_state(amps)
 
 
-def partial_trace(state: StateVector, keep) -> DensityMatrix:
-    """Reduced density matrix over ``keep`` (little-endian in keep order)."""
+def _bipartition(state: StateVector, keep) -> np.ndarray:
+    """The amplitudes as the 2^k x 2^(n-k) matrix a[kept, traced], kept qubits little-endian
+    in ``keep`` order; DimensionError for an empty, repeated or out-of-range ``keep``."""
     keep = list(keep)
     n = state.n_qubits
     if not keep:
         raise DimensionError("keep set must be nonempty")
     if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
         raise DimensionError(f"invalid keep set {keep} for {n} qubits")
-    arr = state.amps.reshape([2] * n)
     keep_axes = [_axis(q, n) for q in reversed(keep)]
     traced_axes = [ax for ax in range(n) if ax not in keep_axes]
-    a = arr.transpose(keep_axes + traced_axes).reshape(2 ** len(keep), -1)
-    return DensityMatrix(a @ a.conj().T)
+    arr = state.amps.reshape([2] * n).transpose(keep_axes + traced_axes)
+    return arr.reshape(2 ** len(keep), -1)
+
+
+def partial_trace(state: StateVector, keep) -> np.ndarray:
+    """Reduced density matrix a a^+ over ``keep`` (little-endian in keep order)."""
+    a = _bipartition(state, keep)
+    return a @ a.conj().T
 
 
 @dataclass(frozen=True)
@@ -228,20 +197,11 @@ def measure_qubit(state: StateVector, qubit: int,
     return MeasurementResult(p0, p1, outcome, branches[0], branches[1])
 
 
-def fidelity(a, b) -> float:
-    """Fidelity between a pure or mixed state and a pure state.
-
-    |<a|b>|^2 for two pure states, <b|rho|b> for (mixed, pure); invariant
-    under a global phase of either argument.
-    """
-    if isinstance(b, DensityMatrix):
-        a, b = b, a
-    if not isinstance(b, StateVector):
-        raise DimensionError("at least one argument must be a pure state")
-    if isinstance(a, DensityMatrix):
-        if a.matrix.shape[0] != b.dim:
-            raise DimensionError("dimension mismatch")
-        return float(np.real(b.amps.conj() @ a.matrix @ b.amps))
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2 of two pure states, invariant under a global phase of either; DimensionError
+    for anything but two StateVectors of one dimension."""
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise DimensionError("fidelity takes two StateVectors")
     if a.dim != b.dim:
         raise DimensionError("dimension mismatch")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)

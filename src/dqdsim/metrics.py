@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .hilbert import StateVector, partial_trace
+from .hilbert import StateVector, _bipartition
 
 
 def concurrence(state: StateVector) -> float:
@@ -18,11 +18,9 @@ def concurrence(state: StateVector) -> float:
 
 
 def entanglement_entropy(state: StateVector, partition) -> float:
-    """Von Neumann entropy (base 2) of the reduced state on ``partition``."""
-    partition = list(partition)
-    if not partition:
-        raise DimensionError("partition must be nonempty")
-    rho = partial_trace(state, partition)
-    evals = np.linalg.eigvalsh(rho.matrix)
-    evals = evals[evals > 1e-15]
-    return float(-np.sum(evals * np.log2(evals)))
+    """Von Neumann entropy (base 2) of the reduced state on ``partition``: -sum l log2 l over
+    the squared Schmidt coefficients l > 1e-15, the singular values of the amplitudes split
+    into ``partition`` and the rest.  DimensionError for an empty or invalid partition."""
+    lam = np.linalg.svd(_bipartition(state, partition), compute_uv=False) ** 2
+    lam = lam[lam > 1e-15]
+    return float(-np.sum(lam * np.log2(lam)))

@@ -277,8 +277,10 @@ def encode_qubit(target: InputQubit, w: float, phi: float = 0.0) -> EncodeResult
     the achieved qubit is fixed to i*exp(2i phi).  The achieved amplitudes
     are returned and downstream fidelity checks score against them.  The state
     is the closed form of the encoder DQD's free evolution under tunneling w
-    with device phase -2 phi.
+    with device phase -2 phi.  DimensionError unless w is positive and finite.
     """
+    if not 0 < w < np.inf:  # NaN fails too
+        raise DimensionError(f"w must be positive and finite, got {w}")
     mag = abs(target.alpha)
     if mag > 1.0 + 1e-12:
         raise DimensionError(f"|alpha| = {mag} > 1")
@@ -292,10 +294,11 @@ def cross_to_aligned_ratio(U: float, w: float) -> float:
     """Ground-state amplitude ratio (cross configurations over aligned ones).
 
     Equals (sqrt(U^2 + 16 w^2) - U)/(4 w), evaluated in the equivalent
-    cancellation-free form 4w/(sqrt(U^2 + 16 w^2) + U).
+    cancellation-free form 4w/(sqrt(U^2 + 16 w^2) + U), which is so only for a repulsion:
+    DimensionError unless U >= 0 and w > 0 are finite.
     """
-    if w <= 0:
-        raise DimensionError("w must be positive")
+    if not (0 <= U < np.inf and 0 < w < np.inf):  # NaN fails too
+        raise DimensionError(f"the ratio needs finite U >= 0 and w > 0, got U = {U}, w = {w}")
     return 4.0 * w / (np.hypot(U, 4.0 * w) + U)
 
 

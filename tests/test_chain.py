@@ -19,6 +19,7 @@ from dqdsim.protocol import (
     ProtocolParams,
     bell_target,
     couple_unknown,
+    cross_to_aligned_ratio,
     pair_channel,
     ramp_support,
     support_crossing_gap,
@@ -65,7 +66,7 @@ class TestGhzChain:
     def test_effective_marginals_maximally_mixed(self):
         st, _ = ghz_state(ChainSpec(5, EFFECTIVE))
         for q in range(5):
-            rho = partial_trace(st, [q]).matrix
+            rho = partial_trace(st, [q])
             assert np.max(np.abs(rho - np.eye(2) / 2)) <= 1e-10
 
     def test_full_mode_small(self):
@@ -120,9 +121,32 @@ class TestChainTeleport:
         assert log["couple"]["target_overlap_sq"] >= 0.95
 
     def test_reduces_to_three_dqd_protocol(self):
-        # a two-DQD support chain is the plain protocol; effective mode is exact
+        # effective mode's two-DQD chain teleports through the exact GHZ support
         res = ChainChannel(ChainSpec(2, EFFECTIVE)).teleport(InputQubit(0.6, 0.8))
         assert res.fidelity_to_input == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("U", [100.0, 25.0])
+    def test_two_site_chain_at_T_ent_is_the_pair_channel(self, U):
+        params = ProtocolParams(U_max=U)
+        chain = ChainChannel(ChainSpec(2, params, T_ghz=params.resolved_T_ent()))
+        pair = pair_channel(params)
+        rng = np.random.default_rng(5)
+        for q in [InputQubit.random(rng) for _ in range(20)]:
+            a, b = chain.teleport(q), pair.teleport(q)
+            assert (a.fidelity_to_input, a.p0, a.step_log) == (b.fidelity_to_input, b.p0, b.step_log)
+            assert np.array_equal(a.bob_state_corrected.amps, b.bob_state_corrected.amps)
+
+    def test_two_site_chain_defaults_differ_from_the_pair(self):
+        # the default GHZ ramp is 3 U/w^2 against T_ent's 2 U/w^2, and effective mode's
+        # chain support is GHZ itself, not the plateau state of overlap 1/(1 + r^2)
+        params = ProtocolParams(U_max=100.0)
+        assert (ChainSpec(2, params).resolved_T_ghz(), params.resolved_T_ent()) == (300.0, 200.0)
+        q = InputQubit(0.6, 0.8)
+        chain = ChainChannel(ChainSpec(2, EFFECTIVE)).teleport(q).step_log["channel"]
+        pair = pair_channel(EFFECTIVE).teleport(q).step_log["channel"]
+        r = cross_to_aligned_ratio(100.0, 1.0)
+        assert chain["ghz_overlap_sq"] == pytest.approx(1.0, abs=1e-14)
+        assert pair["ghz_overlap_sq"] == pytest.approx(1 / (1 + r * r), abs=1e-14)
 
     @pytest.mark.parametrize("T_ghz", [-1.0, 0.0, np.nan])
     def test_spec_refuses_a_ghz_ramp_that_is_not_positive_and_finite(self, T_ghz):

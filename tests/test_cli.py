@@ -411,6 +411,20 @@ class TestFullModeRows:
         assert main(["teleport", "--mode", "effective", "--output", str(out)]) == 0
         assert read_rows(tmp_path / "tc_eff.csv")[0]["T_couple"] == ""
 
+    def test_chain_rows_record_the_ghz_ramp(self, tmp_path):
+        # an auto T_ghz is written as resolved, and the row is then the explicit ramp's
+        base = ["chain", "--n-support", "3", "--u-max", "20"]
+        for name, args in (("auto", base), ("given", base + ["--t-ghz", "60"])):
+            assert main(args + ["--output", str(tmp_path / name)]) == 0
+        auto, given = read_rows(tmp_path / "auto.csv")[0], read_rows(tmp_path / "given.csv")[0]
+        assert auto["T_ghz"] == "60" and auto == given
+        for args, T_ghz in ((["chain", "--mode", "effective"], "300"),
+                            (["chain", "--mode", "effective", "--t-ghz", "7.5"], "7.5"),
+                            (["teleport", "--mode", "effective"], ""),
+                            (["teleport", "--mode", "effective", "--t-ghz", "7.5"], "7.5")):
+            assert main(args + ["--output", str(tmp_path / "x")]) == 0
+            assert read_rows(tmp_path / "x.csv")[0]["T_ghz"] == T_ghz
+
     def test_infeasible_chain_exits_2(self, tmp_path):
         code = main(["chain", "--n-support", "4", "--u-max", "100",
                      "--output", str(tmp_path / "x")])

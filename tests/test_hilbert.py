@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dqdsim.errors import ConvergenceError, DegenerateBranchError, DimensionError
 from dqdsim.hilbert import (
-    DensityMatrix,
     StateVector,
     fidelity,
     gaussian_state,
@@ -111,18 +110,18 @@ class TestApplyLocal:
 class TestPartialTrace:
     def test_product_keep_one(self):
         rho = partial_trace(StateVector.computational(2, 0), [1])
-        assert np.allclose(rho.matrix, [[1, 0], [0, 0]])
+        assert np.allclose(rho, [[1, 0], [0, 0]])
 
     def test_bell_marginal_maximally_mixed(self):
         bell = StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2))
         rho = partial_trace(bell, [0])
-        assert np.allclose(rho.matrix, np.eye(2) / 2)
+        assert np.allclose(rho, np.eye(2) / 2)
 
     def test_weighted_pair(self):
         a, b = 0.6, 0.8
         state = StateVector(np.array([a, 0, 0, b], dtype=complex))
         rho = partial_trace(state, [1])
-        assert np.allclose(rho.matrix, np.diag([a**2, b**2]))
+        assert np.allclose(rho, np.diag([a**2, b**2]))
 
     def test_trace_one_and_psd(self):
         rng = np.random.default_rng(3)
@@ -130,8 +129,8 @@ class TestPartialTrace:
             n = int(rng.integers(2, 6))
             keep = list(rng.choice(n, size=int(rng.integers(1, n)), replace=False))
             rho = partial_trace(random_state(rng, n), keep)
-            assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
-            assert np.min(np.linalg.eigvalsh(rho.matrix)) > -1e-12
+            assert abs(np.trace(rho).real - 1.0) < 1e-12
+            assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
 
     def test_empty_keep(self):
         with pytest.raises(DimensionError):
@@ -205,9 +204,12 @@ class TestFidelity:
             a, b = random_state(rng, 3), random_state(rng, 3)
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
 
-    def test_mixed_pure(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        assert fidelity(rho, StateVector.computational(1, 0)) == pytest.approx(0.5)
+    @pytest.mark.parametrize("other", [np.array([1.0, 0.0]), np.eye(2) / 2, None])
+    def test_anything_but_two_states_is_refused(self, other):
+        state = StateVector.computational(1, 0)
+        for args in ((other, state), (state, other)):
+            with pytest.raises(DimensionError, match="two StateVectors"):
+                fidelity(*args)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -223,10 +225,6 @@ class TestTypes:
         with pytest.raises(DimensionError):
             StateVector(np.array([1.0, 0.0, 0.0]))
 
-    def test_density_matrix_rejects_nonhermitian(self):
-        with pytest.raises(DimensionError):
-            DensityMatrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
-
     @pytest.mark.parametrize("amps", [
         [np.nan, 0.0], [np.inf, 0.0], [], [[1.0, 0.0], [0.0, 0.0]], 1.0,
     ], ids=["nan", "inf", "empty", "matrix", "scalar"])
@@ -234,26 +232,13 @@ class TestTypes:
         with pytest.raises(DimensionError):
             StateVector(np.array(amps, dtype=complex))
 
-    @pytest.mark.parametrize("matrix", [
-        [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 0.0]], [[np.inf, 0.0], [0.0, 0.0]],
-        np.zeros((0, 0)), [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
-    ], ids=["nan-diagonal", "nan-coherence", "inf", "empty", "not-power-of-two"])
-    def test_density_matrix_fails_closed(self, matrix):
-        with pytest.raises(DimensionError):
-            DensityMatrix(np.array(matrix, dtype=complex))
-
     def test_n_qubits_is_derived_and_not_a_setting(self):
         assert StateVector.computational(3, 5).n_qubits == 3
         assert tensor_product(StateVector.computational(1, 0), bell_target(2)).n_qubits == 3
-        assert DensityMatrix(np.eye(4) / 4).n_qubits == 2
         with pytest.raises(TypeError):
             StateVector(np.array([1.0, 0.0]), n_qubits=5)
-        with pytest.raises(TypeError):
-            DensityMatrix(np.eye(2) / 2, n_qubits=5)
 
-    @pytest.mark.parametrize("make", [lambda: StateVector.computational(1, 0),
-                                      lambda: DensityMatrix(np.eye(2) / 2)],
-                             ids=["state", "density"])
+    @pytest.mark.parametrize("make", [lambda: StateVector.computational(1, 0)], ids=["state"])
     def test_equality_and_hash_are_by_identity(self, make):
         # equal arrays compare by identity: an array == would raise on its truth value
         a, b = make(), make()

@@ -12,7 +12,7 @@ import dqdsim
 from dqdsim.cli import main
 from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, dqd_pair_links
 from dqdsim.errors import DimensionError
-from dqdsim.hilbert import DensityMatrix, StateVector
+from dqdsim.hilbert import StateVector, partial_trace
 from dqdsim.metrics import concurrence, entanglement_entropy
 from dqdsim.protocol import bell_target, entangled_pair_reference
 from references import apply_local, fit_oscillation, instantaneous_gap
@@ -70,7 +70,7 @@ class TestConcurrence:
 
     def test_a_density_matrix_is_refused(self):
         with pytest.raises(DimensionError, match="pure state"):
-            concurrence(DensityMatrix(np.eye(4) / 4))
+            concurrence(np.eye(4) / 4)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-5, 1e-6])
     def test_weakly_entangled_states_to_50_digits(self, eps, monkeypatch):
@@ -117,6 +117,21 @@ class TestEntropy:
     def test_empty_partition(self):
         with pytest.raises(DimensionError):
             entanglement_entropy(bell_target(2), [])
+
+    def test_matches_the_reduced_density_matrix_spectrum(self):
+        # -sum l log2 l over eigvalsh(partial_trace) on random states and partitions
+        rng = np.random.default_rng(12)
+        for n in range(1, 9):
+            v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            state = StateVector(v / np.linalg.norm(v))
+            for _ in range(4):
+                keep = list(rng.permutation(n)[:int(rng.integers(1, n + 1))])
+                rest = [q for q in range(n) if q not in keep]
+                for part in [keep] + ([rest] if rest else []):
+                    lam = np.linalg.eigvalsh(partial_trace(state, part))
+                    lam = lam[lam > 1e-15]
+                    expected = -np.sum(lam * np.log2(lam))
+                    assert abs(entanglement_entropy(state, part) - expected) <= 1e-12
 
 
 class TestInstantaneousGap:

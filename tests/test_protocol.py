@@ -147,6 +147,13 @@ class TestEncode:
         with pytest.raises(DimensionError, match="> 1"):
             encode_qubit(SimpleNamespace(alpha=1.0 + 1e-9, beta=0.0), 1.0)
 
+    @pytest.mark.parametrize("w", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_a_tunneling_that_is_not_positive_and_finite(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic can warn
+            with pytest.raises(DimensionError, match="w must be positive and finite"):
+                encode_qubit(InputQubit(0.6, 0.8), w)
+
 
 class TestEntangledPair:
     def test_ratio_formula(self):
@@ -161,6 +168,20 @@ class TestEntangledPair:
     def test_reference_needs_tunneling(self):
         with pytest.raises(DimensionError):
             entangled_pair_reference(1.0, 0.0)
+
+    def test_reference_refuses_a_nan_repulsion(self):
+        with pytest.raises(DimensionError, match="U >= 0"):
+            entangled_pair_reference(np.nan, 1.0)
+
+    def test_ratio_refuses_an_attraction(self):
+        # 4w/(hypot(U, 4w) + U) cancels for U < 0: at U = -1e8 w it gave 5.4e7, not 5.0e7
+        with pytest.raises(DimensionError, match="U >= 0"):
+            cross_to_aligned_ratio(-1e8, 1.0)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_ratio_refuses_a_tunneling_that_is_not_finite(self, w):
+        with pytest.raises(DimensionError, match="w > 0"):
+            cross_to_aligned_ratio(3.0, w)
 
     def test_effective_overlap_identity(self):
         # |<bell|reference>|^2 == 1/(1+r^2) exactly
@@ -706,7 +727,7 @@ def reference_measure(state, params, achieved):
     for outcome, prob in enumerate((meas.p0, meas.p1)):
         if prob < 1e-12:
             continue
-        rho = partial_trace(meas.branch(outcome), range(2, n)).matrix
+        rho = partial_trace(meas.branch(outcome), range(2, n))
         phase = protocol.CORRECTIONS[outcome][1, 1]
         corr = np.array([phase if (i >> (nt - 1)) & 1 else 1.0 for i in range(2**nt)])
         rho_corr = (corr[:, None] * rho) * corr.conj()[None, :]
