@@ -326,7 +326,10 @@ def _sweep(psi, H0, terms, F, hs, step=None):
     """Advance psi (a state or a column block) by step(H0 + sum_j F[k, j] B_j, hs[k])
     for k = 0, 1, ...: each chunk's product U[N-1] ... U[0] is taken pairwise in
     log-depth batched calls and applied once.  ``step`` is the batched exponential,
-    exp(-i h H) by ``_step_propagators`` unless given."""
+    exp(-i h H) by ``_step_propagators`` unless given.  A ``_rotations`` step is orthogonal
+    only to ~1e-14 after its squarings and a chunk's product to the sum of its steps'
+    defects (1.4e-12 over the 66 coupling steps at U = 164w, U' = 4w, dt = 0.41/w), so each
+    such product O is taken back by one Newton-Schulz step O (3I - O^T O) / 2."""
     step, c0 = step or _step_propagators, 0
     for Hs in _hamiltonians(H0, terms, F, len(psi)):
         Us = step(Hs, hs[c0:c0 + len(Hs)])
@@ -334,7 +337,10 @@ def _sweep(psi, H0, terms, F, hs, step=None):
         while len(Us) > 1:  # an odd count carries its last factor
             pairs = Us[1::2] @ Us[0:-1:2]
             Us = np.concatenate([pairs, Us[-1:]]) if len(Us) % 2 else pairs
-        psi = Us[0] @ psi
+        U = Us[0]
+        if step is _rotations:
+            U = U @ (3 * np.eye(len(U)) - U.T @ U) / 2
+        psi = U @ psi
     return psi
 
 
@@ -378,7 +384,7 @@ def sweep_majorana(gamma, g: dev.DeviceGraph, t0: float, t1: float, cfg: Propaga
                    compiled) -> np.ndarray:
     """A Gaussian state's Majorana covariance ``gamma`` swept over [t0, t1] under g: O gamma
     O^T for the 2M x 2M rotation O of :func:`sweep_block`'s sweep under ``compiled`` =
-    :func:`device.majorana_terms` (g), which drifts from Gamma Gamma^T = I by ~1e-12, taken
+    :func:`device.majorana_terms` (g), which drifts from Gamma Gamma^T = I by rounding, taken
     back to a pure covariance by one Newton-Schulz step Gamma (3I - Gamma^T Gamma) / 2.
     ``richardson_check`` bounds ||dGamma||_F / 4 on the halved grid, to first order the
     change of the phase-aligned state."""
