@@ -4,7 +4,8 @@ Every run writes ``<output>.csv`` plus ``<output>.manifest.json`` (the full
 configuration, package versions and seed).  Rows carry the complete
 parameter tuple, floats are printed with 12 significant digits, and output
 is byte-identical for identical (config, seed) pairs.  Exit codes: 0 ok,
-2 configuration error, 3 numerical (convergence) error.
+2 configuration error (a missing or unwritable output directory included,
+refused before any stage runs) or failed write, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass, asdict, fields, replace
@@ -260,6 +262,10 @@ def write_outputs(cfg: RunConfig, rows: list, columns: tuple, out_base: str):
 def run(cfg: RunConfig) -> int:
     """Validate, execute and write artifacts; returns the process exit code."""
     errors, points = checked_points(cfg)
+    out_base = cfg.output or (f"sweep_{cfg.experiment}_{cfg.axis}" if cfg.axis else cfg.experiment)
+    out_dir = os.path.dirname(out_base) or "."
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+        errors.append(f"output directory {out_dir!r} is missing or not writable")
     for e in errors:
         print(f"config error: {e}", file=sys.stderr)
     if errors:
@@ -273,8 +279,11 @@ def run(cfg: RunConfig) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     columns = PARAM_COLUMNS + RESULT_COLUMNS[cfg.experiment]
-    out_base = cfg.output or (f"sweep_{cfg.experiment}_{cfg.axis}" if cfg.axis else cfg.experiment)
-    csv_path = write_outputs(cfg, rows, columns, out_base)
+    try:
+        csv_path = write_outputs(cfg, rows, columns, out_base)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {csv_path} ({len(rows)} row{'s' if len(rows) != 1 else ''})")
     return 0
 
@@ -294,12 +303,14 @@ _FLAG_OPTIONS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _common_flags() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
     for name in _NAMES:
         if name not in ("experiment", "axis", "values"):
             p.add_argument("--" + name.lower().replace("_", "-"), dest=name,
                            **_FLAG_OPTIONS.get(name, {"type": float}))
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,11 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dqdsim",
         description="Charge-qubit teleportation experiments on simulated DQD arrays.",
     )
+    common = [_common_flags()]
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        _add_common(sub.add_parser(name, help=f"run the {name} experiment"))
-    sw = sub.add_parser("sweep", help="sweep a parameter of another experiment")
-    _add_common(sw)
+        sub.add_parser(name, parents=common, help=f"run the {name} experiment")
+    sw = sub.add_parser("sweep", parents=common, help="sweep a parameter of another experiment")
     sw.add_argument("--experiment", dest="inner_experiment", choices=EXPERIMENTS,
                     default="teleport")
     sw.add_argument("--axis", required=True)

@@ -285,11 +285,13 @@ def hamiltonian_at(g: DeviceGraph, t: float) -> np.ndarray:
     return H
 
 
+def norm_weights(g: DeviceGraph) -> list:
+    """(schedule, weight) of each term in the bound on ||H(t)||: a tunneling amplitude counts
+    once, a Coulomb link half (two links share one qubit pair)."""
+    return ([(term.amplitude, 1.0) for term in g.tunnel_terms]
+            + [(link.strength, 0.5) for link in g.coulomb_links])
+
+
 def energy_scale(g: DeviceGraph) -> float:
     """Coarse upper bound on ||H(t)||, used to pick integration steps."""
-    scale = 0.0
-    for term in g.tunnel_terms:
-        scale += term.amplitude.max_abs()
-    for link in g.coulomb_links:
-        scale += link.strength.max_abs() / 2.0  # two links share one qubit pair
-    return max(scale, 1e-12)
+    return max(sum((w * sched.max_abs() for sched, w in norm_weights(g)), 0.0), 1e-12)

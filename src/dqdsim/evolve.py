@@ -263,16 +263,14 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     and b with s |a - b| max(1, s ||H||) <= ``STILL`` (merging a smooth ramp's
     ends, whose rate grows from 0, raised the pair's entangle error from 1.2e-7
     to 2.1e-7).  Merged steps do not shrink like h, so a finer dt is not
-    merged.  ||dH|| and ||H|| are bounded from the graph's schedules (a
-    tunneling amplitude counts once, a Coulomb link half, as in
-    :func:`device.energy_scale`), so every block and sector of the device
+    merged.  ||dH|| and ||H|| are bounded from the graph's schedules, weighted
+    by :func:`device.norm_weights`, so every block and sector of the device
     steps on the same grid.  Cost: each distinct schedule is evaluated at t0
     and t1 and once per edge the grid creates, each halving pass tests only
     the intervals the last one split, and the merge passes reuse the values.
     Raises ConfigError before building a grid of more than ``MAX_INTERVALS``.
     """
-    driven = [(t.amplitude, 1.0) for t in g.tunnel_terms]
-    driven += [(link.strength, 0.5) for link in g.coulomb_links]
+    driven = dev.norm_weights(g)
     scheds = list(dict.fromkeys(s for s, _ in driven if not s.is_constant))
     driven = [(scheds.index(s), w) for s, w in driven if not s.is_constant]
 

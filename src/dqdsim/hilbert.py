@@ -94,11 +94,6 @@ def gaussian_state(gamma: np.ndarray) -> np.ndarray:
     return fix_phase(psi / norm)
 
 
-def _axis(qubit: int, n: int) -> int:
-    # numpy reshape of a little-endian vector puts qubit n-1 on axis 0
-    return n - 1 - qubit
-
-
 def _own_state(amps: np.ndarray) -> StateVector:
     """A StateVector over the complex array ``amps`` itself, made read-only: no copy, no check.
     ``amps`` is one the caller has just computed, or another state's (already read-only)."""
@@ -118,14 +113,16 @@ def tensor_product(*states: StateVector) -> StateVector:
 
 def _bipartition(state: StateVector, keep) -> np.ndarray:
     """The amplitudes as the 2^k x 2^(n-k) matrix a[kept, traced], kept qubits little-endian
-    in ``keep`` order; DimensionError for an empty, repeated or out-of-range ``keep``."""
-    keep = list(keep)
-    n = state.n_qubits
-    if not keep:
-        raise DimensionError("keep set must be nonempty")
-    if len(set(keep)) != len(keep) or any(q < 0 or q >= n for q in keep):
-        raise DimensionError(f"invalid keep set {keep} for {n} qubits")
-    keep_axes = [_axis(q, n) for q in reversed(keep)]
+    in ``keep`` order; DimensionError for anything but a StateVector, and for an empty ``keep``
+    or one whose qubits are not distinct integers in range."""
+    if not isinstance(state, StateVector):
+        raise DimensionError(f"a register split takes a StateVector, not {type(state).__name__}")
+    n, keep = state.n_qubits, list(keep)
+    if (not keep or not all(isinstance(q, (int, np.integer)) and 0 <= q < n for q in keep)
+            or len(set(keep)) != len(keep)):
+        raise DimensionError(f"keep set {keep} is not a nonempty set of qubits of {n}")
+    # numpy reshape of a little-endian vector puts qubit q on axis n - 1 - q
+    keep_axes = [n - 1 - q for q in reversed(keep)]
     traced_axes = [ax for ax in range(n) if ax not in keep_axes]
     arr = state.amps.reshape([2] * n).transpose(keep_axes + traced_axes)
     return arr.reshape(2 ** len(keep), -1)
@@ -168,33 +165,18 @@ def measure_qubit(state: StateVector, qubit: int,
 
     With ``rng`` (a seed or Generator) an outcome is drawn with probability
     (p0, p1); otherwise both branches are returned deterministically and
-    ``outcome`` is None.
+    ``outcome`` is None.  DimensionError as :func:`_bipartition` for a bad state or qubit.
     """
-    n = state.n_qubits
-    if qubit < 0 or qubit >= n:
-        raise DimensionError(f"qubit {qubit} out of range for {n} qubits")
-    arr = state.amps.reshape([2] * n)
-    ax = _axis(qubit, n)
-    probs = np.sum(np.abs(arr) ** 2, axis=tuple(a for a in range(n) if a != ax))
-    p0, p1 = float(probs[0]), float(probs[1])
-
-    branches: list[StateVector | None] = []
-    for outcome in (0, 1):
-        p = (p0, p1)[outcome]
-        if p < COLLAPSE_EPS:
-            branches.append(None)
-            continue
-        sel = arr.copy()
-        idx = [slice(None)] * n
-        idx[ax] = 1 - outcome
-        sel[tuple(idx)] = 0.0
-        branches.append(_own_state(sel.reshape(-1) / np.sqrt(p)))
-
+    p0, p1 = (np.abs(_bipartition(state, [qubit])) ** 2).sum(axis=1).tolist()
+    bit = (np.arange(state.dim) >> int(qubit)) & 1
+    branches = [None if p < COLLAPSE_EPS else
+                _own_state(np.where(bit == k, state.amps, 0) / np.sqrt(p))
+                for k, p in enumerate((p0, p1))]
     outcome = None
     if rng is not None:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         outcome = 0 if gen.random() < p0 else 1
-    return MeasurementResult(p0, p1, outcome, branches[0], branches[1])
+    return MeasurementResult(p0, p1, outcome, *branches)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

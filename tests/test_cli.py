@@ -448,3 +448,46 @@ class TestFullModeRows:
         assert [r["U_max"] for r in rows] == ["20", "50", "100", "200"]
         infids = [1.0 - float(r["fidelity"]) for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(infids, infids[1:]))
+
+
+class TestOutputPath:
+    """An output directory that is missing or not writable is a config error: exit 2 before
+    any stage runs, and nothing written.  A write that fails anyway exits 2 with one line."""
+
+    STAGES = ("pair_channel", "make_entangled_pair", "ramp_support", "couple_unknown",
+              "bell_evolution", "rotation_gate", "effective_gate")
+
+    @pytest.fixture
+    def stage_calls(self, monkeypatch):
+        calls = []
+        for stage in self.STAGES:
+            real = getattr(protocol, stage)
+            monkeypatch.setattr(protocol, stage, lambda *a, _real=real, _name=stage, **k:
+                                calls.append(_name) or _real(*a, **k))
+        return calls
+
+    ARGV = ["teleport", "--mode", "effective", "--output"]
+
+    def test_the_spy_sees_a_run_that_goes_ahead(self, tmp_path, stage_calls):
+        assert main(self.ARGV + [str(tmp_path / "x")]) == 0
+        assert "pair_channel" in stage_calls
+
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "not-writable"])
+    def test_refused_before_any_stage(self, tmp_path, capsys, monkeypatch, stage_calls, missing):
+        if not missing:  # root may write anywhere, so the check is told the directory is not
+            monkeypatch.setattr(cli.os, "access", lambda *args: False)
+        out_dir = tmp_path / "no" / "such" if missing else tmp_path
+        assert main(self.ARGV + [str(out_dir / "x")]) == 2
+        assert stage_calls == []
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output directory '{out_dir}'")
+        assert err.count("\n") == 1
+
+    def test_a_failed_write_exits_2_with_one_line(self, tmp_path, capsys):
+        (tmp_path / "x.csv").mkdir()  # the CSV's path is taken by a directory
+        assert main(["encode", "--output", str(tmp_path / "x")]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("output error: ") and out.err.count("\n") == 1
+        assert "Traceback" not in out.err

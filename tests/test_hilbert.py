@@ -12,6 +12,7 @@ from dqdsim.hilbert import (
     partial_trace,
     tensor_product,
 )
+from dqdsim.metrics import entanglement_entropy
 from dqdsim.protocol import ProtocolParams, bell_target, ramp_support
 from references import (ID2, P0, P1, PAULI_X, align_phase, apply_local, basis_index, kron_le,
                         majorana_covariance, majorana_matrices, parent_gaussian_state)
@@ -164,6 +165,13 @@ class TestMeasurement:
             recombined = np.sqrt(m.p0) * b0 + np.sqrt(m.p1) * b1
             assert np.linalg.norm(recombined - state.amps) < 1e-12
 
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.uint8])
+    def test_a_numpy_integer_qubit_is_read(self, kind):
+        state = StateVector(np.array([0.6, 0, 0.8j, 0]))
+        m, ref = measure_qubit(state, kind(1)), measure_qubit(state, 1)
+        assert (m.p0, m.p1) == (ref.p0, ref.p1)
+        assert np.array_equal(m.branch(1).amps, ref.branch(1).amps)
+
     def test_degenerate_branch(self):
         m = measure_qubit(StateVector.computational(1, 0), 0)
         with pytest.raises(DegenerateBranchError):
@@ -180,6 +188,26 @@ class TestMeasurement:
         for seed in range(20):
             m = measure_qubit(StateVector.computational(1, 1), 0, rng=seed)
             assert m.outcome == 1
+
+
+# the three register reads that take the register apart through hilbert._bipartition
+REGISTER_READS = {
+    "partial_trace": lambda state, q: partial_trace(state, [q]),
+    "entanglement_entropy": lambda state, q: entanglement_entropy(state, [q]),
+    "measure_qubit": measure_qubit,
+}
+
+
+@pytest.mark.parametrize("read", REGISTER_READS.values(), ids=list(REGISTER_READS))
+class TestRegisterRefusals:
+    def test_a_bare_array_is_refused(self, read):
+        with pytest.raises(DimensionError, match="StateVector"):
+            read(np.array([1.0, 0.0, 0.0, 0.0]), 0)
+
+    @pytest.mark.parametrize("qubit", [0.5, 1.0, np.float64(1.0)], ids=repr)
+    def test_a_qubit_that_is_not_an_integer_is_refused(self, read, qubit):
+        with pytest.raises(DimensionError):
+            read(StateVector.computational(2, 0), qubit)
 
 
 class TestFidelity:
