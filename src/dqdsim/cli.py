@@ -1,9 +1,11 @@
 """Command-line driver: single experiments and parameter sweeps to CSV.
 
 Every run writes ``<output>.csv`` plus ``<output>.manifest.json`` (the full
-configuration, package versions and seed).  Rows carry the complete
-parameter tuple, floats are printed with 12 significant digits, and output
-is byte-identical for identical (config, seed) pairs.  Exit codes: 0 ok,
+configuration, package versions and seed).  Flags, config-file values and sweep
+values take the annotated type of their RunConfig field.  Rows carry the complete
+parameter tuple, with the values the preflight derived (Uprime_max, bell_U, T_ent,
+T_ghz, T_couple) in place of None; floats are printed with 12 significant digits,
+and output is byte-identical for identical (config, seed) pairs.  Exit codes: 0 ok,
 2 configuration error (a missing or unwritable output directory included,
 refused before any stage runs) or failed write, 3 numerical error.
 """
@@ -28,8 +30,6 @@ from .hilbert import StateVector, fidelity, gaussian_state
 from .metrics import concurrence
 from . import protocol as proto
 
-EXPERIMENTS = ("encode", "entangle", "couple", "bell", "teleport", "chain")
-
 # A sweep of these experiments over an input axis shares one Channel.
 CHANNEL_EXPERIMENTS = ("couple", "bell", "teleport", "chain")
 INPUT_AXES = ("alpha_abs", "beta_phase")
@@ -45,6 +45,7 @@ RESULT_COLUMNS = {
     "chain": ("outcome", "p0", "p1", "fidelity", "fidelity_branch0", "fidelity_branch1",
               "ghz_overlap_sq"),
 }
+EXPERIMENTS = tuple(RESULT_COLUMNS)
 
 
 @dataclass
@@ -72,11 +73,15 @@ class RunConfig:
     output: str | None = None
 
 
-# RunConfig's field order is the one list of run settings: the CSV's parameter
-# columns are its fields up to dt, the sweep axes those a point can vary.
+# RunConfig is the one table of run settings: the CSV's parameter columns are its fields up
+# to dt, the sweep axes those a point can vary, and each field's annotation types its flag,
+# its config-file value and its sweep values.
 _NAMES = tuple(f.name for f in fields(RunConfig))
 PARAM_COLUMNS = _NAMES[:_NAMES.index("dt") + 1]
 SWEEP_AXES = tuple(n for n in PARAM_COLUMNS if n not in ("experiment", "mode", "dt"))
+_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotations as text: "float | None"
+_KINDS = {n: {"int": int, "float": float, "bool": bool, "str": str}[t.partition(" | ")[0]]
+          for n, t in _TYPES.items()}  # each field's type, None aside
 
 
 def validate_config(cfg: RunConfig) -> list:
@@ -87,8 +92,9 @@ def validate_config(cfg: RunConfig) -> list:
 
 
 def checked_points(cfg: RunConfig):
-    """(errors, points) of :func:`validate_config`'s checks; ``points`` pairs each run's config
-    with its one ProtocolParams, built for the checks and shared by the run (none on errors)."""
+    """(errors, points) of :func:`validate_config`'s checks (no points on errors).  A point is
+    ``(cfg, params, row)``: the run's config, its one ProtocolParams and its parameter cells,
+    with the derived values the checks resolved in place of None."""
     if cfg.axis is not None or cfg.values is not None:  # a sweep: its base, then its points
         errors = validate_config(replace(cfg, axis=None, values=None))  # quietly: it never runs
         if cfg.axis is not None and cfg.axis not in SWEEP_AXES:
@@ -115,20 +121,24 @@ def checked_points(cfg: RunConfig):
         errors.append(f"alpha_abs must lie in [0, 1], got {cfg.alpha_abs}")
     if errors:
         return errors, []
+    row = {c: "" if (v := getattr(cfg, c)) is None else v for c in PARAM_COLUMNS}
     try:  # the settings' owners check them, then the derived values
         params = build_params(cfg)
         spec = ChainSpec(cfg.n_support, params, cfg.T_ghz)
-        params.resolved_T_ent()  # the CSV's T_ent column
+        row.update(Uprime_max=params.resolved_Uprime(), bell_U=params.resolved_bell_U(),
+                   T_ent=params.resolved_T_ent())
         chain = cfg.experiment == "chain"
-        if chain:
-            spec.resolved_T_ghz()  # the chain rows' T_ghz column
+        if chain:  # the GHZ ramp's duration, auto or given
+            row["T_ghz"] = spec.resolved_T_ghz()
         if cfg.mode == "full" and cfg.experiment != "encode":  # the support ramp it steps
             (spec if chain else params).support_ramp()
-        if cfg.experiment in CHANNEL_EXPERIMENTS:
-            proto.resolve_coupling(params, cfg.n_support if chain else 2)
+        if cfg.experiment in CHANNEL_EXPERIMENTS:  # the coupling the channel will step
+            t_couple = proto.resolve_coupling(params, cfg.n_support if chain else 2)[0]
+            if t_couple is not None:
+                row["T_couple"] = t_couple
     except (ConfigError, DimensionError) as exc:
         return [str(exc)], []
-    return [], [(cfg, params)]
+    return [], [(cfg, params, row)]
 
 
 def parse_values(axis: str, text: str) -> list:
@@ -138,7 +148,7 @@ def parse_values(axis: str, text: str) -> list:
         if not piece:
             continue
         try:
-            out.append(int(piece) if axis in ("n_support", "seed") else float(piece))
+            out.append(_KINDS[axis](piece))
         except ValueError:
             raise ValueError(f"cannot parse sweep value {piece!r} for axis {axis}")
         if not np.isfinite(out[-1]):
@@ -149,29 +159,17 @@ def parse_values(axis: str, text: str) -> list:
 
 
 def build_params(cfg: RunConfig) -> proto.ProtocolParams:
+    """cfg's ProtocolParams: each of its fields by name, and the integrator's settings."""
+    names = [f.name for f in fields(proto.ProtocolParams) if f.name != "integrator"]
     return proto.ProtocolParams(
-        w=cfg.w, phi=cfg.phi, U_max=cfg.U_max, Uprime_max=cfg.Uprime_max,
-        T_ent=cfg.T_ent, T_couple=cfg.T_couple, bell_U=cfg.bell_U,
-        wait_angle=cfg.wait_angle, mode=cfg.mode, seed=cfg.seed,
-        integrator=PropagatorConfig(dt=cfg.dt, richardson_check=cfg.richardson,
-                                    tolerance=cfg.tolerance),
-    )
+        **{n: getattr(cfg, n) for n in names}, integrator=PropagatorConfig(
+            dt=cfg.dt, richardson_check=cfg.richardson, tolerance=cfg.tolerance))
 
 
 def input_qubit(cfg: RunConfig) -> proto.InputQubit:
     a = cfg.alpha_abs
     b = np.sqrt(max(0.0, 1.0 - a * a)) * np.exp(1j * cfg.beta_phase)
     return proto.InputQubit(a, b)
-
-
-def _param_cells(cfg: RunConfig, params: proto.ProtocolParams) -> dict:
-    """The parameter columns of cfg's row; derived values in place of None."""
-    row = {c: "" if (v := getattr(cfg, c)) is None else v for c in PARAM_COLUMNS}
-    row.update(Uprime_max=params.resolved_Uprime(), bell_U=params.resolved_bell_U(),
-               T_ent=params.resolved_T_ent())
-    if cfg.experiment == "chain":  # the GHZ ramp's duration, auto or given
-        row["T_ghz"] = ChainSpec(cfg.n_support, params, cfg.T_ghz).resolved_T_ghz()
-    return row
 
 
 def build_channel(cfg: RunConfig, params: proto.ProtocolParams) -> proto.Channel:
@@ -181,12 +179,10 @@ def build_channel(cfg: RunConfig, params: proto.ProtocolParams) -> proto.Channel
     return proto.pair_channel(params)
 
 
-def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None,
-                   params: proto.ProtocolParams | None = None) -> dict:
-    """Execute one experiment (through ``channel``, with ``params``, if given): its CSV row."""
-    params = build_params(cfg) if params is None else params
-    row = _param_cells(cfg, params)
-    target = input_qubit(cfg)
+def run_experiment(point: tuple, channel: proto.Channel | None = None) -> dict:
+    """Run one point of :func:`checked_points` (through ``channel``, if given): its CSV row."""
+    cfg, params, row = point
+    row, target = dict(row), input_qubit(cfg)
 
     if cfg.experiment == "encode":
         enc = proto.encode_qubit(target, cfg.w, cfg.phi)
@@ -208,34 +204,29 @@ def run_experiment(cfg: RunConfig, channel: proto.Channel | None = None,
         )
         return row
 
-    if cfg.experiment in CHANNEL_EXPERIMENTS:
-        res = (channel or build_channel(cfg, params)).teleport(target)
-        log = res.step_log
-        if log["channel"]["T_couple"] is not None:
-            row["T_couple"] = log["channel"]["T_couple"]
-        by_outcome = {b.outcome: b.fidelity for b in res.branches}
-        results = {
-            "target_overlap_sq": log["couple"]["target_overlap_sq"],
-            "norm": log["couple"]["norm"],
-            "effective_overlap_sq": log["bell"]["effective_overlap_sq"],
-            "outcome": res.outcome, "p0": res.p0, "p1": res.p1,
-            "fidelity": res.fidelity_to_input,
-            "fidelity_branch0": by_outcome.get(0, ""),
-            "fidelity_branch1": by_outcome.get(1, ""),
-            "ghz_overlap_sq": log["channel"]["ghz_overlap_sq"],
-        }
-        row.update((c, results[c]) for c in RESULT_COLUMNS[cfg.experiment])
-        return row
-
-    raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+    res = (channel or build_channel(cfg, params)).teleport(target)  # a channel experiment
+    log = res.step_log
+    by_outcome = {b.outcome: b.fidelity for b in res.branches}
+    results = {
+        "target_overlap_sq": log["couple"]["target_overlap_sq"],
+        "norm": log["couple"]["norm"],
+        "effective_overlap_sq": log["bell"]["effective_overlap_sq"],
+        "outcome": res.outcome, "p0": res.p0, "p1": res.p1,
+        "fidelity": res.fidelity_to_input,
+        "fidelity_branch0": by_outcome.get(0, ""),
+        "fidelity_branch1": by_outcome.get(1, ""),
+        "ghz_overlap_sq": log["channel"]["ghz_overlap_sq"],
+    }
+    row.update((c, results[c]) for c in RESULT_COLUMNS[cfg.experiment])
+    return row
 
 
 def run_sweep(cfg: RunConfig, points: list) -> list:
     """The checked points' rows; a channel experiment swept over an input shares one channel."""
     channel = None
     if cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS:
-        channel = build_channel(*points[0])
-    return [run_experiment(p, channel, params) for p, params in points]
+        channel = build_channel(*points[0][:2])
+    return [run_experiment(p, channel) for p in points]
 
 
 def format_cell(v) -> str:
@@ -292,13 +283,10 @@ def run(cfg: RunConfig) -> int:
 # argument parsing
 
 
-# flag options beyond ``type=float``; every RunConfig field but experiment,
-# axis and values is a --kebab-case flag
+# every RunConfig field but experiment, axis and values is a --kebab-case flag of the
+# field's type (a bool one a bare flag); these are its options beyond that
 _FLAG_OPTIONS = {
     "mode": {"choices": ("full", "effective")},
-    "n_support": {"type": int},
-    "seed": {"type": int},
-    "richardson": {"action": "store_true", "default": None},
     "output": {"help": "basename for the .csv/.manifest.json pair"},
 }
 
@@ -308,8 +296,10 @@ def _common_flags() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
     for name in _NAMES:
         if name not in ("experiment", "axis", "values"):
-            p.add_argument("--" + name.lower().replace("_", "-"), dest=name,
-                           **_FLAG_OPTIONS.get(name, {"type": float}))
+            typed = {"action": "store_true", "default": None} if _KINDS[name] is bool \
+                else {"type": _KINDS[name]}
+            p.add_argument("--" + name.lower().replace("_", "-"), dest=name, **typed,
+                           **_FLAG_OPTIONS.get(name, {}))
     return p
 
 
@@ -330,19 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TYPES = {f.name: f.type for f in fields(RunConfig)}  # annotations as text: "float | None"
-
-
 def _field_value(key: str, value):
     """A config file's value for RunConfig field ``key``, an int made a float for a float field.
     ConfigError unless it has the field's type: an int field takes an int, a float field an int
     (that a float holds) or a float, neither a bool; None fits only an optional field."""
-    kind, _, optional = _TYPES[key].partition(" | ")
-    types = {"int": int, "float": (int, float), "bool": bool, "str": str}[kind]
+    kind, optional = _KINDS[key], " | " in _TYPES[key]
+    types = (int, float) if kind is float else kind
     if (value is None and optional) or (
-            isinstance(value, types) and (kind == "bool" or not isinstance(value, bool))):
+            isinstance(value, types) and (kind is bool or not isinstance(value, bool))):
         try:
-            return float(value) if kind == "float" and value is not None else value
+            return float(value) if kind is float and value is not None else value
         except OverflowError:
             pass
     raise ConfigError(f"config field {key!r} must be {_TYPES[key]}, got {value!r:.40}")

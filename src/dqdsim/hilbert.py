@@ -113,14 +113,14 @@ def tensor_product(*states: StateVector) -> StateVector:
 
 def _bipartition(state: StateVector, keep) -> np.ndarray:
     """The amplitudes as the 2^k x 2^(n-k) matrix a[kept, traced], kept qubits little-endian
-    in ``keep`` order; DimensionError for anything but a StateVector, and for an empty ``keep``
-    or one whose qubits are not distinct integers in range."""
+    in ``keep`` order; DimensionError for anything but a StateVector, and for a ``keep`` that is
+    not a nonempty list of distinct integer qubits in range (a bare int or None included)."""
     if not isinstance(state, StateVector):
         raise DimensionError(f"a register split takes a StateVector, not {type(state).__name__}")
-    n, keep = state.n_qubits, list(keep)
+    n, given, keep = state.n_qubits, keep, list(keep) if np.iterable(keep) else []
     if (not keep or not all(isinstance(q, (int, np.integer)) and 0 <= q < n for q in keep)
             or len(set(keep)) != len(keep)):
-        raise DimensionError(f"keep set {keep} is not a nonempty set of qubits of {n}")
+        raise DimensionError(f"keep set {given} is not a nonempty set of qubits of {n}")
     # numpy reshape of a little-endian vector puts qubit q on axis n - 1 - q
     keep_axes = [n - 1 - q for q in reversed(keep)]
     traced_axes = [ax for ax in range(n) if ax not in keep_axes]

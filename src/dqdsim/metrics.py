@@ -23,4 +23,4 @@ def entanglement_entropy(state: StateVector, partition) -> float:
     into ``partition`` and the rest.  DimensionError for an empty or invalid partition."""
     lam = np.linalg.svd(_bipartition(state, partition), compute_uv=False) ** 2
     lam = lam[lam > 1e-15]
-    return float(-np.sum(lam * np.log2(lam)))
+    return float(0.0 - np.sum(lam * np.log2(lam)))  # 0.0, not -0.0, for a product state

@@ -1,7 +1,8 @@
 import json
 import os
+import typing
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -293,6 +294,46 @@ class TestSeedAndConfigTypes:
         assert read_rows(tmp_path / "x.csv")[0]["U_max"] == "50"
 
 
+def annotated_type(name):
+    """RunConfig field ``name``'s annotated type, None aside."""
+    hint = typing.get_type_hints(RunConfig)[name]
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+
+
+class TestOneSettingsTable:
+    """Flags, sweep values and the ProtocolParams the CLI builds all follow RunConfig."""
+
+    SAMPLES = {int: "3", float: "0.25", str: "effective"}  # mode's choice; any str for output
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)
+                                      if f.name not in ("experiment", "axis", "values")])
+    def test_each_flag_parses_to_its_fields_type(self, name):
+        kind, flag = annotated_type(name), "--" + name.lower().replace("_", "-")
+        argv = [flag] if kind is bool else [flag, self.SAMPLES[kind]]
+        value = getattr(cli.build_parser().parse_args(["teleport", *argv]), name)
+        assert type(value) is kind
+        assert value == (True if kind is bool else kind(self.SAMPLES[kind]))
+
+    @pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+    def test_each_sweep_axis_parses_to_its_fields_type(self, axis):
+        kind = annotated_type(axis)
+        assert [type(v) for v in parse_values(axis, "2, 3")] == [kind, kind]
+        assert parse_values(axis, "2, 3") == [2, 3]
+
+    def test_build_params_carries_every_field(self):
+        changed = dict(w=2.0, phi=0.3, U_max=60.0, Uprime_max=50.0, T_ent=150.0,
+                       T_couple=120.0, bell_U=40.0, wait_angle=0.5, mode="effective", seed=11)
+        assert set(changed) == {f.name for f in fields(ProtocolParams)} - {"integrator"}
+        default = ProtocolParams()
+        assert all(getattr(default, k) != v for k, v in changed.items())
+        params = build_params(RunConfig(**changed, dt=0.5, richardson=True, tolerance=1e-7))
+        assert {k: getattr(params, k) for k in changed} == changed
+        integrator = params.integrator
+        assert (integrator.dt, integrator.richardson_check, integrator.tolerance) == (
+            0.5, True, 1e-7)
+        assert integrator != default.integrator
+
+
 class TestInputSweeps:
     """An input-axis sweep of a protocol experiment shares one channel."""
 
@@ -306,7 +347,7 @@ class TestInputSweeps:
         out = tmp_path / "sweep"
         cfg = replace(base, axis=axis, values=values, output=str(out))
         assert run(cfg) == 0
-        rows = [run_experiment(replace(base, **{axis: v}))
+        rows = [run_experiment(cli.checked_points(replace(base, **{axis: v}))[1][0])
                 for v in sorted(parse_values(axis, values))]
         columns = PARAM_COLUMNS + RESULT_COLUMNS[base.experiment]
         write_outputs(cfg, rows, columns, str(tmp_path / "points"))

@@ -198,16 +198,28 @@ REGISTER_READS = {
 }
 
 
-@pytest.mark.parametrize("read", REGISTER_READS.values(), ids=list(REGISTER_READS))
+each_read = pytest.mark.parametrize("read", REGISTER_READS.values(), ids=list(REGISTER_READS))
+
+
 class TestRegisterRefusals:
+    @each_read
     def test_a_bare_array_is_refused(self, read):
         with pytest.raises(DimensionError, match="StateVector"):
             read(np.array([1.0, 0.0, 0.0, 0.0]), 0)
 
+    @each_read
     @pytest.mark.parametrize("qubit", [0.5, 1.0, np.float64(1.0)], ids=repr)
     def test_a_qubit_that_is_not_an_integer_is_refused(self, read, qubit):
         with pytest.raises(DimensionError):
             read(StateVector.computational(2, 0), qubit)
+
+    # the two reads that take a keep list, given a bare qubit or nothing in its place
+    @pytest.mark.parametrize("split", [partial_trace, entanglement_entropy],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("keep", [1, np.int64(1), None], ids=repr)
+    def test_a_keep_that_is_not_a_list_is_refused(self, split, keep):
+        with pytest.raises(DimensionError, match="keep set"):
+            split(StateVector.computational(2, 0), keep)
 
 
 class TestFidelity:

@@ -1,4 +1,6 @@
 import csv
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -113,6 +115,16 @@ class TestEntropy:
         s_a = entanglement_entropy(state, [0, 2])
         s_b = entanglement_entropy(state, [1, 3])
         assert s_a == pytest.approx(s_b, abs=1e-10)
+
+    def test_a_product_state_has_entropy_plus_zero(self):
+        # a printed or CSV-written entropy of a product state reads 0, not -0
+        for n in range(1, 5):
+            for index in range(2**n):
+                state = StateVector.computational(n, index)
+                for part in itertools.chain.from_iterable(
+                        itertools.combinations(range(n), k) for k in range(1, n + 1)):
+                    S = entanglement_entropy(state, list(part))
+                    assert S == 0.0 and math.copysign(1.0, S) == 1.0, (n, index, part, S)
 
     def test_empty_partition(self):
         with pytest.raises(DimensionError):
