@@ -1,6 +1,8 @@
 """Long-range transfer over a chain of support DQDs.
 
-All nearest-neighbor links ramp together, preparing the chain near
+A support of any length is one setting, ProtocolParams.n_support, and one
+builder, protocol.build_channel.  All nearest-neighbor links ramp together,
+preparing the chain in its plateau ground state, near
 (|00...0> + |11...1>)/sqrt(2).  Teleportation couples the encoder to the
 first chain qubit only; the middle qubits stay frozen, and the input lands
 on the logical all-0/all-1 pair whose far end is Bob.
@@ -14,10 +16,9 @@ and a correspondingly long gap-adapted ramp.
 import numpy as np
 
 from dqdsim import InputQubit, ProtocolParams, PropagatorConfig, bell_target, entanglement_entropy
-from dqdsim.chain import ChainChannel, ChainSpec
-from dqdsim.protocol import support_crossing_gap
+from dqdsim.protocol import build_channel, support_crossing_gap
 
-state = bell_target(5)  # the idealized channel; make_ghz_chain returns its Majorana covariance
+state = bell_target(5)  # the idealized channel, which the plateau approaches as w/U -> 0
 print("Idealized 5-DQD channel state amplitudes (all-0 and all-1 only):")
 nz = {i: state.amps[i] for i in range(32) if abs(state.amps[i]) > 1e-12}
 print(f"  {nz}")
@@ -30,9 +31,9 @@ for ns in (2, 3, 4):
     print(f"  n_support = {ns}:  gap = {gap:.5f} w   (adapted ramp ~ {8 / gap:.0f}/w)")
 
 print("\nFull-dynamics teleportation over a 4-DQD chain (U = 15 w, U' = 100 w):")
-params = ProtocolParams(U_max=15.0, Uprime_max=100.0, mode="full",
+params = ProtocolParams(n_support=4, U_max=15.0, Uprime_max=100.0, T_ent=45.0, mode="full",
                         integrator=PropagatorConfig(dt=0.01))
-channel = ChainChannel(ChainSpec(4, params, T_ghz=45.0))
+channel = build_channel(params)
 print(f"  channel GHZ overlap^2 = "
       f"{channel.teleport(InputQubit(1.0, 0.0)).step_log['channel']['ghz_overlap_sq']:.6f}")
 print(f"  coupling ramp duration = {channel.t_couple:.0f}/w")

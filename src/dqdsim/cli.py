@@ -4,7 +4,7 @@ Every run writes ``<output>.csv`` plus ``<output>.manifest.json`` (the full
 configuration, package versions and seed).  Flags, config-file values and sweep
 values take the annotated type of their RunConfig field.  Rows carry the complete
 parameter tuple, with the values the preflight derived (Uprime_max, bell_U, T_ent,
-T_ghz, T_couple) in place of None; floats are printed with 12 significant digits,
+T_couple) in place of None; floats are printed with 12 significant digits,
 and output is byte-identical for identical (config, seed) pairs.  Exit codes: 0 ok,
 2 configuration error (a missing or unwritable output directory included,
 refused before any stage runs) or failed write, 3 numerical error.
@@ -23,7 +23,6 @@ from dataclasses import dataclass, asdict, fields, replace
 import numpy as np
 
 from . import __version__
-from .chain import ChainChannel, ChainSpec
 from .errors import ConfigError, ConvergenceError, DimensionError
 from .evolve import PropagatorConfig
 from .hilbert import StateVector, fidelity, gaussian_state
@@ -31,7 +30,7 @@ from .metrics import concurrence
 from . import protocol as proto
 
 # A sweep of these experiments over an input axis shares one Channel.
-CHANNEL_EXPERIMENTS = ("couple", "bell", "teleport", "chain")
+CHANNEL_EXPERIMENTS = ("couple", "bell", "teleport")
 INPUT_AXES = ("alpha_abs", "beta_phase")
 
 RESULT_COLUMNS = {
@@ -41,9 +40,8 @@ RESULT_COLUMNS = {
                  "min_gap", "concurrence"),
     "couple": ("target_overlap_sq", "norm"),
     "bell": ("p0", "p1", "effective_overlap_sq"),
-    "teleport": ("outcome", "p0", "p1", "fidelity", "fidelity_branch0", "fidelity_branch1"),
-    "chain": ("outcome", "p0", "p1", "fidelity", "fidelity_branch0", "fidelity_branch1",
-              "ghz_overlap_sq"),
+    "teleport": ("outcome", "p0", "p1", "fidelity", "fidelity_branch0", "fidelity_branch1",
+                 "ghz_overlap_sq"),
 }
 EXPERIMENTS = tuple(RESULT_COLUMNS)
 
@@ -59,7 +57,6 @@ class RunConfig:
     bell_U: float | None = None
     T_ent: float | None = None
     T_couple: float | None = None
-    T_ghz: float | None = None
     wait_angle: float = float(np.pi / 4)
     alpha_abs: float = 0.6
     beta_phase: float = 0.0
@@ -124,16 +121,15 @@ def checked_points(cfg: RunConfig):
     row = {c: "" if (v := getattr(cfg, c)) is None else v for c in PARAM_COLUMNS}
     try:  # the settings' owners check them, then the derived values
         params = build_params(cfg)
-        spec = ChainSpec(cfg.n_support, params, cfg.T_ghz)
+        if cfg.experiment == "entangle" and cfg.n_support != 2:
+            raise ConfigError(f"entangle prepares the support pair, got n_support = "
+                              f"{cfg.n_support}; teleport --n-support runs a longer support")
         row.update(Uprime_max=params.resolved_Uprime(), bell_U=params.resolved_bell_U(),
                    T_ent=params.resolved_T_ent())
-        chain = cfg.experiment == "chain"
-        if chain:  # the GHZ ramp's duration, auto or given
-            row["T_ghz"] = spec.resolved_T_ghz()
         if cfg.mode == "full" and cfg.experiment != "encode":  # the support ramp it steps
-            (spec if chain else params).support_ramp()
+            params.support_ramp()
         if cfg.experiment in CHANNEL_EXPERIMENTS:  # the coupling the channel will step
-            t_couple = proto.resolve_coupling(params, cfg.n_support if chain else 2)[0]
+            t_couple = proto.resolve_coupling(params, params.n_support)[0]
             if t_couple is not None:
                 row["T_couple"] = t_couple
     except (ConfigError, DimensionError) as exc:
@@ -172,13 +168,6 @@ def input_qubit(cfg: RunConfig) -> proto.InputQubit:
     return proto.InputQubit(a, b)
 
 
-def build_channel(cfg: RunConfig, params: proto.ProtocolParams) -> proto.Channel:
-    """The pair channel, or the chain channel for the ``chain`` experiment."""
-    if cfg.experiment == "chain":
-        return ChainChannel(ChainSpec(cfg.n_support, params, cfg.T_ghz))
-    return proto.pair_channel(params)
-
-
 def run_experiment(point: tuple, channel: proto.Channel | None = None) -> dict:
     """Run one point of :func:`checked_points` (through ``channel``, if given): its CSV row."""
     cfg, params, row = point
@@ -204,7 +193,7 @@ def run_experiment(point: tuple, channel: proto.Channel | None = None) -> dict:
         )
         return row
 
-    res = (channel or build_channel(cfg, params)).teleport(target)  # a channel experiment
+    res = (channel or proto.build_channel(params)).teleport(target)  # a channel experiment
     log = res.step_log
     by_outcome = {b.outcome: b.fidelity for b in res.branches}
     results = {
@@ -225,7 +214,7 @@ def run_sweep(cfg: RunConfig, points: list) -> list:
     """The checked points' rows; a channel experiment swept over an input shares one channel."""
     channel = None
     if cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS:
-        channel = build_channel(*points[0][:2])
+        channel = proto.build_channel(points[0][1])
     return [run_experiment(p, channel) for p in points]
 
 

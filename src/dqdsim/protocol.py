@@ -4,8 +4,9 @@ Stages (qubit 0 is the encoder, qubit 1 Alice's support, the last qubit is
 Bob; any qubits in between belong to a longer support chain):
 
 1. encode   -- free tunneling evolution of |0>, cut off at time t_bar;
-2. entangle -- slow growth of the inter-pair Coulomb repulsion takes the
-   support pair from its separable ground state to a near-Bell state;
+2. entangle -- slow growth of every inter-pair Coulomb repulsion takes the
+   support register from its separable ground state |+>^n to its plateau
+   ground state, near (|0...0> + |1...1>)/sqrt(2);
 3. couple   -- slow growth of the encoder-support repulsion maps
    (a|0> + b|1>) x (|00>+|11>)/sqrt(2) onto a|000> + b|111>;
 4. bell     -- encoder and support-1 tunneling on, everything else frozen:
@@ -13,9 +14,10 @@ Bob; any qubits in between belong to a longer support chain):
 5. measure  -- after a quarter rotation Alice measures the encoder charge
    and Bob fixes his qubit with diag(1, -i) (outcome 0) or diag(1, +i).
 
-:class:`Channel` is the one engine for every support register, the pair
-and longer chains: it prepares stages 3 and 4 once per channel and runs
-encode and measure per input.  :func:`teleport_end_to_end` is the pair case.
+:class:`Channel` is the one engine for every support length, and
+:func:`build_channel` the one builder: it prepares stages 2 to 4 once per
+channel at ``ProtocolParams.n_support``, and the channel runs encode and
+measure per input.  :func:`teleport_end_to_end` builds a channel per input.
 
 Every stage exists in ``full`` mode (numerical propagation of the device
 Hamiltonian) and ``effective`` mode (the closed-form two-level algebra the
@@ -58,6 +60,9 @@ EPS_ADIABATIC = 1.0 / 16.0
 # faithful sweep is out of simulation reach.
 MAX_AUTO_RAMP = 5.0e4
 
+# The register's qubit budget: the encoder plus at most MAX_QUBITS - 1 support qubits.
+MAX_QUBITS = 12
+
 # Bob's local corrections, keyed by Alice's measured bit.
 CORRECTIONS = {
     0: np.diag([1.0, -1.0j]).astype(complex),
@@ -96,11 +101,13 @@ class InputQubit:
 class ProtocolParams:
     """All protocol knobs.
 
-    Durations left as None are derived from the spectral structure:
-    ``T_ent = 2 U_max / w^2`` and ``T_couple = 4/J`` where 2J is the
-    avoided-crossing gap of the support register at the start of the
-    coupling ramp (J = 2 w^2/U_max for a single support pair).  Both
-    reduce to 200/w at the reference point U_max = Uprime_max = 100 w.
+    ``n_support``, an integer in [2, MAX_QUBITS - 1], is the length of the support
+    register: 2 is the pair, and Bob's qubit is its far end.  Durations left as None
+    are derived from the spectral structure: the support's entangling ramp
+    ``T_ent = 2 U_max / w^2`` for the pair and ``3 U_max / w^2`` for longer supports,
+    and ``T_couple = 4/J`` where 2J is the avoided-crossing gap of the support register
+    at the start of the coupling ramp (J = 2 w^2/U_max for the pair).  Both reduce to
+    200/w for the pair at the reference point U_max = Uprime_max = 100 w.
 
     ``Uprime_max`` (the encoder-support plateau) tracks U_max unless set,
     so a sweep of U_max moves the whole repulsion family.  ``bell_U`` is
@@ -119,22 +126,32 @@ class ProtocolParams:
     wait_angle: float = np.pi / 4
     mode: str = "full"
     seed: int = 7
+    n_support: int = 2
     integrator: evolve.PropagatorConfig = field(default_factory=evolve.PropagatorConfig)
 
     def __post_init__(self):
         """DimensionError naming every bad field; None leaves a field to be derived."""
-        bad = [f"{f.name} must be finite, got {v}" for f in fields(self)
-               if isinstance(v := getattr(self, f.name), (float, np.floating))
-               and not np.isfinite(v)]
-        for name in ("w", "U_max", "Uprime_max", "T_ent", "T_couple", "bell_U"):
-            v, nonneg = getattr(self, name), name in ("U_max", "Uprime_max")
-            if v is not None and np.isfinite(v) and not (v >= 0 if nonneg else v > 0):
-                bad.append(f"{name} must be {'nonnegative' if nonneg else 'positive'}, got {v}")
+        bad = []
+        for f in fields(self):  # the real settings, by annotation
+            v = getattr(self, f.name)
+            if not f.type.startswith("float") or (v is None and f.default is None):
+                continue  # None leaves an optional one to be derived
+            try:
+                finite = math.isfinite(v)
+            except (OverflowError, TypeError):  # an int past a float's range, or no number
+                finite = False
+            nonneg = f.name in ("U_max", "Uprime_max")
+            if not finite:
+                bad.append(f"{f.name} must be finite, got {v!s:.40}")
+            elif f.name not in ("phi", "wait_angle") and not (v >= 0 if nonneg else v > 0):
+                bad.append(f"{f.name} must be {'nonnegative' if nonneg else 'positive'}, got {v}")
         if self.mode not in ("full", "effective"):
             bad.append(f"mode must be 'full' or 'effective', got {self.mode!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
-                or self.seed < 0:
-            bad.append(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name, lo, hi, rule in (("seed", 0, math.inf, "a nonnegative integer"), (
+                "n_support", 2, MAX_QUBITS - 1, f"an integer in [2, {MAX_QUBITS - 1}]")):
+            v = getattr(self, name)  # with the encoder, n_support + 1 qubits
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not lo <= v <= hi:
+                bad.append(f"{name} must be {rule}, got {v!r}")
         if bad:
             raise DimensionError("; ".join(bad))
         if self.U_max > 0 and self.w / self.U_max > 0.1:
@@ -150,18 +167,17 @@ class ProtocolParams:
     def resolved_bell_U(self) -> float:
         return self.resolved_Uprime() if self.bell_U is None else self.bell_U
 
-    def default_ramp(self, factor: float) -> float:
-        """The default support ramp max(factor U_max / w^2, 10 / w) (factor 2 for T_ent, 3 for
-        T_ghz); ConfigError when it is not finite."""
-        w2 = self.w**2
+    def resolved_T_ent(self) -> float:
+        """T_ent, or the default max(f U_max / w^2, 10 / w), f = 2 for the pair and 3 for a
+        longer support; ConfigError when that is not finite."""
+        if self.T_ent is not None:
+            return self.T_ent
+        factor, w2 = (2.0 if self.n_support == 2 else 3.0), self.w**2
         t = max(factor * self.U_max / w2, 10.0 / self.w) if w2 else np.inf
         if not t < np.inf:
             raise ConfigError(f"the default support ramp {factor:g} U_max/w^2 is not finite at "
                               f"w = {self.w:.3g}; raise w or set the ramp duration")
         return t
-
-    def resolved_T_ent(self) -> float:
-        return self.default_ramp(2.0) if self.T_ent is None else self.T_ent
 
     def resolved_wait(self) -> float:
         """The rotation stage's wait, wait_angle over the rate 2 w^2 / bell_U; ConfigError
@@ -185,7 +201,7 @@ class ProtocolParams:
         return t
 
     def support_ramp(self) -> float:
-        """The duration of the support pair's entangling ramp as it is stepped: T_ent,
+        """The duration of the support's entangling ramp as it is stepped: T_ent,
         refused when it is auto-derived and out of reach."""
         return self.in_reach(self.resolved_T_ent(), self.T_ent, "entangling ramp T_ent")
 
@@ -250,7 +266,7 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
     no ramp is stepped before a refusal, and pass its result to the :class:`Channel`.
     Raises ConfigError when the rotation stage's wait is not positive and finite, or when
     the auto-derived coupling ramp is out of reach.  The register's size is bounded by
-    ``chain.MAX_QUBITS`` alone: no stage of a channel holds a 2^n x 2^n array.
+    ``MAX_QUBITS`` alone: no stage of a channel holds a 2^n x 2^n array.
     """
     t_wait = params.resolved_wait()
     if params.mode == "effective":
@@ -349,16 +365,33 @@ def ramp_support(params: ProtocolParams, n_support: int, T: float):
     return evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
 
 
+@functools.lru_cache(maxsize=64)
+def plateau_covariance(U: float, w: float, n: int) -> np.ndarray:
+    """The read-only Majorana covariance of the n-site support's plateau ground state in
+    the sector X_0 ... X_(n-1) = +1, which the ramp from |+>^n keeps.
+
+    The plateau is H = i a^T K b, K = -w I + (U/2) subdiag (:func:`device.majorana_terms`),
+    whose ground covariance is [[0, -W], [W^T, 0]] with W = L R^T for K = L S R^T.  Its
+    parity is <X_0 ... X_(n-1)> = (-1)^n det W; the least singular pair is flipped when that
+    is -1.  At n = 2 it is :func:`entangled_pair_reference`'s covariance.
+    """
+    L, _, Rt = np.linalg.svd(np.diag(np.full(n - 1, U / 2), -1) - w * np.eye(n))
+    if (-1) ** n * np.linalg.det(L) * np.linalg.det(Rt) < 0:
+        L[:, -1] *= -1
+    W, Z = L @ Rt, np.zeros((n, n))
+    gamma = np.block([[Z, -W], [W.T, Z]])
+    gamma.setflags(write=False)
+    return gamma
+
+
 def make_entangled_pair(params: ProtocolParams):
-    """Support-pair preparation; returns (Gamma_S, ramp diagnostics or None).  Effective
-    mode's is :func:`entangled_pair_reference`'s in closed form, [[0, X], [-X^T, 0]] with
-    X = [[x, c], [-c, x]], x = 2r/(1 + r^2) and c = (1 - r^2)/(1 + r^2).
-    An auto-derived ramp past ``MAX_AUTO_RAMP`` raises ConfigError."""
+    """The support register's preparation at ``params.n_support``; returns (Gamma_S, ramp
+    diagnostics or None).  Full mode ramps it (:func:`ramp_support`); effective mode's is
+    the plateau ground state's, :func:`plateau_covariance`.  An auto-derived ramp past
+    ``MAX_AUTO_RAMP`` raises ConfigError."""
     if params.mode == "effective":
-        r = cross_to_aligned_ratio(params.U_max, params.w)
-        x, c = 2 * r / (1 + r * r), (1 - r * r) / (1 + r * r)
-        return np.array([[0, 0, x, c], [0, 0, -c, x], [-x, c, 0, 0], [-c, -x, 0, 0]]), None
-    return ramp_support(params, 2, params.support_ramp())
+        return plateau_covariance(params.U_max, params.w, params.n_support), None
+    return ramp_support(params, params.n_support, params.support_ramp())
 
 
 def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
@@ -649,16 +682,18 @@ class Channel:
         return result
 
 
-def pair_channel(params: ProtocolParams) -> Channel:
-    """The support pair's channel; an out-of-reach coupling is refused first."""
-    coupling = resolve_coupling(params, 2)
+def build_channel(params: ProtocolParams) -> Channel:
+    """The channel over a support of ``params.n_support`` qubits: the coupling is resolved
+    first, so an unrunnable rotation or an out-of-reach coupling is refused before the
+    support is prepared (:func:`make_entangled_pair`)."""
+    coupling = resolve_coupling(params, params.n_support)
     return Channel(*make_entangled_pair(params), params, coupling)
 
 
 def teleport_end_to_end(target: InputQubit, params: ProtocolParams) -> TeleportResult:
-    """Prepare the support pair, build its channel and teleport one input.
+    """Prepare the support, build its channel and teleport one input.
 
-    To teleport many inputs over one pair, build ``pair_channel(params)`` once
+    To teleport many inputs over one support, build ``build_channel(params)`` once
     and call its ``teleport``.
     """
-    return pair_channel(params).teleport(target)
+    return build_channel(params).teleport(target)

@@ -10,6 +10,7 @@ from dqdsim.device import DeviceGraph, Schedule, TunnelTerm, energy_scale, hamil
 from dqdsim.errors import ConfigError, DimensionError
 from dqdsim.hilbert import (StateVector, _majoranas, _own_state, fix_phase, gaussian_state,
                             tensor_product)
+from dqdsim.protocol import cross_to_aligned_ratio, support_graph
 
 # Single-qubit constants.
 ID2 = np.eye(2, dtype=complex)
@@ -80,6 +81,24 @@ def parent_gaussian_state(gamma: np.ndarray) -> np.ndarray:
         for q in range(p + 1, len(gamma)):  # <i| c_p c_q |gather_q[gather_p[i]]>
             H[rows, gather[q][gather[p]]] -= 0.5j * gamma[p, q] * sign[p] * sign[q][gather[p]]
     return fix_phase(np.linalg.eigh(H)[1][:, 0])
+
+
+def effective_pair_covariance(U: float, w: float) -> np.ndarray:
+    """The support pair's plateau ground covariance in closed form, that of
+    ``entangled_pair_reference``: [[0, X], [-X^T, 0]] with X = [[x, c], [-c, x]],
+    x = 2r/(1 + r^2) and c = (1 - r^2)/(1 + r^2) for the cross-to-aligned ratio r."""
+    r = cross_to_aligned_ratio(U, w)
+    x, c = 2 * r / (1 + r * r), (1 - r * r) / (1 + r * r)
+    return np.array([[0, 0, x, c], [0, 0, -c, x], [-x, c, 0, 0], [-c, -x, 0, 0]])
+
+
+def plateau_ground_state(params, n: int) -> np.ndarray:
+    """The lowest eigenvector of the dense 2^n x 2^n plateau support (``hamiltonian_at`` of
+    ``support_graph`` at U_max) within the sector X_0 ... X_(n-1) = +1, phase-fixed."""
+    H = hamiltonian_at(support_graph(params, n, Schedule.constant(params.U_max)), 0.0)
+    parity, sector = np.linalg.eigh(kron_le(*[PAULI_X] * n))
+    sector = sector[:, parity > 0]
+    return fix_phase(sector @ np.linalg.eigh(sector.conj().T @ H @ sector)[1][:, 0])
 
 
 def random_covariance(rng, n_qubits: int) -> np.ndarray:

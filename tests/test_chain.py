@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,23 +10,26 @@ import pytest
 
 import dqdsim
 from dqdsim import evolve
-from dqdsim.chain import MAX_QUBITS, ChainChannel, ChainSpec, make_ghz_chain
+from dqdsim.chain import ChainChannel, ChainSpec, make_ghz_chain
 from dqdsim.device import Schedule, hamiltonian_at
 from dqdsim.errors import ConfigError, DimensionError
 from dqdsim.evolve import PropagatorConfig
 from dqdsim.hilbert import StateVector, fidelity, gaussian_state, partial_trace
 from dqdsim.protocol import (
+    MAX_QUBITS,
     InputQubit,
     ProtocolParams,
     bell_target,
+    build_channel,
     couple_unknown,
     cross_to_aligned_ratio,
-    pair_channel,
+    entangled_pair_reference,
     ramp_support,
     support_crossing_gap,
     support_graph,
     teleport_end_to_end,
 )
+from references import PAULI_X, plateau_ground_state
 
 EFFECTIVE = ProtocolParams(mode="effective")
 
@@ -53,21 +57,28 @@ class TestSpec:
 
 class TestGhzChain:
     def test_effective_pair(self):
+        # a two-site chain is the pair: effective mode's support is the plateau ground state
         st, diag = ghz_state(ChainSpec(2, EFFECTIVE))
         assert diag is None
-        assert np.allclose(st.amps, bell_target(2).amps)
+        assert fidelity(st, entangled_pair_reference(100.0, 1.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_effective_five(self):
+        # the five-site plateau ground state: even under X^5, which maps index i to 31 - i,
+        # and as close to GHZ as the dense plateau's ground state in that sector
         st, _ = ghz_state(ChainSpec(5, EFFECTIVE))
-        expected = np.zeros(32)
-        expected[0] = expected[-1] = 1 / np.sqrt(2)
-        assert np.allclose(st.amps, expected)
+        assert np.max(np.abs(st.amps - st.amps[::-1])) <= 1e-14
+        reference = StateVector(plateau_ground_state(EFFECTIVE, 5))
+        assert abs(fidelity(st, bell_target(5)) - fidelity(reference, bell_target(5))) <= 1e-12
 
     def test_effective_marginals_maximally_mixed(self):
-        st, _ = ghz_state(ChainSpec(5, EFFECTIVE))
+        # up to <X_q> X / 2, with <X_q> = i<a_q b_q> read off the covariance and at most 2w/U
+        gamma, _ = make_ghz_chain(ChainSpec(5, EFFECTIVE))
+        st = StateVector(gaussian_state(gamma))
         for q in range(5):
+            x = gamma[q, 5 + q]
+            assert 0 < x <= 2.0 / EFFECTIVE.U_max
             rho = partial_trace(st, [q])
-            assert np.max(np.abs(rho - np.eye(2) / 2)) <= 1e-10
+            assert np.max(np.abs(rho - (np.eye(2) + x * PAULI_X) / 2)) <= 1e-14
 
     def test_full_mode_small(self):
         params = ProtocolParams(U_max=40.0, mode="full")
@@ -129,28 +140,30 @@ class TestChainTeleport:
     def test_two_site_chain_at_T_ent_is_the_pair_channel(self, U):
         params = ProtocolParams(U_max=U)
         chain = ChainChannel(ChainSpec(2, params, T_ghz=params.resolved_T_ent()))
-        pair = pair_channel(params)
+        pair = build_channel(params)
         rng = np.random.default_rng(5)
         for q in [InputQubit.random(rng) for _ in range(20)]:
             a, b = chain.teleport(q), pair.teleport(q)
             assert (a.fidelity_to_input, a.p0, a.step_log) == (b.fidelity_to_input, b.p0, b.step_log)
             assert np.array_equal(a.bob_state_corrected.amps, b.bob_state_corrected.amps)
 
-    def test_two_site_chain_defaults_differ_from_the_pair(self):
-        # the default GHZ ramp is 3 U/w^2 against T_ent's 2 U/w^2, and effective mode's
-        # chain support is GHZ itself, not the plateau state of overlap 1/(1 + r^2)
+    def test_two_site_chain_defaults_are_the_pair(self):
+        # one rule for every length: the default support ramp is 2 U/w^2 for two sites and
+        # 3 U/w^2 from three on, and effective mode's support is the plateau ground state,
+        # whose GHZ overlap is 1/(1 + r^2) for the pair
         params = ProtocolParams(U_max=100.0)
-        assert (ChainSpec(2, params).resolved_T_ghz(), params.resolved_T_ent()) == (300.0, 200.0)
+        assert [ChainSpec(n, params).resolved_T_ghz() for n in (2, 3)] == [200.0, 300.0]
         q = InputQubit(0.6, 0.8)
         chain = ChainChannel(ChainSpec(2, EFFECTIVE)).teleport(q).step_log["channel"]
-        pair = pair_channel(EFFECTIVE).teleport(q).step_log["channel"]
+        pair = build_channel(EFFECTIVE).teleport(q).step_log["channel"]
         r = cross_to_aligned_ratio(100.0, 1.0)
-        assert chain["ghz_overlap_sq"] == pytest.approx(1.0, abs=1e-14)
+        assert chain == pair
         assert pair["ghz_overlap_sq"] == pytest.approx(1 / (1 + r * r), abs=1e-14)
 
     @pytest.mark.parametrize("T_ghz", [-1.0, 0.0, np.nan])
     def test_spec_refuses_a_ghz_ramp_that_is_not_positive_and_finite(self, T_ghz):
-        with pytest.raises(DimensionError, match="T_ghz must be positive and finite"):
+        # T_ghz takes T_ent's place, and ProtocolParams refuses it under that name
+        with pytest.raises(DimensionError, match="T_ent must be (positive|finite)"):
             ChainSpec(3, ProtocolParams(U_max=15.0), T_ghz=T_ghz)
 
     def test_infeasible_auto_ramp_is_refused(self):
@@ -170,7 +183,7 @@ class TestChainTeleport:
         monkeypatch.setattr(protocol, "ramp_support", no_ramp)
         with pytest.raises(ConfigError, match="ramp"):
             ChainChannel(ChainSpec(4, ProtocolParams(U_max=100.0, mode="full")))
-        assert main(["chain", "--n-support", "4", "--u-max", "100",
+        assert main(["teleport", "--n-support", "4", "--u-max", "100",
                      "--output", str(tmp_path / "x")]) == 2
         # the pair's faithful ramp 2U/w^2 exceeds the 5e4/w limit above U = 2.5e4 w
         with pytest.raises(ConfigError, match="ramp"):
@@ -326,18 +339,15 @@ class TestNoDenseRegisterSweep:
     @pytest.mark.parametrize("n_support", [2, 3, 4])
     def test_channel_build(self, n_support, monkeypatch):
         dims = self.dense_dims(monkeypatch)
-        if n_support == 2:
-            channel = pair_channel(self.PARAMS)
-        else:
-            channel = ChainChannel(ChainSpec(n_support, self.PARAMS, T_ghz=45.0))
-        channel.teleport(InputQubit(0.6, 0.8))
+        build_channel(replace(self.PARAMS, n_support=n_support, T_ent=45.0)).teleport(
+            InputQubit(0.6, 0.8))
         assert dims and max(dims) == 4
 
-    @pytest.mark.parametrize("experiment", ["teleport", "chain"])
+    @pytest.mark.parametrize("experiment", ["teleport", "couple"])
     def test_cli(self, experiment, tmp_path, monkeypatch):
         from dqdsim.cli import main
 
         dims = self.dense_dims(monkeypatch)
         assert main([experiment, "--n-support", "4", "--u-max", "15", "--uprime-max", "40",
-                     "--t-ghz", "45", "--dt", "0.2", "--output", str(tmp_path / "x")]) == 0
+                     "--t-ent", "45", "--dt", "0.2", "--output", str(tmp_path / "x")]) == 0
         assert dims and max(dims) == 4

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dqdsim import cli, protocol
-from dqdsim.chain import MAX_QUBITS
 from dqdsim.cli import (
     PARAM_COLUMNS,
     RESULT_COLUMNS,
@@ -21,7 +20,9 @@ from dqdsim.cli import (
     validate_config,
     write_outputs,
 )
-from dqdsim.protocol import ProtocolParams, support_crossing_gap
+from dqdsim.hilbert import StateVector, fidelity
+from dqdsim.protocol import MAX_QUBITS, ProtocolParams, bell_target, support_crossing_gap
+from references import plateau_ground_state
 
 
 def no_ramp(*args):
@@ -55,7 +56,7 @@ class TestValidateConfig:
         assert any("alpha_abs" in e for e in errs)
 
     def test_n_support_limit_follows_qubit_budget(self):
-        assert validate_config(RunConfig(n_support=MAX_QUBITS - 1)) == []
+        assert validate_config(RunConfig(n_support=MAX_QUBITS - 1, U_max=4.0)) == []
         errs = validate_config(RunConfig(n_support=MAX_QUBITS))
         assert any("n_support" in e for e in errs)
 
@@ -131,10 +132,10 @@ class TestRuns:
         # effective mode scores entangled_pair_reference itself, not a state rebuilt from
         # the covariance make_entangled_pair returns (its concurrence moves in the 12th digit)
         (["--mode", "effective", "--u-max", "1e-3"],
-         "entangle,effective,1,0,0.001,0.001,0.001,10,,,0.785398163397,0.6,0,2,7,,"
+         "entangle,effective,1,0,0.001,0.001,0.001,10,,0.785398163397,0.6,0,2,7,,"
          "0.500124999996,1,1,,0.000249999992188"),
         # full mode scores gaussian_state of the ramp's covariance
-        ([], "entangle,full,1,0,100,100,100,200,,,0.785398163397,0.6,0,2,7,,0.999599340002,"
+        ([], "entangle,full,1,0,100,100,100,200,,0.785398163397,0.6,0,2,7,,0.999599340002,"
              "0.999999986294,0.999999986294,0.0399840127872,0.999198705851"),
     ])
     def test_entangle_rows_are_pinned(self, argv, row, tmp_path):
@@ -199,7 +200,7 @@ class TestNonFiniteNumbers:
         ["teleport", "--w", "nan"],
         ["teleport", "--t-couple", "nan"],
         ["teleport", "--u-max", "inf"],
-        ["chain", "--phi=-inf"],
+        ["teleport", "--n-support", "3", "--phi=-inf"],
         ["sweep", "--axis", "U_max", "--values", "20,nan"],
         ["sweep", "--axis", "T_ent", "--values", "inf"],
     ])
@@ -209,9 +210,9 @@ class TestNonFiniteNumbers:
         assert "finite" in capsys.readouterr().err
 
     def test_validation_names_each_non_finite_field(self):
-        errs = validate_config(RunConfig(wait_angle=float("nan"), T_ghz=float("inf")))
+        errs = validate_config(RunConfig(wait_angle=float("nan"), T_couple=float("inf")))
         assert any("wait_angle must be finite" in e for e in errs)
-        assert any("T_ghz must be finite" in e for e in errs)
+        assert any("T_couple must be finite" in e for e in errs)
 
 
 class TestSweepPointRanges:
@@ -225,7 +226,7 @@ class TestSweepPointRanges:
          "U_max=100000.0"),
         (["sweep", "--experiment", "teleport", "--axis", "U_max", "--values", "100,1e5"],
          "U_max=100000.0"),
-        (["sweep", "--experiment", "chain", "--n-support", "3", "--t-couple", "100",
+        (["sweep", "--experiment", "teleport", "--n-support", "3", "--t-couple", "100",
           "--axis", "U_max", "--values", "15,1e5"], "U_max=100000.0"),
     ])
     def test_exit_2_before_any_point_runs(self, tmp_path, capsys, monkeypatch, argv, field):
@@ -235,7 +236,8 @@ class TestSweepPointRanges:
         assert f"sweep point {field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["teleport", "--mode", "effective"], ["chain", "--mode", "effective"], ["encode"],
+        ["teleport", "--mode", "effective"], ["teleport", "--n-support", "4", "--mode", "effective"],
+        ["encode"],
     ], ids=" ".join)
     def test_runs_without_a_ramp_are_not_refused_for_one(self, tmp_path, monkeypatch, argv):
         monkeypatch.setattr(protocol, "ramp_support", no_ramp)
@@ -322,7 +324,8 @@ class TestOneSettingsTable:
 
     def test_build_params_carries_every_field(self):
         changed = dict(w=2.0, phi=0.3, U_max=60.0, Uprime_max=50.0, T_ent=150.0,
-                       T_couple=120.0, bell_U=40.0, wait_angle=0.5, mode="effective", seed=11)
+                       T_couple=120.0, bell_U=40.0, wait_angle=0.5, mode="effective", seed=11,
+                       n_support=3)
         assert set(changed) == {f.name for f in fields(ProtocolParams)} - {"integrator"}
         default = ProtocolParams()
         assert all(getattr(default, k) != v for k, v in changed.items())
@@ -339,7 +342,7 @@ class TestInputSweeps:
 
     @pytest.mark.parametrize("base", [
         RunConfig(experiment="teleport", U_max=20.0, dt=0.5),
-        RunConfig(experiment="chain", mode="effective", n_support=4),
+        RunConfig(experiment="teleport", mode="effective", n_support=4),
     ])
     @pytest.mark.parametrize("axis, values", [("alpha_abs", "0.9,0.2,0.5"),
                                               ("beta_phase", "0.3,1.1")])
@@ -369,7 +372,7 @@ class TestInputSweeps:
         # broken gate here is a non-finite one, refused by the readout's build
         monkeypatch.setattr(protocol, "rotation_gate", lambda params, t: np.full((4, 4), np.nan))
         out = tmp_path / "leak"
-        assert main(["chain", "--mode", "effective", "--n-support", "3",
+        assert main(["teleport", "--mode", "effective", "--n-support", "3",
                      "--output", str(out)]) == 3
         assert not (tmp_path / "leak.csv").exists()
 
@@ -383,7 +386,7 @@ class TestDerivedValues:
         ["teleport", "--mode", "effective", "--uprime-max", "0"],
         ["bell", "--uprime-max", "0"],
         ["couple", "--uprime-max", "0"],
-        ["chain", "--uprime-max", "0"],
+        ["teleport", "--n-support", "3", "--uprime-max", "0"],
         ["teleport", "--mode", "effective", "--bell-u", "1e-320"],  # the rate overflows
         ["teleport", "--mode", "effective", "--w", "1e-300"],  # w^2 underflows
         ["sweep", "--experiment", "teleport", "--mode", "effective", "--axis", "bell_U",
@@ -404,6 +407,50 @@ class TestDerivedValues:
         # U' = 0 leaves the coupler unramped, but an explicit bell_U runs the channel
         assert main(["teleport", "--mode", "effective", "--uprime-max", "0", "--bell-u", "100",
                      "--output", str(tmp_path / "x")]) == 0
+
+
+class TestOneSupportLength:
+    """n_support reaches every channel experiment through ProtocolParams: one setting, one
+    channel builder, and no chain experiment or GHZ ramp of its own."""
+
+    def test_an_effective_sweep_over_n_support_builds_each_length(self, tmp_path):
+        assert main(["sweep", "--experiment", "teleport", "--mode", "effective", "--axis",
+                     "n_support", "--values", "2,3,4", "--output", str(tmp_path / "x")]) == 0
+        rows = read_rows(tmp_path / "x.csv")
+        assert [r["n_support"] for r in rows] == ["2", "3", "4"]
+        assert [r["T_ent"] for r in rows] == ["200", "300", "300"]
+        assert len({r["ghz_overlap_sq"] for r in rows}) == 3
+        target = cli.input_qubit(RunConfig())
+        for n, row in zip((2, 3, 4), rows):
+            res = protocol.build_channel(ProtocolParams(mode="effective", n_support=n)).teleport(
+                target)
+            branches = {b.outcome: b.fidelity for b in res.branches}
+            expected = dict(outcome=res.outcome, p0=res.p0, p1=res.p1,
+                            fidelity=res.fidelity_to_input, fidelity_branch0=branches[0],
+                            fidelity_branch1=branches[1],
+                            ghz_overlap_sq=res.step_log["channel"]["ghz_overlap_sq"])
+            assert {c: row[c] for c in expected} == {
+                c: cli.format_cell(v) for c, v in expected.items()}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["chain"], "invalid choice: 'chain'"),
+        (["teleport", "--t-ghz", "45"], "unrecognized arguments: --t-ghz 45"),
+        (["sweep", "--experiment", "chain", "--axis", "w", "--values", "1"],
+         "invalid choice: 'chain'"),
+    ], ids=["chain", "t-ghz", "sweep-chain"])
+    def test_the_chain_experiment_and_its_ramp_flag_are_unknown(self, argv, message, tmp_path,
+                                                                capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert message in capsys.readouterr().err
+
+    def test_entangle_refuses_a_longer_support(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(protocol, "ramp_support", no_ramp)
+        assert main(["entangle", "--n-support", "3", "--output", str(tmp_path / "x")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "config error: entangle prepares the support pair" in capsys.readouterr().err
 
 
 class TestFullModeRows:
@@ -427,19 +474,22 @@ class TestFullModeRows:
 
     def test_chain_row(self, tmp_path):
         out = tmp_path / "ch"
-        code = main(["chain", "--mode", "effective", "--n-support", "4",
+        code = main(["teleport", "--mode", "effective", "--n-support", "4",
                      "--alpha-abs", "0.6", "--output", str(out)])
         assert code == 0
         row = read_rows(tmp_path / "ch.csv")[0]
         assert float(row["fidelity"]) == pytest.approx(1.0, abs=1e-10)
-        assert float(row["ghz_overlap_sq"]) == pytest.approx(1.0, abs=1e-12)
+        # the support is the plateau ground state: its GHZ overlap is the dense reference's
+        reference = StateVector(plateau_ground_state(ProtocolParams(), 4))
+        assert float(row["ghz_overlap_sq"]) == pytest.approx(
+            fidelity(reference, bell_target(4)), abs=1e-12)
 
     def test_rows_record_resolved_T_couple(self, tmp_path):
         # full mode writes the derived coupling duration; effective mode has none
         cases = (
             (["couple", "--u-max", "30", "--uprime-max", "30"],
              ProtocolParams(U_max=30.0, Uprime_max=30.0), 2),
-            (["chain", "--n-support", "3", "--u-max", "15", "--uprime-max", "40", "--dt", "0.2"],
+            (["teleport", "--n-support", "3", "--u-max", "15", "--uprime-max", "40", "--dt", "0.2"],
              ProtocolParams(U_max=15.0, Uprime_max=40.0), 3),
         )
         for i, (args, params, n_support) in enumerate(cases):
@@ -453,27 +503,27 @@ class TestFullModeRows:
         assert read_rows(tmp_path / "tc_eff.csv")[0]["T_couple"] == ""
 
     def test_chain_rows_record_the_ghz_ramp(self, tmp_path):
-        # an auto T_ghz is written as resolved, and the row is then the explicit ramp's
-        base = ["chain", "--n-support", "3", "--u-max", "20"]
-        for name, args in (("auto", base), ("given", base + ["--t-ghz", "60"])):
+        # a chain's support ramp is T_ent: an auto one is written as resolved, 3 U/w^2 from
+        # three sites on, and the row is then the explicit ramp's
+        base = ["teleport", "--n-support", "3", "--u-max", "20"]
+        for name, args in (("auto", base), ("given", base + ["--t-ent", "60"])):
             assert main(args + ["--output", str(tmp_path / name)]) == 0
         auto, given = read_rows(tmp_path / "auto.csv")[0], read_rows(tmp_path / "given.csv")[0]
-        assert auto["T_ghz"] == "60" and auto == given
-        for args, T_ghz in ((["chain", "--mode", "effective"], "300"),
-                            (["chain", "--mode", "effective", "--t-ghz", "7.5"], "7.5"),
-                            (["teleport", "--mode", "effective"], ""),
-                            (["teleport", "--mode", "effective", "--t-ghz", "7.5"], "7.5")):
-            assert main(args + ["--output", str(tmp_path / "x")]) == 0
-            assert read_rows(tmp_path / "x.csv")[0]["T_ghz"] == T_ghz
+        assert auto["T_ent"] == "60" and auto == given
+        for args, T_ent in ((["--n-support", "3"], "300"), (["--n-support", "3", "--t-ent", "7.5"],
+                                                             "7.5"), ([], "200")):
+            assert main(["teleport", "--mode", "effective", *args,
+                         "--output", str(tmp_path / "x")]) == 0
+            assert read_rows(tmp_path / "x.csv")[0]["T_ent"] == T_ent
 
     def test_infeasible_chain_exits_2(self, tmp_path):
-        code = main(["chain", "--n-support", "4", "--u-max", "100",
+        code = main(["teleport", "--n-support", "4", "--u-max", "100",
                      "--output", str(tmp_path / "x")])
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
         ["entangle", "--u-max", "1e200"],
-        ["chain", "--u-max", "1e200", "--n-support", "4", "--t-couple", "10"],
+        ["teleport", "--u-max", "1e200", "--n-support", "4", "--t-couple", "10"],
     ])
     def test_out_of_reach_auto_ramp_exits_2(self, tmp_path, capsys, argv):
         assert main(argv + ["--output", str(tmp_path / "x")]) == 2
@@ -495,7 +545,7 @@ class TestOutputPath:
     """An output directory that is missing or not writable is a config error: exit 2 before
     any stage runs, and nothing written.  A write that fails anyway exits 2 with one line."""
 
-    STAGES = ("pair_channel", "make_entangled_pair", "ramp_support", "couple_unknown",
+    STAGES = ("build_channel", "make_entangled_pair", "ramp_support", "couple_unknown",
               "bell_evolution", "rotation_gate", "effective_gate")
 
     @pytest.fixture
@@ -511,7 +561,7 @@ class TestOutputPath:
 
     def test_the_spy_sees_a_run_that_goes_ahead(self, tmp_path, stage_calls):
         assert main(self.ARGV + [str(tmp_path / "x")]) == 0
-        assert "pair_channel" in stage_calls
+        assert "build_channel" in stage_calls
 
     @pytest.mark.parametrize("missing", [True, False], ids=["missing", "not-writable"])
     def test_refused_before_any_stage(self, tmp_path, capsys, monkeypatch, stage_calls, missing):

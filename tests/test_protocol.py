@@ -38,6 +38,7 @@ from dqdsim.protocol import (
     alice_measure_and_correct,
     bell_evolution,
     bell_target,
+    build_channel,
     couple_unknown,
     coupler_graph,
     cross_to_aligned_ratio,
@@ -48,15 +49,16 @@ from dqdsim.protocol import (
     ghz_covariance,
     ghz_encoded,
     make_entangled_pair,
-    pair_channel,
+    plateau_covariance,
     ramp_support,
     resolve_coupling,
     rotation_gate,
     support_graph,
     teleport_end_to_end,
 )
-from references import (align_phase, bell_decomposition_check, encode_graph, fit_oscillation,
-                        majorana_covariance, random_covariance)
+from references import (align_phase, bell_decomposition_check, effective_pair_covariance,
+                        encode_graph, fit_oscillation, majorana_covariance, plateau_ground_state,
+                        random_covariance)
 
 EFFECTIVE = ProtocolParams(mode="effective")
 
@@ -321,8 +323,37 @@ class TestSupportCovariance:
         gamma = ghz_covariance(n)
         assert np.max(np.abs(gamma - majorana_covariance(bell_target(n).amps))) <= 1e-15
         assert not gamma.flags.writeable
-        if n < 8:
-            assert make_ghz_chain(ChainSpec(n, EFFECTIVE))[0] is gamma
+        if n < 8:  # the effective support is the plateau ground state, memoised
+            assert make_ghz_chain(ChainSpec(n, EFFECTIVE))[0] is plateau_covariance(100.0, 1.0, n)
+
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    @pytest.mark.parametrize("U", [1e-3, 1.0, 25.0, 100.0, 1e5])
+    def test_the_plateau_svd_is_the_pair_closed_form(self, U):
+        gamma = plateau_covariance(U, 1.0, 2)
+        assert np.max(np.abs(gamma - effective_pair_covariance(U, 1.0))) <= 1e-15
+
+    @pytest.mark.filterwarnings("ignore:w/U_max")
+    @pytest.mark.parametrize("U", [0.5, 10.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_the_plateau_state_is_the_dense_ground_state_of_the_plus_sector(self, n, U):
+        # <X_0 ... X_(n-1)> = (-1)^n det W: the sector takes det W = -1 at odd n, so a rule
+        # that keeps det W > 0 would pick the odd sector at n = 3 and 5
+        params = ProtocolParams(U_max=U)
+        gamma, _ = make_entangled_pair(replace(params, mode="effective", n_support=n))
+        assert np.linalg.det(gamma[n:, :n]) == pytest.approx((-1) ** n, abs=1e-12)
+        state = StateVector(gaussian_state(gamma))
+        assert fidelity(state, StateVector(plateau_ground_state(params, n))) >= 1 - 1e-12
+
+    def test_the_effective_build_takes_no_svd_once_memoised(self, monkeypatch):
+        params = ProtocolParams(U_max=123.0, mode="effective")
+        teleport_end_to_end(InputQubit(0.6, 0.8), params)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an SVD ran for a memoised support")
+
+        monkeypatch.setattr(np.linalg, "svd", refused)
+        for q in (InputQubit(0.6, 0.8), InputQubit(0.8, 0.6j)):
+            assert teleport_end_to_end(q, params).fidelity_to_input == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
@@ -366,11 +397,8 @@ class TestSupportCovariance:
         monkeypatch.setattr(protocol, "gaussian_state",
                             lambda gamma: built.append(len(gamma) // 2) or build(gamma))
         monkeypatch.setattr(hilbert, "_majoranas", lambda n: passes.append(n) or majoranas(n))
-        params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.2))
-        if n_support == 2:
-            pair_channel(params)
-        else:
-            ChainChannel(ChainSpec(n_support, params, T_ghz=45.0))
+        build_channel(ProtocolParams(U_max=10.0, T_ent=45.0, n_support=n_support,
+                                     integrator=PropagatorConfig(dt=0.2)))
         assert built == passes == [n_support + 1]
 
 
@@ -554,10 +582,7 @@ class TestChannel:
         params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.05))
         t_couple, _, _ = resolve_coupling(params, n_support)
         seen = self.coupling_sweeps(monkeypatch, n_support, t_couple)
-        if n_support == 2:
-            pair_channel(params)
-        else:
-            ChainChannel(ChainSpec(n_support, params))
+        build_channel(replace(params, n_support=n_support))
         assert seen == [("majorana", 2 * n_support), ("majorana", 2 * (n_support + 1))]
 
     @pytest.mark.parametrize("case", ["phased support"])
@@ -829,7 +854,7 @@ class TestMeasureAndCorrect:
     def test_leakage_is_nonnegative_on_the_full_pair(self):
         # summed as 1 - (code-pair weight), it read -3e-14 to -8e-13 here
         params = ProtocolParams()
-        channel = protocol.pair_channel(params)
+        channel = protocol.build_channel(params)
         rng = np.random.default_rng(9)
         for _ in range(3):
             enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
@@ -1072,10 +1097,16 @@ class TestParams:
     @pytest.mark.parametrize("kwargs", [
         dict(w=np.nan), dict(w=np.inf), dict(U_max=np.nan), dict(U_max=np.inf),
         dict(Uprime_max=np.nan), dict(T_couple=np.nan), dict(T_ent=np.inf), dict(phi=np.nan),
+        dict(U_max=10**400),  # an int past a float's range
     ])
     def test_rejects_non_finite_numbers(self, kwargs):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="must be finite"):
             ProtocolParams(**kwargs)
+
+    @pytest.mark.parametrize("n_support", [1, 12, True, 3.0, "3", None])
+    def test_rejects_an_n_support_that_is_no_integer_in_range(self, n_support):
+        with pytest.raises(DimensionError, match=r"n_support must be an integer in \[2, 11\]"):
+            ProtocolParams(n_support=n_support)
 
     @pytest.mark.parametrize("kwargs", [dict(T_ent=0.0), dict(T_couple=-1.0), dict(bell_U=0.0)])
     def test_rejects_non_positive_durations_and_bell_coupling(self, kwargs):
@@ -1113,7 +1144,7 @@ class TestParams:
         monkeypatch.setattr(protocol, "ramp_support", no_ramp)
         params = ProtocolParams(mode=mode, **kwargs)
         with pytest.raises(ConfigError, match=match):
-            pair_channel(params)
+            build_channel(params)
         with pytest.raises(ConfigError, match=match):
             ChainChannel(ChainSpec(3, params))
 
@@ -1145,7 +1176,7 @@ class TestNoRechecks:
 
     def test_effective_build_and_teleports_check_no_state(self, monkeypatch):
         checked = self.checked_states(monkeypatch)
-        chain, pair = ChainChannel(ChainSpec(3, EFFECTIVE)), pair_channel(EFFECTIVE)
+        chain, pair = ChainChannel(ChainSpec(3, EFFECTIVE)), build_channel(EFFECTIVE)
         assert checked == []
         rng = np.random.default_rng(12)
         for channel in (pair, chain):
@@ -1172,7 +1203,7 @@ class TestEffectiveLimit:
         qubits = [InputQubit.random(np.random.default_rng(seed)) for seed in range(20)]
         losses = []
         for U in (25.0, 50.0, 100.0, 200.0):
-            channel = pair_channel(ProtocolParams(U_max=U))
+            channel = build_channel(ProtocolParams(U_max=U))
             losses.append(1.0 - np.mean([channel.teleport(q).fidelity_to_input for q in qubits]))
             assert losses[-1] * U <= 0.06  # in units of w
         assert all(a > b for a, b in zip(losses, losses[1:])), losses
