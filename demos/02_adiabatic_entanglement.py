@@ -26,8 +26,8 @@ for U in (0.0, 1.0, 3.0, 10.0, 100.0):
           f"Bell overlap^2 = {fidelity(ref, bell_target(2)):.6f}   "
           f"concurrence = {concurrence(ref):.6f}")
 
-print("\nFull ramp U: 0 -> 100 w (smooth, duration scan):")
-for T in (50.0, 100.0, 200.0):
+print("\nFull ramp U: 0 -> 100 w (gap-adapted tangent profile, duration scan):")
+for T in (15.0, 30.0, 60.0, 120.0):
     params = ProtocolParams(U_max=100.0, T_ent=T, mode="full")
     gamma, diag = make_entangled_pair(params)  # the pair's Majorana covariance
     state = StateVector(gaussian_state(gamma))
@@ -35,7 +35,9 @@ for T in (50.0, 100.0, 200.0):
           f"ground infidelity = {1 - diag.final_ground_overlap_sq:.2e}   "
           f"Bell overlap^2 = {fidelity(state, bell_target(2)):.6f}")
 
-print("\nThe ground infidelity drops roughly as 1/T^4 thanks to the smooth")
-print("(zero-slope) ramp endpoints; the Bell overlap saturates at the")
-print("plateau value 1/(1+r^2) because the exact ground state keeps a")
-print("residual 2w/U cross amplitude.")
+print("\nThe ramp follows the kept sector's two-level crossing, of gap")
+print("sqrt(U^2 + 16 w^2), so its ground infidelity falls like 1/T^2 and oscillates")
+print("with the phase its ends accumulate; the default 0.6 U/w^2 = 60/w leaves it")
+print("below the plateau's own (w/U)^2.  The Bell overlap saturates at the plateau")
+print("value 1/(1+r^2) because the exact ground state keeps a residual 2w/U cross")
+print("amplitude.")

@@ -20,7 +20,7 @@ for _ in range(3):
     print(f"  input ({q.alpha:+.3f}, {q.beta:+.3f})  outcome {res.outcome}  "
           f"p0 = {res.p0:.3f}  fidelity = {res.fidelity_to_input:.12f}")
 
-print("\nFull mode at U = U' = 100 w (ramp durations ~ 200/w, auto-derived):")
+print("\nFull mode at U = U' = 100 w (auto-derived ramps: entangle 60/w, couple 200/w):")
 full = ProtocolParams(U_max=100.0, mode="full")
 om = effective_rabi(1.0, 100.0)
 print(f"  rotation rate 2w^2/U = {om}, quarter-cycle wait = {np.pi / 4 / om:.2f}/w")

@@ -409,7 +409,9 @@ def scheduled_propagator(g: dev.DeviceGraph, t0: float, t1: float,
 
 @dataclass(frozen=True)
 class RampDiagnostics:
-    """Adiabaticity record of one ramp."""
+    """Adiabaticity record of one ramp.  ``min_gap`` is the least 2 sigma_min(K): the
+    parity-changing crossing, which a ramp from |+>^n never meets, not the gap in its sector
+    (sqrt(U^2 + 16 w^2) on the pair's ramp, the one its tangent profile follows)."""
 
     min_gap: float
     gap_times: np.ndarray

@@ -6,7 +6,7 @@ Bob; any qubits in between belong to a longer support chain):
 1. encode   -- free tunneling evolution of |0>, cut off at time t_bar;
 2. entangle -- slow growth of every inter-pair Coulomb repulsion takes the
    support register from its separable ground state |+>^n to its plateau
-   ground state, near (|0...0> + |1...1>)/sqrt(2);
+   ground state, near (|0...0> + |1...1>)/sqrt(2), on :func:`ramp_support`'s profile;
 3. couple   -- slow growth of the encoder-support repulsion maps
    (a|0> + b|1>) x (|00>+|11>)/sqrt(2) onto a|000> + b|111>;
 4. bell     -- encoder and support-1 tunneling on, everything else frozen:
@@ -104,10 +104,10 @@ class ProtocolParams:
     ``n_support``, an integer in [2, MAX_QUBITS - 1], is the length of the support
     register: 2 is the pair, and Bob's qubit is its far end.  Durations left as None
     are derived from the spectral structure: the support's entangling ramp
-    ``T_ent = 2 U_max / w^2`` for the pair and ``3 U_max / w^2`` for longer supports,
-    and ``T_couple = 4/J`` where 2J is the avoided-crossing gap of the support register
-    at the start of the coupling ramp (J = 2 w^2/U_max for the pair).  Both reduce to
-    200/w for the pair at the reference point U_max = Uprime_max = 100 w.
+    ``T_ent = 0.6 U_max / w^2`` for the pair and ``3 U_max / w^2`` for longer supports
+    (:meth:`resolved_T_ent`), and ``T_couple = 4/J`` where 2J is the avoided-crossing gap
+    of the support register at the start of the coupling ramp (J = 2 w^2/U_max for the
+    pair).  At the reference point U_max = Uprime_max = 100 w the pair's are 60/w and 200/w.
 
     ``Uprime_max`` (the encoder-support plateau) tracks U_max unless set,
     so a sweep of U_max moves the whole repulsion family.  ``bell_U`` is
@@ -168,11 +168,14 @@ class ProtocolParams:
         return self.resolved_Uprime() if self.bell_U is None else self.bell_U
 
     def resolved_T_ent(self) -> float:
-        """T_ent, or the default max(f U_max / w^2, 10 / w), f = 2 for the pair and 3 for a
-        longer support; ConfigError when that is not finite."""
+        """T_ent, or the default max(f U_max / w^2, 10 / w); ConfigError when that is not finite.
+        f = 3 for three or more sites, whose chain crosses the Ising critical point at U = 2w.
+        The pair's ramp follows its crossing of gap sqrt(U^2 + 16 w^2) (:func:`ramp_support`)
+        at adiabaticity eps = 1/(8 w T); f = 0.6 makes eps ~ w/U, so the ramp's boundary
+        loss, ~eps^2, tracks the plateau's own (w/U)^2."""
         if self.T_ent is not None:
             return self.T_ent
-        factor, w2 = (2.0 if self.n_support == 2 else 3.0), self.w**2
+        factor, w2 = (0.6 if self.n_support == 2 else 3.0), self.w**2
         t = max(factor * self.U_max / w2, 10.0 / self.w) if w2 else np.inf
         if not t < np.inf:
             raise ConfigError(f"the default support ramp {factor:g} U_max/w^2 is not finite at "
@@ -356,11 +359,15 @@ def ramp_support(params: ProtocolParams, n_support: int, T: float):
 
     The register starts in its uncoupled ground state |+>^n, of covariance
     [[0, I], [-I, 0]] in closed form (i<a_k b_k> = <X_k> = 1), and every link ramps
-    0 -> U_max together over T.  The ramp is an open transverse-field Ising chain, so
-    :func:`evolve.adiabatic_ramp` sweeps that covariance and returns the register's,
-    Gamma_S; ``hilbert.gaussian_state(Gamma_S)`` builds its amplitudes.
+    0 -> U_max together over T: the pair's on ``Schedule.tangent`` of gap scale 2w, as its
+    sector is the crossing [[0, -2w], [-2w, U]], longer supports' on a smoothstep.  The
+    ramp is an open transverse-field Ising chain, so :func:`evolve.adiabatic_ramp` sweeps
+    that covariance and returns the register's, Gamma_S; ``hilbert.gaussian_state(Gamma_S)``
+    builds its amplitudes.
     """
-    g = support_graph(params, n_support, dev.Schedule.smooth(0.0, params.U_max, 0.0, T))
+    g = support_graph(params, n_support, dev.Schedule.tangent(
+        0.0, params.U_max, 0.0, T, gap_scale=2.0 * params.w) if n_support == 2 else
+        dev.Schedule.smooth(0.0, params.U_max, 0.0, T))
     plus = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n_support))
     return evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
 
@@ -680,6 +687,15 @@ class Channel:
             "measure": log["measure"],
         }
         return result
+
+    def mean_fidelity(self) -> float:
+        """The exact Haar mean of sum_k p_k F_k over inputs u fed to the coupler (not the
+        encoder, whose qubits carry a fixed phase): it is quadratic in u u^+, so the six
+        Pauli eigenstates, a 2-design, give it exactly."""
+        s = math.sqrt(0.5)
+        pauli = ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (s, 1j * s), (s, -1j * s))
+        return sum(b.probability * b.fidelity for u in pauli
+                   for b in self._readout.read(u, self.params, InputQubit(*u)).branches) / 6
 
 
 def build_channel(params: ProtocolParams) -> Channel:

@@ -24,7 +24,6 @@ from dqdsim.protocol import (
     couple_unknown,
     cross_to_aligned_ratio,
     entangled_pair_reference,
-    ramp_support,
     support_crossing_gap,
     support_graph,
     teleport_end_to_end,
@@ -91,9 +90,12 @@ class TestGhzChain:
         # in chain length for one fixed schedule
         infids = []
         cfg = PropagatorConfig(dt=2e-3)
+        params = ProtocolParams(U_max=100.0, mode="full", integrator=cfg)
+        smooth = Schedule.smooth(0.0, params.U_max, 0.0, 300.0)
         for ns in (2, 3, 4):
-            params = ProtocolParams(U_max=100.0, mode="full", integrator=cfg)
-            _, diag = ramp_support(params, ns, 300.0)
+            g = support_graph(params, ns, smooth)
+            plus = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(ns))
+            _, diag = evolve.adiabatic_ramp(plus, g, 0.0, 300.0, cfg)
             infids.append(1.0 - diag.final_ground_overlap_sq)
         assert infids[0] <= infids[1] <= infids[2]
 
@@ -148,11 +150,11 @@ class TestChainTeleport:
             assert np.array_equal(a.bob_state_corrected.amps, b.bob_state_corrected.amps)
 
     def test_two_site_chain_defaults_are_the_pair(self):
-        # one rule for every length: the default support ramp is 2 U/w^2 for two sites and
+        # one rule for every length: the default support ramp is 0.6 U/w^2 for two sites and
         # 3 U/w^2 from three on, and effective mode's support is the plateau ground state,
         # whose GHZ overlap is 1/(1 + r^2) for the pair
         params = ProtocolParams(U_max=100.0)
-        assert [ChainSpec(n, params).resolved_T_ghz() for n in (2, 3)] == [200.0, 300.0]
+        assert [ChainSpec(n, params).resolved_T_ghz() for n in (2, 3)] == [60.0, 300.0]
         q = InputQubit(0.6, 0.8)
         chain = ChainChannel(ChainSpec(2, EFFECTIVE)).teleport(q).step_log["channel"]
         pair = build_channel(EFFECTIVE).teleport(q).step_log["channel"]

@@ -135,8 +135,8 @@ class TestRuns:
          "entangle,effective,1,0,0.001,0.001,0.001,10,,0.785398163397,0.6,0,2,7,,"
          "0.500124999996,1,1,,0.000249999992188"),
         # full mode scores gaussian_state of the ramp's covariance
-        ([], "entangle,full,1,0,100,100,100,200,,0.785398163397,0.6,0,2,7,,0.999599340002,"
-             "0.999999986294,0.999999986294,0.0399840127872,0.999198705851"),
+        ([], "entangle,full,1,0,100,100,100,60,,0.785398163397,0.6,0,2,7,,0.999593751909,"
+             "0.99998273528,0.99998273528,0.0399840127872,0.999221921383"),
     ])
     def test_entangle_rows_are_pinned(self, argv, row, tmp_path):
         assert main(["entangle", *argv, "--output", str(tmp_path / "ent")]) == 0
@@ -418,7 +418,7 @@ class TestOneSupportLength:
                      "n_support", "--values", "2,3,4", "--output", str(tmp_path / "x")]) == 0
         rows = read_rows(tmp_path / "x.csv")
         assert [r["n_support"] for r in rows] == ["2", "3", "4"]
-        assert [r["T_ent"] for r in rows] == ["200", "300", "300"]
+        assert [r["T_ent"] for r in rows] == ["60", "300", "300"]
         assert len({r["ghz_overlap_sq"] for r in rows}) == 3
         target = cli.input_qubit(RunConfig())
         for n, row in zip((2, 3, 4), rows):
@@ -511,7 +511,7 @@ class TestFullModeRows:
         auto, given = read_rows(tmp_path / "auto.csv")[0], read_rows(tmp_path / "given.csv")[0]
         assert auto["T_ent"] == "60" and auto == given
         for args, T_ent in ((["--n-support", "3"], "300"), (["--n-support", "3", "--t-ent", "7.5"],
-                                                             "7.5"), ([], "200")):
+                                                             "7.5"), ([], "60")):
             assert main(["teleport", "--mode", "effective", *args,
                          "--output", str(tmp_path / "x")]) == 0
             assert read_rows(tmp_path / "x.csv")[0]["T_ent"] == T_ent

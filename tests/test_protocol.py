@@ -229,8 +229,12 @@ class TestSupportRamp:
         return seen
 
     def ramp_graph(self, n_support):
-        return support_graph(self.PARAMS, n_support,
-                             Schedule.smooth(0.0, self.PARAMS.U_max, 0.0, self.T))
+        # the pair's links follow its two-level crossing, of gap scale 2w; longer supports
+        # ramp on a smoothstep
+        p = self.PARAMS
+        return support_graph(p, n_support, Schedule.tangent(
+            0.0, p.U_max, 0.0, self.T, gap_scale=2.0 * p.w) if n_support == 2 else
+            Schedule.smooth(0.0, p.U_max, 0.0, self.T))
 
     def assert_diagnostics_match_scan(self, g, start, final, diag):
         ts = np.linspace(0.0, self.T, 64)
@@ -1123,7 +1127,7 @@ class TestParams:
 
     def test_duration_defaults_scale_with_coupling(self):
         p = ProtocolParams(U_max=100.0, Uprime_max=100.0)
-        assert p.resolved_T_ent() == pytest.approx(200.0)
+        assert p.resolved_T_ent() == pytest.approx(60.0)
         gap = (np.hypot(100.0, 4.0) - 100.0) / 2.0
         assert p.resolved_T_couple(gap) == pytest.approx(8.0 / gap)
         assert p.resolved_bell_U() == pytest.approx(100.0)
@@ -1199,7 +1203,8 @@ class TestNoRechecks:
 
 class TestEffectiveLimit:
     def test_full_mode_approaches_the_effective_limit(self):
-        # as w/U -> 0 the full dynamics' mean infidelity falls, and like w/U
+        # as w/U -> 0 the full dynamics' mean infidelity falls, like (w/U)^2 plus the
+        # coupling's floor
         qubits = [InputQubit.random(np.random.default_rng(seed)) for seed in range(20)]
         losses = []
         for U in (25.0, 50.0, 100.0, 200.0):
@@ -1207,3 +1212,47 @@ class TestEffectiveLimit:
             losses.append(1.0 - np.mean([channel.teleport(q).fidelity_to_input for q in qubits]))
             assert losses[-1] * U <= 0.06  # in units of w
         assert all(a > b for a, b in zip(losses, losses[1:])), losses
+
+
+class TestMeanFidelity:
+    """Channel.mean_fidelity: the exact Haar mean of the branch-weighted fidelity."""
+
+    @staticmethod
+    def weighted(channel, u):
+        branches = channel._readout.read(u, channel.params, InputQubit(*u)).branches
+        return sum(b.probability * b.fidelity for b in branches)
+
+    def test_is_the_haar_mean(self):
+        channel = build_channel(ProtocolParams(U_max=100.0))
+        rng = np.random.default_rng(2027)
+        samples = []
+        for _ in range(4000):
+            q = InputQubit.random(rng)
+            samples.append(self.weighted(channel, (q.alpha, q.beta)))
+        sigma = np.std(samples) / np.sqrt(len(samples))
+        assert abs(channel.mean_fidelity() - np.mean(samples)) <= 3 * sigma
+        # any other 2-design gives the same mean: the tetrahedron's four states
+        s, t = np.sqrt(1 / 3), np.sqrt(2 / 3)
+        sic = [(1.0, 0.0)] + [(s, t * np.exp(2j * np.pi * k / 3)) for k in range(3)]
+        assert abs(np.mean([self.weighted(channel, u) for u in sic])
+                   - channel.mean_fidelity()) <= 1e-13
+
+    def test_effective_mode_is_faithful(self):
+        assert abs(build_channel(EFFECTIVE).mean_fidelity() - 1.0) <= 1e-15
+
+
+class TestPairRampBudget:
+    # the exact mean infidelity 1 - F of the pair's former ramp, a smoothstep over 2 U/w^2
+    SMOOTHSTEP_LOSS = {25.0: 2.6032e-3, 50.0: 6.0580e-4, 100.0: 1.6214e-4, 200.0: 5.8701e-5,
+                       400.0: 3.2819e-5}
+
+    @pytest.mark.parametrize("scale", [0.75, 1.0, 1.5])
+    @pytest.mark.parametrize("U", sorted(SMOOTHSTEP_LOSS))
+    def test_default_ramp_keeps_the_smoothstep_budget(self, U, scale):
+        # the tangent ramp's default stays within the smoothstep's loss, and does not sit on
+        # a cliff: a quarter shorter or half longer keeps it too
+        params = ProtocolParams(U_max=U)
+        if scale != 1.0:
+            params = replace(params, T_ent=scale * params.resolved_T_ent())
+        loss = 1.0 - build_channel(params).mean_fidelity()
+        assert loss <= 1.35 * self.SMOOTHSTEP_LOSS[U]
