@@ -25,6 +25,7 @@ with batched products alone (``_rotations``), without an eigendecomposition.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -182,7 +183,7 @@ def _rotations(Ks, h):
     """
     N, M = Ks.shape[0], Ks.shape[-1]
     h2 = 2 * np.broadcast_to(h, N)
-    norms = [np.einsum(f, np.abs(Ks)).max(1) for f in ("kij->kj", "kij->ki")]  # ||K||_1, _inf
+    norms = [functools.reduce(np.maximum, np.einsum(f, np.abs(Ks))) for f in ("kij->jk", "kij->ik")]
     s = int(np.ceil(np.log2(max((np.abs(h2) * np.sqrt(norms[0] * norms[1])).max(), 2.0) / 2)))
     tau = np.ldexp(h2, -s)
     t = tau * (1 + 2.0**-29 * ((np.arange(N) * _GOLDEN) % 1 - 0.5))
@@ -247,30 +248,31 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     """Interval edges over [t0, t1], or None when no schedule moves there (each takes one
     value at t0 and t1).
 
-    The window is cut into equal intervals of at most h.  An interval of
-    length s over which H moves is halved while its local-error proxy
-    s ||dH|| max(1, s ||H||) exceeds ``GRID_TOL`` h / h_auto, h_auto = 2 dt
-    of the auto step.  With ||dH|| ~ s ||H'||, halving s quarters the proxy
-    while halving h halves the threshold: a graded stretch's steps shrink
-    like sqrt(dt), so it converges at second order in dt where the bulk
-    converges at fourth, and the refinement fades as dt shrinks.  An interval
-    is also halved while it moves by s ||dH|| > ``STILL`` at a phase
-    s ||H|| above ``MAX_PHASE``: the pair's entangle ramp errs by 2e-4 at a
-    phase of 8 and by 4e-9 at 4, while a barely moving stretch is fine at any
-    phase.  Runs of intervals over which H does not move are merged.  When
-    h >= h_auto, intervals 2k, 2k + 1 are then merged, pass after pass, while
-    their union of length s passes both tests and its halves move alike, by a
-    and b with s |a - b| max(1, s ||H||) <= ``STILL`` (merging a smooth ramp's
-    ends, whose rate grows from 0, raised the pair's entangle error from 1.2e-7
-    to 2.1e-7).  Merged steps do not shrink like h, so a finer dt is not
-    merged.  ||dH|| and ||H|| are bounded from the graph's schedules, weighted
-    by :func:`device.norm_weights`, so every block and sector of the device
-    steps on the same grid.  Cost: each distinct schedule is evaluated at t0
-    and t1 and once per edge the grid creates, each halving pass tests only
-    the intervals the last one split, and the merge passes reuse the values.
+    The window is cut into equal intervals of at most h.  An interval of length s over
+    which H moves is halved while its local-error proxy s ||dH|| max(1, s ||H||) exceeds
+    ``GRID_TOL`` h / h_auto, h_auto = 2 dt of the auto step.  With ||dH|| ~ s ||H'||,
+    halving s quarters the proxy while halving h halves the threshold: a graded stretch's
+    steps shrink like sqrt(dt), so it converges at second order in dt where the bulk
+    converges at fourth, and the refinement fades as dt shrinks.  An interval is also
+    halved while it moves by s ||dH|| > ``STILL`` at a phase s ||H||_s above ``MAX_PHASE``,
+    ||H||_s its own bound (CF4 converges below a phase of pi; Moan & Niesen, Found.
+    Comput. Math. 8, 291 (2008)): the pair's entangle ramp errs by 2e-4 at a phase of 8
+    and by 4e-9 at 4, while a barely moving stretch is fine at any phase.  The proxy keeps
+    the window's ||H||: at ||H||_s it erred 9x more.  Runs of intervals over which H does
+    not move are merged.  When h >= h_auto, intervals 2k, 2k + 1 are then merged, pass
+    after pass, while their union of length s passes both tests and its halves move
+    alike, by a and b with s |a - b| max(1, s ||H||) <= ``STILL`` (merging a smooth
+    ramp's ends, whose rate grows from 0, raised the pair's entangle error from 1.2e-7 to
+    2.1e-7).  Merged steps do not shrink like h, so a finer dt is not merged.  The
+    monotone schedules' values at the window's ends bound ||H||, and at an interval's
+    ends ||dH|| and ||H||_s, weighted by :func:`device.norm_weights`, so every block and
+    sector of the device steps on the same grid.  Cost: each distinct schedule is evaluated
+    at t0 and t1 and once per edge the grid creates, each halving pass tests only the
+    intervals the last one split, and the merge passes reuse the values.
     Raises ConfigError before building a grid of more than ``MAX_INTERVALS``.
     """
     driven = dev.norm_weights(g)
+    held = sum(w * abs(s.v_start) for s, w in driven if s.is_constant)
     scheds = list(dict.fromkeys(s for s, _ in driven if not s.is_constant))
     driven = [(scheds.index(s), w) for s, w in driven if not s.is_constant]
 
@@ -285,9 +287,10 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
             raise ConfigError(f"the step grid over [{t0:.3g}, {t1:.3g}] needs {n_intervals:.3g} "
                               f"intervals, more than {MAX_INTERVALS}; the run is out of reach")
 
-    def coarse(span, moved):  # per interval: fails the local-error proxy or the phase rule
-        dh, phase = span * moved, span * scale
-        return (dh * np.maximum(1.0, phase) > tol) | ((dh > STILL) & (phase > MAX_PHASE))
+    def coarse(span, moved, lo, hi):  # per interval of end values lo, hi: fails the local-error
+        dh = span * moved  # proxy, or the phase rule at the bound on ||H|| that lo and hi give
+        phase = span * sum((w * np.maximum(np.abs(lo[i]), np.abs(hi[i])) for i, w in driven), held)
+        return (dh * np.maximum(1.0, span * scale) > tol) | ((dh > STILL) & (phase > MAX_PHASE))
 
     if all(dev.schedule_value(s, t0) == dev.schedule_value(s, t1) for s in scheds):
         return None
@@ -297,8 +300,8 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     tol = GRID_TOL * h / h_auto
     hi = 1 + (lo := np.arange(len(ts) - 1))  # the intervals to test, as indices into ts
     for _ in range(_MAX_HALVINGS):  # each interval that passes keeps passing
-        span = ts[hi] - ts[lo]
-        if not (halve := coarse(span, variation(V[:, lo], V[:, hi]))).any():
+        span, ends = ts[hi] - ts[lo], (V[:, lo], V[:, hi])
+        if not (halve := coarse(span, variation(*ends), *ends)).any():
             break
         check(len(ts) - 1 + np.count_nonzero(halve))
         lo, hi, mid = lo[halve], hi[halve], np.arange(len(ts), len(ts) + np.count_nonzero(halve))
@@ -313,7 +316,7 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
         moved = variation(V[:, :-1], V[:, 1:])
         a, b, span = moved[0:-1:2], moved[1::2], np.diff(edges[::2])
         bend = span * np.abs(b - a) * np.maximum(1.0, span * scale)
-        if not (merge := ~coarse(span, a + b) & (bend <= STILL)).any():
+        if not (merge := ~coarse(span, a + b, V[:, 0:-2:2], V[:, 2::2]) & (bend <= STILL)).any():
             break
         drop = 2 * np.flatnonzero(merge) + 1
         edges, V = np.delete(edges, drop), np.delete(V, drop, axis=1)
@@ -409,15 +412,18 @@ def scheduled_propagator(g: dev.DeviceGraph, t0: float, t1: float,
 
 @dataclass(frozen=True)
 class RampDiagnostics:
-    """Adiabaticity record of one ramp.  ``min_gap`` is the least 2 sigma_min(K): the
-    parity-changing crossing, which a ramp from |+>^n never meets, not the gap in its sector
-    (sqrt(U^2 + 16 w^2) on the pair's ramp, the one its tangent profile follows)."""
+    """Adiabaticity record of one ramp.  ``gaps`` (least ``min_gap``) are 2 sigma_min(K), the
+    parity-changing crossing, which a ramp from |+>^n never meets; ``sector_gaps`` (least
+    ``min_sector_gap``) are 2 (sigma_min + sigma_next), the gap in its sector (inf for one
+    site): sqrt(U^2 + 16 w^2) on the pair's ramp, the one its tangent profile follows."""
 
     min_gap: float
     gap_times: np.ndarray
     gaps: np.ndarray
     initial_ground_overlap_sq: float
     final_ground_overlap_sq: float
+    sector_gaps: np.ndarray
+    min_sector_gap: float
 
 
 def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
@@ -426,11 +432,11 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
     by :func:`sweep_majorana`, and spectral-gap and ground-overlap diagnostics from K(t) of
     :func:`device.majorana_terms`, which raises DeviceError for a g it does not compile.
 
-    One batched SVD K = U S V^T at 64 times gives the gaps E1 - E0 = 2 sigma_min and,
-    at t0 and t1, the ground state's covariance [[0, -U V^T], [V U^T, 0]], whose squared
-    overlap with a state of covariance Gamma is :func:`.hilbert.gaussian_overlap_sq`.  Warns
-    when the initial state is not close to the instantaneous ground state at t0 (the
-    ramp then has no adiabatic guarantee).
+    One batched SVD K = U S V^T at 64 times gives the gaps 2 sigma_min and
+    2 (sigma_min + sigma_next) and, at t0 and t1, the ground state's covariance
+    [[0, -U V^T], [V U^T, 0]], whose squared overlap with a state of covariance Gamma is
+    :func:`.hilbert.gaussian_overlap_sq`.  Warns when the initial state is not close to the
+    instantaneous ground state at t0 (the ramp then has no adiabatic guarantee).
     """
     K0, terms = chain = dev.majorana_terms(g)
     ts = np.linspace(t0, t1, 64)
@@ -449,5 +455,7 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
         )
     final = sweep_majorana(gamma, g, t0, t1, cfg or PropagatorConfig(), chain)
     gaps = 2 * s[:, -1]
-    diag = RampDiagnostics(float(np.min(gaps)), ts, gaps, init_overlap, ground_overlap_sq(-1, final))
+    sector = gaps + 2 * s[:, -2] if s.shape[1] > 1 else np.full(len(ts), np.inf)
+    diag = RampDiagnostics(float(np.min(gaps)), ts, gaps, init_overlap,
+                           ground_overlap_sq(-1, final), sector, float(np.min(sector)))
     return final, diag

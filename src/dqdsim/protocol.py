@@ -372,7 +372,6 @@ def ramp_support(params: ProtocolParams, n_support: int, T: float):
     return evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
 
 
-@functools.lru_cache(maxsize=64)
 def plateau_covariance(U: float, w: float, n: int) -> np.ndarray:
     """The read-only Majorana covariance of the n-site support's plateau ground state in
     the sector X_0 ... X_(n-1) = +1, which the ramp from |+>^n keeps.
@@ -382,13 +381,18 @@ def plateau_covariance(U: float, w: float, n: int) -> np.ndarray:
     parity is <X_0 ... X_(n-1)> = (-1)^n det W; the least singular pair is flipped when that
     is -1.  At n = 2 it is :func:`entangled_pair_reference`'s covariance.
     """
+    return _plateau(U, w, n)[0]
+
+
+@functools.lru_cache(maxsize=64)  # with its GHZ overlap^2: an effective build takes neither
+def _plateau(U: float, w: float, n: int):  # the SVD nor the overlap's determinant
     L, _, Rt = np.linalg.svd(np.diag(np.full(n - 1, U / 2), -1) - w * np.eye(n))
     if (-1) ** n * np.linalg.det(L) * np.linalg.det(Rt) < 0:
         L[:, -1] *= -1
     W, Z = L @ Rt, np.zeros((n, n))
     gamma = np.block([[Z, -W], [W.T, Z]])
     gamma.setflags(write=False)
-    return gamma
+    return gamma, gaussian_overlap_sq(gamma, ghz_covariance(n))
 
 
 def make_entangled_pair(params: ProtocolParams):
@@ -659,9 +663,12 @@ class Channel:
         self._entangle_log = {"norm": float(np.linalg.norm(support)) / math.sqrt(2 * n)}
         if ramp is not None:
             self._entangle_log["min_gap"] = ramp.min_gap
+            self._entangle_log["min_sector_gap"] = ramp.min_sector_gap
             self._entangle_log["ground_overlap_sq"] = ramp.final_ground_overlap_sq
-        self._channel_log = {"ghz_overlap_sq": gaussian_overlap_sq(support, ghz_covariance(n)),
-                             "T_couple": self.t_couple}
+        key = params.U_max, params.w, n  # the effective support is the memoised plateau's
+        plateau = params.mode == "effective" and support is plateau_covariance(*key)
+        ghz = _plateau(*key)[1] if plateau else gaussian_overlap_sq(support, ghz_covariance(n))
+        self._channel_log = {"ghz_overlap_sq": ghz, "T_couple": self.t_couple}
 
     def couple(self, encoded: StateVector) -> StateVector:
         """Coupling-stage output for an encoded qubit, from the two images."""

@@ -262,23 +262,29 @@ def step_grid_reference(g: DeviceGraph, t0: float, t1: float, h: float, refined_
     every driven schedule takes the same value at t0 and t1 (a weighted change of 0.5 * 5e-324
     underflows to 0 while the schedule moves).  ``refined_only`` returns the grid after the
     halving passes, every edge the grid creates, before still runs are dropped and merged."""
-    driven = [(t.amplitude, 1.0) for t in g.tunnel_terms]
-    driven += [(link.strength, 0.5) for link in g.coulomb_links]
-    driven = [(s, w) for s, w in driven if not s.is_constant]
+    weighted = [(t.amplitude, 1.0) for t in g.tunnel_terms]
+    weighted += [(link.strength, 0.5) for link in g.coulomb_links]
+    driven = [(s, w) for s, w in weighted if not s.is_constant]
+    held = sum(w * abs(s.v_start) for s, w in weighted if s.is_constant)
 
     def variation(edges):
         return sum((w * np.abs(np.diff(s.value(edges))) for s, w in driven),
                    np.zeros(len(edges) - 1))
+
+    def local_norm(edges):  # per interval: the bound on ||H|| at its ends, by monotony
+        return sum((w * np.maximum(np.abs(s.value(edges[:-1])), np.abs(s.value(edges[1:])))
+                    for s, w in driven), np.full(len(edges) - 1, held))
 
     def check(n_intervals):
         if not n_intervals <= evolve.MAX_INTERVALS:
             raise ConfigError(f"the step grid needs {n_intervals:.3g} intervals, "
                               f"more than {evolve.MAX_INTERVALS}")
 
-    def coarse(span, moved):
-        dh, phase = span * moved, span * scale
-        return ((dh * np.maximum(1.0, phase) > tol)
-                | ((dh > evolve.STILL) & (phase > evolve.MAX_PHASE)))
+    def coarse(edges, moved):
+        span = np.diff(edges)
+        dh = span * moved
+        return ((dh * np.maximum(1.0, span * scale) > tol)
+                | ((dh > evolve.STILL) & (span * local_norm(edges) > evolve.MAX_PHASE)))
 
     if all(s.value(t0) == s.value(t1) for s, _ in driven):
         return None
@@ -289,7 +295,7 @@ def step_grid_reference(g: DeviceGraph, t0: float, t1: float, h: float, refined_
     tol = evolve.GRID_TOL * h / h_auto
     for _ in range(evolve._MAX_HALVINGS):
         span = np.diff(edges)
-        if not (halve := coarse(span, variation(edges))).any():
+        if not (halve := coarse(edges, variation(edges))).any():
             break
         check(len(span) + np.count_nonzero(halve))
         edges = np.sort(np.concatenate([edges, edges[:-1][halve] + span[halve] / 2]))
@@ -301,7 +307,7 @@ def step_grid_reference(g: DeviceGraph, t0: float, t1: float, h: float, refined_
         moved = variation(edges)
         a, b, span = moved[0:-1:2], moved[1::2], np.diff(edges[::2])
         bend = span * np.abs(b - a) * np.maximum(1.0, span * scale)
-        if not (merge := ~coarse(span, a + b) & (bend <= evolve.STILL)).any():
+        if not (merge := ~coarse(edges[::2], a + b) & (bend <= evolve.STILL)).any():
             break
         edges = np.delete(edges, 2 * np.flatnonzero(merge) + 1)
     return edges

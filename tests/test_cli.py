@@ -135,8 +135,8 @@ class TestRuns:
          "entangle,effective,1,0,0.001,0.001,0.001,10,,0.785398163397,0.6,0,2,7,,"
          "0.500124999996,1,1,,0.000249999992188"),
         # full mode scores gaussian_state of the ramp's covariance
-        ([], "entangle,full,1,0,100,100,100,60,,0.785398163397,0.6,0,2,7,,0.999593751909,"
-             "0.99998273528,0.99998273528,0.0399840127872,0.999221921383"),
+        ([], "entangle,full,1,0,100,100,100,60,,0.785398163397,0.6,0,2,7,,0.999593753811,"
+             "0.99998273472,0.99998273472,0.0399840127872,0.999221926243"),
     ])
     def test_entangle_rows_are_pinned(self, argv, row, tmp_path):
         assert main(["entangle", *argv, "--output", str(tmp_path / "ent")]) == 0

@@ -42,6 +42,7 @@ from dqdsim.protocol import (
     cross_to_aligned_ratio,
     entangled_pair_reference,
     ghz_covariance,
+    make_entangled_pair,
     resolve_coupling,
     support_crossing_gap,
     support_graph,
@@ -261,6 +262,13 @@ class TestAdiabaticRamp:
         assert diag.initial_ground_overlap_sq == pytest.approx(1.0, abs=1e-12)
         assert diag.final_ground_overlap_sq > 0.99
 
+    def test_a_one_site_ramp_has_no_gap_within_its_sector(self):
+        # one DQD: its parity sectors hold one state each
+        g = DeviceGraph(dqds=(0,),
+                        tunnel_terms=(TunnelTerm(0, Schedule.linear(1.0, 2.0, 0.0, 1.0)),))
+        _, diag = adiabatic_ramp(plus_covariance(1), g, 0.0, 1.0, PropagatorConfig(dt=0.1))
+        assert diag.min_gap == pytest.approx(2.0) and diag.min_sector_gap == np.inf
+
     def test_zero_duration_is_identity(self):
         g = entangling_ramp(50.0, 100.0)
         start = ground_state(hamiltonian_at(g, 0.0)).state
@@ -350,10 +358,11 @@ def coupling_tail_graph():
 
 def grid_checks(g, edges, h):
     """step_grid's tests, recomputed from g's schedules for a grid of coarse step h: per
-    interval, whether it passes the local-error proxy and the phase rule; per pair of
-    intervals 2k, 2k + 1, whether the grid would merge it (at the auto step or coarser,
-    when the union passes both tests and its halves move alike).  A relative 1e-9
-    absorbs the grid's own rounding."""
+    interval, whether it passes the local-error proxy (at the window's bound on ||H||) and
+    the phase rule (at the interval's own: the weighted larger end value of each monotone
+    schedule, summed in step_grid's order); per pair of intervals 2k, 2k + 1, whether the
+    grid would merge it (at the auto step or coarser, when the union passes both tests and
+    its halves move alike).  A relative 1e-9 absorbs the grid's own rounding of the moves."""
     driven = [(t.amplitude, 1.0) for t in g.tunnel_terms]
     driven += [(link.strength, 0.5) for link in g.coulomb_links]
     scale, h_auto = energy_scale(g), 2 * PropagatorConfig().resolve_dt(g)
@@ -362,11 +371,16 @@ def grid_checks(g, edges, h):
     def moved(edges):
         return sum(w * np.abs(np.diff(schedule_value(s, edges))) for s, w in driven)
 
+    def local_norm(edges):  # the constant terms' share first, as step_grid sums it
+        held = sum(w * abs(s.v_start) for s, w in driven if s.is_constant)
+        ends = [(np.abs(schedule_value(s, edges)), w) for s, w in driven if not s.is_constant]
+        return sum((w * np.maximum(f[:-1], f[1:]) for f, w in ends), held)
+
     def passes(edges, slack):
         span = np.diff(edges)
-        dh, phase = span * moved(edges), span * scale
-        return ((dh * np.maximum(1.0, phase) <= tol * slack)
-                & ((dh <= evolve.STILL * slack) | (phase <= evolve.MAX_PHASE)))
+        dh = span * moved(edges)
+        return ((dh * np.maximum(1.0, span * scale) <= tol * slack)
+                & ((dh <= evolve.STILL * slack) | (span * local_norm(edges) <= evolve.MAX_PHASE)))
 
     halves, span = moved(edges), np.diff(edges[::2])
     bend = span * np.abs(halves[1::2] - halves[0:-1:2]) * np.maximum(1.0, span * scale)
@@ -488,6 +502,15 @@ class TestRampOnIsingChains:
         assert np.linalg.norm(align_phase(final, expected) - expected) <= 1e-12
         gaps = [np.diff(np.linalg.eigvalsh(hamiltonian_at(g, t))[:2])[0] for t in diag.gap_times]
         assert np.max(np.abs(diag.gaps - gaps)) <= 1e-12
+        # the flip sectors, bases (|x> +- |~x>) / sqrt 2 with ~x = 2^n - 1 - x: the sector gap
+        # is E1 - E0 in the one that holds the ground state
+        eye = np.eye(2**n)
+        sectors = [(eye + sign * eye[:, ::-1])[:, :2 ** (n - 1)] / np.sqrt(2) for sign in (1, -1)]
+        levels = [[np.linalg.eigvalsh(P.T @ hamiltonian_at(g, t) @ P)[:2] for P in sectors]
+                  for t in diag.gap_times]
+        sector_gaps = [np.diff(min(pair, key=lambda e: e[0]))[0] for pair in levels]
+        assert np.max(np.abs(diag.sector_gaps - sector_gaps)) <= 1e-12
+        assert diag.min_sector_gap == np.min(diag.sector_gaps)
         for t, amps, overlap in ((0.0, start.amps, diag.initial_ground_overlap_sq),
                                  (t1, final, diag.final_ground_overlap_sq)):
             gs = ground_state(hamiltonian_at(g, t)).state.amps
@@ -590,8 +613,9 @@ WORKLOAD_GRIDS = ("pair ramp", "pair coupler", "chain4 GHZ ramp", "chain4 couple
 
 def workload_grid(name):
     """(device, t1, coarse step 2 dt) of one of the benchmark's graded sweeps over [0, t1]: the
-    default pair's entangling ramp and coupler, and the 4-DQD chain's GHZ ramp and coupler at
-    U = 15w, U' = 100w, T_ghz = 45/w and dt = 0.2."""
+    default pair's entangling ramp (on ``ramp_support``'s tangent of gap scale 2w) and coupler,
+    and the 4-DQD chain's GHZ ramp (a smoothstep) and coupler at U = 15w, U' = 100w,
+    T_ghz = 45/w and dt = 0.2."""
     chain = name.startswith("chain4")
     params = (ProtocolParams(U_max=15.0, Uprime_max=100.0, integrator=PropagatorConfig(dt=0.2))
               if chain else ProtocolParams())
@@ -599,9 +623,13 @@ def workload_grid(name):
     if name.endswith("coupler"):
         t1, gap, _ = resolve_coupling(params, n)
         g = coupler_graph(params, n, t1, gap)
-    else:
-        t1 = 45.0 if chain else params.support_ramp()
+    elif chain:
+        t1 = 45.0
         g = support_graph(params, n, Schedule.smooth(0.0, params.U_max, 0.0, t1))
+    else:
+        t1 = params.support_ramp()
+        g = support_graph(params, n, Schedule.tangent(0.0, params.U_max, 0.0, t1,
+                                                      gap_scale=2.0 * params.w))
     return g, t1, 2 * params.integrator.resolve_dt(g)
 
 
@@ -633,6 +661,27 @@ class TestGridCost:
         points = counting(monkeypatch)
         step_grid(g, 0.0, t1, h)
         assert sum(points) <= len(driven) * (created + 2)
+
+    def test_the_pair_ramp_takes_each_interval_s_own_phase_bound(self, monkeypatch):
+        # the tangent ramp spends most of its 60/w below U = 10w, where ||H(t)|| is a tenth of
+        # the window's U_max + 2w: held to a phase of 5 at the window's bound, its entangle
+        # sweep took 1599 intervals, 3198 rotations
+        g, t1, h = workload_grid("pair ramp")
+        edges = step_grid(g, 0.0, t1, h)
+        passed, merged = grid_checks(g, edges, h)
+        assert passed.all() and not merged.any()
+        span = np.diff(edges)
+        moved = sum(0.5 * np.abs(np.diff(schedule_value(link.strength, edges)))
+                    for link in g.coulomb_links)
+        assert np.any((span * moved > evolve.STILL) & (span * energy_scale(g) > evolve.MAX_PHASE))
+        batches, original = [], evolve._rotations
+
+        def spy(Ks, h):
+            batches.append(len(Ks))
+            return original(Ks, h)
+        monkeypatch.setattr(evolve, "_rotations", spy)
+        make_entangled_pair(ProtocolParams())
+        assert sum(batches) == 2 * (len(edges) - 1) <= 1700
 
     @pytest.mark.parametrize("compile_terms", [hamiltonian_terms, majorana_terms])
     def test_values_evaluates_each_distinct_schedule_once(self, compile_terms, monkeypatch):
@@ -810,6 +859,27 @@ class TestStepPrecision:
         O = evolve._rotations(K[None], np.array([h]))[0]
         assert np.max(np.abs(O - expected)) <= 1e-13
         assert np.max(np.abs(O.T @ O - np.eye(len(O)))) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rotations_square_as_the_chunk_s_most_turning_step_needs(self, seed, monkeypatch):
+        # the per-step rule: the least s_k with sqrt(||B_k||_1 ||B_k||_inf) / 2^s_k <= 2,
+        # B_k = 2 h_k K_k; a chunk squares max_k s_k times, scaling by 2^-s
+        rng = np.random.default_rng(seed)
+        powers, ldexp = [], np.ldexp
+
+        def spy(x, s):
+            powers.append(s)
+            return ldexp(x, s)
+        monkeypatch.setattr(np, "ldexp", spy)
+        for _ in range(100):
+            M, N = rng.integers(1, 8), rng.integers(1, 65)
+            Ks = rng.normal(size=(N, M, M)) * 10.0 ** rng.uniform(-3, 2, size=(N, 1, 1))
+            h = rng.uniform(0.0, 0.5, N)
+            steps = [np.ceil(np.log2(max(2 * hk * np.sqrt(np.linalg.norm(K, 1)
+                                                           * np.linalg.norm(K, np.inf)), 2.0) / 2))
+                     for K, hk in zip(Ks, h)]
+            evolve._rotations(Ks, h)
+            assert powers[-1] == -max(steps)
 
     def test_rotations_take_no_linalg_call(self, monkeypatch):
         def refused(*args, **kwargs):

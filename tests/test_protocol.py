@@ -260,6 +260,17 @@ class TestSupportRamp:
         assert np.max(np.abs(align_phase(final.amps, expected) - expected)) <= 1e-12
         self.assert_diagnostics_match_scan(g, start, final.amps, diag)
 
+    def test_the_pair_ramp_records_its_sector_gap(self):
+        # the pair's kept sector is the crossing [[0, -2w], [-2w, U]]: its gap
+        # sqrt(U^2 + 16 w^2), least (4w) at U = 0, is the one the tangent profile follows
+        gamma, diag = ramp_support(self.PARAMS, 2, self.T)
+        U = self.ramp_graph(2).coulomb_links[0].strength.value(diag.gap_times)
+        assert np.max(np.abs(diag.sector_gaps - np.hypot(U, 4.0))) <= 1e-13
+        assert diag.min_sector_gap == pytest.approx(4.0, abs=1e-13)
+        assert diag.min_gap == pytest.approx((np.hypot(10.0, 4.0) - 10.0) / 2, abs=1e-13)  # ~4w^2/U
+        log = Channel(gamma, diag, self.PARAMS).teleport(InputQubit(0.6, 0.8)).step_log
+        assert log["entangle"]["min_sector_gap"] == diag.min_sector_gap
+
     @pytest.mark.parametrize("n_support", [2, 3, 4, 5, 6])
     def test_starts_from_the_covariance_of_plus(self, n_support, monkeypatch):
         starts, ramp = [], evolve.adiabatic_ramp
@@ -329,6 +340,19 @@ class TestSupportCovariance:
         assert not gamma.flags.writeable
         if n < 8:  # the effective support is the plateau ground state, memoised
             assert make_ghz_chain(ChainSpec(n, EFFECTIVE))[0] is plateau_covariance(100.0, 1.0, n)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_an_effective_build_takes_no_determinant(self, n, monkeypatch):
+        # the plateau's GHZ overlap is memoised with its covariance on (U, w, n)
+        params = replace(EFFECTIVE, n_support=n)
+        expected = gaussian_overlap_sq(plateau_covariance(100.0, 1.0, n), ghz_covariance(n))
+        build_channel(params)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg.det called")
+        monkeypatch.setattr(np.linalg, "det", refused)
+        log = build_channel(params).teleport(InputQubit(0.6, 0.8)).step_log
+        assert log["channel"]["ghz_overlap_sq"] == expected
 
     @pytest.mark.filterwarnings("ignore:w/U_max")
     @pytest.mark.parametrize("U", [1e-3, 1.0, 25.0, 100.0, 1e5])
