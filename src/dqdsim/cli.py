@@ -88,12 +88,20 @@ def validate_config(cfg: RunConfig) -> list:
         return checked_points(cfg)[0]
 
 
+def _alpha_errors(cfg: RunConfig) -> list:
+    return [] if 0.0 <= cfg.alpha_abs <= 1.0 else [
+        f"alpha_abs must lie in [0, 1], got {cfg.alpha_abs}"]
+
+
 def checked_points(cfg: RunConfig):
     """(errors, points) of :func:`validate_config`'s checks (no points on errors).  A point is
     ``(cfg, params, row)``: the run's config, its one ProtocolParams and its parameter cells,
-    with the derived values the checks resolved in place of None."""
+    with the derived values the checks resolved in place of None.  An input-axis sweep's points
+    share its base's check, warnings and all (no ProtocolParams field holds an input); other
+    sweeps check their base quietly, since it never runs."""
     if cfg.axis is not None or cfg.values is not None:  # a sweep: its base, then its points
-        errors = validate_config(replace(cfg, axis=None, values=None))  # quietly: it never runs
+        base, shared = replace(cfg, axis=None, values=None), cfg.axis in INPUT_AXES
+        errors, checked = checked_points(base) if shared else (validate_config(base), [])
         if cfg.axis is not None and cfg.axis not in SWEEP_AXES:
             errors.append(f"unknown sweep axis {cfg.axis!r}; choose from {', '.join(SWEEP_AXES)}")
         if cfg.axis is None or cfg.values is None:
@@ -105,17 +113,16 @@ def checked_points(cfg: RunConfig):
                 errors.append(str(exc))
         points = []
         for v in [] if errors else sorted(values):  # all checked before one runs
-            errs, pts = checked_points(replace(cfg, axis=None, values=None, **{cfg.axis: v}))
+            point = replace(base, **{cfg.axis: v})
+            errs, pts = checked_points(point) if not shared else (  # the base's check, v's cell
+                _alpha_errors(point), [(point, p, {**row, cfg.axis: v}) for _, p, row in checked])
             errors += [f"sweep point {cfg.axis}={v}: {e}" for e in errs]
             points += pts
         return errors, [] if errors else points
-    errors = []
-    if cfg.experiment not in EXPERIMENTS:
-        errors.append(f"unknown experiment {cfg.experiment!r}")
+    errors = [] if cfg.experiment in EXPERIMENTS else [f"unknown experiment {cfg.experiment!r}"]
     errors += [f"{f.name} must be finite, got {v}" for f in fields(cfg)
                if isinstance(v := getattr(cfg, f.name), float) and not np.isfinite(v)]
-    if not 0.0 <= cfg.alpha_abs <= 1.0:
-        errors.append(f"alpha_abs must lie in [0, 1], got {cfg.alpha_abs}")
+    errors += _alpha_errors(cfg)
     if errors:
         return errors, []
     row = {c: "" if (v := getattr(cfg, c)) is None else v for c in PARAM_COLUMNS}
@@ -212,9 +219,8 @@ def run_experiment(point: tuple, channel: proto.Channel | None = None) -> dict:
 
 def run_sweep(cfg: RunConfig, points: list) -> list:
     """The checked points' rows; a channel experiment swept over an input shares one channel."""
-    channel = None
-    if cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS:
-        channel = proto.build_channel(points[0][1])
+    shared = cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS
+    channel = proto.build_channel(points[0][1]) if shared else None
     return [run_experiment(p, channel) for p in points]
 
 
@@ -272,40 +278,27 @@ def run(cfg: RunConfig) -> int:
 # argument parsing
 
 
-# every RunConfig field but experiment, axis and values is a --kebab-case flag of the
-# field's type (a bool one a bare flag); these are its options beyond that
+# every RunConfig field is a --kebab-case flag of the field's type (a bool one a bare flag);
+# these are its options beyond that
 _FLAG_OPTIONS = {
+    "experiment": {"choices": EXPERIMENTS, "help": "the experiment a sweep runs (teleport)"},
     "mode": {"choices": ("full", "effective")},
+    "axis": {"help": "the field a sweep varies"}, "values": {"help": "its values, a,b,..."},
     "output": {"help": "basename for the .csv/.manifest.json pair"},
 }
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
-    for name in _NAMES:
-        if name not in ("experiment", "axis", "values"):
-            typed = {"action": "store_true", "default": None} if _KINDS[name] is bool \
-                else {"type": _KINDS[name]}
-            p.add_argument("--" + name.lower().replace("_", "-"), dest=name, **typed,
-                           **_FLAG_OPTIONS.get(name, {}))
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dqdsim",
-        description="Charge-qubit teleportation experiments on simulated DQD arrays.",
-    )
-    common = [_common_flags()]
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        sub.add_parser(name, parents=common, help=f"run the {name} experiment")
-    sw = sub.add_parser("sweep", parents=common, help="sweep a parameter of another experiment")
-    sw.add_argument("--experiment", dest="inner_experiment", choices=EXPERIMENTS,
-                    default="teleport")
-    sw.add_argument("--axis", required=True)
-    sw.add_argument("--values", required=True)
+    parser = argparse.ArgumentParser(prog="dqdsim", description="Charge-qubit teleportation "
+                                     "experiments on simulated DQD arrays.")
+    parser.add_argument("command", choices=EXPERIMENTS + ("sweep",),
+                        help="run an experiment, or sweep one over --axis")
+    parser.add_argument("--config", help="JSON file with RunConfig fields; flags override it")
+    for name in _NAMES:
+        typed = {"action": "store_true", "default": None} if _KINDS[name] is bool \
+            else {"type": _KINDS[name]}
+        parser.add_argument("--" + name.lower().replace("_", "-"), dest=name, **typed,
+                            **_FLAG_OPTIONS.get(name, {}))
     return parser
 
 
@@ -327,7 +320,7 @@ def _field_value(key: str, value):
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, an optional JSON config file, and CLI flags (strongest)."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
@@ -340,15 +333,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"unknown config field {key!r}")
             setattr(cfg, key, _field_value(key, value))
     for name in _NAMES:
-        if name != "experiment" and (v := getattr(args, name, None)) is not None:
+        if (v := getattr(args, name)) is not None:
             setattr(cfg, name, v)
-    # the sweep subcommand names its target experiment; others are themselves
-    cfg.experiment = getattr(args, "inner_experiment", None) or args.experiment
+    # sweep runs its --experiment; every other command is itself the experiment
+    cfg.experiment = (args.experiment or "teleport") if args.command == "sweep" else args.command
     return cfg
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    given = [f"--{n}" for n in ("experiment", "axis", "values") if getattr(args, n) is not None]
+    if args.command != "sweep" and given:
+        parser.error(f"only sweep takes {', '.join(given)}")
+    if args.command == "sweep" and not {"--axis", "--values"} <= set(given):
+        parser.error("sweep needs --axis and --values")
     try:
         return run(config_from_args(args))
     except ConfigError as exc:

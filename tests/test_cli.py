@@ -95,14 +95,60 @@ class TestValidateConfig:
                             build_params(cfg))
         assert main(["sweep", "--mode", "effective", "--axis", "alpha_abs", "--values",
                      "0.2,0.7", "--output", str(tmp_path / "x")]) == 0
-        # the base config is checked once, then each point once, for preflight and run
-        assert [c.alpha_abs for c in built] == [0.6, 0.2, 0.7]
+        # no ProtocolParams field holds an input: the base's check serves every point and the run
+        assert [c.alpha_abs for c in built] == [0.6]
+
+    def test_a_parameter_sweep_builds_the_base_then_each_point(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_params", lambda cfg: built.append(cfg) or
+                            build_params(cfg))
+        assert main(["sweep", "--mode", "effective", "--axis", "U_max", "--values",
+                     "50,20", "--output", str(tmp_path / "x")]) == 0
+        assert [c.U_max for c in built] == [100.0, 20.0, 50.0]
+
+    def test_an_input_sweep_resolves_its_coupling_twice(self, tmp_path, monkeypatch):
+        resolved = []
+        original = protocol.resolve_coupling
+        monkeypatch.setattr(protocol, "resolve_coupling",
+                            lambda *args: resolved.append(args) or original(*args))
+        values = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8"
+        assert main(["sweep", "--experiment", "teleport", "--axis", "alpha_abs", "--values",
+                     values, "--output", str(tmp_path / "x")]) == 0
+        assert len(read_rows(tmp_path / "x.csv")) == 8
+        # once in the preflight, once in build_channel
+        assert len(resolved) == 2
 
     def test_parse_values_types(self):
         assert parse_values("U_max", "20, 50") == [20.0, 50.0]
         assert parse_values("n_support", "2,3") == [2, 3]
         with pytest.raises(ValueError):
             parse_values("U_max", "a,b")
+
+
+class TestParser:
+    """One parser: a command, then RunConfig's flags; --axis, --values and --experiment only
+    with sweep, which needs --axis and --values.  A refused line exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("argv, flag", [pytest.param(*case, id=" ".join(case[0])) for case in (
+        (["teleport", "--axis", "U_max", "--values", "1,2"], "--axis"),
+        (["bell", "--experiment", "teleport"], "--experiment"),
+        (["encode", "--values", "0.5"], "--values"),
+        (["sweep", "--experiment", "teleport", "--values", "0.5"], "--axis"),
+        (["sweep", "--experiment", "teleport", "--axis", "alpha_abs"], "--values"),
+    )])
+    def test_refused_with_exit_2(self, argv, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--output", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert "error:" in last and flag in last
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{encode,entangle,couple,bell,teleport,sweep}" in capsys.readouterr().out
 
 
 class TestRuns:

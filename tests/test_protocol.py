@@ -1246,8 +1246,10 @@ class TestMeanFidelity:
         branches = channel._readout.read(u, channel.params, InputQubit(*u)).branches
         return sum(b.probability * b.fidelity for b in branches)
 
-    def test_is_the_haar_mean(self):
-        channel = build_channel(ProtocolParams(U_max=100.0))
+    @pytest.mark.parametrize("U, n_support", [(25.0, 2), (100.0, 2), (400.0, 2), (10.0, 3)],
+                             ids=["pair-U25", "pair-U100", "pair-U400", "chain3-U10"])
+    def test_is_the_haar_mean(self, U, n_support):
+        channel = build_channel(ProtocolParams(U_max=U, n_support=n_support))
         rng = np.random.default_rng(2027)
         samples = []
         for _ in range(4000):
