@@ -318,8 +318,8 @@ def _field_value(key: str, value):
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, an optional JSON config file, and CLI flags (strongest)."""
-    cfg = RunConfig()
+    """Merge defaults, a JSON config file and flags (strongest); experiment is None unless set."""
+    cfg = RunConfig(experiment=None)
     if args.config:
         try:
             with open(args.config) as fh:
@@ -335,21 +335,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for name in _NAMES:
         if (v := getattr(args, name)) is not None:
             setattr(cfg, name, v)
-    # sweep runs its --experiment; every other command is itself the experiment
-    cfg.experiment = (args.experiment or "teleport") if args.command == "sweep" else args.command
     return cfg
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    given = [f"--{n}" for n in ("experiment", "axis", "values") if getattr(args, n) is not None]
-    if args.command != "sweep" and given:
-        parser.error(f"only sweep takes {', '.join(given)}")
-    if args.command == "sweep" and not {"--axis", "--values"} <= set(given):
-        parser.error("sweep needs --axis and --values")
-    try:
-        return run(config_from_args(args))
+    try:  # the sweep-only settings are judged once merged, from a flag or the config file alike
+        cfg = config_from_args(args)
+        given = [f"--{n}" for n in ("experiment", "axis", "values") if getattr(cfg, n) is not None]
+        if args.command != "sweep" and given:
+            parser.error(f"only sweep takes {', '.join(given)}, as a flag or a config field")
+        if args.command == "sweep" and not {"--axis", "--values"} <= set(given):
+            parser.error("sweep needs --axis and --values, as flags or config fields")
+        cfg.experiment = (cfg.experiment or "teleport") if args.command == "sweep" else args.command
+        return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -282,11 +282,20 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
 # stage operations
 
 
+class _first_read(functools.cached_property):
+    """functools.cached_property less the lock Python 3.11 takes on each first read, ~0.8 us."""
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 @dataclass(frozen=True)
 class EncodeResult:
     t_bar: float
-    state: StateVector
     achieved: InputQubit
+
+    @_first_read
+    def state(self) -> StateVector:  # the achieved amplitudes, built on first read
+        return _own_state(np.array([self.achieved.alpha, self.achieved.beta]))
 
 
 def encode_qubit(target: InputQubit, w: float, phi: float = 0.0) -> EncodeResult:
@@ -305,8 +314,7 @@ def encode_qubit(target: InputQubit, w: float, phi: float = 0.0) -> EncodeResult
         raise DimensionError(f"|alpha| = {mag} > 1")
     t_bar = float(np.arccos(min(mag, 1.0)) / w)
     a, b = complex(np.cos(w * t_bar)), complex(1j * np.exp(2j * phi) * np.sin(w * t_bar))
-    achieved = InputQubit(a, b)  # refuses what is not finite; cos^2 + sin^2 = 1 holds otherwise
-    return EncodeResult(t_bar, _own_state(np.array([a, b])), achieved)
+    return EncodeResult(t_bar, InputQubit(a, b))  # refused unless finite; then of norm 1
 
 
 def cross_to_aligned_ratio(U: float, w: float) -> float:
@@ -494,13 +502,27 @@ def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> Stat
     return _own_state((state.amps.reshape(-1, 4) @ G.T).ravel())
 
 
+def _bob_state(z0: complex, z1: complex) -> StateVector:  # normalized, phased as fix_phase
+    big = z0 if abs(z0) >= abs(z1) else z1
+    scale = big.conjugate() / (abs(big) * math.hypot(abs(z0), abs(z1)))
+    return _own_state(np.array([z0 * scale, z1 * scale]))
+
+
 @dataclass(frozen=True)
 class BranchResult:
+    """One branch; Bob's states are built on first read from his code-pair readout ``_pair``."""
     outcome: int
     probability: float
-    bob_state_raw: StateVector
-    bob_state_corrected: StateVector
     fidelity: float
+    _pair: tuple = field(repr=False)
+
+    @_first_read
+    def bob_state_raw(self) -> StateVector:
+        return _bob_state(*self._pair)
+
+    @_first_read
+    def bob_state_corrected(self) -> StateVector:  # D on the code pair scales |1...1>
+        return _bob_state(self._pair[0], complex(CORRECTIONS[self.outcome][1, 1]) * self._pair[1])
 
 
 @dataclass
@@ -508,11 +530,13 @@ class TeleportResult:
     outcome: int
     p0: float
     p1: float
-    bob_state_raw: StateVector
-    bob_state_corrected: StateVector
     fidelity_to_input: float
     branches: tuple
     step_log: dict
+
+    # the drawn branch's, branches[-outcome]: they come in outcome order, an empty one left out
+    bob_state_raw = property(lambda self: self.branches[-self.outcome].bob_state_raw)
+    bob_state_corrected = property(lambda self: self.branches[-self.outcome].bob_state_corrected)
 
 
 @functools.lru_cache(maxsize=64)
@@ -565,7 +589,7 @@ class _Readout:
         p0, p1 = probs = [(q[0] + q[3]).real, (q[4] + q[7]).real]  # G_k[s][t] = q[4k + 2s + t]
         if abs(p0 + p1 - 1.0) > NORM_TOL:
             raise DimensionError(f"the branches' total weight (trace) {p0 + p1} deviates from 1")
-        found, bob = [], []
+        branches = {}
         for k, prob, (c00, c01, c10, c11) in zip((0, 1), probs, (x[:4], x[4:8])):
             if prob < 1e-12:  # an empty branch can only occur for degenerate inputs
                 continue
@@ -586,14 +610,7 @@ class _Readout:
             t0, t1 = complex(achieved.alpha), phase.conjugate() * complex(achieved.beta)
             fid = (abs(c00.conjugate() * t0 + c10.conjugate() * t1) ** 2
                    + abs(c01.conjugate() * t0 + c11.conjugate() * t1) ** 2) / prob
-            found.append((k, prob, fid))
-            for z0, z1 in ((w0, w1), (w0, phase * w1)):  # Bob's raw and corrected readout,
-                big = z0 if abs(z0) >= abs(z1) else z1  # phase-fixed as hilbert.fix_phase does
-                scale = big.conjugate() / (abs(big) * math.hypot(abs(z0), abs(z1)))
-                bob += [z0 * scale, z1 * scale]
-        bob = np.array(bob).reshape(-1, 2, 2)  # per branch: the raw and corrected readouts
-        branches = {k: BranchResult(k, prob, _own_state(raw), _own_state(corrected), fid)
-                    for (k, prob, fid), (raw, corrected) in zip(found, bob)}
+            branches[k] = BranchResult(k, prob, fid, (w0, w1))
 
         drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
         picked = branches.get(drawn) or branches[1 - drawn]  # never the empty branch
@@ -602,9 +619,7 @@ class _Readout:
         if len(q) > 10:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
             log["couple"] = {"target_overlap_sq": abs(q[11]) ** 2, "norm": math.sqrt(q[10].real)}
             log["bell"] = {"effective_overlap_sq": abs(q[8]) ** 2, "norm": math.sqrt(p0 + p1)}
-        return TeleportResult(picked.outcome, p0, p1, picked.bob_state_raw,
-                              picked.bob_state_corrected, picked.fidelity,
-                              tuple(branches.values()), log)
+        return TeleportResult(picked.outcome, p0, p1, picked.fidelity, (*branches.values(),), log)
 
 
 def alice_measure_and_correct(state: StateVector, params: ProtocolParams,

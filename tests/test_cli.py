@@ -144,6 +144,32 @@ class TestParser:
         last = capsys.readouterr().err.splitlines()[-1]
         assert "error:" in last and flag in last
 
+    @pytest.mark.parametrize("argv, doc, code, experiment, n_rows", [
+        (["teleport"], {"axis": "alpha_abs", "values": "0.2,0.4"}, 2, None, 0),
+        (["sweep"], {"axis": "alpha_abs", "values": "0.2,0.4"}, 0, "teleport", 2),
+        (["sweep", "--axis", "alpha_abs", "--values", "0.3"], {"experiment": "encode"},
+         0, "encode", 1),
+        (["bell"], {"experiment": "encode"}, 2, None, 0),
+    ], ids=["teleport-file-sweep", "sweep-file-axis", "sweep-file-experiment", "bell-file-encode"])
+    def test_sweep_settings_are_judged_merged(self, argv, doc, code, experiment, n_rows,
+                                              tmp_path, capsys):
+        # a config field and a flag alike: only sweep takes them, and it needs axis and values
+        cfgfile, out = tmp_path / "cfg.json", tmp_path / "out" / "x"
+        cfgfile.write_text(json.dumps({"mode": "effective", **doc}))
+        out.parent.mkdir()
+        try:
+            got = main(argv + ["--config", str(cfgfile), "--output", str(out)])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        if code:
+            assert list(out.parent.iterdir()) == []
+            assert "only sweep takes" in capsys.readouterr().err.splitlines()[-1]
+            return
+        rows = read_rows(tmp_path / "out" / "x.csv")
+        assert len(rows) == n_rows and all(r["experiment"] == experiment for r in rows)
+        assert tuple(rows[0]) == PARAM_COLUMNS + RESULT_COLUMNS[experiment]
+
     def test_help_names_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

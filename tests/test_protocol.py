@@ -1,4 +1,5 @@
 import functools
+import math
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -1223,6 +1224,74 @@ class TestNoRechecks:
         expected = fidelity(StateVector(gaussian_state(support)), bell_target(n_support))
         assert 0.1 < expected < 0.999
         assert abs(log["channel"]["ghz_overlap_sq"] - expected) <= 1e-15
+
+
+class TestLazyResults:
+    """A teleport builds Bob's states and the encoded state only when a caller reads them,
+    each once, with the values an eager build gave."""
+
+    @staticmethod
+    def wraps(monkeypatch):
+        seen = []
+        original = protocol._own_state
+
+        def spy(amps):
+            seen.append(amps)
+            return original(amps)
+
+        monkeypatch.setattr(protocol, "_own_state", spy)
+        return seen
+
+    @staticmethod
+    def eager(z0, z1):
+        # the readout as it was built eagerly: normalized, phase-fixed like fix_phase
+        big = z0 if abs(z0) >= abs(z1) else z1
+        scale = big.conjugate() / (abs(big) * math.hypot(abs(z0), abs(z1)))
+        return np.array([z0 * scale, z1 * scale])
+
+    def test_a_chain_teleport_wraps_no_state(self, monkeypatch):
+        channel = ChainChannel(ChainSpec(4, EFFECTIVE))
+        seen = self.wraps(monkeypatch)
+        res = channel.teleport(InputQubit(0.6, 0.8j))
+        assert seen == []
+        res.bob_state_raw, res.bob_state_raw, res.bob_state_corrected
+        assert len(seen) == 2  # each state once, on its first read
+
+    def test_branch_states_are_the_eager_ones_and_built_once(self):
+        rng = np.random.default_rng(30)
+        channel = ChainChannel(ChainSpec(4, EFFECTIVE))
+        for _ in range(20):
+            for b in channel.teleport(InputQubit.random(rng)).branches:
+                w0, w1 = b._pair
+                phase = complex(protocol.CORRECTIONS[b.outcome][1, 1])
+                for state, ref in ((b.bob_state_raw, self.eager(w0, w1)),
+                                   (b.bob_state_corrected, self.eager(w0, phase * w1))):
+                    assert np.array_equal(state.amps, ref) and not state.amps.flags.writeable
+                assert b.bob_state_raw is b.bob_state_raw
+                assert b.bob_state_corrected is b.bob_state_corrected
+                with pytest.raises(AttributeError):  # still frozen
+                    b.fidelity = 0.0
+
+    @pytest.mark.parametrize("empty", [None, 0, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_result_states_are_the_drawn_branch_objects(self, seed, empty):
+        amps = eq11_form(0.6, 0.8).amps.copy()
+        if empty is not None:  # only branch 1 - empty is evaluated, whatever the draw
+            amps[empty::2] = 0.0
+            amps /= np.linalg.norm(amps)
+        res = alice_measure_and_correct(StateVector(amps), ProtocolParams(mode="effective",
+                                        seed=seed), InputQubit(0.6, 0.8))
+        assert len(res.branches) == (2 if empty is None else 1)
+        drawn, = [b for b in res.branches if b.outcome == res.outcome]
+        assert res.bob_state_raw is drawn.bob_state_raw
+        assert res.bob_state_corrected is drawn.bob_state_corrected
+        assert res.fidelity_to_input == drawn.fidelity
+
+    def test_encoded_state_is_the_achieved_amplitudes(self):
+        enc = encode_qubit(InputQubit(0.6, 0.8), 1.3, 0.2)
+        a = enc.achieved
+        assert np.array_equal(enc.state.amps, [a.alpha, a.beta])
+        assert enc.state is enc.state and not enc.state.amps.flags.writeable
 
 
 class TestEffectiveLimit:
