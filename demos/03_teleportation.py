@@ -20,7 +20,7 @@ for _ in range(3):
     print(f"  input ({q.alpha:+.3f}, {q.beta:+.3f})  outcome {res.outcome}  "
           f"p0 = {res.p0:.3f}  fidelity = {res.fidelity_to_input:.12f}")
 
-print("\nFull mode at U = U' = 100 w (auto-derived ramps: entangle 60/w, couple 200/w):")
+print("\nFull mode at U = U' = 100 w (auto-derived ramps: entangle 8.20/w, couple 200/w):")
 full = ProtocolParams(U_max=100.0, mode="full")
 om = effective_rabi(1.0, 100.0)
 print(f"  rotation rate 2w^2/U = {om}, quarter-cycle wait = {np.pi / 4 / om:.2f}/w")
@@ -33,7 +33,8 @@ for _ in range(3):
     print(f"  input ({q.alpha:+.3f}, {q.beta:+.3f})  outcome {res.outcome}  "
           f"fidelity = {res.fidelity_to_input:.6f}")
     print(f"      entangle: Bell overlap^2 = {log['channel']['ghz_overlap_sq']:.6f}, "
-          f"min gap = {log['entangle']['min_gap']:.4f} w")
+          f"min gap = {log['entangle']['min_gap']:.4f} w, "
+          f"ramp cycles = {log['entangle']['ramp_cycles']:.3f}")
     print(f"      couple:   target overlap^2 = {log['couple']['target_overlap_sq']:.6f}")
     print(f"      measure:  p0 = {log['measure']['p0']:.6f}")
 print(f"  mean full-mode fidelity: {np.mean(fids):.6f}")

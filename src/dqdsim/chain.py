@@ -2,15 +2,9 @@
 and tracer call, each a thin call into :mod:`.protocol`.  They go with ROADMAP item 1b.
 
 A support of any length is one setting, ``ProtocolParams.n_support``, and one builder,
-``protocol.build_channel``: nearest neighbors coupled by the crossed repulsion links are
-ramped together from |+>^n to the plateau ground state, near (|0...0> + |1...1>)/sqrt(2),
-in full mode, and effective mode takes that plateau state itself.  Teleportation couples
-the encoder to the first support qubit and runs the rotation/measurement stage there;
-middle qubits and Bob stay frozen, so the input lands on the logical {|0...0>, |1...1>}
-pair of the receiving register, of which Bob's qubit is the far end.  A two-site chain is
-the pair.  The avoided-crossing gap the coupling ramp must pass shrinks like w(w/U)^(n-1)
-with chain length, so faithful coupling to long chains needs either small U or
-exponentially long ramps.
+``protocol.build_channel`` (:mod:`.protocol` gives its stages); a two-site chain is the pair.  The
+avoided-crossing gap the coupling ramp must pass shrinks like w(w/U)^(n-1) with chain
+length, so faithful coupling to long chains needs either small U or exponentially long ramps.
 """
 
 from __future__ import annotations

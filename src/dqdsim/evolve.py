@@ -243,6 +243,13 @@ def cf4(terms, edges):
     return np.stack([f1 - d, f2 + d], axis=1).reshape(2 * len(h), len(terms)), np.repeat(h / 2, 2)
 
 
+def check_reach(n_intervals, t0: float, t1: float):
+    """ConfigError when a step grid over [t0, t1] needs more than ``MAX_INTERVALS`` intervals."""
+    if not n_intervals <= MAX_INTERVALS:  # NaN and inf fail too
+        raise ConfigError(f"the step grid over [{t0:.3g}, {t1:.3g}] needs {n_intervals:.3g} "
+                          f"intervals, more than {MAX_INTERVALS}; the run is out of reach")
+
+
 @np.errstate(over="ignore")  # an overflowed local-error proxy is inf and still compares
 def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     """Interval edges over [t0, t1], or None when no schedule moves there (each takes one
@@ -282,11 +289,6 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     def variation(lo, hi):  # schedules are monotone: the end values bound the change
         return sum((w * np.abs(hi[i] - lo[i]) for i, w in driven), np.zeros(lo.shape[1]))
 
-    def check(n_intervals):
-        if not n_intervals <= MAX_INTERVALS:  # NaN and inf fail too
-            raise ConfigError(f"the step grid over [{t0:.3g}, {t1:.3g}] needs {n_intervals:.3g} "
-                              f"intervals, more than {MAX_INTERVALS}; the run is out of reach")
-
     def coarse(span, moved, lo, hi):  # per interval of end values lo, hi: fails the local-error
         dh = span * moved  # proxy, or the phase rule at the bound on ||H|| that lo and hi give
         phase = span * sum((w * np.maximum(np.abs(lo[i]), np.abs(hi[i])) for i, w in driven), held)
@@ -294,7 +296,7 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
 
     if all(dev.schedule_value(s, t0) == dev.schedule_value(s, t1) for s in scheds):
         return None
-    check(n := np.ceil((t1 - t0) / h))
+    check_reach(n := np.ceil((t1 - t0) / h), t0, t1)
     V = values(ts := np.linspace(t0, t1, max(1, int(n)) + 1))
     scale, h_auto = dev.energy_scale(g), 2 * PropagatorConfig().resolve_dt(g)
     tol = GRID_TOL * h / h_auto
@@ -303,7 +305,7 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
         span, ends = ts[hi] - ts[lo], (V[:, lo], V[:, hi])
         if not (halve := coarse(span, variation(*ends), *ends)).any():
             break
-        check(len(ts) - 1 + np.count_nonzero(halve))
+        check_reach(len(ts) - 1 + np.count_nonzero(halve), t0, t1)
         lo, hi, mid = lo[halve], hi[halve], np.arange(len(ts), len(ts) + np.count_nonzero(halve))
         ts = np.concatenate([ts, ts[lo] + span[halve] / 2])
         V = np.concatenate([V, values(ts[mid])], axis=1)
@@ -415,7 +417,8 @@ class RampDiagnostics:
     """Adiabaticity record of one ramp.  ``gaps`` (least ``min_gap``) are 2 sigma_min(K), the
     parity-changing crossing, which a ramp from |+>^n never meets; ``sector_gaps`` (least
     ``min_sector_gap``) are 2 (sigma_min + sigma_next), the gap in its sector (inf for one
-    site): sqrt(U^2 + 16 w^2) on the pair's ramp, the one its tangent profile follows."""
+    site): sqrt(U^2 + 16 w^2) on the pair's ramp, the one its tangent profile follows.  The
+    pair's also records ``protocol.pair_ramp_phase``; other ramps leave those two None."""
 
     min_gap: float
     gap_times: np.ndarray
@@ -424,6 +427,8 @@ class RampDiagnostics:
     final_ground_overlap_sq: float
     sector_gaps: np.ndarray
     min_sector_gap: float
+    ramp_cycles: float | None = None
+    predicted_residue: float | None = None
 
 
 def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,

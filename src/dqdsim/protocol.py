@@ -19,15 +19,13 @@ Bob; any qubits in between belong to a longer support chain):
 channel at ``ProtocolParams.n_support``, and the channel runs encode and
 measure per input.  :func:`teleport_end_to_end` builds a channel per input.
 
-Every stage exists in ``full`` mode (numerical propagation of the device
-Hamiltonian) and ``effective`` mode (the closed-form two-level algebra the
-full dynamics approaches when w << U).  In full mode every ramp device the
-protocol builds, the support ramps and the coupler, is an open transverse-field
-Ising chain, so those stages sweep a Majorana covariance, |+>^n's in closed form
-or that of |+> x S (:func:`.evolve.adiabatic_ramp`, :func:`.evolve.sweep_majorana`):
-a support is handed on as its covariance in both modes, and a channel builds one
-state, the coupled one.  The rotation stage is one exponential of a two-qubit
-device, applied as a 4 x 4 gate.
+Every stage exists in ``full`` mode (numerical propagation of the device Hamiltonian) and
+``effective`` mode (the closed-form two-level algebra the full dynamics approaches when
+w << U).  In full mode every ramp device, the support ramps and the coupler, is an open
+transverse-field Ising chain, so those stages sweep a Majorana covariance, |+>^n's in
+closed form or that of |+> x S (:func:`.evolve.adiabatic_ramp`, :func:`.evolve.sweep_majorana`):
+a support is handed on as its covariance in both modes, and a channel builds one state,
+the coupled one.  The rotation stage is one exponential of a two-qubit device, a 4 x 4 gate.
 
 Phase conventions: a device tunneling phase p produces the evolution
 amplitude exp(-ip) on logical |1> (see :mod:`.device`), while the encoder is
@@ -41,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -54,6 +52,9 @@ from .hilbert import (NORM_TOL, StateVector, _own_state, fidelity,  # noqa: F401
 # Adiabaticity budget of the gap-adapted coupling ramp: the sweep rate is
 # eps * gap^3 / J, so the default duration is 1/(4 J eps) = 4/J.
 EPS_ADIABATIC = 1.0 / 16.0
+
+# Whole cycles of phase in the pair's auto support ramp, where its loss vanishes to first order.
+RAMP_CYCLES = 8
 
 # Auto-derived ramps beyond this duration (in 1/w) are refused; they occur
 # when the support crossing gap is so small (long chains at large U) that a
@@ -103,11 +104,11 @@ class ProtocolParams:
 
     ``n_support``, an integer in [2, MAX_QUBITS - 1], is the length of the support
     register: 2 is the pair, and Bob's qubit is its far end.  Durations left as None
-    are derived from the spectral structure: the support's entangling ramp
-    ``T_ent = 0.6 U_max / w^2`` for the pair and ``3 U_max / w^2`` for longer supports
-    (:meth:`resolved_T_ent`), and ``T_couple = 4/J`` where 2J is the avoided-crossing gap
-    of the support register at the start of the coupling ramp (J = 2 w^2/U_max for the
-    pair).  At the reference point U_max = Uprime_max = 100 w the pair's are 60/w and 200/w.
+    are derived from the spectral structure: the support's entangling ramp ``T_ent``, ~8/w
+    for the pair and ``3 U_max / w^2`` for longer supports (:meth:`resolved_T_ent`), and
+    ``T_couple = 4/J`` where 2J is the avoided-crossing gap of the support register at the
+    start of the coupling ramp (J = 2 w^2/U_max for the pair).  At the reference point
+    U_max = Uprime_max = 100 w the pair's are 8.20/w and 200/w.
 
     ``Uprime_max`` (the encoder-support plateau) tracks U_max unless set,
     so a sweep of U_max moves the whole repulsion family.  ``bell_U`` is
@@ -168,18 +169,20 @@ class ProtocolParams:
         return self.resolved_Uprime() if self.bell_U is None else self.bell_U
 
     def resolved_T_ent(self) -> float:
-        """T_ent, or the default max(f U_max / w^2, 10 / w); ConfigError when that is not finite.
-        f = 3 for three or more sites, whose chain crosses the Ising critical point at U = 2w.
-        The pair's ramp follows its crossing of gap sqrt(U^2 + 16 w^2) (:func:`ramp_support`)
-        at adiabaticity eps = 1/(8 w T); f = 0.6 makes eps ~ w/U, so the ramp's boundary
-        loss, ~eps^2, tracks the plateau's own (w/U)^2."""
+        """T_ent, or the default; ConfigError when that is not finite or w^2 underflows.  The
+        pair's ramp phase is k = RAMP_CYCLES whole cycles (:func:`pair_ramp_phase`) at T =
+        2 pi k kappa / (4 w arcsin kappa) (2 pi k / 4w at U_max = 0), ~8/w at every U_max;
+        three or more sites, whose many-level chain crosses the Ising critical point at U = 2w,
+        take max(3 U_max / w^2, 10 / w)."""
         if self.T_ent is not None:
             return self.T_ent
-        factor, w2 = (0.6 if self.n_support == 2 else 3.0), self.w**2
-        t = max(factor * self.U_max / w2, 10.0 / self.w) if w2 else np.inf
+        w2 = self.w**2  # underflowed, it leaves no (w/U)^2 scale and no rotation rate
+        t = max(3.0 * self.U_max / w2, 10.0 / self.w) if w2 else np.inf
+        if self.n_support == 2 and w2:
+            t = RAMP_CYCLES / pair_ramp_phase(self.U_max, self.w, 1.0)["ramp_cycles"]
         if not t < np.inf:
-            raise ConfigError(f"the default support ramp {factor:g} U_max/w^2 is not finite at "
-                              f"w = {self.w:.3g}; raise w or set the ramp duration")
+            raise ConfigError(f"the default support ramp is not finite at w = {self.w:.3g}; "
+                              "raise w or set the ramp duration")
         return t
 
     def resolved_wait(self) -> float:
@@ -204,9 +207,14 @@ class ProtocolParams:
         return t
 
     def support_ramp(self) -> float:
-        """The duration of the support's entangling ramp as it is stepped: T_ent,
-        refused when it is auto-derived and out of reach."""
-        return self.in_reach(self.resolved_T_ent(), self.T_ent, "entangling ramp T_ent")
+        """T_ent as the support ramp steps it, refused when it is auto-derived and out of reach:
+        by its length, or by :func:`evolve.check_reach` on its coarse step grid of ceil(T_ent /
+        2 dt) intervals, dt that of its device, whose ||H|| bound is the plateau's."""
+        t = self.in_reach(self.resolved_T_ent(), self.T_ent, "entangling ramp T_ent")
+        if self.T_ent is None:
+            g = support_graph(self, self.n_support, dev.Schedule.constant(self.U_max))
+            evolve.check_reach(np.ceil(t / (2 * self.integrator.resolve_dt(g))), 0.0, t)
+        return t
 
     def resolved_T_couple(self, support_gap: float) -> float:
         if self.T_couple is not None:
@@ -362,22 +370,33 @@ def _support_qubits(gamma) -> int:
     return shape[0] // 2
 
 
+def pair_ramp_phase(U: float, w: float, T: float) -> dict:
+    """The pair's ramp 0 -> U over T, a two-level sweep, kappa = U / sqrt(U^2 + 16 w^2): its
+    ``ramp_cycles`` Phi / 2 pi, Phi = T 4w arcsin(kappa) / kappa (T 4w at U = 0), and its end loss
+    to first order at adiabaticity eps = kappa / (8 w T), ``predicted_residue`` 4 eps^2
+    sin^2(Phi/2) = (arcsin(kappa) sinc(Phi / 2 pi) / 2)^2 (Vitanov & Garraway, PRA 53, 4288)."""
+    arc = math.asin(kappa := U / math.hypot(U, 4.0 * w))
+    cycles = T * 2.0 * w * (arc / kappa if kappa else 1.0) / math.pi
+    return dict(ramp_cycles=cycles, predicted_residue=float(np.sinc(cycles) * arc / 2) ** 2)
+
+
 def ramp_support(params: ProtocolParams, n_support: int, T: float):
     """Adiabatic preparation of a support register; returns (Gamma_S, RampDiagnostics).
 
     The register starts in its uncoupled ground state |+>^n, of covariance
     [[0, I], [-I, 0]] in closed form (i<a_k b_k> = <X_k> = 1), and every link ramps
     0 -> U_max together over T: the pair's on ``Schedule.tangent`` of gap scale 2w, as its
-    sector is the crossing [[0, -2w], [-2w, U]], longer supports' on a smoothstep.  The
-    ramp is an open transverse-field Ising chain, so :func:`evolve.adiabatic_ramp` sweeps
-    that covariance and returns the register's, Gamma_S; ``hilbert.gaussian_state(Gamma_S)``
-    builds its amplitudes.
+    sector is the crossing [[0, -2w], [-2w, U]] (Roland & Cerf, PRA 65, 042308 (2002)),
+    longer supports' on a smoothstep, and the pair's diagnostics add :func:`pair_ramp_phase`.
+    The ramp is an open transverse-field Ising chain, so :func:`evolve.adiabatic_ramp` sweeps that
+    covariance and returns the register's, Gamma_S, whose amplitudes ``gaussian_state`` builds.
     """
-    g = support_graph(params, n_support, dev.Schedule.tangent(
-        0.0, params.U_max, 0.0, T, gap_scale=2.0 * params.w) if n_support == 2 else
-        dev.Schedule.smooth(0.0, params.U_max, 0.0, T))
+    U = params.U_max
+    g = support_graph(params, n_support, dev.Schedule.tangent(0.0, U, 0.0, T, gap_scale=2.0 *
+                      params.w) if n_support == 2 else dev.Schedule.smooth(0.0, U, 0.0, T))
     plus = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n_support))
-    return evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
+    gamma, diag = evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
+    return gamma, diag if n_support > 2 else replace(diag, **pair_ramp_phase(U, params.w, T))
 
 
 def plateau_covariance(U: float, w: float, n: int) -> np.ndarray:
@@ -625,14 +644,8 @@ class _Readout:
 def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
                               achieved: InputQubit) -> TeleportResult:
     """Measure the encoder charge, apply Bob's conditional phase, and score: the
-    :class:`_Readout` of the one-row map of ``state``, as in :class:`Channel`.
-
-    Alice keeps qubits 0 and 1; the rest is the receiving register, whose target t is
-    the achieved amplitudes on the code pair {|0...0>, |1...1>}.  Both branches are
-    evaluated; ``outcome`` follows a seeded draw.  Refused: non-finite amplitudes and a
-    dominant state of code-pair amplitude norm < 1e-12 (ConvergenceError);
-    |p_0 + p_1 - 1| > NORM_TOL (DimensionError).
-    """
+    :class:`_Readout` of the one-row map of ``state``, with its refusals, as in :class:`Channel`
+    (qubits 0 and 1 are Alice's, the target is ``achieved`` on the code pair)."""
     if state.n_qubits < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
     return _Readout(state.amps[None]).read([1.0], params, achieved)
@@ -677,9 +690,11 @@ class Channel:
         self._readout = _Readout(self._post, self._coupled, ideal)
         self._entangle_log = {"norm": float(np.linalg.norm(support)) / math.sqrt(2 * n)}
         if ramp is not None:
-            self._entangle_log["min_gap"] = ramp.min_gap
-            self._entangle_log["min_sector_gap"] = ramp.min_sector_gap
-            self._entangle_log["ground_overlap_sq"] = ramp.final_ground_overlap_sq
+            self._entangle_log.update(min_gap=ramp.min_gap, min_sector_gap=ramp.min_sector_gap,
+                                      ground_overlap_sq=ramp.final_ground_overlap_sq)
+            if ramp.ramp_cycles is not None:  # the pair's ramp phase and its predicted loss
+                self._entangle_log.update(ramp_cycles=ramp.ramp_cycles,
+                                          predicted_residue=ramp.predicted_residue)
         key = params.U_max, params.w, n  # the effective support is the memoised plateau's
         plateau = params.mode == "effective" and support is plateau_covariance(*key)
         ghz = _plateau(*key)[1] if plateau else gaussian_overlap_sq(support, ghz_covariance(n))

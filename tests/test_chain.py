@@ -150,11 +150,12 @@ class TestChainTeleport:
             assert np.array_equal(a.bob_state_corrected.amps, b.bob_state_corrected.amps)
 
     def test_two_site_chain_defaults_are_the_pair(self):
-        # one rule for every length: the default support ramp is 0.6 U/w^2 for two sites and
-        # 3 U/w^2 from three on, and effective mode's support is the plateau ground state,
-        # whose GHZ overlap is 1/(1 + r^2) for the pair
+        # one rule for every length: the default support ramp is 8 cycles of its phase (~8/w)
+        # for two sites and 3 U/w^2 from three on, and effective mode's support is the plateau
+        # ground state, whose GHZ overlap is 1/(1 + r^2) for the pair
         params = ProtocolParams(U_max=100.0)
-        assert [ChainSpec(n, params).resolved_T_ghz() for n in (2, 3)] == [60.0, 300.0]
+        assert [ChainSpec(n, params).resolved_T_ghz() for n in (2, 3)] == pytest.approx(
+            [8.20236796345, 300.0])
         q = InputQubit(0.6, 0.8)
         chain = ChainChannel(ChainSpec(2, EFFECTIVE)).teleport(q).step_log["channel"]
         pair = build_channel(EFFECTIVE).teleport(q).step_log["channel"]

@@ -204,11 +204,11 @@ class TestRuns:
         # effective mode scores entangled_pair_reference itself, not a state rebuilt from
         # the covariance make_entangled_pair returns (its concurrence moves in the 12th digit)
         (["--mode", "effective", "--u-max", "1e-3"],
-         "entangle,effective,1,0,0.001,0.001,0.001,10,,0.785398163397,0.6,0,2,7,,"
+         "entangle,effective,1,0,0.001,0.001,0.001,12.5663704835,,0.785398163397,0.6,0,2,7,,"
          "0.500124999996,1,1,,0.000249999992188"),
         # full mode scores gaussian_state of the ramp's covariance
-        ([], "entangle,full,1,0,100,100,100,60,,0.785398163397,0.6,0,2,7,,0.999593753811,"
-             "0.99998273472,0.99998273472,0.0399840127872,0.999221926243"),
+        ([], "entangle,full,1,0,100,100,100,8.20236796345,,0.785398163397,0.6,0,2,7,,"
+             "0.999586183581,0.999999874287,0.999999874287,0.0399840127872,0.999172367193"),
     ])
     def test_entangle_rows_are_pinned(self, argv, row, tmp_path):
         assert main(["entangle", *argv, "--output", str(tmp_path / "ent")]) == 0
@@ -293,9 +293,10 @@ class TestSweepPointRanges:
         (["sweep", "--axis", "alpha_abs", "--values", "0.5,1.5"], "alpha_abs=1.5"),
         (["sweep", "--axis", "n_support", "--values", f"2,{MAX_QUBITS}"],
          f"n_support={MAX_QUBITS}"),
-        # the auto-derived support ramp of the second point is out of reach
-        (["sweep", "--experiment", "entangle", "--axis", "U_max", "--values", "100,1e5"],
-         "U_max=100000.0"),
+        # the auto-derived support ramp of the second point is out of reach: the pair's ~8/w
+        # ramp at U = 1e7 w needs a coarse step grid of 1e7 intervals
+        (["sweep", "--experiment", "entangle", "--axis", "U_max", "--values", "100,1e7"],
+         "U_max=10000000.0"),
         (["sweep", "--experiment", "teleport", "--axis", "U_max", "--values", "100,1e5"],
          "U_max=100000.0"),
         (["sweep", "--experiment", "teleport", "--n-support", "3", "--t-couple", "100",
@@ -490,7 +491,7 @@ class TestOneSupportLength:
                      "n_support", "--values", "2,3,4", "--output", str(tmp_path / "x")]) == 0
         rows = read_rows(tmp_path / "x.csv")
         assert [r["n_support"] for r in rows] == ["2", "3", "4"]
-        assert [r["T_ent"] for r in rows] == ["60", "300", "300"]
+        assert [r["T_ent"] for r in rows] == ["8.20236796345", "300", "300"]
         assert len({r["ghz_overlap_sq"] for r in rows}) == 3
         target = cli.input_qubit(RunConfig())
         for n, row in zip((2, 3, 4), rows):
@@ -583,7 +584,7 @@ class TestFullModeRows:
         auto, given = read_rows(tmp_path / "auto.csv")[0], read_rows(tmp_path / "given.csv")[0]
         assert auto["T_ent"] == "60" and auto == given
         for args, T_ent in ((["--n-support", "3"], "300"), (["--n-support", "3", "--t-ent", "7.5"],
-                                                             "7.5"), ([], "60")):
+                                                             "7.5"), ([], "8.20236796345")):
             assert main(["teleport", "--mode", "effective", *args,
                          "--output", str(tmp_path / "x")]) == 0
             assert read_rows(tmp_path / "x.csv")[0]["T_ent"] == T_ent

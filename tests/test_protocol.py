@@ -1152,7 +1152,7 @@ class TestParams:
 
     def test_duration_defaults_scale_with_coupling(self):
         p = ProtocolParams(U_max=100.0, Uprime_max=100.0)
-        assert p.resolved_T_ent() == pytest.approx(60.0)
+        assert p.resolved_T_ent() == pytest.approx(8.20236796345)
         gap = (np.hypot(100.0, 4.0) - 100.0) / 2.0
         assert p.resolved_T_couple(gap) == pytest.approx(8.0 / gap)
         assert p.resolved_bell_U() == pytest.approx(100.0)
@@ -1351,3 +1351,86 @@ class TestPairRampBudget:
             params = replace(params, T_ent=scale * params.resolved_T_ent())
         loss = 1.0 - build_channel(params).mean_fidelity()
         assert loss <= 1.35 * self.SMOOTHSTEP_LOSS[U]
+
+
+class TestPairRampPhase:
+    """The pair's support ramp is a two-level sweep at constant adiabaticity
+    eps = kappa / (8 w T), kappa = U / sqrt(U^2 + 16 w^2) (1/(8 w T) up to (2w/U)^2), whose
+    end loss is 4 eps^2 sin^2(Phi/2) to first order, Phi = T 4w arcsin(kappa) / kappa."""
+
+    US = [25.0, 50.0, 100.0, 200.0, 400.0, 800.0]
+
+    @staticmethod
+    def law(U, T):
+        kappa = U / math.hypot(U, 4.0)
+        phi = T * 4.0 * math.asin(kappa) / kappa
+        return phi / (2 * math.pi), 4 * (kappa / (8 * T)) ** 2, math.sin(phi / 2) ** 2
+
+    @pytest.mark.parametrize("U", US)
+    def test_end_loss_follows_the_phase_law(self, U):
+        # the law's next order is O(eps) relative to 4 eps^2, and eps <= 1/56 here: 5% of the
+        # envelope 4 eps^2, fixed before the first run, over two cycles around the default
+        per_cycle = protocol.RAMP_CYCLES / ProtocolParams(U_max=U).resolved_T_ent()
+        for cycles in np.arange(7.0, 9.0 + 1e-9, 0.125):
+            T = cycles / per_cycle
+            diag = ramp_support(ProtocolParams(U_max=U), 2, T)[1]
+            phase, envelope, sin2 = self.law(U, T)
+            assert phase == pytest.approx(cycles, rel=1e-13)
+            assert diag.ramp_cycles == pytest.approx(phase, rel=1e-13)
+            assert diag.predicted_residue == pytest.approx(envelope * sin2, rel=1e-9, abs=1e-25)
+            loss = 1.0 - diag.final_ground_overlap_sq
+            assert abs(loss - envelope * sin2) <= 0.05 * envelope
+            if cycles in (7.5, 8.5):  # the half-integer cycles next to the default: the worst
+                assert abs(loss / envelope - 1.0) <= 0.1
+
+    @pytest.mark.parametrize("U", US)
+    def test_default_ramp_sits_on_a_whole_cycle(self, U):
+        # k = 8 leaves the second-order residue, ~1.4e-7, below the plateau's (w/U)^2
+        params = ProtocolParams(U_max=U)
+        T = params.resolved_T_ent()
+        assert 8.0 <= T <= 8.8
+        diag = make_entangled_pair(params)[1]
+        assert diag.ramp_cycles == pytest.approx(protocol.RAMP_CYCLES, rel=1e-14)
+        assert diag.predicted_residue <= 1e-25
+        assert 1.0 - diag.final_ground_overlap_sq <= min(2e-7, (1.0 / U) ** 2)
+        log = build_channel(params).teleport(InputQubit(0.6, 0.8)).step_log["entangle"]
+        assert (log["ramp_cycles"], log["predicted_residue"]) == (
+            diag.ramp_cycles, diag.predicted_residue)
+
+    @pytest.mark.parametrize("U, most", [(100.0, 250), (400.0, 400)])
+    def test_default_ramp_grid(self, U, most):
+        # the 0.6 U/w^2 smoothstep-era default took 815 and 3 335 intervals here
+        params = ProtocolParams(U_max=U)
+        T = params.resolved_T_ent()
+        g = support_graph(params, 2, Schedule.tangent(0.0, U, 0.0, T, gap_scale=2.0))
+        edges = evolve.step_grid(g, 0.0, T, 2 * params.integrator.resolve_dt(g))
+        assert len(edges) - 1 <= most
+
+    def test_default_ramp_limit_at_no_repulsion(self):
+        # kappa -> 0: 2 pi k / (4w), with no division by zero
+        assert ProtocolParams(U_max=0.0).resolved_T_ent() == pytest.approx(4 * math.pi, rel=1e-15)
+        assert ProtocolParams(U_max=0.0, w=2.0).resolved_T_ent() == pytest.approx(2 * math.pi)
+
+    def test_chains_leave_the_phase_unset(self):
+        params = ProtocolParams(U_max=10.0, n_support=3, T_ent=45.0)
+        diag = make_entangled_pair(params)[1]
+        assert diag.ramp_cycles is None and diag.predicted_residue is None
+        log = build_channel(params).teleport(InputQubit(0.6, 0.8)).step_log["entangle"]
+        assert "ramp_cycles" not in log and "predicted_residue" not in log
+
+    @pytest.mark.parametrize("U", [
+        100.0,
+        pytest.param(400.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "the matched support's ~1.4e-7 second-order residue still interferes with the "
+            "coupler: 1 - F moves by about +-6% here (+-2.4% from an exact support)"))),
+    ])
+    def test_mean_fidelity_is_flat_in_the_coupling_length(self, U):
+        # with the support's residue at its second order, 1 - F over T_couple +- 0.1/w (the
+        # oscillation's period is ~2 pi / U) stays within +-5% of its mid-range
+        params = ProtocolParams(U_max=U)
+        support, ramp = make_entangled_pair(params)
+        t_couple = resolve_coupling(params, 2)[0]
+        loss = np.array([1.0 - Channel(support, ramp, replace(params, T_couple=t_couple + d))
+                         .mean_fidelity() for d in np.linspace(-0.1, 0.1, 41)])
+        mid = (loss.max() + loss.min()) / 2
+        assert (loss.max() - loss.min()) / 2 <= 0.05 * mid
