@@ -97,11 +97,11 @@ def checked_points(cfg: RunConfig):
     """(errors, points) of :func:`validate_config`'s checks (no points on errors).  A point is
     ``(cfg, params, row)``: the run's config, its one ProtocolParams and its parameter cells,
     with the derived values the checks resolved in place of None.  An input-axis sweep's points
-    share its base's check, warnings and all (no ProtocolParams field holds an input); other
-    sweeps check their base quietly, since it never runs."""
-    if cfg.axis is not None or cfg.values is not None:  # a sweep: its base, then its points
+    share its base's check, warnings and all (no ProtocolParams field holds an input); any other
+    sweep checks exactly its points, since its base never runs."""
+    if cfg.axis is not None or cfg.values is not None:  # a sweep: each point's check, or the base's
         base, shared = replace(cfg, axis=None, values=None), cfg.axis in INPUT_AXES
-        errors, checked = checked_points(base) if shared else (validate_config(base), [])
+        errors, checked = checked_points(base) if shared else ([], [])
         if cfg.axis is not None and cfg.axis not in SWEEP_AXES:
             errors.append(f"unknown sweep axis {cfg.axis!r}; choose from {', '.join(SWEEP_AXES)}")
         if cfg.axis is None or cfg.values is None:
@@ -135,10 +135,8 @@ def checked_points(cfg: RunConfig):
                    T_ent=params.resolved_T_ent())
         if cfg.mode == "full" and cfg.experiment != "encode":  # the support ramp it steps
             params.support_ramp()
-        if cfg.experiment in CHANNEL_EXPERIMENTS:  # the coupling the channel will step
-            t_couple = proto.resolve_coupling(params, params.n_support)[0]
-            if t_couple is not None:
-                row["T_couple"] = t_couple
+        if cfg.experiment in CHANNEL_EXPERIMENTS:  # the coupling it steps, None in effective mode
+            row["T_couple"] = proto.resolve_coupling(params, params.n_support)[0] or row["T_couple"]
     except (ConfigError, DimensionError) as exc:
         return [str(exc)], []
     return [], [(cfg, params, row)]

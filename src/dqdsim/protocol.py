@@ -40,6 +40,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -198,29 +199,32 @@ class ProtocolParams:
                               f"{wait:.3g} must be positive and finite")
         return wait
 
-    def in_reach(self, t: float, given: float | None, ramp: str) -> float:
-        """The duration t of ``ramp``; ConfigError when it is auto-derived (``given`` is None)
-        and longer than MAX_AUTO_RAMP / w."""
+    def in_reach(self, t: float, given: float | None, ramp: str, device) -> float:
+        """The duration t of ``ramp``, by the one reach rule of every ramp a channel steps.
+        ConfigError when t is auto-derived (``given`` is None) and longer than MAX_AUTO_RAMP / w,
+        or, auto or given, when its coarse grid of ceil(t / 2 dt) intervals passes
+        ``evolve.MAX_INTERVALS``, dt that of the ramp's device ``device()``: ``step_grid``'s
+        first check, skipped as there when no schedule moves (one exponential steps it)."""
         if given is None and not t * self.w <= MAX_AUTO_RAMP:  # inf and NaN fail too
             raise ConfigError(f"the auto-derived {ramp} needs {t:.3g}/w, more than "
                               f"{MAX_AUTO_RAMP:g}/w; lower U_max or set it explicitly")
+        g = device()
+        if any(not s.is_constant for s, _ in dev.norm_weights(g)):
+            try:
+                evolve.check_reach(np.ceil(t / (2 * self.integrator.resolve_dt(g))), 0.0, t)
+            except ConfigError as exc:
+                raise ConfigError(f"the {ramp}: {exc}") from None
         return t
 
     def support_ramp(self) -> float:
-        """T_ent as the support ramp steps it, refused when it is auto-derived and out of reach:
-        by its length, or by :func:`evolve.check_reach` on its coarse step grid of ceil(T_ent /
-        2 dt) intervals, dt that of its device, whose ||H|| bound is the plateau's."""
-        t = self.in_reach(self.resolved_T_ent(), self.T_ent, "entangling ramp T_ent")
-        if self.T_ent is None:
-            g = support_graph(self, self.n_support, dev.Schedule.constant(self.U_max))
-            evolve.check_reach(np.ceil(t / (2 * self.integrator.resolve_dt(g))), 0.0, t)
-        return t
+        """T_ent as the support ramp steps it, refused by :meth:`in_reach` on the ramp's device."""
+        t = self.resolved_T_ent()
+        return self.in_reach(t, self.T_ent, "entangling ramp T_ent",
+                             lambda: ramp_graph(self, self.n_support, t))
 
     def resolved_T_couple(self, support_gap: float) -> float:
-        if self.T_couple is not None:
-            return self.T_couple
-        return self.in_reach(faithful_ramp(support_gap), None,
-                             f"coupling ramp T_couple across the crossing gap {support_gap:.3g}")
+        """T_couple, or the default :func:`faithful_ramp` across the crossing gap."""
+        return faithful_ramp(support_gap) if self.T_couple is None else self.T_couple
 
 
 # --------------------------------------------------------------------------
@@ -275,15 +279,18 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
 
     The channel's preflight: channel builders call it before they prepare the support, so
     no ramp is stepped before a refusal, and pass its result to the :class:`Channel`.
-    Raises ConfigError when the rotation stage's wait is not positive and finite, or when
-    the auto-derived coupling ramp is out of reach.  The register's size is bounded by
-    ``MAX_QUBITS`` alone: no stage of a channel holds a 2^n x 2^n array.
+    Raises ConfigError when the rotation stage's wait is not positive and finite, or when the
+    coupling ramp is out of :meth:`ProtocolParams.in_reach` on the ``n_support``-site coupler.
+    The register's size is bounded by ``MAX_QUBITS`` alone: no stage holds a 2^n x 2^n array.
     """
     t_wait = params.resolved_wait()
     if params.mode == "effective":
         return None, None, t_wait
     gap = support_crossing_gap(params, n_support)
-    return params.resolved_T_couple(gap), gap, t_wait
+    t = params.resolved_T_couple(gap)
+    params.in_reach(t, params.T_couple, f"coupling ramp T_couple across the crossing gap "
+                    f"{gap:.3g}", lambda: coupler_graph(params, n_support, t, gap))
+    return t, gap, t_wait
 
 
 # --------------------------------------------------------------------------
@@ -383,20 +390,25 @@ def pair_ramp_phase(U: float, w: float, T: float) -> dict:
 def ramp_support(params: ProtocolParams, n_support: int, T: float):
     """Adiabatic preparation of a support register; returns (Gamma_S, RampDiagnostics).
 
-    The register starts in its uncoupled ground state |+>^n, of covariance
-    [[0, I], [-I, 0]] in closed form (i<a_k b_k> = <X_k> = 1), and every link ramps
-    0 -> U_max together over T: the pair's on ``Schedule.tangent`` of gap scale 2w, as its
-    sector is the crossing [[0, -2w], [-2w, U]] (Roland & Cerf, PRA 65, 042308 (2002)),
-    longer supports' on a smoothstep, and the pair's diagnostics add :func:`pair_ramp_phase`.
+    The register starts in its uncoupled ground state |+>^n, of covariance [[0, I], [-I, 0]]
+    in closed form (i<a_k b_k> = <X_k> = 1), and steps on :func:`ramp_graph`'s device; the
+    pair's diagnostics add :func:`pair_ramp_phase`.
     The ramp is an open transverse-field Ising chain, so :func:`evolve.adiabatic_ramp` sweeps that
     covariance and returns the register's, Gamma_S, whose amplitudes ``gaussian_state`` builds.
     """
-    U = params.U_max
-    g = support_graph(params, n_support, dev.Schedule.tangent(0.0, U, 0.0, T, gap_scale=2.0 *
-                      params.w) if n_support == 2 else dev.Schedule.smooth(0.0, U, 0.0, T))
+    U, g = params.U_max, ramp_graph(params, n_support, T)
     plus = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n_support))
     gamma, diag = evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
     return gamma, diag if n_support > 2 else replace(diag, **pair_ramp_phase(U, params.w, T))
+
+
+def ramp_graph(params: ProtocolParams, n_support: int, T: float) -> dev.DeviceGraph:
+    """The support ramp's device: every link 0 -> U_max over T, the pair's on ``Schedule.tangent``
+    of gap scale 2w, as its sector is the crossing [[0, -2w], [-2w, U]] (Roland & Cerf, PRA 65,
+    042308 (2002)), longer supports' on a smoothstep."""
+    U = params.U_max
+    return support_graph(params, n_support, dev.Schedule.tangent(0.0, U, 0.0, T, gap_scale=2.0 *
+                         params.w) if n_support == 2 else dev.Schedule.smooth(0.0, U, 0.0, T))
 
 
 def plateau_covariance(U: float, w: float, n: int) -> np.ndarray:
@@ -425,8 +437,8 @@ def _plateau(U: float, w: float, n: int):  # the SVD nor the overlap's determina
 def make_entangled_pair(params: ProtocolParams):
     """The support register's preparation at ``params.n_support``; returns (Gamma_S, ramp
     diagnostics or None).  Full mode ramps it (:func:`ramp_support`); effective mode's is
-    the plateau ground state's, :func:`plateau_covariance`.  An auto-derived ramp past
-    ``MAX_AUTO_RAMP`` raises ConfigError."""
+    the plateau ground state's, :func:`plateau_covariance`.  A ramp out of
+    :meth:`ProtocolParams.in_reach` raises ConfigError before it is stepped."""
     if params.mode == "effective":
         return plateau_covariance(params.U_max, params.w, params.n_support), None
     return ramp_support(params, params.n_support, params.support_ramp())
@@ -579,7 +591,8 @@ class _Readout:
     matrix W, so ``read`` takes one product, of W with (u, conj(u_a) u_b for all a, b).
     """
 
-    def __init__(self, post, coupled=None, ideal=None):
+    def __init__(self, post, coupled=None, ideal=None, t_wait=None):
+        self.t_wait = t_wait  # a channel's rotation wait, for its bell entry
         r, R = post.shape[0], post.shape[1] // 4
         mid = post.reshape(r, R, 4).copy()
         mid[:, ::R - 1] = 0.0  # the rows off the code pair
@@ -600,9 +613,9 @@ class _Readout:
         self._W[8:, 1:] = forms  # row n: W[n, 0] . u + sum_ab W[n, 1 + a, b] conj(u_a) u_b
         self._W = self._W.reshape(len(self._W), -1)
 
-    def read(self, u, params: ProtocolParams, achieved: InputQubit) -> TeleportResult:
-        """The readout at the amplitudes u (a sequence of complex); a channel's step_log also
-        holds ``couple`` and ``bell``."""
+    def read(self, u, params: ProtocolParams, achieved: InputQubit, log: dict) -> TeleportResult:
+        """The readout at the amplitudes u (a sequence of complex); its step_log is ``log`` with
+        ``couple`` and ``bell`` (a channel's) and ``measure`` appended."""
         y = (self._W @ np.array(list(u) + [a.conjugate() * b for a in u for b in u])).tolist()
         x, q = y[:8], y[8:]  # branch k's c[i][s] = x[4 k + 2 i + s]; the forms
         p0, p1 = probs = [(q[0] + q[3]).real, (q[4] + q[7]).real]  # G_k[s][t] = q[4k + 2s + t]
@@ -633,11 +646,12 @@ class _Readout:
 
         drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
         picked = branches.get(drawn) or branches[1 - drawn]  # never the empty branch
-        # the leakage form is positive semidefinite; rounding must not take it below 0
-        log = {"measure": {"p0": p0, "p1": p1, "leakage": max(0.0, q[9].real)}}
         if len(q) > 10:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
             log["couple"] = {"target_overlap_sq": abs(q[11]) ** 2, "norm": math.sqrt(q[10].real)}
-            log["bell"] = {"effective_overlap_sq": abs(q[8]) ** 2, "norm": math.sqrt(p0 + p1)}
+            log["bell"] = {"t_wait": self.t_wait, "effective_overlap_sq": abs(q[8]) ** 2,
+                           "norm": math.sqrt(p0 + p1)}
+        # the leakage form is positive semidefinite; rounding must not take it below 0
+        log["measure"] = {"p0": p0, "p1": p1, "leakage": max(0.0, q[9].real)}
         return TeleportResult(picked.outcome, p0, p1, picked.fidelity, (*branches.values(),), log)
 
 
@@ -648,7 +662,7 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
     (qubits 0 and 1 are Alice's, the target is ``achieved`` on the code pair)."""
     if state.n_qubits < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
-    return _Readout(state.amps[None]).read([1.0], params, achieved)
+    return _Readout(state.amps[None]).read([1.0], params, achieved, {})
 
 
 class Channel:
@@ -687,43 +701,30 @@ class Channel:
         E = G if params.mode == "effective" else effective_gate(params, self.t_wait)
         ideal = np.zeros((2, coupled.size), dtype=complex)  # E on |0...0> and |1...1>
         ideal[0, :4], ideal[1, -4:] = E[:, 0], E[:, 3]
-        self._readout = _Readout(self._post, self._coupled, ideal)
-        self._entangle_log = {"norm": float(np.linalg.norm(support)) / math.sqrt(2 * n)}
+        self._readout = _Readout(self._post, self._coupled, ideal, self.t_wait)
+        log = {"norm": float(np.linalg.norm(support)) / math.sqrt(2 * n)}
         if ramp is not None:
-            self._entangle_log.update(min_gap=ramp.min_gap, min_sector_gap=ramp.min_sector_gap,
-                                      ground_overlap_sq=ramp.final_ground_overlap_sq)
+            log.update(min_gap=ramp.min_gap, min_sector_gap=ramp.min_sector_gap,
+                       ground_overlap_sq=ramp.final_ground_overlap_sq)
             if ramp.ramp_cycles is not None:  # the pair's ramp phase and its predicted loss
-                self._entangle_log.update(ramp_cycles=ramp.ramp_cycles,
-                                          predicted_residue=ramp.predicted_residue)
+                log.update(ramp_cycles=ramp.ramp_cycles, predicted_residue=ramp.predicted_residue)
         key = params.U_max, params.w, n  # the effective support is the memoised plateau's
         plateau = params.mode == "effective" and support is plateau_covariance(*key)
         ghz = _plateau(*key)[1] if plateau else gaussian_overlap_sq(support, ghz_covariance(n))
-        self._channel_log = {"ghz_overlap_sq": ghz, "T_couple": self.t_couple}
-
-    def couple(self, encoded: StateVector) -> StateVector:
-        """Coupling-stage output for an encoded qubit, from the two images."""
-        return _own_state(encoded.amps @ self._coupled)
+        self._shared = {"entangle": MappingProxyType(log), "channel": MappingProxyType(
+            {"ghz_overlap_sq": ghz, "T_couple": self.t_couple})}  # read-only, for every result
 
     def teleport(self, target: InputQubit) -> TeleportResult:
         """Encode, couple, rotate, measure and correct one input.
 
         The step log records each stage's norm and its overlap with the
         effective-mode reference; the entangle and channel entries are the
-        channel's own and the same for every input.
+        channel's own, read-only views shared by every input.
         """
-        p = self.params
-        enc = encode_qubit(target, p.w, p.phi)
-        result = self._readout.read((enc.achieved.alpha, enc.achieved.beta), p, enc.achieved)
-        log = result.step_log
-        result.step_log = {
-            "encode": {"t_bar": enc.t_bar, "achieved": (enc.achieved.alpha, enc.achieved.beta)},
-            "entangle": dict(self._entangle_log),
-            "channel": dict(self._channel_log),
-            "couple": log["couple"],
-            "bell": {"t_wait": self.t_wait, **log["bell"]},
-            "measure": log["measure"],
-        }
-        return result
+        enc = encode_qubit(target, self.params.w, self.params.phi)
+        u = enc.achieved.alpha, enc.achieved.beta
+        return self._readout.read(u, self.params, enc.achieved,
+                                  {"encode": {"t_bar": enc.t_bar, "achieved": u}, **self._shared})
 
     def mean_fidelity(self) -> float:
         """The exact Haar mean of sum_k p_k F_k over inputs u fed to the coupler (not the
@@ -732,7 +733,7 @@ class Channel:
         s = math.sqrt(0.5)
         pauli = ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (s, 1j * s), (s, -1j * s))
         return sum(b.probability * b.fidelity for u in pauli
-                   for b in self._readout.read(u, self.params, InputQubit(*u)).branches) / 6
+                   for b in self._readout.read(u, self.params, InputQubit(*u), {}).branches) / 6
 
 
 def build_channel(params: ProtocolParams) -> Channel:

@@ -98,13 +98,25 @@ class TestValidateConfig:
         # no ProtocolParams field holds an input: the base's check serves every point and the run
         assert [c.alpha_abs for c in built] == [0.6]
 
-    def test_a_parameter_sweep_builds_the_base_then_each_point(self, tmp_path, monkeypatch):
+    def test_a_parameter_sweep_builds_each_point_and_not_its_base(self, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "build_params", lambda cfg: built.append(cfg) or
                             build_params(cfg))
         assert main(["sweep", "--mode", "effective", "--axis", "U_max", "--values",
                      "50,20", "--output", str(tmp_path / "x")]) == 0
-        assert [c.U_max for c in built] == [100.0, 20.0, 50.0]
+        # no point runs the base's U_max = 100, so it is not built
+        assert [c.U_max for c in built] == [20.0, 50.0]
+
+    def test_a_parameter_sweep_is_not_refused_for_its_base(self, tmp_path):
+        # the base's U_max = 0 leaves bell_U at 0, which no point runs
+        assert main(["sweep", "--mode", "effective", "--axis", "U_max", "--values", "10,20",
+                     "--u-max", "0", "--output", str(tmp_path / "x")]) == 0
+        assert [r["U_max"] for r in read_rows(tmp_path / "x.csv")] == ["10", "20"]
+
+    def test_validation_passes_in_reach_ramps(self):
+        # the pair's auto coupler at U = 2e3 w, and an entangle run, which steps no coupler
+        assert validate_config(RunConfig(U_max=2e3)) == []
+        assert validate_config(RunConfig(U_max=1e4, experiment="entangle")) == []
 
     def test_an_input_sweep_resolves_its_coupling_twice(self, tmp_path, monkeypatch):
         resolved = []
@@ -307,6 +319,23 @@ class TestSweepPointRanges:
         assert main(argv + ["--output", str(tmp_path / "x")]) == 2
         assert list(tmp_path.iterdir()) == []
         assert f"sweep point {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, ramp", [pytest.param(*case, id=" ".join(case[0])) for case in (
+        # the pair's auto coupler 2U/w^2 at U = 1e4 w is inside MAX_AUTO_RAMP, but its coarse
+        # grid is 5e7 intervals
+        (["teleport", "--u-max", "1e4"], "the coupling ramp T_couple"),
+        (["teleport", "--t-couple", "1e7"], "the coupling ramp T_couple"),
+        (["entangle", "--t-ent", "1e7"], "the entangling ramp T_ent"),
+        (["sweep", "--experiment", "teleport", "--axis", "U_max", "--values", "100,1e4"],
+         "sweep point U_max=10000.0: the coupling ramp T_couple"),
+    )])
+    def test_a_ramp_out_of_grid_reach_exits_2_before_any_ramp(self, tmp_path, capsys, monkeypatch,
+                                                               argv, ramp):
+        monkeypatch.setattr(protocol, "ramp_support", no_ramp)
+        assert main(argv + ["--output", str(tmp_path / "x")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert f"config error: {ramp}" in err and "out of reach" in err
 
     @pytest.mark.parametrize("argv", [
         ["teleport", "--mode", "effective"], ["teleport", "--n-support", "4", "--mode", "effective"],

@@ -544,6 +544,17 @@ def random_state(rng, n_qubits):
 
 
 class TestChannel:
+    def test_the_step_logs_shared_entries_are_read_only(self):
+        channel = build_channel(small_full_params())
+        a, b = (channel.teleport(q) for q in (InputQubit(0.6, 0.8), InputQubit(1.0, 0.0)))
+        assert list(a.step_log) == ["encode", "entangle", "channel", "couple", "bell", "measure"]
+        for key in ("entangle", "channel"):
+            assert a.step_log[key] is b.step_log[key]
+            with pytest.raises(TypeError):
+                a.step_log[key]["norm"] = 0.0
+        assert list(a.step_log["bell"]) == ["t_wait", "effective_overlap_sq", "norm"]
+        assert a.step_log["bell"]["t_wait"] == channel.t_wait
+
     @settings(max_examples=10, deadline=None)
     @given(n_support=st.sampled_from([2, 3]), U=st.floats(10.0, 40.0),
            seed=st.integers(0, 2**32 - 1))
@@ -554,24 +565,24 @@ class TestChannel:
         rng = np.random.default_rng(seed)
         params = ProtocolParams(U_max=U, integrator=PropagatorConfig(dt=0.5))
         gamma = random_covariance(rng, n_support)
-        support, channel = StateVector(gaussian_state(gamma)), Channel(gamma, None, params)
+        support = StateVector(gaussian_state(gamma))
         enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
         t_couple, gap, _ = resolve_coupling(params, n_support)
         g = coupler_graph(params, n_support, t_couple, gap)
         U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
         expected = U_couple @ tensor_product(enc.state, support).amps
-        assert np.max(np.abs(align_phase(channel.couple(enc.state).amps, expected)
-                             - expected)) < 1e-12
+        coupled = couple_unknown(enc.state, gamma, params).amps
+        assert np.max(np.abs(align_phase(coupled, expected) - expected)) < 1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(n_support=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
     def test_effective_split_is_ghz_encoded(self, n_support, seed):
         rng = np.random.default_rng(seed)
-        channel = Channel(ghz_covariance(n_support), None, EFFECTIVE)
         enc = encode_qubit(InputQubit.random(rng), 1.0)
         a, b = enc.state.amps
         expected = ghz_encoded(a, b, n_support + 1).amps
-        assert np.max(np.abs(channel.couple(enc.state).amps - expected)) <= 1e-15
+        coupled = couple_unknown(enc.state, ghz_covariance(n_support), EFFECTIVE)
+        assert np.max(np.abs(coupled.amps - expected)) <= 1e-15
 
     def test_refuses_a_tunneling_encoder(self, monkeypatch):
         original = protocol.coupler_graph
@@ -1177,6 +1188,27 @@ class TestParams:
         with pytest.raises(ConfigError, match=match):
             ChainChannel(ChainSpec(3, params))
 
+    @pytest.mark.parametrize("kwargs, ramp", [
+        (dict(U_max=1e4), "coupling ramp T_couple"),  # 2U/w^2, in MAX_AUTO_RAMP, on 5e7 intervals
+        (dict(T_couple=1e7), "coupling ramp T_couple"),
+        (dict(T_ent=1e7), "entangling ramp T_ent"),
+    ])
+    def test_channel_refuses_a_ramp_out_of_grid_reach_first(self, kwargs, ramp, monkeypatch):
+        def no_ramp(*args):
+            raise AssertionError("the support ramp ran before the refusal")
+
+        monkeypatch.setattr(protocol, "ramp_support", no_ramp)
+        with pytest.raises(ConfigError, match=f"the {ramp}.*: the step grid .* out of reach"):
+            build_channel(ProtocolParams(**kwargs))
+
+    def test_a_ramp_that_does_not_move_is_in_reach_at_any_length(self):
+        # step_grid steps a device whose schedules do not move in one exponential
+        params = ProtocolParams(U_max=0.0, T_ent=1e9)
+        assert params.support_ramp() == 1e9
+        assert ramp_support(params, 2, 1e9)[1].final_ground_overlap_sq == pytest.approx(1.0)
+        with pytest.raises(ConfigError, match="entangling ramp T_ent"):
+            replace(params, U_max=20.0).support_ramp()
+
     def test_overflowing_default_ramps_are_refused(self):
         # w^2 underflows to 0 at w = 1e-300: 2 U_max / w^2 is not a duration
         params = ProtocolParams(w=1e-300)
@@ -1312,7 +1344,7 @@ class TestMeanFidelity:
 
     @staticmethod
     def weighted(channel, u):
-        branches = channel._readout.read(u, channel.params, InputQubit(*u)).branches
+        branches = channel._readout.read(u, channel.params, InputQubit(*u), {}).branches
         return sum(b.probability * b.fidelity for b in branches)
 
     @pytest.mark.parametrize("U, n_support", [(25.0, 2), (100.0, 2), (400.0, 2), (10.0, 3)],

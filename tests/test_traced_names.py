@@ -1,13 +1,15 @@
 """The benchmark's tracer (perfbench/spans.py) wraps dqdsim functions by name, and its
 workloads (perfbench/workloads.py) call dqdsim's library by name.
 
-Every name it wraps must resolve, and every library call the workloads make outside a
-timed job must run, so that deleting or renaming one fails the test suite and not only
+Every name it wraps must resolve, every argument it reads by position must keep that
+position, and every library call the workloads make outside a timed job must run, so that
+deleting, renaming or reordering one fails the test suite and not only
 ``python -m pytest perfbench`` or a benchmark run.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -53,3 +55,16 @@ def test_the_chain4_channel_builds():
     channel = dqdsim.ChainChannel(spec)
     assert spec.resolved_T_ghz() == WORKLOADS.CHAIN_T_GHZ
     assert channel.teleport(dqdsim.InputQubit(0.6, 0.8)).fidelity_to_input >= WORKLOADS.FLOOR_CHAIN
+
+
+@pytest.mark.parametrize("module, name, params", [
+    ("protocol", "make_entangled_pair", ("params",)),  # its stage.entangle key: argument 0
+    ("protocol", "couple_unknown", ("unknown", "support", "params")),  # stage.couple: argument 2
+    ("evolve", "evolve_scheduled", ("state", "g", "t0", "t1", "cfg")),
+    ("evolve", "scheduled_propagator", ("g", "t0", "t1", "cfg")),
+])
+def test_traced_arguments_keep_their_positions(module, name, params):
+    # the tracer reads these arguments by position (spans.INFO); a reordered signature would
+    # skew its counts without failing
+    fn = getattr(importlib.import_module(f"dqdsim.{module}"), name)
+    assert tuple(inspect.signature(fn).parameters)[:len(params)] == params
