@@ -37,7 +37,7 @@ RESULT_COLUMNS = {
     "encode": ("t_bar", "achieved_alpha_re", "achieved_alpha_im",
                "achieved_beta_re", "achieved_beta_im"),
     "entangle": ("bell_overlap_sq", "reference_overlap_sq", "ground_overlap_sq",
-                 "min_gap", "concurrence"),
+                 "min_gap", "concurrence", "ramp_cycles", "predicted_residue"),
     "couple": ("target_overlap_sq", "norm"),
     "bell": ("p0", "p1", "effective_overlap_sq"),
     "teleport": ("outcome", "p0", "p1", "fidelity", "fidelity_branch0", "fidelity_branch1",
@@ -196,6 +196,8 @@ def run_experiment(point: tuple, channel: proto.Channel | None = None) -> dict:
             min_gap=diag.min_gap if diag else "",
             concurrence=concurrence(state),
         )
+        for c in ("ramp_cycles", "predicted_residue"):  # the pair's ramp phase, if it ramped
+            row[c] = "" if (v := getattr(diag, c, None)) is None else v
         return row
 
     res = (channel or proto.build_channel(params)).teleport(target)  # a channel experiment

@@ -16,6 +16,7 @@ logical |0> under it yields ``cos(wt)|0> + i sin(wt) exp(-ip)|1>``.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -84,6 +85,13 @@ class Schedule:
     def max_abs(self) -> float:
         return max(abs(self.v_start), abs(self.v_end))
 
+    @functools.cached_property
+    def _tangent(self):  # schedule_value's (2j/hyp)^2, kappa^2, 2j kappa and |delta| for delta
+        delta, j = self.v_end - self.v_start, self.gap_scale  # = v_end - v_start, j = gap_scale,
+        hyp = np.hypot(delta, 2 * j)  # hyp = |(delta, 2j)| and kappa = |delta| / hyp
+        kappa = abs(delta) / hyp
+        return (2 * j / hyp) ** 2, kappa**2, 2 * j * kappa, abs(delta)
+
 
 @np.errstate(over="ignore")  # t / span overflows to +-inf on a very short ramp, then clips
 def schedule_value(s: Schedule, t):
@@ -92,23 +100,18 @@ def schedule_value(s: Schedule, t):
     if s.kind == "constant":
         out = np.full_like(t, s.v_start)
         return out if out.ndim else float(out)
-    span = s.t_end - s.t_start
-    x = np.clip((t - s.t_start) / span, 0.0, 1.0) if span > 0 else np.where(t < s.t_start, 0.0, 1.0)
+    span = s.t_end - s.t_start  # np.clip(x, 0, 1) as its two ufuncs, without its wrapper's cost
+    x = np.minimum(np.maximum(0.0, (t - s.t_start) / span), 1.0) if span > 0 else np.where(
+        t < s.t_start, 0.0, 1.0)
     if s.kind == "linear_ramp":
         y = x
     elif s.kind == "smooth_ramp":
         y = 3 * x**2 - 2 * x**3
-    else:  # tangent_ramp
-        delta = s.v_end - s.v_start
-        j = s.gap_scale
-        if delta == 0:
-            y = np.zeros_like(x)
-        else:
-            hyp = np.hypot(delta, 2 * j)
-            kappa = abs(delta) / hyp
-            # 1 - (kappa x)^2 = (2j/hyp)^2 + kappa^2 (1-x)(1+x), cancellation-free
-            denom = np.sqrt((2 * j / hyp) ** 2 + kappa**2 * (1.0 - x) * (1.0 + x))
-            y = 2 * j * kappa * x / denom / abs(delta)
+    elif s.v_end == s.v_start:  # a tangent_ramp that does not move
+        y = np.zeros_like(x)
+    else:  # tangent_ramp: 1 - (kappa x)^2 = (2j/hyp)^2 + kappa^2 (1-x)(1+x), cancellation-free
+        a2, k2, c, d = s._tangent
+        y = c * x / np.sqrt(a2 + k2 * (1.0 - x) * (1.0 + x)) / d
     out = s.v_start + (s.v_end - s.v_start) * y
     return out if out.ndim else float(out)
 

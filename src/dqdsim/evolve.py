@@ -58,6 +58,7 @@ STILL = 1e-4
 MAX_PHASE = 5.0
 _MAX_HALVINGS = 40
 MAX_INTERVALS = 2**22  # a grid past this many intervals is out of simulation reach
+_TOP_LEVELS = 9  # step_grid tests its blocks' top levels, down to <= 512 blocks, in one batch
 
 
 @dataclass(frozen=True)
@@ -255,70 +256,122 @@ def step_grid(g: dev.DeviceGraph, t0: float, t1: float, h: float):
     """Interval edges over [t0, t1], or None when no schedule moves there (each takes one
     value at t0 and t1).
 
-    The window is cut into equal intervals of at most h.  An interval of length s over
-    which H moves is halved while its local-error proxy s ||dH|| max(1, s ||H||) exceeds
-    ``GRID_TOL`` h / h_auto, h_auto = 2 dt of the auto step.  With ||dH|| ~ s ||H'||,
-    halving s quarters the proxy while halving h halves the threshold: a graded stretch's
-    steps shrink like sqrt(dt), so it converges at second order in dt where the bulk
-    converges at fourth, and the refinement fades as dt shrinks.  An interval is also
-    halved while it moves by s ||dH|| > ``STILL`` at a phase s ||H||_s above ``MAX_PHASE``,
-    ||H||_s its own bound (CF4 converges below a phase of pi; Moan & Niesen, Found.
-    Comput. Math. 8, 291 (2008)): the pair's entangle ramp errs by 2e-4 at a phase of 8
-    and by 4e-9 at 4, while a barely moving stretch is fine at any phase.  The proxy keeps
-    the window's ||H||: at ||H||_s it erred 9x more.  Runs of intervals over which H does
-    not move are merged.  When h >= h_auto, intervals 2k, 2k + 1 are then merged, pass
-    after pass, while their union of length s passes both tests and its halves move
-    alike, by a and b with s |a - b| max(1, s ||H||) <= ``STILL`` (merging a smooth
-    ramp's ends, whose rate grows from 0, raised the pair's entangle error from 1.2e-7 to
-    2.1e-7).  Merged steps do not shrink like h, so a finer dt is not merged.  The
-    monotone schedules' values at the window's ends bound ||H||, and at an interval's
-    ends ||dH|| and ||H||_s, weighted by :func:`device.norm_weights`, so every block and
-    sector of the device steps on the same grid.  Cost: each distinct schedule is evaluated
-    at t0 and t1 and once per edge the grid creates, each halving pass tests only the
-    intervals the last one split, and the merge passes reuse the values.
-    Raises ConfigError before building a grid of more than ``MAX_INTERVALS``.
+    The window is cut into n = ceil((t1 - t0) / h) equal coarse intervals.  An interval of
+    length s over which H moves fails while its local-error proxy s ||dH|| max(1, s ||H||)
+    exceeds ``GRID_TOL`` h / h_auto, h_auto = 2 dt of the auto step: with ||dH|| ~ s ||H'||,
+    halving s quarters the proxy while halving h halves the threshold, so a graded
+    stretch's steps shrink like sqrt(dt) and it converges at second order in dt where the
+    bulk converges at fourth.  It also fails while it moves by s ||dH|| > ``STILL`` at a
+    phase s ||H||_s above ``MAX_PHASE``, ||H||_s its own bound (CF4 converges below a phase
+    of pi; Moan & Niesen, Found. Comput. Math. 8, 291 (2008)): the pair's entangle ramp
+    errs by 2e-4 at a phase of 8 and by 4e-9 at 4, while a barely moving stretch is fine at
+    any phase.  The proxy keeps the window's ||H||: at ||H||_s it erred 9x more.
+
+    When h >= h_auto, the coarse intervals are first merged top-down in dyadic blocks
+    [k 2^l, min((k + 1) 2^l, n)): a block with two halves is one interval when its union of
+    length s passes and its halves move alike, by a and b with s |a - b| max(1, s ||H||) <=
+    ``STILL`` (merging a smooth ramp's ends, whose rate grows from 0, raised the pair's
+    entangle error from 1.2e-7 to 2.1e-7), else its halves are tested; a block with one
+    half is that half.  The coarse intervals reached are halved while they fail.  Runs of
+    intervals over which H does not move are then merged and, when h >= h_auto, intervals
+    2k, 2k + 1 pass after pass by the blocks' rule.  Merged steps do not shrink like h, so
+    a finer dt is not merged.  The monotone schedules' values at the window's ends bound
+    ||H||, and at an interval's ends ||dH|| and ||H||_s, weighted by
+    :func:`device.norm_weights`, so every block and sector of the device steps on the same
+    grid.  Cost: in proportion to the blocks visited, not to n.  Each distinct schedule is
+    evaluated once per time the rule visits, a tested block's edges and middle (the top
+    ``_TOP_LEVELS`` levels' in one batch) or a halving's middle, and the merge passes reuse
+    the values.  Raises ConfigError before building a grid of more than ``MAX_INTERVALS``.
     """
-    driven = dev.norm_weights(g)
-    held = sum(w * abs(s.v_start) for s, w in driven if s.is_constant)
-    scheds = list(dict.fromkeys(s for s, _ in driven if not s.is_constant))
-    driven = [(scheds.index(s), w) for s, w in driven if not s.is_constant]
+    terms = dev.norm_weights(g)
+    held = sum(w * abs(s.v_start) for s, w in terms if s.is_constant)
+    scheds = list(dict.fromkeys(s for s, _ in terms if not s.is_constant))
+    driven = [(scheds.index(s), w) for s, w in terms if not s.is_constant]
 
     def values(ts):  # one row per distinct schedule, one column per time
-        return np.array([dev.schedule_value(s, ts) for s in scheds])
+        return np.array([dev.schedule_value(s, ts) for s in scheds]).reshape(len(scheds), len(ts))
+
+    def weighted(X, start=0.0):  # start + the driven terms' weighted rows of X, in their order
+        return sum((w * X[i] for i, w in driven), start)
 
     def variation(lo, hi):  # schedules are monotone: the end values bound the change
-        return sum((w * np.abs(hi[i] - lo[i]) for i, w in driven), np.zeros(lo.shape[1]))
+        return weighted(np.abs(hi - lo))
 
-    def coarse(span, moved, lo, hi):  # per interval of end values lo, hi: fails the local-error
-        dh = span * moved  # proxy, or the phase rule at the bound on ||H|| that lo and hi give
-        phase = span * sum((w * np.maximum(np.abs(lo[i]), np.abs(hi[i])) for i, w in driven), held)
-        return (dh * np.maximum(1.0, span * scale) > tol) | ((dh > STILL) & (phase > MAX_PHASE))
+    def coarse(span, stretch, moved, lo, hi):  # per interval of end values lo, hi: fails the
+        dh = span * moved  # local-error proxy, or the phase rule at the bound on ||H|| they give
+        phase = span * weighted(np.maximum(np.abs(lo), np.abs(hi)), held)
+        return (dh * stretch > tol) | ((dh > STILL) & (phase > MAX_PHASE))
 
-    if all(dev.schedule_value(s, t0) == dev.schedule_value(s, t1) for s in scheds):
+    def merges(span, lo, mid, hi):  # per union of two halves: they move alike, and it passes
+        a, b, stretch = variation(lo, mid), variation(mid, hi), np.maximum(1.0, span * scale)
+        alike = span * np.abs(b - a) * stretch <= STILL
+        return alike & ~coarse(span, stretch, a + b, lo, hi) if alike.any() else alike
+
+    ends = values(np.array([t0, t1], dtype=float))
+    if np.all(ends[:, 0] == ends[:, 1]):
         return None
     check_reach(n := np.ceil((t1 - t0) / h), t0, t1)
-    V = values(ts := np.linspace(t0, t1, max(1, int(n)) + 1))
+    n = max(1, int(n))
+    step = (t1 - t0) / n  # coarse edge i < n is i step + t0, as np.linspace lays it
     scale, h_auto = dev.energy_scale(g), 2 * PropagatorConfig().resolve_dt(g)
     tol = GRID_TOL * h / h_auto
-    hi = 1 + (lo := np.arange(len(ts) - 1))  # the intervals to test, as indices into ts
-    for _ in range(_MAX_HALVINGS):  # each interval that passes keeps passing
-        span, ends = ts[hi] - ts[lo], (V[:, lo], V[:, hi])
-        if not (halve := coarse(span, variation(*ends), *ends)).any():
+
+    # the blocks of the top levels, tested in one batch on the edges of the blocks of
+    # 2^top coarse intervals, as columns [coarse index, time, values]
+    levels = (n - 1).bit_length() if h >= h_auto else 0  # the root's 2^levels >= n
+    top = max(0, levels - _TOP_LEVELS)
+    at = np.arange(0, n, 1 << top)
+    m = len(at)
+    P = np.empty((2 + len(scheds), m + 1))
+    P[:2, :m], P[:2, m] = (at, at * step + t0), (n, t1)
+    P[2:, 0], P[2:, 1:m], P[2:, m] = ends[:, 0], values(P[1, 1:m]), ends[:, 1]
+    r = 1 << np.arange(levels - top, 0, -1)  # the block sizes, root first, in batch intervals
+    blocks = (m + r // 2 - 1) // r  # per size, the blocks with two halves: k r + r/2 < m
+    size = np.repeat(r, blocks)
+    lo = (np.arange(len(size)) - np.repeat(np.cumsum(blocks) - blocks, blocks)) * size
+    mid, hi = lo + size // 2, np.minimum(lo + size, m)
+    passed = merges(P[1, hi] - P[1, lo], *(np.take(P[2:], i, axis=1) for i in (lo, mid, hi)))
+    reached, merged = np.ones(m, bool), []
+    for a, b in zip(lo[passed].tolist(), hi[passed].tolist()):
+        if reached[a]:  # not inside a block merged above it
+            reached[a:b] = False
+            merged.append(a)
+    laid = [np.take(P[1:], merged, axis=1)]  # the left edges [time, values] of intervals laid
+
+    # the blocks reached, level by level in order of their coarse index: their edges
+    f = np.flatnonzero(reached)
+    L, R = np.take(P, f, axis=1), np.take(P[1:], f + 1, axis=1)
+    for level in range(top, 0, -1):
+        mid = L[0] + (1 << level - 1)
+        k = len(mid) - np.count_nonzero(mid[-1:] >= n)  # the last may have one half: it
+        tm = mid[:k] * step + t0  # passes down as it is
+        M = np.concatenate([mid[None, :k], tm[None], values(tm)])
+        ok = merges(R[0, :k] - L[1, :k], L[2:, :k], M[2:], R[1:, :k])
+        laid.append(np.compress(ok, L[1:, :k], axis=1))
+        i = np.flatnonzero(~ok)  # the blocks that fail give their halves
+        L = np.concatenate([np.take(L, i, axis=1), np.take(M, i, axis=1), L[:, k:]], axis=1)
+        R = np.concatenate([np.take(M[1:], i, axis=1), np.take(R, i, axis=1), R[:, k:]], axis=1)
+
+    # the coarse intervals reached, halved while they fail: one that passes keeps passing
+    L, count = L[1:], n
+    for _ in range(_MAX_HALVINGS):
+        span = R[0] - L[0]
+        halve = coarse(span, np.maximum(1.0, span * scale), variation(L[1:], R[1:]), L[1:], R[1:])
+        if not len(i := np.flatnonzero(halve)):
             break
-        check_reach(len(ts) - 1 + np.count_nonzero(halve), t0, t1)
-        lo, hi, mid = lo[halve], hi[halve], np.arange(len(ts), len(ts) + np.count_nonzero(halve))
-        ts = np.concatenate([ts, ts[lo] + span[halve] / 2])
-        V = np.concatenate([V, values(ts[mid])], axis=1)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    edges, V = ts[order := np.argsort(ts)], V[:, order]  # equal times hold equal values
+        check_reach(count := count + len(i), t0, t1)
+        laid.append(np.compress(~halve, L, axis=1))
+        L, R = np.take(L, i, axis=1), np.take(R, i, axis=1)
+        tm = L[0] + span[i] / 2
+        M = np.concatenate([tm[None], values(tm)])
+        L, R = np.concatenate([L, M], axis=1), np.concatenate([M, R], axis=1)
+    P = np.concatenate(laid + [L, P[1:, -1:]], axis=1)
+    edges, V = P[0, order := np.argsort(P[0])], P[1:, order]  # equal times hold equal values
     moves = variation(V[:, :-1], V[:, 1:]) > 0
     keep = np.concatenate([[True], moves[:-1] | moves[1:], [True]])
     edges, V = edges[keep], V[:, keep]
-    while h >= h_auto:  # merge intervals 2k, 2k + 1 whose union passes and whose halves move alike
-        moved = variation(V[:, :-1], V[:, 1:])
-        a, b, span = moved[0:-1:2], moved[1::2], np.diff(edges[::2])
-        bend = span * np.abs(b - a) * np.maximum(1.0, span * scale)
-        if not (merge := ~coarse(span, a + b, V[:, 0:-2:2], V[:, 2::2]) & (bend <= STILL)).any():
+    while h >= h_auto:  # merge intervals 2k, 2k + 1 by the blocks' rule
+        if not (merge := merges(np.diff(edges[::2]), V[:, 0:-2:2], V[:, 1:-1:2], V[:, 2::2])).any():
             break
         drop = 2 * np.flatnonzero(merge) + 1
         edges, V = np.delete(edges, drop), np.delete(V, drop, axis=1)

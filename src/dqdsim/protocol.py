@@ -279,14 +279,17 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
 
     The channel's preflight: channel builders call it before they prepare the support, so
     no ramp is stepped before a refusal, and pass its result to the :class:`Channel`.
-    Raises ConfigError when the rotation stage's wait is not positive and finite, or when the
-    coupling ramp is out of :meth:`ProtocolParams.in_reach` on the ``n_support``-site coupler.
+    Raises ConfigError when the rotation stage's wait or the crossing gap (0 for long supports
+    at huge U_max) is not positive and finite, or when the coupling ramp is out of
+    :meth:`ProtocolParams.in_reach` on the ``n_support``-site coupler.
     The register's size is bounded by ``MAX_QUBITS`` alone: no stage holds a 2^n x 2^n array.
     """
     t_wait = params.resolved_wait()
     if params.mode == "effective":
         return None, None, t_wait
-    gap = support_crossing_gap(params, n_support)
+    if not 0 < (gap := support_crossing_gap(params, n_support)) < np.inf:  # NaN fails too
+        raise ConfigError(f"the coupling ramp T_couple follows the support's crossing gap, which "
+                          f"is {gap:.3g} at n_support = {n_support}: not positive and finite")
     t = params.resolved_T_couple(gap)
     params.in_reach(t, params.T_couple, f"coupling ramp T_couple across the crossing gap "
                     f"{gap:.3g}", lambda: coupler_graph(params, n_support, t, gap))

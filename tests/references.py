@@ -255,59 +255,123 @@ def fit_oscillation(times, populations) -> RabiFit:
     return RabiFit(float(abs(f)), float(b), float(a), rms, oscillatory)
 
 
-@np.errstate(over="ignore")
-def step_grid_reference(g: DeviceGraph, t0: float, t1: float, h: float, refined_only=False):
-    """``evolve.step_grid`` as a multi-pass reference: every test re-run on every edge in every
-    pass, each driven term's schedule evaluated afresh each time.  It returns None only when
-    every driven schedule takes the same value at t0 and t1 (a weighted change of 0.5 * 5e-324
-    underflows to 0 while the schedule moves).  ``refined_only`` returns the grid after the
-    halving passes, every edge the grid creates, before still runs are dropped and merged."""
+def _grid_rule(g: DeviceGraph, h: float):
+    """The driven terms, the tests and the coarse count of ``evolve.step_grid`` on g at coarse
+    step h, each schedule evaluated afresh at every call: (driven, variation(lo, hi),
+    coarse(lo, hi, moved), merges(lo, mid, hi), merging, check(n_intervals)) over arrays of
+    interval ends lo, hi (and middles mid), each driven term's change weighted and summed in
+    ``device.norm_weights``' order."""
     weighted = [(t.amplitude, 1.0) for t in g.tunnel_terms]
     weighted += [(link.strength, 0.5) for link in g.coulomb_links]
     driven = [(s, w) for s, w in weighted if not s.is_constant]
     held = sum(w * abs(s.v_start) for s, w in weighted if s.is_constant)
+    scale = energy_scale(g)
+    h_auto = 2 * evolve.PropagatorConfig().resolve_dt(g)
+    tol = evolve.GRID_TOL * h / h_auto
 
-    def variation(edges):
-        return sum((w * np.abs(np.diff(s.value(edges))) for s, w in driven),
-                   np.zeros(len(edges) - 1))
+    def variation(lo, hi):
+        return sum((w * np.abs(s.value(hi) - s.value(lo)) for s, w in driven), np.zeros(len(lo)))
 
-    def local_norm(edges):  # per interval: the bound on ||H|| at its ends, by monotony
-        return sum((w * np.maximum(np.abs(s.value(edges[:-1])), np.abs(s.value(edges[1:])))
-                    for s, w in driven), np.full(len(edges) - 1, held))
+    def local_norm(lo, hi):  # per interval: the bound on ||H|| at its ends, by monotony
+        return sum((w * np.maximum(np.abs(s.value(lo)), np.abs(s.value(hi))) for s, w in driven),
+                   np.full(len(lo), held))
+
+    def coarse(lo, hi, moved):
+        span = hi - lo
+        dh = span * moved
+        return ((dh * np.maximum(1.0, span * scale) > tol)
+                | ((dh > evolve.STILL) & (span * local_norm(lo, hi) > evolve.MAX_PHASE)))
+
+    def merges(lo, mid, hi):
+        a, b, span = variation(lo, mid), variation(mid, hi), hi - lo
+        bend = span * np.abs(b - a) * np.maximum(1.0, span * scale)
+        return ~coarse(lo, hi, a + b) & (bend <= evolve.STILL)
 
     def check(n_intervals):
         if not n_intervals <= evolve.MAX_INTERVALS:
             raise ConfigError(f"the step grid needs {n_intervals:.3g} intervals, "
                               f"more than {evolve.MAX_INTERVALS}")
 
-    def coarse(edges, moved):
-        span = np.diff(edges)
-        dh = span * moved
-        return ((dh * np.maximum(1.0, span * scale) > tol)
-                | ((dh > evolve.STILL) & (span * local_norm(edges) > evolve.MAX_PHASE)))
+    return driven, variation, coarse, merges, h >= h_auto, check
 
+
+def _join_and_merge(edges, variation, merges, merging):
+    """Still runs joined, then intervals 2k, 2k + 1 merged pass after pass when ``merging``."""
+    moves = variation(edges[:-1], edges[1:]) > 0
+    edges = edges[np.concatenate([[True], moves[:-1] | moves[1:], [True]])]
+    while merging:
+        if not (merge := merges(edges[0:-2:2], edges[1:-1:2], edges[2::2])).any():
+            break
+        edges = np.delete(edges, 2 * np.flatnonzero(merge) + 1)
+    return edges
+
+
+@np.errstate(over="ignore")
+def step_grid_reference(g: DeviceGraph, t0: float, t1: float, h: float, refined_only=False):
+    """``evolve.step_grid`` as a multi-pass reference: each block of coarse intervals tested by
+    recursion from the root, the coarse intervals reached halved with every test re-run on
+    every one of their intervals in every pass, then the still runs joined and the pairwise
+    merge passes, each driven term's schedule evaluated afresh at every test.  It returns
+    None only when every driven schedule takes the same value at t0 and t1.
+    ``refined_only`` returns every time the rule visits: the edges and middle of each block
+    tested, the edges of each coarse interval reached and each halving's middle."""
+    driven, variation, coarse, merges, merging, check = _grid_rule(g, h)
+    if all(s.value(t0) == s.value(t1) for s, _ in driven):
+        return None
+    check(n := np.ceil((t1 - t0) / h))
+    n = max(1, int(n))
+    coarse_edges = np.linspace(t0, t1, n + 1)
+    visited, merged, reached = set(), [], []
+
+    def descend(lo, hi, level):  # the block of coarse intervals [lo, hi) at ``level``
+        visited.update((lo, hi))
+        if not level:
+            reached.append(lo)
+        elif (mid := lo + (1 << level - 1)) >= hi:  # one half: the block is that half
+            descend(lo, hi, level - 1)
+        else:
+            visited.add(mid)
+            if merges(*(coarse_edges[[i]] for i in (lo, mid, hi)))[0]:
+                merged.append(lo)
+            else:
+                descend(lo, mid, level - 1)
+                descend(mid, hi, level - 1)
+
+    if merging:
+        descend(0, n, (n - 1).bit_length())
+    else:
+        for k in range(n):
+            descend(k, k + 1, 0)
+    reached = np.array(reached, dtype=int)
+    lo, hi = coarse_edges[reached], coarse_edges[reached + 1]
+    middles, count = [], n
+    for _ in range(evolve._MAX_HALVINGS):
+        if not (halve := coarse(lo, hi, variation(lo, hi))).any():
+            break
+        check(count := count + np.count_nonzero(halve))
+        middles.append(mid := lo[halve] + (hi - lo)[halve] / 2)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, hi[halve]])
+        hi[np.flatnonzero(halve)] = mid
+    if refined_only:
+        return np.sort(np.concatenate([coarse_edges[sorted(visited)]] + middles))
+    edges = np.sort(np.concatenate([coarse_edges[np.array(merged, dtype=int)], lo, [t1]]))
+    return _join_and_merge(edges, variation, merges, merging)
+
+
+@np.errstate(over="ignore")
+def pairwise_grid_reference(g: DeviceGraph, t0: float, t1: float, h: float):
+    """The step grid of the rule before the top-down blocks, kept as a witness: every coarse
+    interval laid, halved while it fails (every test re-run on every edge in every pass),
+    the still runs joined, then intervals 2k, 2k + 1 merged pass after pass."""
+    driven, variation, coarse, merges, merging, check = _grid_rule(g, h)
     if all(s.value(t0) == s.value(t1) for s, _ in driven):
         return None
     check(n := np.ceil((t1 - t0) / h))
     edges = np.linspace(t0, t1, max(1, int(n)) + 1)
-    scale = energy_scale(g)
-    h_auto = 2 * evolve.PropagatorConfig().resolve_dt(g)
-    tol = evolve.GRID_TOL * h / h_auto
     for _ in range(evolve._MAX_HALVINGS):
         span = np.diff(edges)
-        if not (halve := coarse(edges, variation(edges))).any():
+        if not (halve := coarse(edges[:-1], edges[1:], variation(edges[:-1], edges[1:]))).any():
             break
         check(len(span) + np.count_nonzero(halve))
         edges = np.sort(np.concatenate([edges, edges[:-1][halve] + span[halve] / 2]))
-    if refined_only:
-        return edges
-    moves = variation(edges) > 0
-    edges = edges[np.concatenate([[True], moves[:-1] | moves[1:], [True]])]
-    while h >= h_auto:
-        moved = variation(edges)
-        a, b, span = moved[0:-1:2], moved[1::2], np.diff(edges[::2])
-        bend = span * np.abs(b - a) * np.maximum(1.0, span * scale)
-        if not (merge := ~coarse(edges[::2], a + b) & (bend <= evolve.STILL)).any():
-            break
-        edges = np.delete(edges, 2 * np.flatnonzero(merge) + 1)
-    return edges
+    return _join_and_merge(edges, variation, merges, merging)

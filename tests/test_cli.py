@@ -217,10 +217,12 @@ class TestRuns:
         # the covariance make_entangled_pair returns (its concurrence moves in the 12th digit)
         (["--mode", "effective", "--u-max", "1e-3"],
          "entangle,effective,1,0,0.001,0.001,0.001,12.5663704835,,0.785398163397,0.6,0,2,7,,"
-         "0.500124999996,1,1,,0.000249999992188"),
-        # full mode scores gaussian_state of the ramp's covariance
+         "0.500124999996,1,1,,0.000249999992188,,"),
+        # full mode scores gaussian_state of the ramp's covariance; the ramp sits on 8 whole
+        # cycles of its phase, where the first-order residue 4 eps^2 sin^2(Phi/2) vanishes
         ([], "entangle,full,1,0,100,100,100,8.20236796345,,0.785398163397,0.6,0,2,7,,"
-             "0.999586183581,0.999999874287,0.999999874287,0.0399840127872,0.999172367193"),
+             "0.999586183581,0.999999874287,0.999999874287,0.0399840127872,0.999172367193,8,"
+             "8.90243646078e-34"),
     ])
     def test_entangle_rows_are_pinned(self, argv, row, tmp_path):
         assert main(["entangle", *argv, "--output", str(tmp_path / "ent")]) == 0
@@ -336,6 +338,17 @@ class TestSweepPointRanges:
         assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err
         assert f"config error: {ramp}" in err and "out of reach" in err
+
+    def test_a_zero_crossing_gap_exits_2_before_any_ramp(self, tmp_path, capsys, monkeypatch):
+        # the four-site crossing gap ~ w (2w/U)^3 underflows to 0 at U = 1e200 w; with T_ent
+        # and T_couple given, both in grid reach, the gap is what the coupler cannot follow
+        monkeypatch.setattr(protocol, "ramp_support", no_ramp)
+        argv = ["teleport", "--u-max", "1e200", "--n-support", "4", "--t-ent", "1e-199",
+                "--t-couple", "10", "--output", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert ("config error: the coupling ramp T_couple follows the support's crossing gap, "
+                "which is 0 at n_support = 4") in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["teleport", "--mode", "effective"], ["teleport", "--n-support", "4", "--mode", "effective"],

@@ -43,12 +43,13 @@ from dqdsim.protocol import (
     entangled_pair_reference,
     ghz_covariance,
     make_entangled_pair,
+    ramp_graph,
     resolve_coupling,
     support_crossing_gap,
     support_graph,
 )
-from references import (align_phase, majorana_covariance, random_gaussian_state,
-                        step_grid_reference)
+from references import (align_phase, majorana_covariance, pairwise_grid_reference,
+                        random_gaussian_state, step_grid_reference)
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -633,6 +634,19 @@ def workload_grid(name):
     return g, t1, 2 * params.integrator.resolve_dt(g)
 
 
+def pair_grid(stage, U):
+    """(device, t1, coarse step 2 dt) of the default pair's support ramp or coupler at
+    U_max = U' = U."""
+    params = ProtocolParams(U_max=U)
+    if stage == "coupler":
+        t1, gap, _ = resolve_coupling(params, 2)
+        g = coupler_graph(params, 2, t1, gap)
+    else:
+        t1 = params.support_ramp()
+        g = ramp_graph(params, 2, t1)
+    return g, t1, 2 * params.integrator.resolve_dt(g)
+
+
 def counting(monkeypatch):
     """The number of times each call to ``device.schedule_value`` evaluates, from now on."""
     points = []
@@ -649,6 +663,35 @@ class TestGridCost:
     def test_workload_grids_are_the_multi_pass_reference_bit_for_bit(self, name):
         g, t1, h = workload_grid(name)
         assert np.array_equal(step_grid(g, 0.0, t1, h), step_grid_reference(g, 0.0, t1, h))
+
+    @pytest.mark.parametrize("case", [pytest.param(lambda n=name: workload_grid(n), id=name)
+                                      for name in WORKLOAD_GRIDS] + [
+        pytest.param(lambda s=stage, U=U: pair_grid(s, U), id=f"pair {stage} at {U:g}w")
+        for stage in ("ramp", "coupler") for U in (10.0, 25.0, 50.0, 200.0, 400.0, 800.0)])
+    def test_grids_are_the_pairwise_rule_s(self, case):
+        # the blocks laid top-down give the grids that merging every coarse interval pairwise,
+        # pass after pass, gave (the workloads' pair is at U = 100w)
+        g, t1, h = case()
+        assert np.array_equal(step_grid(g, 0.0, t1, h), pairwise_grid_reference(g, 0.0, t1, h))
+
+    def test_the_coupler_s_evaluations_follow_its_kept_intervals(self, monkeypatch):
+        # at 400w the coupler's 80 203 coarse intervals merge to 1 338: laying every one of them
+        # evaluated its schedule at all 80 204 coarse edges
+        g, t1, h = pair_grid("coupler", 400.0)
+        points = counting(monkeypatch)
+        kept = len(step_grid(g, 0.0, t1, h)) - 1
+        assert sum(points) <= 3 * kept
+
+    @pytest.mark.parametrize("top_levels", [0, 1, 30])
+    def test_the_batch_of_top_levels_leaves_the_grid(self, top_levels, monkeypatch):
+        # 0 tests every level one by one from the root, 30 evaluates every coarse edge at once
+        tail = coupling_tail_graph()
+        cases = [workload_grid(name) for name in WORKLOAD_GRIDS] + [pair_grid("coupler", 800.0)]
+        cases.append((tail, 200.0, 2 * PropagatorConfig().resolve_dt(tail)))
+        grids = [step_grid(g, 0.0, t1, h) for g, t1, h in cases]
+        monkeypatch.setattr(evolve, "_TOP_LEVELS", top_levels)
+        for (g, t1, h), edges in zip(cases, grids):
+            assert np.array_equal(step_grid(g, 0.0, t1, h), edges)
 
     @pytest.mark.parametrize("name", WORKLOAD_GRIDS)
     def test_each_schedule_is_evaluated_once_per_created_edge(self, name, monkeypatch):

@@ -54,6 +54,7 @@ from dqdsim.protocol import (
     ramp_support,
     resolve_coupling,
     rotation_gate,
+    support_crossing_gap,
     support_graph,
     teleport_end_to_end,
 )
@@ -1200,6 +1201,17 @@ class TestParams:
         monkeypatch.setattr(protocol, "ramp_support", no_ramp)
         with pytest.raises(ConfigError, match=f"the {ramp}.*: the step grid .* out of reach"):
             build_channel(ProtocolParams(**kwargs))
+
+    def test_a_zero_crossing_gap_is_refused_before_a_coupler_is_built(self, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("a coupler graph was built before the refusal")
+
+        monkeypatch.setattr(protocol, "coupler_graph", no_graph)
+        params = ProtocolParams(U_max=1e200, n_support=4, T_ent=1e-199, T_couple=10.0)
+        assert support_crossing_gap(params, 4) == 0.0
+        with pytest.raises(ConfigError, match="the coupling ramp T_couple follows the support's "
+                           "crossing gap, which is 0 at n_support = 4"):
+            resolve_coupling(params, 4)
 
     def test_a_ramp_that_does_not_move_is_in_reach_at_any_length(self):
         # step_grid steps a device whose schedules do not move in one exponential
