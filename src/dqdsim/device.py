@@ -97,9 +97,10 @@ class Schedule:
 def schedule_value(s: Schedule, t):
     """Value(s) of a schedule at time(s) t (vectorized)."""
     t = np.asarray(t, dtype=float)
+    if not t.ndim:  # a scalar as a one-element array: x**3 is libm's pow on a scalar alone
+        return float(schedule_value(s, t[None])[0])
     if s.kind == "constant":
-        out = np.full_like(t, s.v_start)
-        return out if out.ndim else float(out)
+        return np.full_like(t, s.v_start)
     span = s.t_end - s.t_start  # np.clip(x, 0, 1) as its two ufuncs, without its wrapper's cost
     x = np.minimum(np.maximum(0.0, (t - s.t_start) / span), 1.0) if span > 0 else np.where(
         t < s.t_start, 0.0, 1.0)
@@ -112,8 +113,7 @@ def schedule_value(s: Schedule, t):
     else:  # tangent_ramp: 1 - (kappa x)^2 = (2j/hyp)^2 + kappa^2 (1-x)(1+x), cancellation-free
         a2, k2, c, d = s._tangent
         y = c * x / np.sqrt(a2 + k2 * (1.0 - x) * (1.0 + x)) / d
-    out = s.v_start + (s.v_end - s.v_start) * y
-    return out if out.ndim else float(out)
+    return s.v_start + (s.v_end - s.v_start) * y
 
 
 @dataclass(frozen=True)
@@ -223,7 +223,7 @@ def link_diagonal(link: CoulombLink, n: int) -> np.ndarray:
 def hamiltonian_terms(g: DeviceGraph):
     """Split H(t) = H0 + sum_j f_j(t) B_j with constant schedules folded into H0.
 
-    Returns ``(H0, [(schedule, B_j), ...])``; used by the propagators to
+    Returns ``(H0, ((schedule, B_j), ...))``; used by the propagators to
     assemble many time samples at once.
     """
     if errs := validate(g):
@@ -238,14 +238,14 @@ def hamiltonian_terms(g: DeviceGraph):
 
 
 def _split(H0, *parts):
-    """(H0 plus the constant parts, [the driven ones]) of iterables of (schedule, B), lazily."""
+    """(H0 plus the constant parts, (the driven ones)) of iterables of (schedule, B), lazily."""
     terms = []
     for sched, B in (part for group in parts for part in group):
         if sched.is_constant:
             H0 += sched.v_start * B
         else:
             terms.append((sched, B))
-    return H0, terms
+    return H0, tuple(terms)
 
 
 def majorana_terms(g: DeviceGraph):
@@ -253,7 +253,7 @@ def majorana_terms(g: DeviceGraph):
     K lower-bidiagonal, over the Jordan-Wigner Majoranas a_k = X_0..X_{k-1} Z_k,
     b_k = X_0..X_{k-1} Y_k: a tunneling term -w X_k is -w i a_k b_k, a crossed
     link pair U (1 - Z_k Z_{k+1}) / 2 is (U/2) i a_{k+1} b_k, each link carrying
-    half.  Returns ``(K0, [(schedule, K_j), ...])`` split like
+    half.  Returns ``(K0, ((schedule, K_j), ...))`` split like
     :func:`hamiltonian_terms`.  Raises DeviceError for an invalid graph, a phase that is
     not real and finite included, and unless every tunneling phase is 0 and every link has
     its crossed partner on the same schedule between DQDs k and k+1.

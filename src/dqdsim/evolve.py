@@ -21,13 +21,16 @@ and the coupling sweep an open transverse-field Ising chain as 2M x 2M rotations
 of a Gaussian state's Majorana covariance (:func:`sweep_majorana`), which they take
 and return with no 2^n vector; the rotations are taken by scaling and squaring
 with batched products alone (``_rotations``), without an eigendecomposition.
+Their steps are planned once per device and window (:func:`sweep_plan`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +62,9 @@ MAX_PHASE = 5.0
 _MAX_HALVINGS = 40
 MAX_INTERVALS = 2**22  # a grid past this many intervals is out of simulation reach
 _TOP_LEVELS = 9  # step_grid tests its blocks' top levels, down to <= 512 blocks, in one batch
+
+_PLAN_ENTRIES, _PLAN_BYTES = 32, 2**24  # sweep_plan's memo holds at most so many plans and bytes
+_PLANS, _PLAN_LOCK = {}, threading.Lock()  # key -> (plan, bytes), the least recently used first
 
 
 @dataclass(frozen=True)
@@ -400,26 +406,50 @@ def _sweep(psi, H0, terms, F, hs, step=None):
     return psi
 
 
-def _graded(g, t0, t1, cfg, run, deviation):
-    """run(rule, edges) by :func:`cf4` on :func:`step_grid`'s grid of coarse step 2 dt, or by one
-    (exact) midpoint exponential when nothing moves; ``richardson_check`` reruns with every
-    interval halved and bounds ``deviation`` between the two results."""
+SweepPlan = namedtuple("SweepPlan", "compiled dt edges F hs")  # see sweep_plan
+
+
+def _lay(g, t0, t1, cfg, compile_) -> SweepPlan:
+    compiled = compile_(g)
     if not -np.inf < t0 <= t1 < np.inf:  # NaN fails too
         raise DimensionError(f"need finite t0 <= t1, got [{t0}, {t1}]")
-    dt = cfg.resolve_dt(g)
-    edges = step_grid(g, t0, t1, 2 * dt)
-    if edges is None:
-        return run(midpoint, np.array([t0, t1]))
-    out = run(cf4, edges)
-    if cfg.richardson_check:
-        halves = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2]))
-        out_half = run(cf4, halves)
-        err = deviation(out, out_half)
-        if err > cfg.tolerance:
-            raise ConvergenceError(
-                f"step-doubling deviation {err:.3e} exceeds tolerance {cfg.tolerance:.1e} "
-                f"at dt={dt:.3e}; decrease dt"
-            )
+    edges = step_grid(g, t0, t1, 2 * (dt := cfg.resolve_dt(g)))
+    rule, at = (midpoint, np.array([t0, t1])) if edges is None else (cf4, edges)
+    return SweepPlan(compiled, dt, edges, *rule(compiled[1], at))
+
+
+def sweep_plan(g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig) -> SweepPlan:
+    """What a Majorana sweep under g over [t0, t1] steps on, read-only and input-independent: the
+    ``compiled`` chain, :func:`device.majorana_terms` (g) (2M x 2M, no 2^n array), the resolved
+    ``dt``, :func:`step_grid`'s ``edges`` (None when nothing moves) and the values ``F`` and step
+    lengths ``hs`` of :func:`cf4` on them (else of one :func:`midpoint` step).  Memoised on (g, t0,
+    t1, dt) and the grid's constants, at most ``_PLAN_ENTRIES`` plans of ``_PLAN_BYTES`` in all,
+    the least recently used dropped first (a larger one is not kept); never a sweep's result."""
+    key = (g, t0, t1, cfg.resolve_dt(g), GRID_TOL, STILL, MAX_PHASE, MAX_INTERVALS, _TOP_LEVELS)
+    with _PLAN_LOCK:
+        plan, size = _PLANS.pop(key, (None, 0))
+        if plan is None:
+            plan = _lay(g, t0, t1, cfg, dev.majorana_terms)
+            arrays = [plan.compiled[0], *(K for _, K in plan.compiled[1]), *plan[2:]]
+            for a in (a for a in arrays if a is not None):
+                a.setflags(write=False)
+                size += a.nbytes
+        if size <= _PLAN_BYTES:
+            _PLANS[key] = plan, size
+            while len(_PLANS) > _PLAN_ENTRIES or sum(n for _, n in _PLANS.values()) > _PLAN_BYTES:
+                del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
+def _graded(plan, cfg, run, deviation):
+    """run(F, hs) on the plan's steps; ``richardson_check`` reruns with every grid interval
+    halved and bounds ``deviation`` between the two results."""
+    out = run(plan.F, plan.hs)
+    if cfg.richardson_check and (e := plan.edges) is not None:
+        out_half = run(*cf4(plan.compiled[1], np.sort(np.concatenate([e, (e[:-1] + e[1:]) / 2]))))
+        if (err := deviation(out, out_half)) > cfg.tolerance:
+            raise ConvergenceError(f"step-doubling deviation {err:.3e} exceeds tolerance "
+                                   f"{cfg.tolerance:.1e} at dt={plan.dt:.3e}; decrease dt")
         out = out_half
     return out
 
@@ -430,25 +460,25 @@ def sweep_block(psi, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorCo
     reruns with every interval halved and bounds the (Frobenius) deviation."""
     if t1 == t0:
         return psi
-    H0, terms = dev.hamiltonian_terms(g)
-    return _graded(g, t0, t1, cfg,
-                   lambda rule, edges: _sweep(psi, H0, terms, *rule(terms, edges)),
+    plan = _lay(g, t0, t1, cfg, dev.hamiltonian_terms)
+    return _graded(plan, cfg, lambda F, hs: _sweep(psi, *plan.compiled, F, hs),
                    lambda a, b: float(np.linalg.norm(a - b)))
 
 
 def sweep_majorana(gamma, g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig,
-                   compiled) -> np.ndarray:
-    """A Gaussian state's Majorana covariance ``gamma`` swept over [t0, t1] under g: O gamma
-    O^T for the 2M x 2M rotation O of :func:`sweep_block`'s sweep under ``compiled`` =
-    :func:`device.majorana_terms` (g), which drifts from Gamma Gamma^T = I by rounding, taken
-    back to a pure covariance by one Newton-Schulz step Gamma (3I - Gamma^T Gamma) / 2.
-    ``richardson_check`` bounds ||dGamma||_F / 4 on the halved grid, to first order the
-    change of the phase-aligned state."""
-    def run(rule, edges):
-        O = _sweep(np.eye(len(gamma)), *compiled, *rule(compiled[1], edges), _rotations)
+                   plan: SweepPlan | None = None) -> np.ndarray:
+    """A Gaussian state's Majorana covariance ``gamma`` swept over [t0, t1] under g: O gamma O^T
+    for the 2M x 2M rotation O of the steps of ``plan`` = :func:`sweep_plan` (g, t0, t1, cfg),
+    which drifts from Gamma Gamma^T = I by rounding, taken back to a pure covariance by one
+    Newton-Schulz step Gamma (3I - Gamma^T Gamma) / 2.  ``richardson_check`` bounds
+    ||dGamma||_F / 4 on the halved grid, to first order the change of the phase-aligned state."""
+    plan = plan or sweep_plan(g, t0, t1, cfg)
+
+    def run(F, hs):
+        O = _sweep(np.eye(len(gamma)), *plan.compiled, F, hs, _rotations)
         G = O @ gamma @ O.T
         return G @ (3 * np.eye(len(G)) - G.T @ G) / 2
-    return _graded(g, t0, t1, cfg, run, lambda a, b: float(np.linalg.norm(a - b)) / 4)
+    return _graded(plan, cfg, run, lambda a, b: float(np.linalg.norm(a - b)) / 4)
 
 
 def evolve_scheduled(state: StateVector, g: dev.DeviceGraph, t0: float, t1: float,
@@ -488,7 +518,7 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
                    cfg: PropagatorConfig | None = None):
     """(Gamma, RampDiagnostics): the Majorana covariance ``gamma`` of a Gaussian state swept
     by :func:`sweep_majorana`, and spectral-gap and ground-overlap diagnostics from K(t) of
-    :func:`device.majorana_terms`, which raises DeviceError for a g it does not compile.
+    its :func:`sweep_plan`'s chain, which raises DeviceError for a g it does not compile.
 
     One batched SVD K = U S V^T at 64 times gives the gaps 2 sigma_min and
     2 (sigma_min + sigma_next) and, at t0 and t1, the ground state's covariance
@@ -496,7 +526,8 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
     :func:`.hilbert.gaussian_overlap_sq`.  Warns when the initial state is not close to the
     instantaneous ground state at t0 (the ramp then has no adiabatic guarantee).
     """
-    K0, terms = chain = dev.majorana_terms(g)
+    cfg = cfg or PropagatorConfig()
+    K0, terms = (plan := sweep_plan(g, t0, t1, cfg)).compiled
     ts = np.linspace(t0, t1, 64)
     U, s, Vt = np.linalg.svd(np.concatenate(list(_hamiltonians(K0, terms, _values(terms, ts)))))
 
@@ -511,7 +542,7 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
             "adiabatic following is not guaranteed",
             stacklevel=2,
         )
-    final = sweep_majorana(gamma, g, t0, t1, cfg or PropagatorConfig(), chain)
+    final = sweep_majorana(gamma, g, t0, t1, cfg, plan)
     gaps = 2 * s[:, -1]
     sector = gaps + 2 * s[:, -2] if s.shape[1] > 1 else np.full(len(ts), np.inf)
     diag = RampDiagnostics(float(np.min(gaps)), ts, gaps, init_overlap,

@@ -384,10 +384,12 @@ def pair_ramp_phase(U: float, w: float, T: float) -> dict:
     """The pair's ramp 0 -> U over T, a two-level sweep, kappa = U / sqrt(U^2 + 16 w^2): its
     ``ramp_cycles`` Phi / 2 pi, Phi = T 4w arcsin(kappa) / kappa (T 4w at U = 0), and its end loss
     to first order at adiabaticity eps = kappa / (8 w T), ``predicted_residue`` 4 eps^2
-    sin^2(Phi/2) = (arcsin(kappa) sinc(Phi / 2 pi) / 2)^2 (Vitanov & Garraway, PRA 53, 4288)."""
+    sin^2(Phi/2) = (arcsin(kappa) sinc(Phi / 2 pi) / 2)^2 (Vitanov & Garraway, PRA 53, 4288),
+    the sine taken of the phase less its nearest whole cycle, so a whole cycle gives 0."""
     arc = math.asin(kappa := U / math.hypot(U, 4.0 * w))
     cycles = T * 2.0 * w * (arc / kappa if kappa else 1.0) / math.pi
-    return dict(ramp_cycles=cycles, predicted_residue=float(np.sinc(cycles) * arc / 2) ** 2)
+    sinc = math.sin(math.pi * (cycles - round(cycles))) / (math.pi * cycles) if cycles else 1.0
+    return dict(ramp_cycles=cycles, predicted_residue=(sinc * arc / 2) ** 2)
 
 
 def ramp_support(params: ProtocolParams, n_support: int, T: float):
@@ -490,11 +492,13 @@ def couple_unknown(unknown: StateVector, support: np.ndarray,
     g = coupler_graph(params, n, t_couple, gap)
     if any(term.dqd == 0 for term in g.tunnel_terms):
         raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
-    K, gamma = dev.majorana_terms(g), np.zeros((2 * n + 2, 2 * n + 2))
+    plan = evolve.sweep_plan(g, 0.0, t_couple, params.integrator)  # compiles g, or refuses it
+    gamma = np.zeros((2 * n + 2, 2 * n + 2))
     gamma[0, n + 1], gamma[n + 1, 0] = 1.0, -1.0  # |+>: i<a_0 b_0> = <X_0> = 1
     rest = np.r_[1:n + 1, n + 2:2 * n + 2]
     gamma[np.ix_(rest, rest)] = support  # S's Majoranas carry X_0, which |+> reads as 1
-    coupled = gaussian_state(evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator, K))
+    coupled = gaussian_state(evolve.sweep_majorana(gamma, g, 0.0, t_couple, params.integrator,
+                                                   plan))
     # the encoder bit is the parity of the basis index
     return _own_state(coupled * np.tile(unknown.amps / _PLUS.amps, coupled.size // 2))
 

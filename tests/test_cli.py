@@ -219,10 +219,9 @@ class TestRuns:
          "entangle,effective,1,0,0.001,0.001,0.001,12.5663704835,,0.785398163397,0.6,0,2,7,,"
          "0.500124999996,1,1,,0.000249999992188,,"),
         # full mode scores gaussian_state of the ramp's covariance; the ramp sits on 8 whole
-        # cycles of its phase, where the first-order residue 4 eps^2 sin^2(Phi/2) vanishes
+        # cycles of its phase, where the first-order residue 4 eps^2 sin^2(Phi/2) is 0
         ([], "entangle,full,1,0,100,100,100,8.20236796345,,0.785398163397,0.6,0,2,7,,"
-             "0.999586183581,0.999999874287,0.999999874287,0.0399840127872,0.999172367193,8,"
-             "8.90243646078e-34"),
+             "0.999586183581,0.999999874287,0.999999874287,0.0399840127872,0.999172367193,8,0"),
     ])
     def test_entangle_rows_are_pinned(self, argv, row, tmp_path):
         assert main(["entangle", *argv, "--output", str(tmp_path / "ent")]) == 0

@@ -148,6 +148,25 @@ class TestSchedule:
             assert s.value(1e10) == 7.0
             assert s.value(-1e10) == 2.0
 
+    def test_a_scalar_time_is_valued_as_in_an_array(self):
+        # x**3 is libm's pow on a NumPy scalar and NumPy's own power on an array: a smoothstep's
+        # scalar values differed from its array values in their last bits (at 98 of the 100 000
+        # times below), so hamiltonian_at and the sweeps stepped a device on values that differed
+        s = Schedule.smooth(-7420.395361492388, 0.0, -0.0, 4.141829021635899)
+        assert schedule_value(s, 2.83500469245147) == -1749.9891420006697
+        rng = np.random.default_rng(34)
+        for k in range(20_000):
+            kind = SCHEDULE_KINDS[k % 4]
+            v0, v1 = rng.uniform(-1e4, 1e4, 2) * rng.choice([0.0, 1e-3, 1.0], 2)
+            t0 = rng.uniform(-10.0, 10.0)
+            t1 = t0 + rng.uniform(0.0, 10.0) * rng.choice([0.0, 1e-9, 1.0, 1.0])
+            s = (Schedule.constant(v0) if kind == "constant" else Schedule(
+                kind, v0, v1, t0, t1, rng.uniform(1e-3, 10.0) if kind == "tangent_ramp" else None))
+            ts = np.concatenate([[t0, t1], rng.uniform(t0 - 1.0, t1 + 1.0, 3)])
+            scalars = [schedule_value(s, t) for t in ts.tolist()]
+            assert all(type(v) is float for v in scalars)
+            assert np.array(scalars).tobytes() == schedule_value(s, ts).tobytes(), s
+
     @settings(deadline=None)
     @given(st.floats(min_value=-5.0, max_value=15.0, allow_nan=False))
     def test_values_bounded(self, t):

@@ -36,7 +36,9 @@ from dqdsim.evolve import (
 )
 from dqdsim.hilbert import StateVector, gaussian_state, tensor_product
 from dqdsim.protocol import (
+    InputQubit,
     ProtocolParams,
+    build_channel,
     couple_unknown,
     coupler_graph,
     cross_to_aligned_ratio,
@@ -331,16 +333,15 @@ class TestCovarianceSweep:
         start = tensor_product(plus, entangled_pair_reference(params.U_max, params.w)).amps
         pairs, graded = [], evolve._graded
 
-        def spy(g, t0, t1, cfg, run, deviation):
+        def spy(*args):  # the deviation comes last
             def record(a, b):
                 pairs.append((a, b))
-                return deviation(a, b)
-            return graded(g, t0, t1, cfg, run, record)
+                return args[-1](a, b)
+            return graded(*args[:-1], record)
 
         monkeypatch.setattr(evolve, "_graded", spy)
         cfg = PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1.0)
-        evolve.sweep_majorana(majorana_covariance(start), g, 0.0, t_couple, cfg,
-                              majorana_terms(g))
+        evolve.sweep_majorana(majorana_covariance(start), g, 0.0, t_couple, cfg)
         (gamma, gamma_half), = pairs
         psi, psi_half = gaussian_state(gamma), gaussian_state(gamma_half)
         state_dev = np.linalg.norm(align_phase(psi_half, psi) - psi)
@@ -734,6 +735,118 @@ class TestGridCost:
         F = evolve._values(terms, ts)
         assert len(terms) == 6 and len(points) == 1
         assert np.array_equal(F, np.transpose([schedule_value(s, ts) for s, _ in terms]))
+
+
+def channel_outputs(channel):
+    """Every output of a channel, as text that differs when any bit of a value does: its arrays'
+    bytes, its mean fidelity and, for five inputs, each result, branch and step log."""
+    rng, out = np.random.default_rng(34), [channel._post.tobytes(), channel._coupled.tobytes()]
+    for q in [InputQubit.random(rng) for _ in range(5)]:
+        res = channel.teleport(q)
+        out.append(repr((res.outcome, res.p0, res.p1, res.fidelity_to_input,
+                         {k: dict(v) for k, v in res.step_log.items()})))
+        out += [repr((b.outcome, b.probability, b.fidelity)) + b.bob_state_raw.amps.tobytes().hex()
+                + b.bob_state_corrected.amps.tobytes().hex() for b in res.branches]
+    return out + [repr(channel.mean_fidelity())]
+
+
+def laying(monkeypatch):
+    """The devices of the Majorana plans laid from now on (a memo hit lays none)."""
+    laid, lay = [], evolve._lay
+
+    def spy(g, t0, t1, cfg, compile_):
+        if compile_ is majorana_terms:
+            laid.append(g)
+        return lay(g, t0, t1, cfg, compile_)
+    monkeypatch.setattr(evolve, "_lay", spy)
+    return laid
+
+
+def ramp_plan(T):
+    """The plan of the pair's support ramp over T at U = 100w."""
+    params = ProtocolParams()
+    return evolve.sweep_plan(ramp_graph(params, 2, T), 0.0, T, params.integrator)
+
+
+class TestSweepPlans:
+    """evolve.sweep_plan memoises what a Majorana sweep steps on, never what it returns."""
+
+    def test_each_test_starts_with_no_plan(self):
+        assert evolve._PLANS == {}
+
+    @pytest.mark.parametrize("params", [
+        ProtocolParams(), ProtocolParams(n_support=4, U_max=15.0, Uprime_max=100.0, T_ent=45.0,
+                                         integrator=PropagatorConfig(dt=0.2))],
+        ids=["pair", "n_support=4"])
+    def test_a_warm_build_is_the_cold_one_bit_for_bit(self, params, monkeypatch):
+        laid = laying(monkeypatch)
+        cold = channel_outputs(build_channel(params))
+        assert len(laid) == 2  # the support's ramp and the coupler
+        warm = channel_outputs(build_channel(params))
+        assert len(laid) == 2 and warm == cold
+
+    def test_plan_arrays_are_read_only(self):
+        plan = ramp_plan(8.0)
+        K0, terms = plan.compiled
+        assert isinstance(terms, tuple) and len(terms) == 2  # the crossed link pair
+        for a in [K0, *(K for _, K in terms), plan.edges, plan.F, plan.hs]:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert ramp_plan(8.0) is plan  # the memo's, served again
+
+    def test_a_static_window_plans_one_step(self):
+        g = single_dqd()
+        plan = evolve.sweep_plan(g, 0.0, 3.0, PropagatorConfig())
+        assert plan.edges is None and len(plan.hs) == 1 and plan.hs[0] == 3.0
+
+    def test_the_memo_keeps_within_its_bounds(self, monkeypatch):
+        entries = evolve._PLAN_ENTRIES
+        plans = [ramp_plan(8.0 + k / 8) for k in range(entries + 5)]
+        assert len(evolve._PLANS) == entries
+        assert sum(n for _, n in evolve._PLANS.values()) <= evolve._PLAN_BYTES
+        laid = laying(monkeypatch)
+        assert ramp_plan(8.0 + (entries + 4) / 8) is plans[-1] and laid == []  # kept
+        ramp_plan(8.0)  # the least recently used was dropped first
+        assert len(laid) == 1
+        # bounded in bytes: the memo drops its oldest plans, and a plan larger than the bound
+        # is used but not kept, so it does not empty the memo
+        bound = 2 * max(n for _, n in evolve._PLANS.values())
+        monkeypatch.setattr(evolve, "_PLAN_BYTES", bound)
+        ramp_plan(8.0)
+        assert 1 <= len(evolve._PLANS) <= 2
+        assert sum(n for _, n in evolve._PLANS.values()) <= bound
+        kept = dict(evolve._PLANS)
+        large = ramp_plan(160.0)  # a longer ramp, on more intervals
+        assert large.F.nbytes + large.hs.nbytes + large.edges.nbytes > bound
+        assert evolve._PLANS == kept and ramp_plan(160.0) is not large
+
+    def test_each_window_and_step_has_its_own_plan(self):
+        params = ProtocolParams()
+        T = params.resolved_T_ent()
+        g = ramp_graph(params, 2, T)
+        plans = [evolve.sweep_plan(g, 0.0, t1, PropagatorConfig(dt=dt))
+                 for t1, dt in ((T, None), (T, 0.05), (T / 2, None))]
+        assert len({id(p) for p in plans}) == 3 and len(evolve._PLANS) == 3
+        for plan, t1 in zip(plans, (T, T, T / 2)):
+            assert np.array_equal(plan.edges, step_grid(g, 0.0, t1, 2 * plan.dt))
+        # an explicit dt equal to the auto one resolves to the same plan
+        assert evolve.sweep_plan(g, 0.0, T, PropagatorConfig(dt=plans[0].dt)) is plans[0]
+
+    @pytest.mark.parametrize("name, value", [("GRID_TOL", 0.003), ("STILL", 1e-6),
+                                             ("MAX_PHASE", 1.0), ("_TOP_LEVELS", 0)])
+    def test_a_patched_grid_constant_lays_a_fresh_plan(self, name, value, monkeypatch):
+        params = ProtocolParams()
+        t_couple, gap, _ = resolve_coupling(params, 2)
+        g = coupler_graph(params, 2, t_couple, gap)
+        plan = evolve.sweep_plan(g, 0.0, t_couple, params.integrator)
+        monkeypatch.setattr(evolve, name, value)
+        fresh = evolve.sweep_plan(g, 0.0, t_couple, params.integrator)
+        assert fresh is not plan
+        assert np.array_equal(fresh.edges, step_grid(g, 0.0, t_couple, 2 * plan.dt))
+        monkeypatch.setattr(evolve, "MAX_INTERVALS", len(plan.edges) - 2)
+        with pytest.raises(ConfigError, match="step grid"):  # the cap holds for a memoised plan
+            evolve.sweep_plan(g, 0.0, t_couple, params.integrator)
 
 
 class TestPropagatorConfig:

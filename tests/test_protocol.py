@@ -1350,6 +1350,16 @@ class TestEffectiveLimit:
             assert losses[-1] * U <= 0.06  # in units of w
         assert all(a > b for a, b in zip(losses, losses[1:])), losses
 
+    @settings(max_examples=30, deadline=None)
+    @given(U=st.floats(25.0, 800.0))
+    def test_the_exact_mean_fidelity_obeys_the_limit(self, U):
+        # bounds fixed before the run: a 28-point scan read 1 - F = 1.32-16.8 (w/U)^2, at most
+        # 0.81 of the upper bound (at 25w), and exactly 0 in effective mode at 100w
+        loss = 1.0 - build_channel(ProtocolParams(U_max=U)).mean_fidelity()
+        assert 0.5 / U**2 <= loss <= 2.0 / U**2 + 4e-5
+        effective = build_channel(ProtocolParams(U_max=U, mode="effective"))
+        assert 1.0 - effective.mean_fidelity() <= 1e-15
+
 
 class TestMeanFidelity:
     """Channel.mean_fidelity: the exact Haar mean of the branch-weighted fidelity."""
@@ -1436,6 +1446,8 @@ class TestPairRampPhase:
         diag = make_entangled_pair(params)[1]
         assert diag.ramp_cycles == pytest.approx(protocol.RAMP_CYCLES, rel=1e-14)
         assert diag.predicted_residue <= 1e-25
+        if U == 100.0:  # exactly 8 cycles: 0, not 4 eps^2 times the square of sin(8 pi)'s rounding
+            assert diag.predicted_residue == 0.0
         assert 1.0 - diag.final_ground_overlap_sq <= min(2e-7, (1.0 / U) ** 2)
         log = build_channel(params).teleport(InputQubit(0.6, 0.8)).step_log["entangle"]
         assert (log["ramp_cycles"], log["predicted_residue"]) == (
