@@ -21,7 +21,7 @@ and the coupling sweep an open transverse-field Ising chain as 2M x 2M rotations
 of a Gaussian state's Majorana covariance (:func:`sweep_majorana`), which they take
 and return with no 2^n vector; the rotations are taken by scaling and squaring
 with batched products alone (``_rotations``), without an eigendecomposition.
-Their steps are planned once per device and window (:func:`sweep_plan`).
+Their steps and rotation are planned once per device and window (:func:`sweep_plan`).
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ _MAX_HALVINGS = 40
 MAX_INTERVALS = 2**22  # a grid past this many intervals is out of simulation reach
 _TOP_LEVELS = 9  # step_grid tests its blocks' top levels, down to <= 512 blocks, in one batch
 
-_PLAN_ENTRIES, _PLAN_BYTES = 32, 2**24  # sweep_plan's memo holds at most so many plans and bytes
-_PLANS, _PLAN_LOCK = {}, threading.Lock()  # key -> (plan, bytes), the least recently used first
+_PLAN_ENTRIES, _PLAN_BYTES = 32, 2**24  # each memo holds at most so many values and bytes
+_PLANS, _SPECTRA, _MEMO_LOCK = {}, {}, threading.Lock()  # sweep_plan's and adiabatic_ramp's memo
 
 
 @dataclass(frozen=True)
@@ -406,7 +406,7 @@ def _sweep(psi, H0, terms, F, hs, step=None):
     return psi
 
 
-SweepPlan = namedtuple("SweepPlan", "compiled dt edges F hs")  # see sweep_plan
+SweepPlan = namedtuple("SweepPlan", "compiled dt edges F hs O", defaults=(None,))  # sweep_plan
 
 
 def _lay(g, t0, t1, cfg, compile_) -> SweepPlan:
@@ -418,27 +418,46 @@ def _lay(g, t0, t1, cfg, compile_) -> SweepPlan:
     return SweepPlan(compiled, dt, edges, *rule(compiled[1], at))
 
 
-def sweep_plan(g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig) -> SweepPlan:
-    """What a Majorana sweep under g over [t0, t1] steps on, read-only and input-independent: the
-    ``compiled`` chain, :func:`device.majorana_terms` (g) (2M x 2M, no 2^n array), the resolved
-    ``dt``, :func:`step_grid`'s ``edges`` (None when nothing moves) and the values ``F`` and step
-    lengths ``hs`` of :func:`cf4` on them (else of one :func:`midpoint` step).  Memoised on (g, t0,
-    t1, dt) and the grid's constants, at most ``_PLAN_ENTRIES`` plans of ``_PLAN_BYTES`` in all,
-    the least recently used dropped first (a larger one is not kept); never a sweep's result."""
-    key = (g, t0, t1, cfg.resolve_dt(g), GRID_TOL, STILL, MAX_PHASE, MAX_INTERVALS, _TOP_LEVELS)
-    with _PLAN_LOCK:
-        plan, size = _PLANS.pop(key, (None, 0))
-        if plan is None:
-            plan = _lay(g, t0, t1, cfg, dev.majorana_terms)
-            arrays = [plan.compiled[0], *(K for _, K in plan.compiled[1]), *plan[2:]]
-            for a in (a for a in arrays if a is not None):
+def _arrays(x):  # the arrays of x and of the tuples nested in it
+    if isinstance(x, tuple):
+        return [a for y in x for a in _arrays(y)]
+    return [x] if isinstance(x, np.ndarray) else []
+
+
+def memoised(memo: dict, key, make):
+    """memo[key] (key -> (value, bytes)), made by make() on a miss with its arrays read-only.  A
+    memo keeps at most ``_PLAN_ENTRIES`` values of ``_PLAN_BYTES`` in all, the least recently
+    used dropped first (a larger one is used but not kept)."""
+    with _MEMO_LOCK:
+        value, size = memo.pop(key, (None, 0))
+        if value is None:
+            value = make()
+            for a in _arrays(value):
                 a.setflags(write=False)
                 size += a.nbytes
         if size <= _PLAN_BYTES:
-            _PLANS[key] = plan, size
-            while len(_PLANS) > _PLAN_ENTRIES or sum(n for _, n in _PLANS.values()) > _PLAN_BYTES:
-                del _PLANS[next(iter(_PLANS))]
-    return plan
+            memo[key] = value, size
+            while len(memo) > _PLAN_ENTRIES or sum(n for _, n in memo.values()) > _PLAN_BYTES:
+                del memo[next(iter(memo))]
+    return value
+
+
+def sweep_plan(g: dev.DeviceGraph, t0: float, t1: float, cfg: PropagatorConfig) -> SweepPlan:
+    """What a Majorana sweep under g over [t0, t1] steps on, read-only and input-independent: the
+    ``compiled`` chain, :func:`device.majorana_terms` (g) (2M x 2M, no 2^n array), the resolved
+    ``dt``, :func:`step_grid`'s ``edges`` (None when nothing moves), the values ``F`` and step
+    lengths ``hs`` of :func:`cf4` on them (else of one :func:`midpoint` step) and the sweep's
+    2M x 2M rotation ``O``, the product of its steps' :func:`_rotations`.  Memoised on (g, t0,
+    t1, dt), the grid's constants and ``_CHUNK_BYTES``, whose chunks decide O's last bits; it
+    never holds anything computed from a swept covariance."""
+    key = (g, t0, t1, cfg.resolve_dt(g), GRID_TOL, STILL, MAX_PHASE, MAX_INTERVALS, _TOP_LEVELS,
+           _CHUNK_BYTES)
+
+    def lay():
+        plan = _lay(g, t0, t1, cfg, dev.majorana_terms)
+        eye = np.eye(2 * len(plan.compiled[0]))
+        return plan._replace(O=_sweep(eye, *plan.compiled, plan.F, plan.hs, _rotations))
+    return memoised(_PLANS, key, lay)
 
 
 def _graded(plan, cfg, run, deviation):
@@ -474,8 +493,8 @@ def sweep_majorana(gamma, g: dev.DeviceGraph, t0: float, t1: float, cfg: Propaga
     ||dGamma||_F / 4 on the halved grid, to first order the change of the phase-aligned state."""
     plan = plan or sweep_plan(g, t0, t1, cfg)
 
-    def run(F, hs):
-        O = _sweep(np.eye(len(gamma)), *plan.compiled, F, hs, _rotations)
+    def run(F, hs):  # the plan's rotation O, or the halved grid's for richardson_check
+        O = plan.O if F is plan.F else _sweep(np.eye(len(gamma)), *plan.compiled, F, hs, _rotations)
         G = O @ gamma @ O.T
         return G @ (3 * np.eye(len(G)) - G.T @ G) / 2
     return _graded(plan, cfg, run, lambda a, b: float(np.linalg.norm(a - b)) / 4)
@@ -523,19 +542,23 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
     One batched SVD K = U S V^T at 64 times gives the gaps 2 sigma_min and
     2 (sigma_min + sigma_next) and, at t0 and t1, the ground state's covariance
     [[0, -U V^T], [V U^T, 0]], whose squared overlap with a state of covariance Gamma is
-    :func:`.hilbert.gaussian_overlap_sq`.  Warns when the initial state is not close to the
+    :func:`.hilbert.gaussian_overlap_sq`.  That record is memoised (read-only) on (g, t0, t1);
+    the overlaps are taken on every call.  Warns when the initial state is not close to the
     instantaneous ground state at t0 (the ramp then has no adiabatic guarantee).
     """
     cfg = cfg or PropagatorConfig()
     K0, terms = (plan := sweep_plan(g, t0, t1, cfg)).compiled
-    ts = np.linspace(t0, t1, 64)
-    U, s, Vt = np.linalg.svd(np.concatenate(list(_hamiltonians(K0, terms, _values(terms, ts)))))
 
-    def ground_overlap_sq(k, gamma):
-        W, Z = U[k] @ Vt[k], np.zeros_like(U[k])
-        return gaussian_overlap_sq(np.block([[Z, -W], [W.T, Z]]), gamma)
-
-    init_overlap = ground_overlap_sq(0, gamma)
+    def spectrum():  # the times, gaps, sector gaps and ground covariances at t0 and t1
+        ts = np.linspace(t0, t1, 64)
+        U, s, Vt = np.linalg.svd(np.concatenate(list(_hamiltonians(K0, terms, _values(terms, ts)))))
+        gaps = 2 * s[:, -1]
+        sector = gaps + 2 * s[:, -2] if s.shape[1] > 1 else np.full(len(ts), np.inf)
+        Z = np.zeros_like(U[0])
+        return ts, gaps, sector, *(np.block([[Z, -W], [W.T, Z]]) for W in (U[0] @ Vt[0],
+                                                                           U[-1] @ Vt[-1]))
+    ts, gaps, sector, ground0, ground1 = memoised(_SPECTRA, (g, t0, t1), spectrum)
+    init_overlap = gaussian_overlap_sq(ground0, gamma)
     if init_overlap < 0.99:
         warnings.warn(
             f"initial ground-state overlap^2 is {init_overlap:.4f}; "
@@ -543,8 +566,6 @@ def adiabatic_ramp(gamma, g: dev.DeviceGraph, t0: float, t1: float,
             stacklevel=2,
         )
     final = sweep_majorana(gamma, g, t0, t1, cfg, plan)
-    gaps = 2 * s[:, -1]
-    sector = gaps + 2 * s[:, -2] if s.shape[1] > 1 else np.full(len(ts), np.inf)
     diag = RampDiagnostics(float(np.min(gaps)), ts, gaps, init_overlap,
-                           ground_overlap_sq(-1, final), sector, float(np.min(sector)))
+                           gaussian_overlap_sq(ground1, final), sector, float(np.min(sector)))
     return final, diag

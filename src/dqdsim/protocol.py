@@ -70,6 +70,7 @@ CORRECTIONS = {
     0: np.diag([1.0, -1.0j]).astype(complex),
     1: np.diag([1.0, 1.0j]).astype(complex),
 }
+_GATES = {}  # rotation_gate's full-mode gates, memoised
 
 
 def faithful_ramp(support_gap: float) -> float:
@@ -524,11 +525,14 @@ def effective_gate(params: ProtocolParams, t: float) -> np.ndarray:
 
 def rotation_gate(params: ProtocolParams, t: float) -> np.ndarray:
     """The rotation stage's 4 x 4 gate over t on qubits 0 and 1: :func:`effective_gate`, or
-    in full mode the exponential of the two-qubit :func:`support_graph` linked by bell_U."""
+    in full mode the exponential of the two-qubit :func:`support_graph` linked by bell_U,
+    read-only and memoised (:func:`evolve.memoised`) on (w, bell_U, t, integrator)."""
     if params.mode == "effective":
         return effective_gate(params, t)
-    stage = support_graph(params, 2, dev.Schedule.constant(params.resolved_bell_U()))
-    return evolve.sweep_block(np.eye(4, dtype=complex), stage, 0.0, t, params.integrator)
+    bell_U, cfg = params.resolved_bell_U(), params.integrator
+    return evolve.memoised(_GATES, (params.w, bell_U, t, cfg), lambda: evolve.sweep_block(
+        np.eye(4, dtype=complex), support_graph(params, 2, dev.Schedule.constant(bell_U)), 0.0, t,
+        cfg))
 
 
 def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:

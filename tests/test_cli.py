@@ -7,7 +7,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from dqdsim import cli, protocol
+from dqdsim import cli, evolve, protocol
+from dqdsim.device import majorana_terms
 from dqdsim.cli import (
     PARAM_COLUMNS,
     RESULT_COLUMNS,
@@ -489,6 +490,34 @@ class TestInputSweeps:
         assert main(["teleport", "--mode", "effective", "--n-support", "3",
                      "--output", str(out)]) == 3
         assert not (tmp_path / "leak.csv").exists()
+
+
+class TestMemoisedSweeps:
+    """A sweep over a field its ramps do not read lays each ramp's plan once."""
+
+    def test_a_wait_angle_sweep_lays_each_ramp_once_and_writes_the_cold_csv(self, tmp_path,
+                                                                             monkeypatch):
+        laid, lay = [], evolve._lay
+
+        def spy(g, t0, t1, cfg, compile_):
+            if compile_ is majorana_terms:
+                laid.append(g)
+            return lay(g, t0, t1, cfg, compile_)
+        monkeypatch.setattr(evolve, "_lay", spy)
+        argv = ["sweep", "--axis", "wait_angle", "--values",
+                ",".join(f"{0.1 + 0.2 * k:g}" for k in range(8))]
+        assert main(argv + ["--output", str(tmp_path / "warm")]) == 0
+        assert len(laid) == 2  # the support's ramp and the coupler
+        point = cli.run_experiment
+
+        def cold(*args):  # each point built with every memo empty
+            for memo in (evolve._PLANS, evolve._SPECTRA, protocol._GATES):
+                memo.clear()
+            return point(*args)
+        monkeypatch.setattr(cli, "run_experiment", cold)
+        assert main(argv + ["--output", str(tmp_path / "cold")]) == 0
+        assert len(laid) == 2 + 2 * 8
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
 
 class TestDerivedValues:

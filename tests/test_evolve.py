@@ -1,5 +1,7 @@
 import time
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqdsim import device, evolve
+from dqdsim import device, evolve, protocol
 from dqdsim.device import (
     DeviceGraph,
     Schedule,
@@ -47,11 +49,12 @@ from dqdsim.protocol import (
     make_entangled_pair,
     ramp_graph,
     resolve_coupling,
+    rotation_gate,
     support_crossing_gap,
     support_graph,
 )
 from references import (align_phase, majorana_covariance, pairwise_grid_reference,
-                        random_gaussian_state, step_grid_reference)
+                        random_covariance, random_gaussian_state, step_grid_reference)
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -769,7 +772,8 @@ def ramp_plan(T):
 
 
 class TestSweepPlans:
-    """evolve.sweep_plan memoises what a Majorana sweep steps on, never what it returns."""
+    """evolve.sweep_plan memoises what a Majorana sweep steps on and its rotation O, which
+    depends on the device and window alone: never anything computed from a swept covariance."""
 
     def test_each_test_starts_with_no_plan(self):
         assert evolve._PLANS == {}
@@ -834,7 +838,8 @@ class TestSweepPlans:
         assert evolve.sweep_plan(g, 0.0, T, PropagatorConfig(dt=plans[0].dt)) is plans[0]
 
     @pytest.mark.parametrize("name, value", [("GRID_TOL", 0.003), ("STILL", 1e-6),
-                                             ("MAX_PHASE", 1.0), ("_TOP_LEVELS", 0)])
+                                             ("MAX_PHASE", 1.0), ("_TOP_LEVELS", 0),
+                                             ("_CHUNK_BYTES", 2**12)])
     def test_a_patched_grid_constant_lays_a_fresh_plan(self, name, value, monkeypatch):
         params = ProtocolParams()
         t_couple, gap, _ = resolve_coupling(params, 2)
@@ -847,6 +852,89 @@ class TestSweepPlans:
         monkeypatch.setattr(evolve, "MAX_INTERVALS", len(plan.edges) - 2)
         with pytest.raises(ConfigError, match="step grid"):  # the cap holds for a memoised plan
             evolve.sweep_plan(g, 0.0, t_couple, params.integrator)
+
+
+PLUS2 = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))  # |+>^2's covariance: <X_k> = 1
+
+
+class TestMemoHoldsNoInput:
+    """A memoised plan, ramp spectrum or rotation gate serves any input as a fresh one would."""
+
+    def test_one_plan_sweeps_each_covariance_as_an_unmemoised_sweep(self):
+        params = ProtocolParams()
+        t_couple, gap, _ = resolve_coupling(params, 2)
+        g = coupler_graph(params, 2, t_couple, gap)
+        plan = evolve.sweep_plan(g, 0.0, t_couple, params.integrator)
+        O = _sweep(np.eye(6), *plan.compiled, plan.F, plan.hs, evolve._rotations)
+        assert np.array_equal(plan.O, O)
+        rng, out = np.random.default_rng(35), []
+        for gamma in (random_covariance(rng, 3), random_covariance(rng, 3)):  # pure, distinct
+            G = O @ gamma @ O.T
+            out.append(evolve.sweep_majorana(gamma, g, 0.0, t_couple, PropagatorConfig()))
+            assert np.array_equal(out[-1], G @ (3 * np.eye(6) - G.T @ G) / 2)
+        assert not np.array_equal(*out) and len(evolve._PLANS) == 1
+
+    def test_a_warm_plan_still_steps_the_halved_grid(self, monkeypatch):
+        params = ProtocolParams()
+        T = params.resolved_T_ent()
+        g, plan = ramp_graph(params, 2, T), ramp_plan(T)
+        batches, original = [], evolve._rotations
+
+        def spy(Ks, h):
+            batches.append(len(Ks))
+            return original(Ks, h)
+        monkeypatch.setattr(evolve, "_rotations", spy)
+        for _ in range(2):  # the halved grid's exponentials, twice the plan's, on every call
+            batches.clear()
+            evolve.sweep_majorana(PLUS2, g, 0.0, T, PropagatorConfig(richardson_check=True,
+                                                                     tolerance=1e-5))
+            assert sum(batches) == 2 * len(plan.hs)
+        with pytest.raises(ConvergenceError, match="step-doubling deviation"):
+            evolve.sweep_majorana(PLUS2, g, 0.0, T, PropagatorConfig(richardson_check=True,
+                                                                     tolerance=1e-30))
+        assert ramp_plan(T) is plan and len(evolve._PLANS) == 1
+
+    @pytest.mark.filterwarnings("ignore:initial ground-state overlap")  # |+>^2 at T/2
+    def test_the_rotation_the_spectrum_and_the_gate_are_read_only(self):
+        params = ProtocolParams(bell_U=40.0)
+        _, diag = make_entangled_pair(params)
+        gate = rotation_gate(params, params.resolved_wait())
+        (spectrum, _), = evolve._SPECTRA.values()
+        assert len(spectrum) == 5  # times, gaps, sector gaps, the ground covariances at t0, t1
+        for a in (ramp_plan(params.resolved_T_ent()).O, diag.gap_times, diag.gaps,
+                  diag.sector_gaps, gate, *spectrum):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert make_entangled_pair(params)[1].gaps is diag.gaps  # served again
+        T = params.resolved_T_ent()  # each window of the device has its own record
+        for t0, t1 in ((0.0, T / 2), (T / 2, T)):
+            _, part = adiabatic_ramp(PLUS2, ramp_graph(params, 2, T), t0, t1, params.integrator)
+            assert (part.gap_times[0], part.gap_times[-1]) == (t0, t1)
+        assert len(evolve._SPECTRA) == 3
+        # keyed on (w, bell_U, t, integrator): another U_max shares the gate, another bell_U not
+        assert rotation_gate(replace(params, U_max=50.0), params.resolved_wait()) is gate
+        assert not np.array_equal(rotation_gate(replace(params, bell_U=50.0),
+                                                params.resolved_wait()), gate)
+
+    def test_the_gate_memo_keeps_within_its_bounds(self):
+        params = ProtocolParams()
+        for k in range(evolve._PLAN_ENTRIES + 3):
+            rotation_gate(params, 1.0 + k / 8)
+        assert len(protocol._GATES) == evolve._PLAN_ENTRIES
+
+    def test_a_warm_ramp_far_from_its_ground_state_still_warns(self):
+        params = ProtocolParams()
+        T = params.resolved_T_ent()
+        g = ramp_graph(params, 2, T)
+        for _ in range(2):  # |->^2 has no overlap with |+>^2, the ground state at t0
+            with pytest.warns(UserWarning, match="initial ground-state overlap"):
+                _, diag = adiabatic_ramp(-PLUS2, g, 0.0, T, params.integrator)
+            assert diag.initial_ground_overlap_sq < 1e-12
+        with warnings.catch_warnings():  # and a warm ramp from the ground state reads its own
+            warnings.simplefilter("error")
+            _, diag = adiabatic_ramp(PLUS2, g, 0.0, T, params.integrator)
+        assert diag.initial_ground_overlap_sq > 1 - 1e-12 and len(evolve._SPECTRA) == 1
 
 
 class TestPropagatorConfig:
