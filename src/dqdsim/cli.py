@@ -29,7 +29,7 @@ from .hilbert import StateVector, fidelity, gaussian_state
 from .metrics import concurrence
 from . import protocol as proto
 
-# A sweep of these experiments over an input axis shares one Channel.
+# The experiments that build a channel (protocol.build_channel, which memoises it).
 CHANNEL_EXPERIMENTS = ("couple", "bell", "teleport")
 INPUT_AXES = ("alpha_abs", "beta_phase")
 
@@ -173,8 +173,8 @@ def input_qubit(cfg: RunConfig) -> proto.InputQubit:
     return proto.InputQubit(a, b)
 
 
-def run_experiment(point: tuple, channel: proto.Channel | None = None) -> dict:
-    """Run one point of :func:`checked_points` (through ``channel``, if given): its CSV row."""
+def run_experiment(point: tuple) -> dict:
+    """Run one point of :func:`checked_points`: its CSV row."""
     cfg, params, row = point
     row, target = dict(row), input_qubit(cfg)
 
@@ -200,7 +200,7 @@ def run_experiment(point: tuple, channel: proto.Channel | None = None) -> dict:
             row[c] = "" if (v := getattr(diag, c, None)) is None else v
         return row
 
-    res = (channel or proto.build_channel(params)).teleport(target)  # a channel experiment
+    res = proto.build_channel(params).teleport(target)  # a channel experiment
     log = res.step_log
     by_outcome = {b.outcome: b.fidelity for b in res.branches}
     results = {
@@ -217,11 +217,9 @@ def run_experiment(point: tuple, channel: proto.Channel | None = None) -> dict:
     return row
 
 
-def run_sweep(cfg: RunConfig, points: list) -> list:
-    """The checked points' rows; a channel experiment swept over an input shares one channel."""
-    shared = cfg.axis in INPUT_AXES and cfg.experiment in CHANNEL_EXPERIMENTS
-    channel = proto.build_channel(points[0][1]) if shared else None
-    return [run_experiment(p, channel) for p in points]
+def run_sweep(points: list) -> list:
+    """The checked points' rows; points differing only in an input, phi or seed share a channel."""
+    return [run_experiment(p) for p in points]
 
 
 def format_cell(v) -> str:
@@ -257,7 +255,7 @@ def run(cfg: RunConfig) -> int:
     if errors:
         return 2
     try:
-        rows = run_sweep(cfg, points)
+        rows = run_sweep(points)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,8 @@ Bob; any qubits in between belong to a longer support chain):
 
 :class:`Channel` is the one engine for every support length, and
 :func:`build_channel` the one builder: it prepares stages 2 to 4 once per
-channel at ``ProtocolParams.n_support``, and the channel runs encode and
-measure per input.  :func:`teleport_end_to_end` builds a channel per input.
+channel at ``ProtocolParams.n_support``, memoised on its settings (so :func:`teleport_end_to_end`
+prepares them once), and the channel runs encode and measure per input.
 
 Every stage exists in ``full`` mode (numerical propagation of the device Hamiltonian) and
 ``effective`` mode (the closed-form two-level algebra the full dynamics approaches when
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
@@ -70,7 +71,7 @@ CORRECTIONS = {
     0: np.diag([1.0, -1.0j]).astype(complex),
     1: np.diag([1.0, 1.0j]).astype(complex),
 }
-_GATES = {}  # rotation_gate's full-mode gates, memoised
+_CHANNELS = {}  # build_channel's input-independent cores, memoised
 
 
 def faithful_ramp(support_gap: float) -> float:
@@ -278,8 +279,8 @@ def coupler_graph(params: ProtocolParams, n_support: int,
 def resolve_coupling(params: ProtocolParams, n_support: int):
     """(T_couple, crossing gap, rotation wait); T_couple and the gap are None in effective mode.
 
-    The channel's preflight: channel builders call it before they prepare the support, so
-    no ramp is stepped before a refusal, and pass its result to the :class:`Channel`.
+    The channel's preflight: :func:`build_channel` calls it before it prepares the support, so
+    no ramp is stepped before a refusal, and builds the channel on its result.
     Raises ConfigError when the rotation stage's wait or the crossing gap (0 for long supports
     at huge U_max) is not positive and finite, or when the coupling ramp is out of
     :meth:`ProtocolParams.in_reach` on the ``n_support``-site coupler.
@@ -471,7 +472,7 @@ def couple_unknown(unknown: StateVector, support: np.ndarray,
     Ising chain, and :func:`evolve.sweep_majorana` sweeps the covariance of |+> x S
     (that of |+> on a_0, b_0, S's on the rest), whose amplitudes are then built once, up
     to a global phase.  Effective mode returns alpha|0...0> + beta|1...1> exactly,
-    normalized as ``unknown`` is.  ``coupling``: as in :class:`Channel`.  Raises
+    normalized as ``unknown`` is.  ``coupling``: :func:`resolve_coupling`'s, if resolved.  Raises
     DimensionError unless ``support`` is 2n x 2n, n >= 2, and in full mode DeviceError,
     before any sweep, when S's covariance is not real, finite, antisymmetric and pure
     (||G + G^T||_F, ||G G^T - I||_F <= 1e-12), the encoder tunnels or the coupler is no
@@ -525,14 +526,11 @@ def effective_gate(params: ProtocolParams, t: float) -> np.ndarray:
 
 def rotation_gate(params: ProtocolParams, t: float) -> np.ndarray:
     """The rotation stage's 4 x 4 gate over t on qubits 0 and 1: :func:`effective_gate`, or
-    in full mode the exponential of the two-qubit :func:`support_graph` linked by bell_U,
-    read-only and memoised (:func:`evolve.memoised`) on (w, bell_U, t, integrator)."""
+    in full mode the exponential of the two-qubit :func:`support_graph` linked by bell_U."""
     if params.mode == "effective":
         return effective_gate(params, t)
-    bell_U, cfg = params.resolved_bell_U(), params.integrator
-    return evolve.memoised(_GATES, (params.w, bell_U, t, cfg), lambda: evolve.sweep_block(
-        np.eye(4, dtype=complex), support_graph(params, 2, dev.Schedule.constant(bell_U)), 0.0, t,
-        cfg))
+    g = support_graph(params, 2, dev.Schedule.constant(params.resolved_bell_U()))
+    return evolve.sweep_block(np.eye(4, dtype=complex), g, 0.0, t, params.integrator)
 
 
 def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:
@@ -602,8 +600,12 @@ class _Readout:
     matrix W, so ``read`` takes one product, of W with (u, conj(u_a) u_b for all a, b).
     """
 
-    def __init__(self, post, coupled=None, ideal=None, t_wait=None):
-        self.t_wait = t_wait  # a channel's rotation wait, for its bell entry
+    def __init__(self, W, t_wait=None):
+        self._W, self.t_wait = W, t_wait  # t_wait: a channel's rotation wait, for its bell entry
+
+    @staticmethod
+    def forms(post, coupled=None, ideal=None) -> np.ndarray:
+        """The matrix W of the readout of ``post``; ConvergenceError unless its maps are finite."""
         r, R = post.shape[0], post.shape[1] // 4
         mid = post.reshape(r, R, 4).copy()
         mid[:, ::R - 1] = 0.0  # the rows off the code pair
@@ -619,10 +621,10 @@ class _Readout:
         if coupled is not None:
             forms.append(coupled[None, :, ::coupled.shape[1] - 1].conj())  # [:, [0, -1]]
         forms = np.concatenate(forms)
-        self._W = np.zeros((8 + len(forms), r + 1, r), dtype=complex)
-        self._W[:8, 0] = post.reshape(r, R, 2, 2)[:, ::R - 1].transpose(3, 1, 2, 0).reshape(8, r)
-        self._W[8:, 1:] = forms  # row n: W[n, 0] . u + sum_ab W[n, 1 + a, b] conj(u_a) u_b
-        self._W = self._W.reshape(len(self._W), -1)
+        W = np.zeros((8 + len(forms), r + 1, r), dtype=complex)
+        W[:8, 0] = post.reshape(r, R, 2, 2)[:, ::R - 1].transpose(3, 1, 2, 0).reshape(8, r)
+        W[8:, 1:] = forms  # row n: W[n, 0] . u + sum_ab W[n, 1 + a, b] conj(u_a) u_b
+        return W.reshape(len(W), -1)
 
     def read(self, u, params: ProtocolParams, achieved: InputQubit, log: dict) -> TeleportResult:
         """The readout at the amplitudes u (a sequence of complex); its step_log is ``log`` with
@@ -673,7 +675,7 @@ def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
     (qubits 0 and 1 are Alice's, the target is ``achieved`` on the code pair)."""
     if state.n_qubits < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
-    return _Readout(state.amps[None]).read([1.0], params, achieved, {})
+    return _Readout(_Readout.forms(state.amps[None])).read([1.0], params, achieved, {})
 
 
 class Channel:
@@ -693,37 +695,21 @@ class Channel:
     no register-sized array.  The entangle log's ``norm`` is ||Gamma_S||_F / sqrt(2n).
     """
 
-    def __init__(self, support: np.ndarray, ramp, params: ProtocolParams, coupling=None):
-        """``coupling``: :func:`resolve_coupling`'s result, if the builder resolved it first."""
+    def __init__(self, support: np.ndarray, ramp, params: ProtocolParams):
+        coupling = resolve_coupling(params, _support_qubits(support))
+        self._hold(params, _channel_core(coupling, support, ramp, params))
+
+    def _hold(self, params: ProtocolParams, core: tuple) -> "Channel":
+        """This channel on ``params`` and a :func:`_channel_core`; warns of a short coupling."""
         self.params = params
-        n = _support_qubits(support)
-        coupling = coupling or resolve_coupling(params, n)
-        self.t_couple, gap, self.t_wait = coupling
+        self.t_couple, gap, self.t_wait, self._coupled, self._post, W, *logs = core
+        self._readout = _Readout(W, self.t_wait)
+        self._shared = dict(zip(("entangle", "channel"), logs))  # read-only, for every result
         if gap is not None and self.t_couple < 0.5 * faithful_ramp(gap):
             warnings.warn(f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
                           f"~{faithful_ramp(gap):.3g}/w the crossing gap {gap:.3g} requires; "
-                          "the transfer will be unfaithful", stacklevel=2)
-        coupled = couple_unknown(_PLUS, support, params, coupling).amps
-        self._coupled = np.zeros((2, coupled.size), dtype=complex)
-        for k in (0, 1):  # the encoder bit is the parity of the basis index
-            self._coupled[k, k::2] = coupled[k::2] / _PLUS.amps[k]
-        G = rotation_gate(params, self.t_wait)  # once, for both images
-        self._post = (self._coupled.reshape(2, -1, 4) @ G.T).reshape(2, -1)
-        E = G if params.mode == "effective" else effective_gate(params, self.t_wait)
-        ideal = np.zeros((2, coupled.size), dtype=complex)  # E on |0...0> and |1...1>
-        ideal[0, :4], ideal[1, -4:] = E[:, 0], E[:, 3]
-        self._readout = _Readout(self._post, self._coupled, ideal, self.t_wait)
-        log = {"norm": float(np.linalg.norm(support)) / math.sqrt(2 * n)}
-        if ramp is not None:
-            log.update(min_gap=ramp.min_gap, min_sector_gap=ramp.min_sector_gap,
-                       ground_overlap_sq=ramp.final_ground_overlap_sq)
-            if ramp.ramp_cycles is not None:  # the pair's ramp phase and its predicted loss
-                log.update(ramp_cycles=ramp.ramp_cycles, predicted_residue=ramp.predicted_residue)
-        key = params.U_max, params.w, n  # the effective support is the memoised plateau's
-        plateau = params.mode == "effective" and support is plateau_covariance(*key)
-        ghz = _plateau(*key)[1] if plateau else gaussian_overlap_sq(support, ghz_covariance(n))
-        self._shared = {"entangle": MappingProxyType(log), "channel": MappingProxyType(
-            {"ghz_overlap_sq": ghz, "T_couple": self.t_couple})}  # read-only, for every result
+                          "the transfer will be unfaithful", stacklevel=3)
+        return self
 
     def teleport(self, target: InputQubit) -> TeleportResult:
         """Encode, couple, rotate, measure and correct one input.
@@ -747,18 +733,48 @@ class Channel:
                    for b in self._readout.read(u, self.params, InputQubit(*u), {}).branches) / 6
 
 
+def _channel_core(coupling, support: np.ndarray, ramp, params: ProtocolParams) -> tuple:
+    """What a :class:`Channel` holds that no input changes: (T_couple, crossing gap, rotation
+    wait, coupled images, rotated images, readout forms W, entangle log, channel log)."""
+    n = _support_qubits(support)
+    coupled = couple_unknown(_PLUS, support, params, coupling).amps
+    images = np.zeros((2, coupled.size), dtype=complex)
+    for k in (0, 1):  # the encoder bit is the parity of the basis index
+        images[k, k::2] = coupled[k::2] / _PLUS.amps[k]
+    G = rotation_gate(params, coupling[2])  # once, for both images
+    post = (images.reshape(2, -1, 4) @ G.T).reshape(2, -1)
+    E = G if params.mode == "effective" else effective_gate(params, coupling[2])
+    ideal = np.zeros((2, coupled.size), dtype=complex)  # E on |0...0> and |1...1>
+    ideal[0, :4], ideal[1, -4:] = E[:, 0], E[:, 3]
+    W = _Readout.forms(post, images, ideal)
+    log = {"norm": float(np.linalg.norm(support)) / math.sqrt(2 * n)}
+    if ramp is not None:
+        log.update(min_gap=ramp.min_gap, min_sector_gap=ramp.min_sector_gap,
+                   ground_overlap_sq=ramp.final_ground_overlap_sq)
+        if ramp.ramp_cycles is not None:  # the pair's ramp phase and its predicted loss
+            log.update(ramp_cycles=ramp.ramp_cycles, predicted_residue=ramp.predicted_residue)
+    key = params.U_max, params.w, n  # the effective support is the memoised plateau's
+    plateau = params.mode == "effective" and support is plateau_covariance(*key)
+    ghz = _plateau(*key)[1] if plateau else gaussian_overlap_sq(support, ghz_covariance(n))
+    return (*coupling, images, post, W, MappingProxyType(log),
+            MappingProxyType({"ghz_overlap_sq": ghz, "T_couple": coupling[0]}))
+
+
+_BUILT_FROM = operator.attrgetter(*(f.name for f in fields(ProtocolParams) if f.name not in (
+    "phi", "seed")))  # the fields a build reads: all but the inputs' phase family and the draw
+
+
 def build_channel(params: ProtocolParams) -> Channel:
     """The channel over a support of ``params.n_support`` qubits: the coupling is resolved
     first, so an unrunnable rotation or an out-of-reach coupling is refused before the
-    support is prepared (:func:`make_entangled_pair`)."""
-    coupling = resolve_coupling(params, params.n_support)
-    return Channel(*make_entangled_pair(params), params, coupling)
+    support is prepared (:func:`make_entangled_pair`).  Its core is memoised on every ``params``
+    field but ``phi`` and ``seed``, which only ``teleport`` reads: a hit builds nothing."""
+    core = evolve.memoised(_CHANNELS, _BUILT_FROM(params), lambda: _channel_core(
+        resolve_coupling(params, params.n_support), *make_entangled_pair(params), params))
+    return Channel.__new__(Channel)._hold(params, core)
 
 
 def teleport_end_to_end(target: InputQubit, params: ProtocolParams) -> TeleportResult:
-    """Prepare the support, build its channel and teleport one input.
-
-    To teleport many inputs over one support, build ``build_channel(params)`` once
-    and call its ``teleport``.
-    """
+    """``build_channel(params).teleport(target)``: the support is prepared and the channel built
+    once per set of build settings, and a call on a memoised one only encodes and measures."""
     return build_channel(params).teleport(target)

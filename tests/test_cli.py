@@ -511,7 +511,7 @@ class TestMemoisedSweeps:
         point = cli.run_experiment
 
         def cold(*args):  # each point built with every memo empty
-            for memo in (evolve._PLANS, evolve._SPECTRA, protocol._GATES):
+            for memo in (evolve._PLANS, evolve._SPECTRA, protocol._CHANNELS):
                 memo.clear()
             return point(*args)
         monkeypatch.setattr(cli, "run_experiment", cold)

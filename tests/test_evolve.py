@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 import tracemalloc
 import warnings
@@ -38,6 +40,7 @@ from dqdsim.evolve import (
 )
 from dqdsim.hilbert import StateVector, gaussian_state, tensor_product
 from dqdsim.protocol import (
+    Channel,
     InputQubit,
     ProtocolParams,
     build_channel,
@@ -49,9 +52,9 @@ from dqdsim.protocol import (
     make_entangled_pair,
     ramp_graph,
     resolve_coupling,
-    rotation_gate,
     support_crossing_gap,
     support_graph,
+    teleport_end_to_end,
 )
 from references import (align_phase, majorana_covariance, pairwise_grid_reference,
                         random_covariance, random_gaussian_state, step_grid_reference)
@@ -858,7 +861,7 @@ PLUS2 = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))  # |+>^2's covariance: <X_
 
 
 class TestMemoHoldsNoInput:
-    """A memoised plan, ramp spectrum or rotation gate serves any input as a fresh one would."""
+    """A memoised plan or ramp spectrum serves any input as a fresh one would."""
 
     def test_one_plan_sweeps_each_covariance_as_an_unmemoised_sweep(self):
         params = ProtocolParams()
@@ -895,14 +898,13 @@ class TestMemoHoldsNoInput:
         assert ramp_plan(T) is plan and len(evolve._PLANS) == 1
 
     @pytest.mark.filterwarnings("ignore:initial ground-state overlap")  # |+>^2 at T/2
-    def test_the_rotation_the_spectrum_and_the_gate_are_read_only(self):
+    def test_the_rotation_and_the_spectrum_are_read_only(self):
         params = ProtocolParams(bell_U=40.0)
         _, diag = make_entangled_pair(params)
-        gate = rotation_gate(params, params.resolved_wait())
         (spectrum, _), = evolve._SPECTRA.values()
         assert len(spectrum) == 5  # times, gaps, sector gaps, the ground covariances at t0, t1
         for a in (ramp_plan(params.resolved_T_ent()).O, diag.gap_times, diag.gaps,
-                  diag.sector_gaps, gate, *spectrum):
+                  diag.sector_gaps, *spectrum):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -912,16 +914,6 @@ class TestMemoHoldsNoInput:
             _, part = adiabatic_ramp(PLUS2, ramp_graph(params, 2, T), t0, t1, params.integrator)
             assert (part.gap_times[0], part.gap_times[-1]) == (t0, t1)
         assert len(evolve._SPECTRA) == 3
-        # keyed on (w, bell_U, t, integrator): another U_max shares the gate, another bell_U not
-        assert rotation_gate(replace(params, U_max=50.0), params.resolved_wait()) is gate
-        assert not np.array_equal(rotation_gate(replace(params, bell_U=50.0),
-                                                params.resolved_wait()), gate)
-
-    def test_the_gate_memo_keeps_within_its_bounds(self):
-        params = ProtocolParams()
-        for k in range(evolve._PLAN_ENTRIES + 3):
-            rotation_gate(params, 1.0 + k / 8)
-        assert len(protocol._GATES) == evolve._PLAN_ENTRIES
 
     def test_a_warm_ramp_far_from_its_ground_state_still_warns(self):
         params = ProtocolParams()
@@ -935,6 +927,184 @@ class TestMemoHoldsNoInput:
             warnings.simplefilter("error")
             _, diag = adiabatic_ramp(PLUS2, g, 0.0, T, params.integrator)
         assert diag.initial_ground_overlap_sq > 1 - 1e-12 and len(evolve._SPECTRA) == 1
+
+
+def in_threads(*targets, timeout=120.0):
+    """Each target's result, run in its own daemon thread; fails if one has not finished."""
+    results = [None] * len(targets)
+    threads = [threading.Thread(target=lambda k=k, f=f: results.__setitem__(k, f()), daemon=True)
+               for k, f in enumerate(targets)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+    assert not any(t.is_alive() for t in threads), "a build never finished"
+    return results
+
+
+class TestMemoLock:
+    """evolve.memoised builds outside its lock: a build may reach another memo, and racing
+    builds of one key both finish."""
+
+    def test_a_build_may_reach_another_memo(self):
+        outer, inner = {}, {}
+        value, = in_threads(lambda: evolve.memoised(outer, "outer", lambda: (
+            evolve.memoised(inner, "inner", lambda: np.arange(3.0)),)))
+        assert value[0] is inner["inner"][0] and list(outer) == ["outer"]
+
+    def test_two_racing_builds_of_one_cold_key_finish_with_one_value(self):
+        memo, barrier = {}, threading.Barrier(2, timeout=30)
+
+        def make():  # each build waits for the other: both run at once
+            barrier.wait()
+            return np.arange(3.0)
+        a, b = in_threads(*[lambda: evolve.memoised(memo, "key", make)] * 2)
+        assert a is b and list(memo) == ["key"] and not a.flags.writeable
+
+    def test_many_threads_keep_the_memo_bounded_and_each_value_its_own(self, monkeypatch):
+        monkeypatch.setattr(evolve, "_PLAN_ENTRIES", 4)
+        memo, interval = {}, sys.getswitchinterval()
+
+        def work(seed):  # the keys it was served a wrong value for
+            keys = np.random.default_rng(seed).integers(0, 8, 400)
+            return [k for k in keys if evolve.memoised(memo, k, lambda: np.full(2, k))[0] != k]
+        sys.setswitchinterval(1e-6)
+        try:
+            wrong = in_threads(*[lambda s=s: work(s) for s in range(8)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [[]] * 8 and 1 <= len(memo) <= 4
+        assert all(value[0] == k and size == value.nbytes for k, (value, size) in memo.items())
+
+    def test_two_threads_build_one_cold_channel_at_once(self):
+        params = ProtocolParams()
+        a, b = in_threads(*[lambda: build_channel(params)] * 2)
+        assert channel_outputs(a) == channel_outputs(b) and len(protocol._CHANNELS) == 1
+
+
+PAIR_FULL, CHAIN4 = ProtocolParams(), ProtocolParams(
+    n_support=4, U_max=15.0, Uprime_max=100.0, T_ent=45.0, integrator=PropagatorConfig(dt=0.2))
+
+
+class TestChannelMemo:
+    """build_channel memoises a channel's input-independent core on every ProtocolParams field
+    but phi and seed; a hit returns a new channel on the caller's params and builds nothing."""
+
+    @pytest.mark.parametrize("params", [
+        PAIR_FULL, replace(PAIR_FULL, mode="effective"), CHAIN4, replace(CHAIN4, mode="effective")],
+        ids=["pair", "pair-effective", "n_support=4", "n_support=4-effective"])
+    def test_a_hit_is_the_cold_build_bit_for_bit(self, params, monkeypatch):
+        cold = channel_outputs(build_channel(params))
+        laid = laying(monkeypatch)
+        hit = build_channel(params)
+        assert channel_outputs(hit) == cold and laid == [] and len(protocol._CHANNELS) == 1
+        # and both are the unmemoised channel's
+        assert channel_outputs(Channel(*make_entangled_pair(params), params)) == cold
+
+    def test_a_warm_teleport_builds_nothing(self, monkeypatch):
+        q = InputQubit(0.6, 0.8)
+        cold = teleport_end_to_end(q, PAIR_FULL)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a warm build resolved, stepped or looked something up")
+        for name in ("resolve_coupling", "make_entangled_pair", "couple_unknown",
+                     "rotation_gate", "support_graph", "_channel_core", "gaussian_overlap_sq"):
+            monkeypatch.setattr(protocol, name, refused)
+        for name in ("sweep_plan", "adiabatic_ramp", "_lay"):
+            monkeypatch.setattr(evolve, name, refused)
+        warm = teleport_end_to_end(q, PAIR_FULL)
+        assert (warm.outcome, warm.p0, warm.fidelity_to_input) == (
+            cold.outcome, cold.p0, cold.fidelity_to_input) and warm.step_log == cold.step_log
+
+    def test_phi_and_seed_share_one_core_and_each_channel_reads_its_own(self):
+        q, channels = InputQubit(0.6, 0.8), []
+        for phi, seed in ((0.0, 7), (0.4, 7), (0.0, 3), (-1.1, 12)):
+            params = replace(PAIR_FULL, phi=phi, seed=seed)
+            channels.append(build_channel(params))
+            assert channels[-1].params is params
+            fresh = Channel(*make_entangled_pair(params), params).teleport(q)
+            res = channels[-1].teleport(q)
+            assert res.step_log["encode"] == fresh.step_log["encode"]
+            assert (res.outcome, res.fidelity_to_input) == (fresh.outcome, fresh.fidelity_to_input)
+        assert len(protocol._CHANNELS) == 1
+        assert all(c._post is channels[0]._post for c in channels)
+        achieved = {c.teleport(q).step_log["encode"]["achieved"][1] for c in channels}
+        assert len(achieved) == 3  # each phi's own encoding
+
+    def test_mutating_params_after_a_build_leaves_the_memo_as_it_was(self):
+        params = ProtocolParams()
+        cold = channel_outputs(build_channel(params))
+        params.U_max = 50.0
+        assert channel_outputs(build_channel(ProtocolParams())) == cold
+        moved = build_channel(params)  # a new key, and its own build
+        assert len(protocol._CHANNELS) == 2 and channel_outputs(moved) != cold
+        assert channel_outputs(moved) == channel_outputs(Channel(*make_entangled_pair(params),
+                                                                 params))
+
+    def test_an_attribute_set_on_one_channel_is_not_served_to_the_next(self, monkeypatch):
+        a = build_channel(PAIR_FULL)
+        expected = channel_outputs(a)
+        for name in ("t_wait", "t_couple", "_post", "_coupled", "_shared"):
+            monkeypatch.setattr(a, name, None)
+        monkeypatch.setattr(a._readout, "t_wait", -1.0)
+        b = build_channel(PAIR_FULL)
+        assert b._readout is not a._readout and b.t_wait == PAIR_FULL.resolved_wait()
+        assert channel_outputs(b) == expected
+
+    def test_an_int_and_a_float_setting_build_one_channel(self):
+        as_int = channel_outputs(build_channel(ProtocolParams(U_max=100)))
+        protocol._CHANNELS.clear()
+        evolve._PLANS.clear()
+        evolve._SPECTRA.clear()
+        assert channel_outputs(build_channel(ProtocolParams(U_max=100.0))) == as_int
+        assert len(protocol._CHANNELS) == 1
+        assert channel_outputs(build_channel(ProtocolParams(U_max=100))) == as_int
+
+    def test_the_memo_keeps_within_its_bounds_with_its_core_counted(self, monkeypatch):
+        params = ProtocolParams(mode="effective")
+        for k in range(evolve._PLAN_ENTRIES + 3):
+            build_channel(replace(params, wait_angle=0.5 + k / 64))
+        assert len(protocol._CHANNELS) == evolve._PLAN_ENTRIES
+        for core, size in protocol._CHANNELS.values():
+            arrays = [a for a in core if isinstance(a, np.ndarray)]
+            assert len(arrays) == 3 and size == sum(a.nbytes for a in arrays) > 0
+            for a in arrays:  # the coupled and rotated images and the readout's forms
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+        chain = replace(params, n_support=4)
+        build_channel(chain)
+        (_, small), (_, large) = list(protocol._CHANNELS.values())[-2:]
+        assert large > small  # the core grows with the register
+        monkeypatch.setattr(evolve, "_PLAN_BYTES", large + small)
+        build_channel(params)
+        assert sum(n for _, n in protocol._CHANNELS.values()) <= large + small
+        assert len(protocol._CHANNELS) == 2
+        monkeypatch.setattr(evolve, "_PLAN_BYTES", large - 1)  # too large to keep: built, unkept
+        kept = dict(protocol._CHANNELS)
+        chain = replace(chain, wait_angle=0.3)
+        assert channel_outputs(build_channel(chain)) == channel_outputs(
+            Channel(*make_entangled_pair(chain), chain))
+        assert protocol._CHANNELS == kept
+
+    def test_the_short_coupling_warning_is_given_on_every_build(self):
+        params = replace(PAIR_FULL, T_couple=50.0)  # the faithful ramp is 200/w
+        for _ in range(3):
+            with pytest.warns(UserWarning, match="the transfer will be unfaithful"):
+                build_channel(params)
+        assert len(protocol._CHANNELS) == 1
+
+    def test_a_refused_build_is_not_memoised(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "rotation_gate", lambda params, t: np.full((4, 4), np.nan))
+            with pytest.raises(ConvergenceError, match="not finite"):
+                build_channel(PAIR_FULL)
+        assert protocol._CHANNELS == {}
+        assert build_channel(PAIR_FULL).mean_fidelity() > 0.999
+
+    def test_a_channel_built_from_its_support_is_not_memoised(self):
+        params = replace(PAIR_FULL, mode="effective")
+        Channel(*make_entangled_pair(params), params)
+        assert protocol._CHANNELS == {}
 
 
 class TestPropagatorConfig:
