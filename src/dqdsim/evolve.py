@@ -427,18 +427,19 @@ def _arrays(x):  # the arrays of x and of the tuples nested in it
 def memoised(memo: dict, key, make):
     """memo[key] (key -> (value, bytes)), made by make() on a miss with its arrays read-only.  A
     memo keeps at most ``_PLAN_ENTRIES`` values of ``_PLAN_BYTES`` in all, the least recently
-    used dropped first (a larger one is used but not kept).  make() runs outside the lock, as it
-    may reach another memo; of two racing builds of one key, the one kept first is served."""
+    used dropped first (a larger one is used but not kept).  A hit moves its key last and
+    returns; make() runs outside the lock, as it may reach another memo; of two racing builds
+    of one key, the one kept first is served."""
     with _MEMO_LOCK:
-        kept = memo.pop(key, None)
-    if kept is None:
-        value, size = make(), 0
-        for a in _arrays(value):
-            a.setflags(write=False)
-            size += a.nbytes
-        kept = value, size
+        if (kept := memo.pop(key, None)) is not None:
+            memo[key] = kept
+            return kept[0]
+    value, size = make(), 0
+    for a in _arrays(value):
+        a.setflags(write=False)
+        size += a.nbytes
     with _MEMO_LOCK:
-        value, size = memo.pop(key, kept)
+        value, size = memo.pop(key, (value, size))
         if size <= _PLAN_BYTES:
             memo[key] = value, size
             while len(memo) > _PLAN_ENTRIES or sum(n for _, n in memo.values()) > _PLAN_BYTES:

@@ -36,6 +36,7 @@ against the single-DQD Hamiltonian use the device phase directly.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -86,10 +87,11 @@ class InputQubit:
     alpha: complex
     beta: complex
 
-    def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(norm - 1.0) <= 1e-12:  # NaN and inf fail too
+    def __init__(self, alpha, beta):  # fills __dict__, ~0.2 us less than object.__setattr__
+        if not abs((norm := abs(alpha) ** 2 + abs(beta) ** 2) - 1.0) <= 1e-12:  # NaN, inf fail
             raise DimensionError(f"|alpha|^2 + |beta|^2 = {norm} != 1")
+        d = self.__dict__
+        d["alpha"], d["beta"] = alpha, beta
 
     def state(self) -> StateVector:
         return StateVector(np.array([self.alpha, self.beta], dtype=complex))
@@ -201,12 +203,12 @@ class ProtocolParams:
                               f"{wait:.3g} must be positive and finite")
         return wait
 
-    def in_reach(self, t: float, given: float | None, ramp: str, device) -> float:
-        """The duration t of ``ramp``, by the one reach rule of every ramp a channel steps.
-        ConfigError when t is auto-derived (``given`` is None) and longer than MAX_AUTO_RAMP / w,
-        or, auto or given, when its coarse grid of ceil(t / 2 dt) intervals passes
-        ``evolve.MAX_INTERVALS``, dt that of the ramp's device ``device()``: ``step_grid``'s
-        first check, skipped as there when no schedule moves (one exponential steps it)."""
+    def in_reach(self, t: float, given: float | None, ramp: str, device) -> dev.DeviceGraph:
+        """The device ``device()`` of ``ramp`` over t, by the one reach rule of every ramp a
+        channel steps.  ConfigError when t is auto-derived (``given`` is None) and longer than
+        MAX_AUTO_RAMP / w, or, auto or given, when its coarse grid of ceil(t / 2 dt) intervals
+        passes ``evolve.MAX_INTERVALS``, dt that of the device: ``step_grid``'s first check,
+        skipped as there when no schedule moves (one exponential steps it)."""
         if given is None and not t * self.w <= MAX_AUTO_RAMP:  # inf and NaN fail too
             raise ConfigError(f"the auto-derived {ramp} needs {t:.3g}/w, more than "
                               f"{MAX_AUTO_RAMP:g}/w; lower U_max or set it explicitly")
@@ -216,13 +218,13 @@ class ProtocolParams:
                 evolve.check_reach(np.ceil(t / (2 * self.integrator.resolve_dt(g))), 0.0, t)
             except ConfigError as exc:
                 raise ConfigError(f"the {ramp}: {exc}") from None
-        return t
+        return g
 
-    def support_ramp(self) -> float:
-        """T_ent as the support ramp steps it, refused by :meth:`in_reach` on the ramp's device."""
+    def support_ramp(self) -> tuple:
+        """(T_ent, its device) as the support ramp steps them, refused by :meth:`in_reach`."""
         t = self.resolved_T_ent()
-        return self.in_reach(t, self.T_ent, "entangling ramp T_ent",
-                             lambda: ramp_graph(self, self.n_support, t))
+        return t, self.in_reach(t, self.T_ent, "entangling ramp T_ent",
+                                lambda: ramp_graph(self, self.n_support, t))
 
     def resolved_T_couple(self, support_gap: float) -> float:
         """T_couple, or the default :func:`faithful_ramp` across the crossing gap."""
@@ -277,7 +279,7 @@ def coupler_graph(params: ProtocolParams, n_support: int,
 
 
 def resolve_coupling(params: ProtocolParams, n_support: int):
-    """(T_couple, crossing gap, rotation wait); T_couple and the gap are None in effective mode.
+    """(T_couple, crossing gap, rotation wait, coupler graph); None but the wait in effective mode.
 
     The channel's preflight: :func:`build_channel` calls it before it prepares the support, so
     no ramp is stepped before a refusal, and builds the channel on its result.
@@ -288,14 +290,14 @@ def resolve_coupling(params: ProtocolParams, n_support: int):
     """
     t_wait = params.resolved_wait()
     if params.mode == "effective":
-        return None, None, t_wait
+        return None, None, t_wait, None
     if not 0 < (gap := support_crossing_gap(params, n_support)) < np.inf:  # NaN fails too
         raise ConfigError(f"the coupling ramp T_couple follows the support's crossing gap, which "
                           f"is {gap:.3g} at n_support = {n_support}: not positive and finite")
     t = params.resolved_T_couple(gap)
-    params.in_reach(t, params.T_couple, f"coupling ramp T_couple across the crossing gap "
-                    f"{gap:.3g}", lambda: coupler_graph(params, n_support, t, gap))
-    return t, gap, t_wait
+    g = params.in_reach(t, params.T_couple, f"coupling ramp T_couple across the crossing gap "
+                        f"{gap:.3g}", lambda: coupler_graph(params, n_support, t, gap))
+    return t, gap, t_wait, g
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +315,10 @@ class EncodeResult:
     t_bar: float
     achieved: InputQubit
 
+    def __init__(self, t_bar, achieved):  # as InputQubit's
+        d = self.__dict__
+        d["t_bar"], d["achieved"] = t_bar, achieved
+
     @_first_read
     def state(self) -> StateVector:  # the achieved amplitudes, built on first read
         return _own_state(np.array([self.achieved.alpha, self.achieved.beta]))
@@ -325,15 +331,15 @@ def encode_qubit(target: InputQubit, w: float, phi: float = 0.0) -> EncodeResult
     the achieved qubit is fixed to i*exp(2i phi).  The achieved amplitudes
     are returned and downstream fidelity checks score against them.  The state
     is the closed form of the encoder DQD's free evolution under tunneling w
-    with device phase -2 phi.  DimensionError unless w is positive and finite.
+    with device phase -2 phi.  DimensionError unless w is positive and finite, and 2 phi finite.
     """
-    if not 0 < w < np.inf:  # NaN fails too
-        raise DimensionError(f"w must be positive and finite, got {w}")
+    if not 0 < w < math.inf or not math.isfinite(2 * phi):  # NaN fails too
+        raise DimensionError(f"w must be positive and finite and 2 phi finite, got {w}, {phi}")
     mag = abs(target.alpha)
     if mag > 1.0 + 1e-12:
         raise DimensionError(f"|alpha| = {mag} > 1")
-    t_bar = float(np.arccos(min(mag, 1.0)) / w)
-    a, b = complex(np.cos(w * t_bar)), complex(1j * np.exp(2j * phi) * np.sin(w * t_bar))
+    t_bar = math.acos(min(mag, 1.0)) / w
+    a, b = complex(math.cos(w * t_bar)), 1j * cmath.exp(2j * phi) * math.sin(w * t_bar)
     return EncodeResult(t_bar, InputQubit(a, b))  # refused unless finite; then of norm 1
 
 
@@ -394,16 +400,16 @@ def pair_ramp_phase(U: float, w: float, T: float) -> dict:
     return dict(ramp_cycles=cycles, predicted_residue=(sinc * arc / 2) ** 2)
 
 
-def ramp_support(params: ProtocolParams, n_support: int, T: float):
+def ramp_support(params: ProtocolParams, n_support: int, T: float, g=None):
     """Adiabatic preparation of a support register; returns (Gamma_S, RampDiagnostics).
 
     The register starts in its uncoupled ground state |+>^n, of covariance [[0, I], [-I, 0]]
     in closed form (i<a_k b_k> = <X_k> = 1), and steps on :func:`ramp_graph`'s device; the
-    pair's diagnostics add :func:`pair_ramp_phase`.
+    pair's diagnostics add :func:`pair_ramp_phase`; ``g``: that device, if built.
     The ramp is an open transverse-field Ising chain, so :func:`evolve.adiabatic_ramp` sweeps that
     covariance and returns the register's, Gamma_S, whose amplitudes ``gaussian_state`` builds.
     """
-    U, g = params.U_max, ramp_graph(params, n_support, T)
+    U, g = params.U_max, ramp_graph(params, n_support, T) if g is None else g
     plus = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(n_support))
     gamma, diag = evolve.adiabatic_ramp(plus, g, 0.0, T, params.integrator)
     return gamma, diag if n_support > 2 else replace(diag, **pair_ramp_phase(U, params.w, T))
@@ -448,7 +454,7 @@ def make_entangled_pair(params: ProtocolParams):
     :meth:`ProtocolParams.in_reach` raises ConfigError before it is stepped."""
     if params.mode == "effective":
         return plateau_covariance(params.U_max, params.w, params.n_support), None
-    return ramp_support(params, params.n_support, params.support_ramp())
+    return ramp_support(params, params.n_support, *params.support_ramp())
 
 
 def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
@@ -490,8 +496,7 @@ def couple_unknown(unknown: StateVector, support: np.ndarray,
     if np.iscomplexobj(support) or not skew <= 1e-12 or not mixed <= 1e-12:  # NaN fails too
         raise DeviceError(f"the support is no real, pure Majorana covariance: ||G + G^T||_F = "
                           f"{skew:.1e} and ||G G^T - I||_F = {mixed:.1e} must be <= 1e-12")
-    t_couple, gap, _ = coupling or resolve_coupling(params, n)
-    g = coupler_graph(params, n, t_couple, gap)
+    t_couple, gap, _, g = coupling or resolve_coupling(params, n)
     if any(term.dqd == 0 for term in g.tunnel_terms):
         raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
     plan = evolve.sweep_plan(g, 0.0, t_couple, params.integrator)  # compiles g, or refuses it
@@ -556,6 +561,11 @@ class BranchResult:
     fidelity: float
     _pair: tuple = field(repr=False)
 
+    def __init__(self, outcome, probability, fidelity, _pair):  # as InputQubit's
+        d = self.__dict__
+        d["outcome"], d["probability"], d["fidelity"] = outcome, probability, fidelity
+        d["_pair"] = _pair
+
     @_first_read
     def bob_state_raw(self) -> StateVector:
         return _bob_state(*self._pair)
@@ -586,8 +596,8 @@ def _seeded_uniform(seed) -> float:
 
 
 class _Readout:
-    """Alice's readout of the register x = u @ post at any amplitudes u, from forms in u
-    computed once, so ``read`` costs the same at every register size.
+    """Alice's readout of the register x = u @ post at any amplitudes u = (u_0, u_1), from forms
+    in u computed once, so ``read`` costs the same at every register size.
 
     ``post`` maps u to the register, index k + 2 s + 4 i (encoder bit k, support bit s,
     receiving register i < R); a channel adds its coupled images and their effective
@@ -595,87 +605,90 @@ class _Readout:
     G_k = a^+ a; the dominant eigenvector of a a^+ (rank <= 2, never formed) is a v for
     G_k's dominant v, in closed form (v = (1, 0) if the top pair is degenerate).  Bob's raw
     readout is c v normalized, c = a[[0, -1]]; his diagonal correction D scales it and the
-    fidelity is |c^+ (D^+ t)|^2 / p_k.  c is linear in u, u @ L; G_k, the leakage (weight on
-    0 < i < R - 1) and the step log's overlaps are forms u^+ F u.  Both are rows of one
-    matrix W, so ``read`` takes one product, of W with (u, conj(u_a) u_b for all a, b).
+    fidelity is sum_s |n_s|^2 / p_k, n_s = sum_i conj(c[i, s]) (D^+ t)_i for the target t = T u.
+    c is linear in u; p_k, G_k's entries, n, the leakage (weight on 0 < i < R - 1) and the step
+    log's overlaps are forms u^+ F u.  All are columns of one matrix W, so ``read`` takes one
+    product, of (u, conj(u_a) u_b for all a, b) with W.
     """
 
     def __init__(self, W, t_wait=None):
         self._W, self.t_wait = W, t_wait  # t_wait: a channel's rotation wait, for its bell entry
 
     @staticmethod
-    def forms(post, coupled=None, ideal=None) -> np.ndarray:
-        """The matrix W of the readout of ``post``; ConvergenceError unless its maps are finite."""
-        r, R = post.shape[0], post.shape[1] // 4
-        mid = post.reshape(r, R, 4).copy()
+    def forms(post, coupled=None, ideal=None, target=np.eye(2)) -> np.ndarray:
+        """The matrix W of the readout of ``post`` (2 x 4R) against the target ``target`` @ u;
+        ConvergenceError unless its maps are finite."""
+        R = post.shape[1] // 4
+        mid = post.reshape(2, R, 4).copy()
         mid[:, ::R - 1] = 0.0  # the rows off the code pair
-        bras = np.array([post, mid.reshape(r, -1)] + ([] if coupled is None else [coupled]))
+        bras = np.array([post, mid.reshape(2, -1)] + ([] if coupled is None else [coupled]))
         if not np.isfinite(bras).all():
             raise ConvergenceError("the register's amplitudes are not finite")
         kets = bras if ideal is None else np.array([ideal, *bras[1:]])
-        Z = post.reshape(r, R, 2, 2).transpose(3, 2, 0, 1).reshape(2, 2 * r, R)  # k x [s, u] x i
-        # G_k, then <a|b> over the register: (post, ideal), the leakage (mid, mid), then
-        # (coupled, coupled) and the coupled ends' conjugates, <coupled u|u on the code pair>
-        forms = [(Z.conj() @ Z.transpose(0, 2, 1)).reshape(2, 2, r, 2, r).transpose(0, 1, 3, 2, 4)
-                 .reshape(8, r, r), bras.conj() @ kets.transpose(0, 2, 1)]
+        Z = post.reshape(2, R, 2, 2).transpose(3, 2, 0, 1)  # k x s x u x i
+        G = np.einsum("ksai,ktbi->kstab", Z.conj(), Z)  # G_k[s][t] = conj(u) . G[k, s, t] . u
+        C = Z[..., ::R - 1].transpose(0, 3, 1, 2)  # c[i][s] = C[k, i, s] . u, i the code pair
+        N = np.einsum("kisa,ki,ib->ksab", C.conj(),
+                      [np.diag(CORRECTIONS[k]).conj() for k in (0, 1)], target)
+        W = np.zeros((2, 9, 6), dtype=complex)  # per branch p, h = (G_00 - G_11) / 2, G_01, n, c
+        W[:, :5, 2:] = np.stack([G[:, 0, 0] + G[:, 1, 1], (G[:, 0, 0] - G[:, 1, 1]) / 2,
+                                 G[:, 0, 1], N[:, 0], N[:, 1]], 1).reshape(2, 5, 4)
+        W[:, 5:, :2] = C.reshape(2, 4, 2)
+        # then <a|b> over the register: (post, ideal), the leakage (mid, mid), then (coupled,
+        # coupled) and the coupled ends' conjugates, <coupled u|u on the code pair>
+        logs = [bras.conj() @ kets.transpose(0, 2, 1)]
         if coupled is not None:
-            forms.append(coupled[None, :, ::coupled.shape[1] - 1].conj())  # [:, [0, -1]]
-        forms = np.concatenate(forms)
-        W = np.zeros((8 + len(forms), r + 1, r), dtype=complex)
-        W[:8, 0] = post.reshape(r, R, 2, 2)[:, ::R - 1].transpose(3, 1, 2, 0).reshape(8, r)
-        W[8:, 1:] = forms  # row n: W[n, 0] . u + sum_ab W[n, 1 + a, b] conj(u_a) u_b
-        return W.reshape(len(W), -1)
+            logs.append(coupled[None, :, ::coupled.shape[1] - 1].conj())  # [:, [0, -1]]
+        logs = np.concatenate(logs).reshape(-1, 4)
+        return np.concatenate([W.reshape(18, 6), np.pad(logs, [(0, 0), (2, 0)])]).T.copy()
 
-    def read(self, u, params: ProtocolParams, achieved: InputQubit, log: dict) -> TeleportResult:
-        """The readout at the amplitudes u (a sequence of complex); its step_log is ``log`` with
+    def read(self, u, params: ProtocolParams, log: dict) -> TeleportResult:
+        """The readout at the amplitudes u (two complex); its step_log is ``log`` with
         ``couple`` and ``bell`` (a channel's) and ``measure`` appended."""
-        y = (self._W @ np.array(list(u) + [a.conjugate() * b for a in u for b in u])).tolist()
-        x, q = y[:8], y[8:]  # branch k's c[i][s] = x[4 k + 2 i + s]; the forms
-        p0, p1 = probs = [(q[0] + q[3]).real, (q[4] + q[7]).real]  # G_k[s][t] = q[4k + 2s + t]
+        a, b = u
+        ac, bc = a.conjugate(), b.conjugate()
+        y = np.array((a, b, ac * a, ac * b, bc * a, bc * b), complex).dot(self._W).tolist()
+        p0, p1 = y[0].real, y[9].real
         if abs(p0 + p1 - 1.0) > NORM_TOL:
             raise DimensionError(f"the branches' total weight (trace) {p0 + p1} deviates from 1")
-        branches = {}
-        for k, prob, (c00, c01, c10, c11) in zip((0, 1), probs, (x[:4], x[4:8])):
-            if prob < 1e-12:  # an empty branch can only occur for degenerate inputs
+        branches = []
+        for k in (0, 1):
+            p, h, g01, n0, n1, c00, c01, c10, c11 = y[9 * k:9 * k + 9]
+            p, h = p.real, h.real
+            if p < 1e-12:  # an empty branch can only occur for degenerate inputs
                 continue
-            g00, g01, g11 = q[4 * k], q[4 * k + 1], q[4 * k + 3]
-            h = (g00 - g11).real / 2
             r = math.hypot(h, abs(g01))
             # cancellation-free; h + r is 0 only for G = p I / 2, then v = (1, 0)
             v0, v1 = (h + r or 1.0, g01.conjugate()) if h >= 0 else (g01, r - h)
             w0, w1 = c00 * v0 + c01 * v1, c10 * v0 + c11 * v1
-            pair_norm = math.hypot(abs(w0), abs(w1)) / math.sqrt(  # |c v| / |a v|, where
-                (prob / 2 + r) * (abs(v0) ** 2 + abs(v1) ** 2))  # |a v|^2 = lambda_max |v|^2
-            if pair_norm < 1e-12:
+            av = (p / 2 + r) * (2 * r * (r + abs(h)) or 1.0)  # |a v|^2 = lambda_max |v|^2
+            if (cv := abs(w0) ** 2 + abs(w1) ** 2) < 1e-24 * av:  # |c v|^2 / |a v|^2
                 raise ConvergenceError(f"the register's normalized dominant state has amplitude "
-                                       f"norm {pair_norm:.1e} < 1e-12 on the code pair; it has "
-                                       "leaked out of the code-pair subspace")
-            # D on the code pair: |0...0> has Bob's bit 0, |1...1> has it 1
-            phase = complex(CORRECTIONS[k][1, 1])
-            t0, t1 = complex(achieved.alpha), phase.conjugate() * complex(achieved.beta)
-            fid = (abs(c00.conjugate() * t0 + c10.conjugate() * t1) ** 2
-                   + abs(c01.conjugate() * t0 + c11.conjugate() * t1) ** 2) / prob
-            branches[k] = BranchResult(k, prob, fid, (w0, w1))
+                                       f"norm {math.sqrt(cv / av):.1e} < 1e-12 on the code "
+                                       "pair; it has leaked out of the code-pair subspace")
+            branches.append(BranchResult(k, p, (abs(n0) ** 2 + abs(n1) ** 2) / p, (w0, w1)))
 
         drawn = 0 if _seeded_uniform(params.seed) < p0 else 1
-        picked = branches.get(drawn) or branches[1 - drawn]  # never the empty branch
-        if len(q) > 10:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
-            log["couple"] = {"target_overlap_sq": abs(q[11]) ** 2, "norm": math.sqrt(q[10].real)}
-            log["bell"] = {"t_wait": self.t_wait, "effective_overlap_sq": abs(q[8]) ** 2,
+        picked = branches[-drawn]  # the other one when the drawn branch is empty
+        if len(y) > 20:  # the coupled reference alpha|0...0> + beta|1...1> is u on the code pair
+            log["couple"] = {"target_overlap_sq": abs(y[21]) ** 2, "norm": math.sqrt(y[20].real)}
+            log["bell"] = {"t_wait": self.t_wait, "effective_overlap_sq": abs(y[18]) ** 2,
                            "norm": math.sqrt(p0 + p1)}
         # the leakage form is positive semidefinite; rounding must not take it below 0
-        log["measure"] = {"p0": p0, "p1": p1, "leakage": max(0.0, q[9].real)}
-        return TeleportResult(picked.outcome, p0, p1, picked.fidelity, (*branches.values(),), log)
+        log["measure"] = {"p0": p0, "p1": p1, "leakage": max(0.0, y[19].real)}
+        return TeleportResult(picked.outcome, p0, p1, picked.fidelity, tuple(branches), log)
 
 
 def alice_measure_and_correct(state: StateVector, params: ProtocolParams,
                               achieved: InputQubit) -> TeleportResult:
     """Measure the encoder charge, apply Bob's conditional phase, and score: the
-    :class:`_Readout` of the one-row map of ``state``, with its refusals, as in :class:`Channel`
-    (qubits 0 and 1 are Alice's, the target is ``achieved`` on the code pair)."""
+    :class:`_Readout` of the map (``state``, 0) at u = (1, 0), with its refusals, as in
+    :class:`Channel` (qubits 0 and 1 are Alice's, the target is ``achieved`` on the code pair)."""
     if state.n_qubits < 3:
         raise DimensionError("need encoder, support and at least one receiving qubit")
-    return _Readout(_Readout.forms(state.amps[None])).read([1.0], params, achieved, {})
+    W = _Readout.forms(np.array([state.amps, np.zeros_like(state.amps)]),
+                       target=[[achieved.alpha, 0.0], [achieved.beta, 0.0]])
+    return _Readout(W).read((1.0, 0.0), params, {})
 
 
 class Channel:
@@ -702,9 +715,9 @@ class Channel:
     def _hold(self, params: ProtocolParams, core: tuple) -> "Channel":
         """This channel on ``params`` and a :func:`_channel_core`; warns of a short coupling."""
         self.params = params
-        self.t_couple, gap, self.t_wait, self._coupled, self._post, W, *logs = core
+        self.t_couple, gap, self.t_wait, self._coupled, self._post, W, entangle, channel = core
         self._readout = _Readout(W, self.t_wait)
-        self._shared = dict(zip(("entangle", "channel"), logs))  # read-only, for every result
+        self._shared = {"entangle": entangle, "channel": channel}  # read-only, for every result
         if gap is not None and self.t_couple < 0.5 * faithful_ramp(gap):
             warnings.warn(f"coupling ramp {self.t_couple:.3g}/w is shorter than the "
                           f"~{faithful_ramp(gap):.3g}/w the crossing gap {gap:.3g} requires; "
@@ -720,7 +733,7 @@ class Channel:
         """
         enc = encode_qubit(target, self.params.w, self.params.phi)
         u = enc.achieved.alpha, enc.achieved.beta
-        return self._readout.read(u, self.params, enc.achieved,
+        return self._readout.read(u, self.params,
                                   {"encode": {"t_bar": enc.t_bar, "achieved": u}, **self._shared})
 
     def mean_fidelity(self) -> float:
@@ -730,7 +743,7 @@ class Channel:
         s = math.sqrt(0.5)
         pauli = ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s), (s, 1j * s), (s, -1j * s))
         return sum(b.probability * b.fidelity for u in pauli
-                   for b in self._readout.read(u, self.params, InputQubit(*u), {}).branches) / 6
+                   for b in self._readout.read(u, self.params, {}).branches) / 6
 
 
 def _channel_core(coupling, support: np.ndarray, ramp, params: ProtocolParams) -> tuple:
@@ -756,7 +769,7 @@ def _channel_core(coupling, support: np.ndarray, ramp, params: ProtocolParams) -
     key = params.U_max, params.w, n  # the effective support is the memoised plateau's
     plateau = params.mode == "effective" and support is plateau_covariance(*key)
     ghz = _plateau(*key)[1] if plateau else gaussian_overlap_sq(support, ghz_covariance(n))
-    return (*coupling, images, post, W, MappingProxyType(log),
+    return (*coupling[:3], images, post, W, MappingProxyType(log),
             MappingProxyType({"ghz_overlap_sq": ghz, "T_couple": coupling[0]}))
 
 

@@ -333,7 +333,7 @@ class TestCovarianceSweep:
     def test_richardson_bounds_the_state_deviation(self, monkeypatch):
         # ||dGamma||_F / 4 between the grid and its halving is the phase-aligned state change
         params = ProtocolParams()
-        t_couple, gap, _ = resolve_coupling(params, 2)
+        t_couple, gap, *_ = resolve_coupling(params, 2)
         g = coupler_graph(params, 2, t_couple, gap)
         plus = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
         start = tensor_product(plus, entangled_pair_reference(params.U_max, params.w)).amps
@@ -629,13 +629,13 @@ def workload_grid(name):
               if chain else ProtocolParams())
     n = 4 if chain else 2
     if name.endswith("coupler"):
-        t1, gap, _ = resolve_coupling(params, n)
+        t1, gap, *_ = resolve_coupling(params, n)
         g = coupler_graph(params, n, t1, gap)
     elif chain:
         t1 = 45.0
         g = support_graph(params, n, Schedule.smooth(0.0, params.U_max, 0.0, t1))
     else:
-        t1 = params.support_ramp()
+        t1 = params.support_ramp()[0]
         g = support_graph(params, n, Schedule.tangent(0.0, params.U_max, 0.0, t1,
                                                       gap_scale=2.0 * params.w))
     return g, t1, 2 * params.integrator.resolve_dt(g)
@@ -646,10 +646,10 @@ def pair_grid(stage, U):
     U_max = U' = U."""
     params = ProtocolParams(U_max=U)
     if stage == "coupler":
-        t1, gap, _ = resolve_coupling(params, 2)
+        t1, gap, *_ = resolve_coupling(params, 2)
         g = coupler_graph(params, 2, t1, gap)
     else:
-        t1 = params.support_ramp()
+        t1 = params.support_ramp()[0]
         g = ramp_graph(params, 2, t1)
     return g, t1, 2 * params.integrator.resolve_dt(g)
 
@@ -820,7 +820,7 @@ class TestSweepPlans:
         # is used but not kept, so it does not empty the memo
         bound = 2 * max(n for _, n in evolve._PLANS.values())
         monkeypatch.setattr(evolve, "_PLAN_BYTES", bound)
-        ramp_plan(8.0)
+        ramp_plan(7.5)  # a hit keeps the memo as it is; the bounds are checked on insert
         assert 1 <= len(evolve._PLANS) <= 2
         assert sum(n for _, n in evolve._PLANS.values()) <= bound
         kept = dict(evolve._PLANS)
@@ -845,7 +845,7 @@ class TestSweepPlans:
                                              ("_CHUNK_BYTES", 2**12)])
     def test_a_patched_grid_constant_lays_a_fresh_plan(self, name, value, monkeypatch):
         params = ProtocolParams()
-        t_couple, gap, _ = resolve_coupling(params, 2)
+        t_couple, gap, *_ = resolve_coupling(params, 2)
         g = coupler_graph(params, 2, t_couple, gap)
         plan = evolve.sweep_plan(g, 0.0, t_couple, params.integrator)
         monkeypatch.setattr(evolve, name, value)
@@ -865,7 +865,7 @@ class TestMemoHoldsNoInput:
 
     def test_one_plan_sweeps_each_covariance_as_an_unmemoised_sweep(self):
         params = ProtocolParams()
-        t_couple, gap, _ = resolve_coupling(params, 2)
+        t_couple, gap, *_ = resolve_coupling(params, 2)
         g = coupler_graph(params, 2, t_couple, gap)
         plan = evolve.sweep_plan(g, 0.0, t_couple, params.integrator)
         O = _sweep(np.eye(6), *plan.compiled, plan.F, plan.hs, evolve._rotations)
@@ -1086,6 +1086,34 @@ class TestChannelMemo:
             Channel(*make_entangled_pair(chain), chain))
         assert protocol._CHANNELS == kept
 
+    def test_a_hit_refreshes_recency(self, monkeypatch):
+        # the memo drops the least recently used core, not the least recently inserted one
+        built = [replace(PAIR_FULL, mode="effective", wait_angle=0.5 + k / 64)
+                 for k in range(evolve._PLAN_ENTRIES)]
+        for params in built:
+            build_channel(params)
+        assert len(protocol._CHANNELS) == evolve._PLAN_ENTRIES
+        build_channel(built[0])  # a hit on the oldest
+        build_channel(replace(built[0], wait_angle=0.25))  # one more: the second-oldest goes
+        keys = list(protocol._CHANNELS)
+        assert len(keys) == evolve._PLAN_ENTRIES
+        assert protocol._BUILT_FROM(built[1]) not in keys
+        assert protocol._BUILT_FROM(built[0]) in keys
+        monkeypatch.setattr(protocol, "_channel_core", None)  # so a rebuild would fail
+        build_channel(built[0])
+
+    def test_a_cold_build_lays_each_device_graph_once(self, monkeypatch):
+        calls = []
+        for name in ("ramp_graph", "coupler_graph"):
+            def spy(*args, _name=name, _original=getattr(protocol, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(protocol, name, spy)
+        for params in (PAIR_FULL, CHAIN4):
+            calls.clear()
+            build_channel(params)
+            assert sorted(calls) == ["coupler_graph", "ramp_graph"]
+
     def test_the_short_coupling_warning_is_given_on_every_build(self):
         params = replace(PAIR_FULL, T_couple=50.0)  # the faithful ramp is 200/w
         for _ in range(3):
@@ -1264,7 +1292,7 @@ class TestStepPrecision:
         # squares 5-7 times; K is the coupler's mid-ramp K(t).  scipy.linalg.expm is no
         # reference here: on the pair's K at 30 rad it errs by 1.9e-13 against 30 digits
         params = ProtocolParams(U_max=U)
-        t_couple, gap, _ = resolve_coupling(params, n_support)
+        t_couple, gap, *_ = resolve_coupling(params, n_support)
         K0, terms = majorana_terms(coupler_graph(params, n_support, t_couple, gap))
         K = K0 + sum(schedule_value(s, t_couple / 2) * B for s, B in terms)
         h = angle / np.linalg.norm(2 * K, 2)

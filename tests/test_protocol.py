@@ -158,6 +158,12 @@ class TestEncode:
             with pytest.raises(DimensionError, match="w must be positive and finite"):
                 encode_qubit(InputQubit(0.6, 0.8), w)
 
+    @pytest.mark.parametrize("phi", [np.nan, -np.inf, 1e308])
+    def test_rejects_a_phase_whose_double_is_not_finite(self, phi):
+        # e^(2i phi) is not a phase there; 1e308 is finite, 2e308 is not
+        with pytest.raises(DimensionError, match="2 phi finite"):
+            encode_qubit(InputQubit(0.6, 0.8), 1.0, phi)
+
 
 class TestEntangledPair:
     def test_ratio_formula(self):
@@ -439,7 +445,7 @@ class TestSweepAccuracy:
         # coupled |+> x S); the reference steps dt = 0.0025 and is itself ~1e-11
         # (entangle) and ~3e-7 (couple) off
         params = ProtocolParams()
-        t_couple, gap, _ = resolve_coupling(params, 2)
+        t_couple, gap, *_ = resolve_coupling(params, 2)
         g = coupler_graph(params, 2, t_couple, gap)
         plus_support = tensor_product(_PLUS_STATE, entangled_pair_reference(params.U_max, params.w))
 
@@ -569,7 +575,7 @@ class TestChannel:
         gamma = random_covariance(rng, n_support)
         support = StateVector(gaussian_state(gamma))
         enc = encode_qubit(InputQubit.random(rng), params.w, params.phi)
-        t_couple, gap, _ = resolve_coupling(params, n_support)
+        t_couple, gap, *_ = resolve_coupling(params, n_support)
         g = coupler_graph(params, n_support, t_couple, gap)
         U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
         expected = U_couple @ tensor_product(enc.state, support).amps
@@ -622,7 +628,7 @@ class TestChannel:
         # pair and chain channels ramp the 2n_support Majoranas of the support, then
         # rotate the 2M of the coupler's M = n_support + 1 sites
         params = ProtocolParams(U_max=10.0, integrator=PropagatorConfig(dt=0.05))
-        t_couple, _, _ = resolve_coupling(params, n_support)
+        t_couple, *_ = resolve_coupling(params, n_support)
         seen = self.coupling_sweeps(monkeypatch, n_support, t_couple)
         build_channel(replace(params, n_support=n_support))
         assert seen == [("majorana", 2 * n_support), ("majorana", 2 * (n_support + 1))]
@@ -634,7 +640,7 @@ class TestChannel:
         # coupling on the whole register.  A tunneling phase on a support DQD keeps the
         # encoder bit but breaks the chain.
         params = small_full_params()
-        t_couple, gap, _ = resolve_coupling(params, 2)
+        t_couple, gap, *_ = resolve_coupling(params, 2)
         monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
         seen = self.coupling_sweeps(monkeypatch, 2, t_couple)
         with pytest.raises(DeviceError, match="Ising"):
@@ -670,7 +676,7 @@ class TestChannel:
         monkeypatch.setattr(protocol, "coupler_graph", _phased_support(protocol.coupler_graph))
         params = small_full_params()
         support = bell_target(2)
-        t_couple, gap, _ = resolve_coupling(params, 2)
+        t_couple, gap, *_ = resolve_coupling(params, 2)
         g = protocol.coupler_graph(params, 2, t_couple, gap)
         U_couple = scheduled_propagator(g, 0.0, t_couple, params.integrator)
         assert np.max(np.abs(U_couple[::-1, ::-1] - U_couple)) > 1e-3  # no X^n symmetry
@@ -705,7 +711,7 @@ class TestChannel:
         assert seen == [("majorana", 6)]
         # at a loose tolerance it passes with the halved grid's state, as the dense check does
         cfg = PropagatorConfig(dt=0.5, richardson_check=True, tolerance=1e-3)
-        t_couple, gap, _ = resolve_coupling(params, 2)
+        t_couple, gap, *_ = resolve_coupling(params, 2)
         out = couple_unknown(_PLUS_STATE, ghz_covariance(2), replace(params, integrator=cfg)).amps
         ref = evolve_scheduled(tensor_product(_PLUS_STATE, bell_target(2)),
                                coupler_graph(params, 2, t_couple, gap), 0.0, t_couple, cfg).amps
@@ -1217,7 +1223,7 @@ class TestParams:
     def test_a_ramp_that_does_not_move_is_in_reach_at_any_length(self):
         # step_grid steps a device whose schedules do not move in one exponential
         params = ProtocolParams(U_max=0.0, T_ent=1e9)
-        assert params.support_ramp() == 1e9
+        assert params.support_ramp()[0] == 1e9
         assert ramp_support(params, 2, 1e9)[1].final_ground_overlap_sq == pytest.approx(1.0)
         with pytest.raises(ConfigError, match="entangling ramp T_ent"):
             replace(params, U_max=20.0).support_ramp()
@@ -1367,7 +1373,7 @@ class TestMeanFidelity:
 
     @staticmethod
     def weighted(channel, u):
-        branches = channel._readout.read(u, channel.params, InputQubit(*u), {}).branches
+        branches = channel._readout.read(u, channel.params, {}).branches
         return sum(b.probability * b.fidelity for b in branches)
 
     @pytest.mark.parametrize("U, n_support", [(25.0, 2), (100.0, 2), (400.0, 2), (10.0, 3)],
