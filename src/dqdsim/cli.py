@@ -133,10 +133,13 @@ def checked_points(cfg: RunConfig):
                               f"{cfg.n_support}; teleport --n-support runs a longer support")
         row.update(Uprime_max=params.resolved_Uprime(), bell_U=params.resolved_bell_U(),
                    T_ent=params.resolved_T_ent())
-        if cfg.mode == "full" and cfg.experiment != "encode":  # the support ramp it steps
+        stages = proto.stage_choice(params)  # the channel's exact or ideal stages
+        if stages.support and cfg.experiment != "encode":  # the support ramp it steps
             params.support_ramp()
-        if cfg.experiment in CHANNEL_EXPERIMENTS:  # the coupling it steps, None in effective mode
-            row["T_couple"] = proto.resolve_coupling(params, params.n_support)[0] or row["T_couple"]
+        if cfg.experiment in CHANNEL_EXPERIMENTS:  # the rotation, and the coupling it sweeps
+            params.resolved_wait()
+            if stages.coupling:
+                row["T_couple"] = proto.resolve_coupling(params, params.n_support)[0]
     except (ConfigError, DimensionError) as exc:
         return [str(exc)], []
     return [], [(cfg, params, row)]

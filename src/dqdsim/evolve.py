@@ -16,7 +16,8 @@ eigendecomposition is refined (``_step_propagators``).  The exponential
 midpoint rule (:func:`midpoint`, second order) stays as the reference rule.
 
 The dense sweep (:func:`sweep_block`) of the whole 2^n register is the general
-engine and the tests' reference.  The support ramps (:func:`adiabatic_ramp`)
+engine.  No channel stage takes it (the rotation gate is in closed form): it serves
+acceptance criteria 1 and 9 and the tests' references.  The support ramps (:func:`adiabatic_ramp`)
 and the coupling sweep an open transverse-field Ising chain as 2M x 2M rotations
 of a Gaussian state's Majorana covariance (:func:`sweep_majorana`), which they take
 and return with no 2^n vector; the rotations are taken by scaling and squaring

@@ -19,13 +19,13 @@ Bob; any qubits in between belong to a longer support chain):
 channel at ``ProtocolParams.n_support``, memoised on its settings (so :func:`teleport_end_to_end`
 prepares them once), and the channel runs encode and measure per input.
 
-Every stage exists in ``full`` mode (numerical propagation of the device Hamiltonian) and
-``effective`` mode (the closed-form two-level algebra the full dynamics approaches when
-w << U).  In full mode every ramp device, the support ramps and the coupler, is an open
-transverse-field Ising chain, so those stages sweep a Majorana covariance, |+>^n's in
-closed form or that of |+> x S (:func:`.evolve.adiabatic_ramp`, :func:`.evolve.sweep_majorana`):
-a support is handed on as its covariance in both modes, and a channel builds one state,
-the coupled one.  The rotation stage is one exponential of a two-qubit device, a 4 x 4 gate.
+Stages 2 to 4 each have an exact value and an ideal one, the closed-form two-level algebra
+the exact dynamics approaches when w << U; ``full`` mode takes every exact value and
+``effective`` mode every ideal one (:func:`stage_choice`).  Every ramp device, the support
+ramps and the coupler, is an open transverse-field Ising chain, so the exact stages sweep a
+Majorana covariance, |+>^n's in closed form or that of |+> x S (:func:`.evolve.adiabatic_ramp`,
+:func:`.evolve.sweep_majorana`): a support is handed on as its covariance, and a channel builds
+one state, the coupled one.  The rotation stage is a 4 x 4 gate in closed form.
 
 Phase conventions: a device tunneling phase p produces the evolution
 amplitude exp(-ip) on logical |1> (see :mod:`.device`), while the encoder is
@@ -41,6 +41,7 @@ import functools
 import math
 import operator
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 
@@ -231,6 +232,17 @@ class ProtocolParams:
         return faithful_ramp(support_gap) if self.T_couple is None else self.T_couple
 
 
+# Each stage's value, exact (True) or ideal: the ramped support or the plateau's, the swept
+# coupled images or |0...0> and |1...1>, and the rotation gate or effective_gate's
+Stages = namedtuple("Stages", "support coupling gate")
+
+
+def stage_choice(params: ProtocolParams) -> Stages:
+    """The stages ``params.mode`` picks: every exact one in full mode, every ideal one in
+    effective mode.  Past its validation, the mode is read here alone."""
+    return Stages(*[params.mode == "full"] * 3)
+
+
 # --------------------------------------------------------------------------
 # stage devices
 
@@ -279,25 +291,22 @@ def coupler_graph(params: ProtocolParams, n_support: int,
 
 
 def resolve_coupling(params: ProtocolParams, n_support: int):
-    """(T_couple, crossing gap, rotation wait, coupler graph); None but the wait in effective mode.
+    """(T_couple, crossing gap, coupler graph) of the swept coupling.
 
-    The channel's preflight: :func:`build_channel` calls it before it prepares the support, so
-    no ramp is stepped before a refusal, and builds the channel on its result.
-    Raises ConfigError when the rotation stage's wait or the crossing gap (0 for long supports
-    at huge U_max) is not positive and finite, or when the coupling ramp is out of
+    The coupling's preflight: a channel build calls it before it prepares the support, so
+    no ramp is stepped before a refusal, and sweeps the coupling on its result.
+    Raises ConfigError when the crossing gap (0 for long supports at huge U_max) is not
+    positive and finite, or when the coupling ramp is out of
     :meth:`ProtocolParams.in_reach` on the ``n_support``-site coupler.
     The register's size is bounded by ``MAX_QUBITS`` alone: no stage holds a 2^n x 2^n array.
     """
-    t_wait = params.resolved_wait()
-    if params.mode == "effective":
-        return None, None, t_wait, None
     if not 0 < (gap := support_crossing_gap(params, n_support)) < np.inf:  # NaN fails too
         raise ConfigError(f"the coupling ramp T_couple follows the support's crossing gap, which "
                           f"is {gap:.3g} at n_support = {n_support}: not positive and finite")
     t = params.resolved_T_couple(gap)
     g = params.in_reach(t, params.T_couple, f"coupling ramp T_couple across the crossing gap "
                         f"{gap:.3g}", lambda: coupler_graph(params, n_support, t, gap))
-    return t, gap, t_wait, g
+    return t, gap, g
 
 
 # --------------------------------------------------------------------------
@@ -425,36 +434,30 @@ def ramp_graph(params: ProtocolParams, n_support: int, T: float) -> dev.DeviceGr
 
 
 def plateau_covariance(U: float, w: float, n: int) -> np.ndarray:
-    """The read-only Majorana covariance of the n-site support's plateau ground state in
-    the sector X_0 ... X_(n-1) = +1, which the ramp from |+>^n keeps.
+    """The Majorana covariance of the n-site support's plateau ground state in the sector
+    X_0 ... X_(n-1) = +1, which the ramp from |+>^n keeps.
 
     The plateau is H = i a^T K b, K = -w I + (U/2) subdiag (:func:`device.majorana_terms`),
     whose ground covariance is [[0, -W], [W^T, 0]] with W = L R^T for K = L S R^T.  Its
     parity is <X_0 ... X_(n-1)> = (-1)^n det W; the least singular pair is flipped when that
     is -1.  At n = 2 it is :func:`entangled_pair_reference`'s covariance.
     """
-    return _plateau(U, w, n)[0]
-
-
-@functools.lru_cache(maxsize=64)  # with its GHZ overlap^2: an effective build takes neither
-def _plateau(U: float, w: float, n: int):  # the SVD nor the overlap's determinant
     L, _, Rt = np.linalg.svd(np.diag(np.full(n - 1, U / 2), -1) - w * np.eye(n))
     if (-1) ** n * np.linalg.det(L) * np.linalg.det(Rt) < 0:
         L[:, -1] *= -1
     W, Z = L @ Rt, np.zeros((n, n))
-    gamma = np.block([[Z, -W], [W.T, Z]])
-    gamma.setflags(write=False)
-    return gamma, gaussian_overlap_sq(gamma, ghz_covariance(n))
+    return np.block([[Z, -W], [W.T, Z]])
 
 
-def make_entangled_pair(params: ProtocolParams):
+def make_entangled_pair(params: ProtocolParams, stages: Stages | None = None):
     """The support register's preparation at ``params.n_support``; returns (Gamma_S, ramp
-    diagnostics or None).  Full mode ramps it (:func:`ramp_support`); effective mode's is
-    the plateau ground state's, :func:`plateau_covariance`.  A ramp out of
-    :meth:`ProtocolParams.in_reach` raises ConfigError before it is stepped."""
-    if params.mode == "effective":
-        return plateau_covariance(params.U_max, params.w, params.n_support), None
-    return ramp_support(params, params.n_support, *params.support_ramp())
+    diagnostics or None): ramped (:func:`ramp_support`), or the plateau ground state's
+    (:func:`plateau_covariance`) where ``stages``, :func:`stage_choice`'s unless given, takes
+    the ideal support.  A ramp out of :meth:`ProtocolParams.in_reach` raises ConfigError
+    before it is stepped."""
+    if (stages or stage_choice(params)).support:
+        return ramp_support(params, params.n_support, *params.support_ramp())
+    return plateau_covariance(params.U_max, params.w, params.n_support), None
 
 
 def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
@@ -468,26 +471,26 @@ def ghz_encoded(alpha: complex, beta: complex, n_qubits: int) -> StateVector:
 _PLUS = StateVector(np.full(2, np.sqrt(0.5), dtype=complex))
 
 
-def couple_unknown(unknown: StateVector, support: np.ndarray,
-                   params: ProtocolParams, coupling=None) -> StateVector:
+def couple_unknown(unknown: StateVector, support: np.ndarray, params: ProtocolParams,
+                   coupling=None, stages: Stages | None = None) -> StateVector:
     """Attach the encoder qubit to the support register S of covariance ``support``.
 
-    Full mode ramps the encoder-support repulsion with the gap-adapted
+    The swept coupling ramps the encoder-support repulsion with the gap-adapted
     profile.  The encoder does not tunnel, so U(u x S) = u_0 U(|0> x S) +
     u_1 U(|1> x S), read off U(|+> x S): the coupler is an open transverse-field
     Ising chain, and :func:`evolve.sweep_majorana` sweeps the covariance of |+> x S
     (that of |+> on a_0, b_0, S's on the rest), whose amplitudes are then built once, up
-    to a global phase.  Effective mode returns alpha|0...0> + beta|1...1> exactly,
-    normalized as ``unknown`` is.  ``coupling``: :func:`resolve_coupling`'s, if resolved.  Raises
-    DimensionError unless ``support`` is 2n x 2n, n >= 2, and in full mode DeviceError,
-    before any sweep, when S's covariance is not real, finite, antisymmetric and pure
-    (||G + G^T||_F, ||G G^T - I||_F <= 1e-12), the encoder tunnels or the coupler is no
-    Ising chain.
+    to a global phase.  Where ``stages``, :func:`stage_choice`'s unless given, takes the ideal
+    coupling, it returns alpha|0...0> + beta|1...1> exactly, normalized as ``unknown`` is.
+    ``coupling``: :func:`resolve_coupling`'s, if resolved.  Raises DimensionError unless
+    ``support`` is 2n x 2n, n >= 2, and, swept, DeviceError before any sweep when S's
+    covariance is not real, finite, antisymmetric and pure (||G + G^T||_F, ||G G^T - I||_F
+    <= 1e-12), the encoder tunnels or the coupler is no Ising chain.
     """
     if unknown.n_qubits != 1:
         raise DimensionError("unknown state must be a single qubit")
     n = _support_qubits(support)
-    if params.mode == "effective":
+    if not (stages or stage_choice(params)).coupling:
         amps = np.zeros(2 ** (1 + n), dtype=complex)
         amps[::amps.size - 1] = unknown.amps
         return _own_state(amps)
@@ -496,7 +499,7 @@ def couple_unknown(unknown: StateVector, support: np.ndarray,
     if np.iscomplexobj(support) or not skew <= 1e-12 or not mixed <= 1e-12:  # NaN fails too
         raise DeviceError(f"the support is no real, pure Majorana covariance: ||G + G^T||_F = "
                           f"{skew:.1e} and ||G G^T - I||_F = {mixed:.1e} must be <= 1e-12")
-    t_couple, gap, _, g = coupling or resolve_coupling(params, n)
+    t_couple, gap, g = coupling or resolve_coupling(params, n)
     if any(term.dqd == 0 for term in g.tunnel_terms):
         raise DeviceError("the encoder tunnels during coupling, so its bit does not split")
     plan = evolve.sweep_plan(g, 0.0, t_couple, params.integrator)  # compiles g, or refuses it
@@ -530,20 +533,33 @@ def effective_gate(params: ProtocolParams, t: float) -> np.ndarray:
 
 
 def rotation_gate(params: ProtocolParams, t: float) -> np.ndarray:
-    """The rotation stage's 4 x 4 gate over t on qubits 0 and 1: :func:`effective_gate`, or
-    in full mode the exponential of the two-qubit :func:`support_graph` linked by bell_U."""
-    if params.mode == "effective":
-        return effective_gate(params, t)
-    g = support_graph(params, 2, dev.Schedule.constant(params.resolved_bell_U()))
-    return evolve.sweep_block(np.eye(4, dtype=complex), g, 0.0, t, params.integrator)
+    """The rotation stage's exact 4 x 4 gate exp(-iHt) on qubits 0 and 1 over a finite t, in
+    closed form.  H = -w (X_0 + X_1) + bell_U (1 - Z_0 Z_1) / 2 (:func:`support_graph` (params,
+    2) linked by bell_U) keeps X_0 X_1: it is [[0, -2w], [-2w, bell_U]] on the +1 pair
+    (|00> + |11>, |01> + |10>) / sqrt2 and diag(0, bell_U) on the -1 pair (|00> - |11>,
+    |01> - |10>) / sqrt2.  Its phases Omega t / 2, Omega = sqrt(bell_U^2 + 16 w^2), bell_U t / 2
+    and bell_U t are reduced to [-pi, pi] in extended precision, where they err by ~bell_U t
+    2^-64 rad (1.0e-6 at bell_U = 1e7 w and the default wait); G is unitary to ~4e-16."""
+    if not np.isfinite(t):
+        raise DimensionError(f"rotation time {t} is not finite")
+    w, U, t = (np.longdouble(x) for x in (params.w, params.resolved_bell_U(), t))
+    om = np.hypot(U, 4 * w)
+    phases = np.array([om * t / 2, U * t / 2, U * t])
+    th, half, full = (phases - evolve._TWO_PI * np.rint(phases / evolve._TWO_PI)).astype(float)
+    c, s, r, q = math.cos(th), math.sin(th), float(U / om), float(4 * w / om)
+    e, p = cmath.exp(-1j * half), cmath.exp(-1j * full)  # p: the -1 pair's cross phase
+    a, d, b = e * complex(c, r * s), e * complex(c, -r * s), e * complex(0.0, q * s)
+    return 0.5 * np.array([[1 + a, b, b, a - 1], [b, d + p, d - p, b], [b, d - p, d + p, b],
+                           [a - 1, b, b, a + 1]])
 
 
 def bell_evolution(state: StateVector, params: ProtocolParams, t: float) -> StateVector:
-    """Timed rotation of the (q0, q1) aligned block: :func:`rotation_gate`'s G applied as
+    """Timed rotation of the (q0, q1) aligned block: G, :func:`rotation_gate`'s or, where
+    :func:`stage_choice` takes the ideal gate, :func:`effective_gate`'s, applied as
     ``amps.reshape(-1, 4) @ G.T`` (index q0 + 2 q1 + 4 * the rest, which stay frozen)."""
     if state.n_qubits < 2:
         raise DimensionError("rotation stage needs at least qubits 0 and 1")
-    G = rotation_gate(params, t)
+    G = (rotation_gate if stage_choice(params).gate else effective_gate)(params, t)
     return _own_state((state.amps.reshape(-1, 4) @ G.T).ravel())
 
 
@@ -702,15 +718,15 @@ class Channel:
     coupler graph.  S comes as its Majorana covariance, and the coupler is an open
     transverse-field Ising chain, so the coupling is a rotation of 2(n_support + 1)
     Majoranas; it fixes both images up to one common global phase, on which no output
-    depends.  Full mode refuses a covariance that is not pure with DeviceError.  Both
-    images then go through the rotation stage's 4 x 4 gate, and the readout's forms are
-    built (:class:`_Readout`).  ``teleport`` encodes an input and evaluates them; it forms
+    depends.  The swept coupling refuses a covariance that is not pure with DeviceError.
+    Both images then go through the rotation stage's 4 x 4 gate, and the readout's forms
+    are built (:class:`_Readout`).  Each stage takes the exact or the ideal value
+    :func:`stage_choice` picks.  ``teleport`` encodes an input and evaluates them; it forms
     no register-sized array.  The entangle log's ``norm`` is ||Gamma_S||_F / sqrt(2n).
     """
 
     def __init__(self, support: np.ndarray, ramp, params: ProtocolParams):
-        coupling = resolve_coupling(params, _support_qubits(support))
-        self._hold(params, _channel_core(coupling, support, ramp, params))
+        self._hold(params, _channel_core(params, stage_choice(params), (support, ramp)))
 
     def _hold(self, params: ProtocolParams, core: tuple) -> "Channel":
         """This channel on ``params`` and a :func:`_channel_core`; warns of a short coupling."""
@@ -746,17 +762,23 @@ class Channel:
                    for b in self._readout.read(u, self.params, {}).branches) / 6
 
 
-def _channel_core(coupling, support: np.ndarray, ramp, params: ProtocolParams) -> tuple:
+def _channel_core(params: ProtocolParams, stages: Stages, prepared: tuple | None = None) -> tuple:
     """What a :class:`Channel` holds that no input changes: (T_couple, crossing gap, rotation
-    wait, coupled images, rotated images, readout forms W, entangle log, channel log)."""
-    n = _support_qubits(support)
-    coupled = couple_unknown(_PLUS, support, params, coupling).amps
+    wait, coupled images, rotated images, readout forms W, entangle log, channel log), each
+    stage exact or ideal as ``stages`` picks.  The support, ``prepared`` (Gamma_S, ramp) or
+    :func:`make_entangled_pair`'s, comes after the rotation and the coupling are resolved, so
+    neither is refused after a support ramp is stepped."""
+    n = params.n_support if prepared is None else _support_qubits(prepared[0])
+    t_wait = params.resolved_wait()
+    t_couple, gap, g = resolve_coupling(params, n) if stages.coupling else (None,) * 3
+    support, ramp = prepared or make_entangled_pair(params, stages)
+    coupled = couple_unknown(_PLUS, support, params, (t_couple, gap, g), stages).amps
     images = np.zeros((2, coupled.size), dtype=complex)
     for k in (0, 1):  # the encoder bit is the parity of the basis index
         images[k, k::2] = coupled[k::2] / _PLUS.amps[k]
-    G = rotation_gate(params, coupling[2])  # once, for both images
+    E = effective_gate(params, t_wait)
+    G = rotation_gate(params, t_wait) if stages.gate else E  # once, for both images
     post = (images.reshape(2, -1, 4) @ G.T).reshape(2, -1)
-    E = G if params.mode == "effective" else effective_gate(params, coupling[2])
     ideal = np.zeros((2, coupled.size), dtype=complex)  # E on |0...0> and |1...1>
     ideal[0, :4], ideal[1, -4:] = E[:, 0], E[:, 3]
     W = _Readout.forms(post, images, ideal)
@@ -766,11 +788,9 @@ def _channel_core(coupling, support: np.ndarray, ramp, params: ProtocolParams) -
                    ground_overlap_sq=ramp.final_ground_overlap_sq)
         if ramp.ramp_cycles is not None:  # the pair's ramp phase and its predicted loss
             log.update(ramp_cycles=ramp.ramp_cycles, predicted_residue=ramp.predicted_residue)
-    key = params.U_max, params.w, n  # the effective support is the memoised plateau's
-    plateau = params.mode == "effective" and support is plateau_covariance(*key)
-    ghz = _plateau(*key)[1] if plateau else gaussian_overlap_sq(support, ghz_covariance(n))
-    return (*coupling[:3], images, post, W, MappingProxyType(log),
-            MappingProxyType({"ghz_overlap_sq": ghz, "T_couple": coupling[0]}))
+    ghz = gaussian_overlap_sq(support, ghz_covariance(n))
+    return (t_couple, gap, t_wait, images, post, W, MappingProxyType(log),
+            MappingProxyType({"ghz_overlap_sq": ghz, "T_couple": t_couple}))
 
 
 _BUILT_FROM = operator.attrgetter(*(f.name for f in fields(ProtocolParams) if f.name not in (
@@ -778,12 +798,11 @@ _BUILT_FROM = operator.attrgetter(*(f.name for f in fields(ProtocolParams) if f.
 
 
 def build_channel(params: ProtocolParams) -> Channel:
-    """The channel over a support of ``params.n_support`` qubits: the coupling is resolved
-    first, so an unrunnable rotation or an out-of-reach coupling is refused before the
-    support is prepared (:func:`make_entangled_pair`).  Its core is memoised on every ``params``
+    """The channel over a support of ``params.n_support`` qubits, on the stages
+    :func:`stage_choice` picks (:func:`_channel_core`).  Its core is memoised on every ``params``
     field but ``phi`` and ``seed``, which only ``teleport`` reads: a hit builds nothing."""
-    core = evolve.memoised(_CHANNELS, _BUILT_FROM(params), lambda: _channel_core(
-        resolve_coupling(params, params.n_support), *make_entangled_pair(params), params))
+    core = evolve.memoised(_CHANNELS, _BUILT_FROM(params),
+                           lambda: _channel_core(params, stage_choice(params)))
     return Channel.__new__(Channel)._hold(params, core)
 
 

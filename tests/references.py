@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.optimize import curve_fit
 
@@ -90,6 +91,21 @@ def effective_pair_covariance(U: float, w: float) -> np.ndarray:
     r = cross_to_aligned_ratio(U, w)
     x, c = 2 * r / (1 + r * r), (1 - r * r) / (1 + r * r)
     return np.array([[0, 0, x, c], [0, 0, -c, x], [-x, c, 0, 0], [-c, -x, 0, 0]])
+
+
+def dense_rotation_gate(params, t: float) -> np.ndarray:
+    """The rotation stage's 4 x 4 gate as the dense engine's exponential of the two-qubit
+    ``support_graph`` linked by bell_U: ``evolve.sweep_block`` on the identity."""
+    g = support_graph(params, 2, Schedule.constant(params.resolved_bell_U()))
+    return evolve.sweep_block(np.eye(4, dtype=complex), g, 0.0, t, params.integrator)
+
+
+def mp_rotation_gate(params, t: float) -> np.ndarray:
+    """The rotation stage's 4 x 4 gate as a 40-digit exponential of the same device."""
+    g = support_graph(params, 2, Schedule.constant(params.resolved_bell_U()))
+    with mpmath.workdps(40):
+        G = mpmath.expm(mpmath.matrix(hamiltonian_at(g, 0.0).tolist()) * mpmath.mpc(0, -t))
+        return np.array([[complex(G[i, j]) for j in range(4)] for i in range(4)])
 
 
 def plateau_ground_state(params, n: int) -> np.ndarray:

@@ -318,7 +318,7 @@ class TestCrossingGap:
 
 class TestNoDenseRegisterSweep:
     """A full-mode channel build ramps and couples on the Majorana route and rotates with
-    a two-qubit gate: nothing larger than 4 x 4 reaches the dense engine."""
+    the closed-form two-qubit gate: nothing reaches the dense engine."""
 
     PARAMS = ProtocolParams(U_max=15.0, Uprime_max=40.0, integrator=PropagatorConfig(dt=0.2))
 
@@ -344,7 +344,7 @@ class TestNoDenseRegisterSweep:
         dims = self.dense_dims(monkeypatch)
         build_channel(replace(self.PARAMS, n_support=n_support, T_ent=45.0)).teleport(
             InputQubit(0.6, 0.8))
-        assert dims and max(dims) == 4
+        assert dims == []
 
     @pytest.mark.parametrize("experiment", ["teleport", "couple"])
     def test_cli(self, experiment, tmp_path, monkeypatch):
@@ -353,4 +353,4 @@ class TestNoDenseRegisterSweep:
         dims = self.dense_dims(monkeypatch)
         assert main([experiment, "--n-support", "4", "--u-max", "15", "--uprime-max", "40",
                      "--t-ent", "45", "--dt", "0.2", "--output", str(tmp_path / "x")]) == 0
-        assert dims and max(dims) == 4
+        assert dims == []

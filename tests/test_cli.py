@@ -475,7 +475,7 @@ class TestInputSweeps:
         built = []
         original = protocol.make_entangled_pair
         monkeypatch.setattr(protocol, "make_entangled_pair",
-                            lambda params: built.append(params) or original(params))
+                            lambda params, *rest: built.append(params) or original(params, *rest))
         assert main(["sweep", "--experiment", "teleport", "--mode", "effective",
                      "--axis", "alpha_abs", "--values", "0.1,0.5,0.9",
                      "--output", str(tmp_path / "x")]) == 0
@@ -484,8 +484,9 @@ class TestInputSweeps:
     def test_leaked_register_exits_3(self, tmp_path, monkeypatch):
         # the channel computes one rotation gate for both images; a 4 x 4 gate on the
         # encoder and support cannot move weight off the receiver's code pair, so the
-        # broken gate here is a non-finite one, refused by the readout's build
-        monkeypatch.setattr(protocol, "rotation_gate", lambda params, t: np.full((4, 4), np.nan))
+        # broken gate here is a non-finite one, refused by the readout's build (effective
+        # mode's gate is effective_gate's)
+        monkeypatch.setattr(protocol, "effective_gate", lambda params, t: np.full((4, 4), np.nan))
         out = tmp_path / "leak"
         assert main(["teleport", "--mode", "effective", "--n-support", "3",
                      "--output", str(out)]) == 3

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -43,6 +44,7 @@ from dqdsim.protocol import (
     Channel,
     InputQubit,
     ProtocolParams,
+    Stages,
     build_channel,
     couple_unknown,
     coupler_graph,
@@ -56,8 +58,9 @@ from dqdsim.protocol import (
     support_graph,
     teleport_end_to_end,
 )
-from references import (align_phase, majorana_covariance, pairwise_grid_reference,
-                        random_covariance, random_gaussian_state, step_grid_reference)
+from references import (align_phase, dense_rotation_gate, majorana_covariance,
+                        pairwise_grid_reference, random_covariance, random_gaussian_state,
+                        step_grid_reference)
 
 
 def single_dqd(w=1.0, phase=0.0):
@@ -1133,6 +1136,60 @@ class TestChannelMemo:
         params = replace(PAIR_FULL, mode="effective")
         Channel(*make_entangled_pair(params), params)
         assert protocol._CHANNELS == {}
+
+
+def stage_channel(params, stages):
+    """The channel on ``params`` whose stages are exact or ideal as ``stages`` (three bools)."""
+    return Channel.__new__(Channel)._hold(params, protocol._channel_core(params, Stages(*stages)))
+
+
+class TestStageChoice:
+    """A channel is built from three stage values, each exact or ideal: the support, the
+    coupled images and the rotation gate.  The mode picks all three (ROADMAP item 11)."""
+
+    COMBINATIONS = list(itertools.product((True, False), repeat=3))
+
+    @pytest.mark.parametrize("mode, exact", [("full", True), ("effective", False)])
+    def test_the_mode_picks_every_stage(self, mode, exact):
+        assert protocol.stage_choice(replace(PAIR_FULL, mode=mode)) == Stages(*[exact] * 3)
+
+    @pytest.mark.parametrize("stages", COMBINATIONS, ids=lambda s: "".join("ei"[not x] for x in s))
+    def test_each_combination_builds_a_channel(self, stages):
+        channel = stage_channel(PAIR_FULL, stages)
+        rng = np.random.default_rng(38)
+        for q in [InputQubit.random(rng) for _ in range(5)]:
+            res = channel.teleport(q)
+            assert abs(res.p0 + res.p1 - 1.0) <= 1e-12
+        assert 0.999 < channel.mean_fidelity() <= 1.0 + 1e-12
+
+    def test_all_ideal_is_the_effective_channel(self):
+        assert channel_outputs(stage_channel(PAIR_FULL, (False,) * 3)) == channel_outputs(
+            build_channel(replace(PAIR_FULL, mode="effective")))
+
+    def test_all_exact_is_the_full_channel_and_the_gate_moves_only_what_follows_it(
+            self, monkeypatch):
+        exact = stage_channel(PAIR_FULL, (True,) * 3)
+        assert channel_outputs(exact) == channel_outputs(build_channel(PAIR_FULL))
+        # the dense sweep's gate: the coupled images stay, the rotated ones move by <= 1e-14
+        monkeypatch.setattr(protocol, "rotation_gate", dense_rotation_gate)
+        dense = stage_channel(PAIR_FULL, (True,) * 3)
+        assert np.array_equal(dense._coupled, exact._coupled)
+        assert np.max(np.abs(dense._post - exact._post)) <= 1e-14
+        rng = np.random.default_rng(38)
+        for q in [InputQubit.random(rng) for _ in range(5)]:
+            a, b = dense.teleport(q), exact.teleport(q)
+            assert a.step_log["entangle"] == b.step_log["entangle"]
+            assert a.step_log["couple"] == b.step_log["couple"]
+            moves = [abs(x.fidelity - y.fidelity) for x, y in zip(a.branches, b.branches)]
+            assert max(moves) <= 1e-14
+        assert abs(dense.mean_fidelity() - exact.mean_fidelity()) <= 1e-14
+
+    def test_the_ideal_coupling_carries_the_input_whatever_the_support(self):
+        # the ideal coupling maps u onto u_0 |0...0> + u_1 |1...1>, which the ideal gate reads out
+        # exactly: no support loss reaches the output
+        for support in (True, False):
+            channel = stage_channel(PAIR_FULL, (support, False, False))
+            assert channel.mean_fidelity() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestPropagatorConfig:

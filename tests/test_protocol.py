@@ -58,8 +58,9 @@ from dqdsim.protocol import (
     support_graph,
     teleport_end_to_end,
 )
-from references import (align_phase, bell_decomposition_check, effective_pair_covariance,
-                        encode_graph, fit_oscillation, majorana_covariance, plateau_ground_state,
+from references import (align_phase, bell_decomposition_check, dense_rotation_gate,
+                        effective_pair_covariance, encode_graph, fit_oscillation,
+                        majorana_covariance, mp_rotation_gate, plateau_ground_state,
                         random_covariance)
 
 EFFECTIVE = ProtocolParams(mode="effective")
@@ -346,12 +347,13 @@ class TestSupportCovariance:
         gamma = ghz_covariance(n)
         assert np.max(np.abs(gamma - majorana_covariance(bell_target(n).amps))) <= 1e-15
         assert not gamma.flags.writeable
-        if n < 8:  # the effective support is the plateau ground state, memoised
-            assert make_ghz_chain(ChainSpec(n, EFFECTIVE))[0] is plateau_covariance(100.0, 1.0, n)
+        if n < 8:  # the effective support is the plateau ground state
+            assert np.array_equal(make_ghz_chain(ChainSpec(n, EFFECTIVE))[0],
+                                  plateau_covariance(100.0, 1.0, n))
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_an_effective_build_takes_no_determinant(self, n, monkeypatch):
-        # the plateau's GHZ overlap is memoised with its covariance on (U, w, n)
+        # a warm build is a channel-memo hit: the GHZ overlap comes with the memoised core
         params = replace(EFFECTIVE, n_support=n)
         expected = gaussian_overlap_sq(plateau_covariance(100.0, 1.0, n), ghz_covariance(n))
         build_channel(params)
@@ -742,7 +744,7 @@ class TestBellEvolution:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("mode", ["full", "effective"])
     def test_a_time_that_is_not_finite_is_refused(self, mode, bad):
-        # no NaN amplitudes: the effective gate and the full gate's sweep refuse the time
+        # no NaN amplitudes: the effective gate and the closed-form gate refuse the time
         params = ProtocolParams(mode=mode)
         state = ghz_encoded(0.6, 0.8j, 3)
         for run in (lambda: effective_gate(params, bad), lambda: rotation_gate(params, bad),
@@ -789,6 +791,39 @@ class TestBellEvolution:
         arr = out.amps.reshape(2, 2, 2)
         bob_pops = np.sum(np.abs(arr) ** 2, axis=(1, 2))
         assert np.allclose(bob_pops, rho_bob_before**2)
+
+
+class TestRotationGate:
+    """The exact gate in closed form: H = -w (X_0 + X_1) + bell_U (1 - Z_0 Z_1) / 2 keeps
+    X_0 X_1, so exp(-iHt) is two 2 x 2 blocks with analytic entries."""
+
+    # (bell_U, wait_angle): the default waits, and one of 1.25 rotation cycles
+    CASES = [(U, np.pi / 4) for U in (25.0, 50.0, 100.0, 200.0, 400.0, 800.0)] + [
+        (100.0, 2.5 * np.pi)]
+
+    @pytest.mark.parametrize("reference", [dense_rotation_gate, mp_rotation_gate],
+                             ids=["dense-sweep", "mpmath-40-digits"])
+    @pytest.mark.parametrize("U, angle", CASES)
+    def test_matches_the_references(self, U, angle, reference):
+        params = ProtocolParams(bell_U=U, wait_angle=angle)
+        t = params.resolved_wait()
+        bound = 1e-14 if U > 400 else 2e-15
+        assert np.max(np.abs(rotation_gate(params, t) - reference(params, t))) <= bound
+
+    @pytest.mark.parametrize("U", [1e4, 1e6, 1e7, 1e8])
+    def test_is_unitary_at_any_repulsion(self, U):
+        # the dense sweep's one exponential drifted to ||G^+ G - I||_F = 7.4e-4 at 1e7 w and
+        # 1.7 at 1e8 w, where a channel's branches no longer summed to 1
+        params = ProtocolParams(bell_U=U)
+        G = rotation_gate(params, params.resolved_wait())
+        assert np.linalg.norm(G.conj().T @ G - np.eye(4)) <= 1e-15
+
+    def test_a_channel_at_a_huge_rotation_repulsion_builds(self):
+        # the rotation rate 2 w^2 / bell_U slows, and the wait grows, with bell_U: the phase
+        # bell_U t errs by ~bell_U t 2^-64, ~2e-6 rad at 1e7 w
+        slow, slower = (build_channel(ProtocolParams(bell_U=U)).mean_fidelity()
+                        for U in (1e6, 1e7))
+        assert abs(slower - slow) <= 1e-6
 
 
 def reference_measure(state, params, achieved):
